@@ -258,11 +258,6 @@ def compound_matrix(A, k):
     return out
 
 
-def apply_compound(C, x):
-    """Batched matrix action of a compound on component vectors."""
-    return np.matmul(C, x[..., None])[..., 0]
-
-
 def move_indices_dense(k, comps, mat):
     """Act with ``mat`` on every slot of a k-form (k <= 3): raise all
     indices when mat is the inverse metric, lower when it is the metric.
@@ -355,7 +350,12 @@ def bilinear_form_comps(phi3):
 def metric_data_from_phi(phi3):
     """Batched metric data (g, g_inv, det_g, vol, orientation) from a
     positive 3-form.  Raises NotPositive with the first offending flat
-    index when the bilinear form is not definite."""
+    index when a component is not finite or the bilinear form is not
+    definite."""
+    finite = np.all(np.isfinite(phi3), axis=-1)
+    if not np.all(finite):
+        bad = int(np.argmin(np.reshape(finite, -1)))
+        raise NotPositive("3-form has non-finite components", point=bad)
     B = bilinear_form_comps(phi3)
     detB = np.linalg.det(B)
     s0 = np.sign(detB)
@@ -595,12 +595,6 @@ def contraction_residuals(phi):
         'psipsi_24g': float(np.max(np.abs(lhs3 - 24.0 * g))),
         'phipsi_4phi': float(np.max(np.abs(lhs4 - 4.0 * P))),
     }
-
-
-def verify_contraction_identities(phi):
-    """Residual report for the four contraction identities (see
-    contraction_residuals); kept as the operation-level entry point."""
-    return contraction_residuals(phi)
 
 
 def pullback_3form(u, phi):

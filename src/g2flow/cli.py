@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, G2FlowError, NonPositiveShiftedScalar,
-                     PositivityLost, SnapshotError, Stalled)
+from .errors import ConfigError, G2FlowError
 from .report import (CsvWriter, atomic_write_json, read_csv,
                      write_run_plots)
 
@@ -318,8 +317,11 @@ def build_initial_state(cfg):
     return FlowState(0.0, phi), {}
 
 
-def _monitor_row(state, dt, cfg, c, gammas, g0, running):
-    """All monitored scalars at one accepted state."""
+def monitor_row(state, dt, c, gammas, g0, running):
+    """All monitored scalars at one accepted state: the series.csv row
+    (without min_C_g2) plus the pointwise Weyl C1 field under
+    '_w_c1_field'.  ``running`` holds the reference periods and the running
+    Weyl-ratio maximum, which is updated in place."""
     from .curvature import c1_norm, metric_distortion, weyl
     from .geometry import tensor_norm2
     from .grid import period_integrals
@@ -398,7 +400,7 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     # Distortion is measured against g at t = 0; when resuming, the
     # starting metric is rebuilt from the configured initial family.
     if resumed and cfg.initial_family in ('flat', 'perturbed'):
-        g0 = build_initial_state_from_family(cfg)[0].metric.g
+        g0 = build_initial_state(cfg)[0].metric.g
     else:
         g0 = state.metric.g
 
@@ -425,8 +427,8 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     prev_state = None
     cur_state = state
     # a resumed run's restored row already exists in the original CSV
-    cur_row = None if resumed else _monitor_row(state, None, cfg, c, gammas,
-                                                g0, running)
+    cur_row = None if resumed else monitor_row(state, None, c, gammas, g0,
+                                               running)
     target = cfg.flow_steps
     t_wall = time.time()
     steps_done = 0
@@ -441,7 +443,7 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
             sp = 2.0 * np.sqrt(np.max(tensor_norm2(cur_state.bundle.S,
                                                    cur_state.metric, 2)))
             running['speed_integral'] += dt * sp
-            new_row = _monitor_row(new_state, dt, cfg, c, gammas, g0, running)
+            new_row = monitor_row(new_state, dt, c, gammas, g0, running)
             if cur_row is not None:
                 if prev_state is not None:
                     cur_row['min_C_g2'] = minimal_pinching_constant(
@@ -473,18 +475,6 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
         events.append('pinching monitors paused: min(R + c) <= 0 '
                       '(scalar curvature escaped below -c)')
     return history, events, c, state
-
-
-def build_initial_state_from_family(cfg):
-    """Initial state from the flat/perturbed family regardless of the
-    snapshot setting (used to reconstruct g(0) on resume)."""
-    from .flow import FlowState
-    from .initial_data import flat_phi_field, perturbed_phi_field
-    spec = cfg.grid_spec()
-    if cfg.initial_epsilon == 0.0:
-        return FlowState(0.0, flat_phi_field(spec)), {}
-    return FlowState(0.0, perturbed_phi_field(
-        spec, cfg.initial_epsilon, cfg.modes())), {}
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +710,7 @@ def cmd_run(cfg, resume_from=None):
             start_state, start_aux = restore(resume_from)
         history, events, c, final = run_flow(cfg, run_dir, start_state,
                                              start_aux)
-    except (PositivityLost, Stalled, SnapshotError,
-            NonPositiveShiftedScalar, G2FlowError) as err:
+    except G2FlowError as err:
         _error_record(run_dir, err)
         print(f"runtime error: {err}", file=sys.stderr)
         return 3
@@ -748,8 +737,7 @@ def cmd_verify(cfg):
     os.makedirs(run_dir, exist_ok=True)
     try:
         report = run_verification(cfg, run_dir)
-    except (PositivityLost, Stalled, NonPositiveShiftedScalar,
-            G2FlowError) as err:
+    except G2FlowError as err:
         _error_record(run_dir, err)
         print(f"runtime error: {err}", file=sys.stderr)
         return 3

@@ -1,20 +1,16 @@
 """Curvature decomposition and pinching monitors.
 
-The Weyl tensor is computed two ways: the exactly trace-free member of the
-decomposition Rm = (R/84) g o g + (1/5) E o g + W', and the literal
-printed-coefficient variant whose final term carries 1/30 without a scalar
-curvature factor.  The residual between the two is reported; every norm
-and monitor uses the trace-free W'.
+Every norm and monitor uses the exactly trace-free Weyl tensor W' of the
+decomposition Rm = (R/84) g o g + (1/5) E o g + W'.  The literal
+printed-coefficient variant, whose final term carries 1/30 without a scalar
+curvature factor, is built only by ``weyl_variant_residual``, which reports
+its gap to W'.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveShiftedScalar
 from .geometry import covariant_derivative, tensor_norm2
-
-_EIGHTH = None
 
 
 def kulkarni_nomizu(alpha, beta):
@@ -27,29 +23,25 @@ def kulkarni_nomizu(alpha, beta):
 
 
 def weyl(bundle, m):
-    """Attach both Weyl variants to the bundle and return them.
-
-    W' (trace-free): Rm - (R/84) g o g - (1/5) E o g.
-    W_printed: Rm - (1/5)(g_il R_jk + g_jk R_il - g_ik R_jl - g_jl R_ik)
-               + (1/30)(g_il g_jk - g_ik g_jl), coefficients as printed.
-    """
-    g = m.g
+    """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g; attached to
+    the bundle and returned."""
     R = bundle.R[..., None, None, None, None]
-    gg = kulkarni_nomizu(g, g)
-    W = bundle.Rm - (R / 84.0) * gg - 0.2 * kulkarni_nomizu(bundle.E, g)
-    ric_g = kulkarni_nomizu(bundle.Ric, g)
-    pair = (np.einsum('...il,...jk->...ijkl', g, g)
-            - np.einsum('...ik,...jl->...ijkl', g, g))
-    W_printed = bundle.Rm - 0.2 * ric_g + pair / 30.0
-    bundle.W = W
-    bundle.W_printed = W_printed
-    return W, W_printed
+    bundle.W = (bundle.Rm - (R / 84.0) * kulkarni_nomizu(m.g, m.g)
+                - 0.2 * kulkarni_nomizu(bundle.E, m.g))
+    return bundle.W
 
 
 def weyl_variant_residual(bundle):
-    """Max-norm gap between the printed-coefficient Weyl and the trace-free
-    one; nonzero whenever the scalar curvature differs from 1."""
-    return float(np.max(np.abs(bundle.W - bundle.W_printed)))
+    """Max-norm gap between the trace-free Weyl and the printed-coefficient
+    variant Rm - (1/5)(g_il R_jk + g_jk R_il - g_ik R_jl - g_jl R_ik)
+    + (1/30)(g_il g_jk - g_ik g_jl); nonzero whenever the scalar curvature
+    differs from 1."""
+    g = bundle.m.g
+    W = weyl(bundle, bundle.m) if bundle.W is None else bundle.W
+    pair = (np.einsum('...il,...jk->...ijkl', g, g)
+            - np.einsum('...ik,...jl->...ijkl', g, g))
+    printed = bundle.Rm - 0.2 * kulkarni_nomizu(bundle.Ric, g) + pair / 30.0
+    return float(np.max(np.abs(W - printed)))
 
 
 def c1_norm(tensor, m, rank):
@@ -60,65 +52,19 @@ def c1_norm(tensor, m, rank):
     return fld, float(np.max(fld))
 
 
-@dataclass(frozen=True)
-class PinchingConfig:
-    """Shift c > 0 (so R + c stays positive) and exponent gamma."""
-    c: float = 1.0
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("shift c must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-
 def auto_shift(bundle, margin=1.0):
     """Default shift: 1 + max(0, -min R) for the supplied (initial)
     curvature bundle."""
     return float(margin + max(0.0, -float(np.min(bundle.R))))
 
 
-def shifted_scalar(bundle, cfg):
+def shifted_scalar(bundle, c):
     """R + c, with the positivity hypothesis enforced."""
-    rt = bundle.R + cfg.c
+    rt = bundle.R + c
     if np.min(rt) <= 0.0:
         raise NonPositiveShiftedScalar(
             f"min(R + c) = {float(np.min(rt)):.3e} <= 0")
     return rt
-
-
-def pinching_f(bundle, cfg):
-    """f = |E|^2 / (R + c)^gamma, pointwise over the grid."""
-    rt = shifted_scalar(bundle, cfg)
-    e2 = tensor_norm2(bundle.E, bundle.m, 2)
-    return e2 / rt ** cfg.gamma
-
-
-@dataclass
-class PinchingReport:
-    """Per-step monitor row.
-
-    ratio_lhs is max |E|/(R+c); ratio_rhs_driver is the running space-time
-    max of the pointwise |W|_{C1}/(R+c); metric_distortion is the largest
-    eigenvalue stretch of g(t) against g(0).
-    """
-    t: float
-    f_max: float
-    f_min: float
-    E_norm_max: float
-    W_c1_max: float
-    ratio_lhs: float
-    ratio_rhs_driver: float
-    volume: float
-    min_R: float
-    metric_distortion: float
-
-    FIELDS = ('t', 'f_max', 'f_min', 'E_norm_max', 'W_c1_max', 'ratio_lhs',
-              'ratio_rhs_driver', 'volume', 'min_R', 'metric_distortion')
-
-    def as_tuple(self):
-        return tuple(getattr(self, name) for name in self.FIELDS)
 
 
 def metric_distortion(g0, g, spec):
@@ -132,42 +78,9 @@ def metric_distortion(g0, g, spec):
     return max(hi, 1.0 / lo)
 
 
-def pinching_report(state, cfg, g0, running_w_ratio=0.0):
-    """Evaluate the monitor row at a state; returns (report, new running
-    max of the Weyl ratio)."""
-    b = state.bundle
-    if b.W is None:
-        weyl(b, state.metric)
-    rt = shifted_scalar(b, cfg)
-    e2 = tensor_norm2(b.E, b.m, 2)
-    f = e2 / rt ** cfg.gamma
-    wfld, wmax = c1_norm(b.W, state.metric, 4)
-    ratio_lhs = float(np.max(np.sqrt(e2) / rt))
-    w_ratio = max(running_w_ratio, float(np.max(wfld / rt)))
-    rep = PinchingReport(
-        t=state.t,
-        f_max=float(np.max(f)),
-        f_min=float(np.min(f)),
-        E_norm_max=float(np.max(np.sqrt(e2))),
-        W_c1_max=wmax,
-        ratio_lhs=ratio_lhs,
-        ratio_rhs_driver=w_ratio,
-        volume=state.volume(),
-        min_R=float(np.min(b.R)),
-        metric_distortion=metric_distortion(g0, state.metric.g, state.spec),
-    )
-    return rep, w_ratio
-
-
-def _column(history, name, attr):
-    """Pull one column from a history of PinchingReport objects or of
-    plain row dicts."""
-    if not history:
-        return np.zeros(0)
-    first = history[0]
-    if isinstance(first, dict):
-        return np.array([r[name] for r in history], dtype=float)
-    return np.array([getattr(r, attr) for r in history], dtype=float)
+def _column(history, name):
+    """One column of a history of monitor-row dicts."""
+    return np.array([r[name] for r in history], dtype=float)
 
 
 def traceless_ricci_ratio_fit(history, c1):
@@ -177,8 +90,8 @@ def traceless_ricci_ratio_fit(history, c1):
     The feasible set in C2 is an up-set, so a bisection finds the minimum;
     the margin series is nonnegative by construction of the fit.
     """
-    lhs = _column(history, 'ratio_lhs', 'ratio_lhs')
-    drv = _column(history, 'ratio_driver', 'ratio_rhs_driver')
+    lhs = _column(history, 'ratio_lhs')
+    drv = _column(history, 'ratio_driver')
 
     def ok(c2):
         return np.all(lhs <= max(c1, 2.0 * c2 * c2 + 1.0) + c2 * drv + 1e-15)
@@ -208,12 +121,12 @@ def traceless_ricci_ratio_fit(history, c1):
 def weyl_blowup_monitor(history, T_est, delta):
     """Rate series r(t) = max |W|_{C1} * (T_est - t)^{1-delta} for
     inspecting blow-up behavior toward an estimated horizon T_est."""
-    ts = _column(history, 't', 't')
+    ts = _column(history, 't')
     if T_est <= ts.max():
         raise ValueError("T_est must exceed the last recorded time")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    w = _column(history, 'W_c1_max', 'W_c1_max')
+    w = _column(history, 'W_c1_max')
     rate = w * (T_est - ts) ** (1.0 - delta)
     return {'t': ts, 'rate': rate}
 
@@ -222,9 +135,9 @@ def distortion_bound_check(history, speed_integral=None):
     """e^{-N} g(0) <= g(t) <= e^{N} g(0): the recorded eigenvalue
     distortion may not exceed exp of the accumulated metric-speed
     integral N(t) = int max 2|S| dt."""
-    dist = _column(history, 'distortion', 'metric_distortion')
+    dist = _column(history, 'distortion')
     if speed_integral is None:
-        speed_integral = _column(history, 'speed_integral', 'speed_integral')
+        speed_integral = _column(history, 'speed_integral')
     bound = np.exp(np.asarray(speed_integral, dtype=float))
     return {'distortion': dist, 'bound': bound,
             'ok': bool(np.all(dist <= bound * (1.0 + 1e-10)))}

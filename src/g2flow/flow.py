@@ -16,9 +16,9 @@ import numpy as np
 
 from . import algebra as al
 from .errors import NotPositive, PositivityLost, SnapshotError, Stalled
-from .geometry import (MetricField, attach_torsion, hodge_laplacian_closed,
-                       codifferential, hodge_star_field, riemann,
-                       tensor_norm2, torsion_from_phi)
+from .geometry import (MetricField, attach_torsion, codifferential,
+                       hodge_star_field, riemann, tensor_norm2,
+                       torsion_from_phi)
 from .grid import FormField, GridSpec, exterior_derivative, integrate_scalar
 
 CLOSED_TOL = 1e-12
@@ -99,29 +99,13 @@ class FlowState:
         return self._cache['volume']
 
 
-def flow_state(phi, t=0.0, step_index=0):
-    return FlowState(t, phi, step_index)
+def rhs(phi):
+    """d(d* phi) on a closed 3-form field; exact in the image of d.
 
-
-def rhs(state):
-    """d(d* phi) at a state; exact in the image of d.
-
-    Positivity failure at any point surfaces as PositivityLost carrying the
-    state time and the flat index of the first bad point.
+    A 3-form outside the positive cone raises NotPositive with the flat
+    index of the first bad point, for the step controller to translate.
     """
-    try:
-        m = state.metric
-    except NotPositive as e:
-        raise PositivityLost("3-form left the positive cone",
-                             t=state.t, point=e.point) from e
-    return hodge_laplacian_closed(state.phi, m, closed_tol=1e-9)
-
-
-def _rhs_raw(phi):
-    """Stage-level derivative on a bare FormField (exceptions bubble as
-    NotPositive for the step controller to translate)."""
-    m = MetricField.from_phi(phi)
-    return exterior_derivative(codifferential(phi, m))
+    return exterior_derivative(codifferential(phi, MetricField.from_phi(phi)))
 
 
 def suggest_dt(state, policy):
@@ -137,10 +121,10 @@ def suggest_dt(state, policy):
 
 
 def _rk4(phi, dt):
-    k1 = _rhs_raw(phi)
-    k2 = _rhs_raw(FormField(3, phi.spec, phi.values + 0.5 * dt * k1.values))
-    k3 = _rhs_raw(FormField(3, phi.spec, phi.values + 0.5 * dt * k2.values))
-    k4 = _rhs_raw(FormField(3, phi.spec, phi.values + dt * k3.values))
+    k1 = rhs(phi)
+    k2 = rhs(FormField(3, phi.spec, phi.values + 0.5 * dt * k1.values))
+    k3 = rhs(FormField(3, phi.spec, phi.values + 0.5 * dt * k2.values))
+    k4 = rhs(FormField(3, phi.spec, phi.values + dt * k3.values))
     upd = (k1.values + 2.0 * k2.values + 2.0 * k3.values + k4.values) * (dt / 6.0)
     return FormField(3, phi.spec, phi.values + upd)
 
@@ -256,7 +240,7 @@ def restore(path, closed_tol=1e-9):
     """Read a snapshot back; returns (FlowState, aux dict).
 
     Fails loudly (SnapshotError) on a bad magic, unknown version, size or
-    CRC mismatch, or a 3-form that is not closed.
+    CRC mismatch, non-finite values, or a 3-form that is not closed.
     """
     head_fmt = '<8sII7I7dIdQII'
     head_len = struct.calcsize(head_fmt)
@@ -292,10 +276,12 @@ def restore(path, closed_tol=1e-9):
         raise SnapshotError("payload CRC mismatch")
     values = np.frombuffer(payload, dtype='<f8').astype(np.float64)
     values = values.reshape(spec.shape + (ncomp,))
+    if not np.all(np.isfinite(values)):
+        raise SnapshotError("snapshot payload holds non-finite values")
     phi = FormField(degree, spec, values)
     if degree == 3:
         resid = exterior_derivative(phi).max_abs()
-        if resid > closed_tol:
+        if not resid <= closed_tol:
             raise SnapshotError(
                 f"restored form is not closed (||d phi|| = {resid:.3e})")
     return FlowState(t, phi, step_index), aux

@@ -8,7 +8,6 @@ first-order covariant derivative, so contraction bookkeeping downstream can
 rely on a single consistent discretization.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +82,6 @@ class MetricField:
             self._gamma_flat = np.ascontiguousarray(
                 flat.reshape(sh[:-3] + (DIM * DIM, DIM)))
         return self._gamma_flat
-
-
-
-def christoffel(m):
-    """Connection coefficients of a MetricField (operation-level alias)."""
-    return m.christoffel
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +194,6 @@ class CurvatureBundle:
     E: np.ndarray
     symmetry_defect: float
     W: np.ndarray = None
-    W_printed: np.ndarray = None
     That: np.ndarray = None
     S: np.ndarray = None
     T_norm2: np.ndarray = None
@@ -260,7 +252,7 @@ def ricci_identity_residual(alpha, m, bundle):
 
 
 # ---------------------------------------------------------------------------
-# Hodge star, codifferential, Laplacian on fields
+# Hodge star and codifferential on fields
 # ---------------------------------------------------------------------------
 
 def hodge_star_field(a, m):
@@ -282,21 +274,6 @@ def codifferential(a, m):
     sgn = -1.0 if k % 2 else 1.0
     out = hodge_star_field(exterior_derivative(hodge_star_field(a, m)), m)
     return FormField(k - 1, a.spec, sgn * out.values)
-
-
-def hodge_laplacian_closed(phi, m, closed_tol=1e-9):
-    """d(d* phi) for a closed 3-form field.
-
-    For closed structures this is the full Hodge Laplacian; a warning is
-    emitted when the closedness residual exceeds ``closed_tol``.
-    """
-    from .grid import exterior_derivative
-    dphi = exterior_derivative(phi)
-    if dphi.max_abs() > closed_tol:
-        warnings.warn(f"||d phi|| = {dphi.max_abs():.3e} exceeds "
-                      f"{closed_tol:.1e}; result is d d* phi only",
-                      stacklevel=2)
-    return exterior_derivative(codifferential(phi, m))
 
 
 def form_inner_field(a, b, m):
@@ -350,11 +327,6 @@ class TorsionField:
     tau2: FormField
     tau3: FormField
     nabla_phi: np.ndarray
-
-
-def torsion_norm2(t, m):
-    """|T|^2 of the skew part, pointwise."""
-    return tensor_norm2(t.T_skew, m, 2)
 
 
 def torsion_from_phi(phi, m, psi):

@@ -109,12 +109,6 @@ def partial_derivative(values, spec, axis):
     return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * h)
 
 
-def gradient(values, spec):
-    """Stack of partials along every axis; shape (*grid, 7, *compshape)."""
-    parts = [partial_derivative(values, spec, a) for a in range(DIM)]
-    return np.stack(parts, axis=DIM)
-
-
 class FormField:
     """Grid-sampled k-form: components (canonical increasing order) per point."""
 

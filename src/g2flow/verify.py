@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import c1_norm, weyl
-from .errors import NonPositiveShiftedScalar
+from .curvature import c1_norm, shifted_scalar, weyl
 from .flow import FlowState, step_fixed
 from .geometry import (covariant_derivative, partial_stack, raise_all,
                        raise_index, scalar_laplacian, second_covariant,
@@ -75,13 +74,7 @@ class StateTensors:
     @property
     def Rt(self):
         """Shifted scalar R + c; positivity enforced."""
-        def build():
-            rt = self.R + self.c
-            if np.min(rt) <= 0.0:
-                raise NonPositiveShiftedScalar(
-                    f"min(R + c) = {float(np.min(rt)):.3e} <= 0")
-            return rt
-        return self._get('Rt', build)
+        return self._get('Rt', lambda: shifted_scalar(self.b, self.c))
 
     @property
     def Ric_t(self):

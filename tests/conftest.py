@@ -14,11 +14,11 @@ def scenario_spec(n, axes=(0, 1)):
 
 
 def perturbed_state(n, eps=EPS):
-    return fl.flow_state(perturbed_phi_field(scenario_spec(n), eps))
+    return fl.FlowState(0.0, perturbed_phi_field(scenario_spec(n), eps))
 
 
 def flat_state(n=8):
-    return fl.flow_state(flat_phi_field(scenario_spec(n)))
+    return fl.FlowState(0.0, flat_phi_field(scenario_spec(n)))
 
 
 def smooth_field(spec, ncomp, seed=0, amp=1.0):

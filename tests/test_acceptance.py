@@ -103,7 +103,7 @@ def batched_contraction_residuals(phis):
 class TestCriterion1:
     def test_pointwise_algebra_suite(self):
         t0 = time.time()
-        res = al.verify_contraction_identities(al.standard_phi())
+        res = al.contraction_residuals(al.standard_phi())
         std_ok = max(res.values()) <= 1e-12
 
         rng = np.random.default_rng(2026)
@@ -131,7 +131,7 @@ class TestCriterion2:
     def test_flat_fixed_point(self):
         t0 = time.time()
         spec = scenario_spec(16)
-        st = fl.flow_state(flat_phi_field(spec))
+        st = fl.FlowState(0.0, flat_phi_field(spec))
         ref = st.phi.values.copy()
         for _ in range(100):
             st = fl.step(st)

@@ -141,6 +141,13 @@ class TestMetricFromPhi:
         with pytest.raises(NotPositive):
             al.metric_from_phi(al.FormK(3, comps))
 
+    def test_nonfinite_rejected_with_point(self):
+        phis = np.broadcast_to(al.standard_phi().comps, (4, 3, 35)).copy()
+        phis[2, 1, 7] = np.nan
+        with pytest.raises(NotPositive, match="non-finite") as err:
+            al.metric_data_from_phi(phis)
+        assert err.value.point == 7
+
     def test_metric_inverse_consistency(self):
         u = healthy_linear_map(np.random.default_rng(3))
         m = al.metric_from_phi(al.pullback_3form(u, al.standard_phi()))
@@ -279,7 +286,7 @@ class TestDecompose3:
 
 class TestContractionIdentities:
     def test_standard_residuals(self):
-        res = al.verify_contraction_identities(al.standard_phi())
+        res = al.contraction_residuals(al.standard_phi())
         assert set(res) == {'phiphi_psi', 'phiphi_6g', 'psipsi_24g',
                             'phipsi_4phi'}
         assert max(res.values()) <= 1e-12
@@ -301,7 +308,7 @@ class TestContractionIdentities:
         for trial in range(40):
             u = healthy_linear_map(rng, flip=bool(trial % 2))
             pb = al.pullback_3form(u, phi)
-            res = al.verify_contraction_identities(pb)
+            res = al.contraction_residuals(pb)
             scale = max(1.0, float(np.max(np.abs(
                 al.metric_from_phi(pb).g))))
             assert max(res.values()) / scale < 1e-8

@@ -12,8 +12,7 @@ BASE_CFG = """\
 config_version = 1
 grid.n = 8
 grid.active_axes = 1,2
-initial.family = perturbed
-initial.epsilon = 0.05
+initial.family = {family}
 flow.steps = {steps}
 flow.safety = 0.25
 pinching.gammas = 1.5,2
@@ -25,6 +24,7 @@ output.snapshot_every = {snap}
 def write_cfg(tmp_path, name, **kw):
     kw.setdefault('steps', 8)
     kw.setdefault('snap', 4)
+    kw.setdefault('family', 'perturbed')
     text = BASE_CFG.format(**kw)
     path = tmp_path / name
     path.write_text(text)
@@ -55,6 +55,13 @@ class TestParseConfig:
         assert "safety" in msgs
         assert "expected key = value" in msgs
         assert len(err.value.problems) == 5
+
+    def test_pinching_values_must_be_positive(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("pinching.c = -1\npinching.gammas = 1.5,0\n")
+        msgs = "\n".join(err.value.problems)
+        assert "pinching.c" in msgs
+        assert "pinching.gammas" in msgs
 
     def test_unsupported_version(self):
         with pytest.raises(ConfigError):
@@ -116,10 +123,12 @@ class TestRunCommand:
         assert (out1 / 'series.csv').read_bytes() == \
             (out2 / 'series.csv').read_bytes()
 
-    def test_resume_matches_unbroken(self, tmp_path):
+    @pytest.mark.parametrize('family', ['perturbed', 'flat'])
+    def test_resume_matches_unbroken(self, tmp_path, family):
+        # epsilon stays at its default 0.05, which the flat family ignores
         out1, out2 = tmp_path / "full", tmp_path / "resumed"
-        cfg1 = write_cfg(tmp_path, "f.cfg", out=out1)
-        cfg2 = write_cfg(tmp_path, "g.cfg", out=out2)
+        cfg1 = write_cfg(tmp_path, "f.cfg", out=out1, family=family)
+        cfg2 = write_cfg(tmp_path, "g.cfg", out=out2, family=family)
         assert main(['run', cfg1]) == 0
         snap = str(out1 / 'snapshots' / 'step000004.g2snap')
         assert main(['resume', snap, cfg2]) == 0

@@ -6,7 +6,7 @@ import pytest
 from g2flow import algebra as al
 from g2flow import flow as fl
 from g2flow import grid as gr
-from g2flow.errors import PositivityLost, SnapshotError, Stalled
+from g2flow.errors import NotPositive, PositivityLost, SnapshotError, Stalled
 from g2flow.initial_data import flat_phi_field, perturbed_phi_field
 
 from conftest import scenario_spec
@@ -17,7 +17,7 @@ def short_run():
     """A 30-step perturbed run at N=16 shared by the monotonicity and
     conservation tests."""
     spec = scenario_spec(16)
-    states = [fl.flow_state(perturbed_phi_field(spec, 0.05))]
+    states = [fl.FlowState(0.0, perturbed_phi_field(spec, 0.05))]
     for _ in range(30):
         states.append(fl.step(states[-1]))
     return states
@@ -35,18 +35,16 @@ class TestStepPolicy:
 
 class TestRhs:
     def test_flat_zero(self):
-        st = fl.flow_state(flat_phi_field(scenario_spec(8)))
-        assert fl.rhs(st).max_abs() == 0.0
+        assert fl.rhs(flat_phi_field(scenario_spec(8))).max_abs() == 0.0
 
     def test_result_is_exact(self):
-        st = fl.flow_state(perturbed_phi_field(scenario_spec(16), 0.05))
-        out = fl.rhs(st)
+        out = fl.rhs(perturbed_phi_field(scenario_spec(16), 0.05))
         assert gr.exterior_derivative(out).max_abs() <= 1e-13
 
     def test_linear_in_epsilon_at_leading_order(self):
         spec = scenario_spec(16)
-        r1 = fl.rhs(fl.flow_state(perturbed_phi_field(spec, 0.04))).max_abs()
-        r2 = fl.rhs(fl.flow_state(perturbed_phi_field(spec, 0.02))).max_abs()
+        r1 = fl.rhs(perturbed_phi_field(spec, 0.04)).max_abs()
+        r2 = fl.rhs(perturbed_phi_field(spec, 0.02)).max_abs()
         assert abs(r1 / (2.0 * r2) - 1.0) < 0.10
 
     def test_positivity_failure_reported(self):
@@ -54,14 +52,18 @@ class TestRhs:
         comps = np.zeros(35)
         comps[al.POS[3][(0, 1, 2)]] = 1.0
         bad = gr.FormField.constant(al.FormK(3, comps), spec)
-        with pytest.raises(PositivityLost):
-            fl.rhs(fl.FlowState(0.0, bad))
+        with pytest.raises(NotPositive) as err:
+            fl.rhs(bad)
+        assert err.value.point is not None
+        with pytest.raises(PositivityLost) as err:
+            fl.step_fixed(fl.FlowState(0.0, bad), 1e-3)
+        assert err.value.point is not None
 
 
 class TestStep:
     def test_flat_fixed_point(self):
         spec = scenario_spec(8)
-        st = fl.flow_state(flat_phi_field(spec))
+        st = fl.FlowState(0.0, flat_phi_field(spec))
         ref = st.phi.values.copy()
         for _ in range(25):
             st = fl.step(st)
@@ -103,7 +105,7 @@ class TestStep:
 class TestCrosscheck:
     def test_flat_both_sides_zero(self):
         spec = scenario_spec(8)
-        a = fl.flow_state(flat_phi_field(spec))
+        a = fl.FlowState(0.0, flat_phi_field(spec))
         b = fl.step_fixed(a, 1e-3)
         out = fl.metric_evolution_crosscheck(a, b)
         assert out['residual_max'] <= 1e-14
@@ -122,7 +124,7 @@ class TestCrosscheck:
         res = {}
         for lvl in range(3):
             dt = 1.0 * h2 / 2 ** lvl
-            a = fl.flow_state(phi0)
+            a = fl.FlowState(0.0, phi0)
             b = fl.step_fixed(a, dt)
             res[dt] = fl.metric_evolution_crosscheck(a, b)['residual_max']
         ss = sorted(res, reverse=True)
@@ -188,13 +190,25 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             fl.restore(path)
 
+    @pytest.mark.parametrize('comp', [(2, 3, 4), (0, 1, 2)])
+    def test_nonfinite_rejected(self, tmp_path, comp):
+        # (0, 1, 2) holds both active axes, so d phi never reads it and
+        # only the explicit finiteness check can catch the NaN
+        spec = scenario_spec(8)
+        vals = flat_phi_field(spec).values.copy()
+        vals.reshape(-1, 35)[5, al.POS[3][comp]] = np.nan
+        path = tmp_path / "nan.g2snap"
+        fl.snapshot(fl.FlowState(0.0, gr.FormField(3, spec, vals)), path)
+        with pytest.raises(SnapshotError):
+            fl.restore(path)
+
 
 class TestDeterminism:
     def test_trajectory_bitwise_repeatable(self):
         spec = scenario_spec(16)
 
         def run():
-            st = fl.flow_state(perturbed_phi_field(spec, 0.05))
+            st = fl.FlowState(0.0, perturbed_phi_field(spec, 0.05))
             for _ in range(5):
                 st = fl.step(st)
             return st.phi.values

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from g2flow import algebra as al
+from g2flow import flow as fl
 from g2flow import geometry as ge
 from g2flow import grid as gr
 from g2flow.errors import DegreeError
@@ -48,7 +49,7 @@ class TestChristoffel:
                         if k == 0 and i == j:
                             v -= du
                         exact[..., k, i, j] = v
-            errs[n] = np.max(np.abs(ge.christoffel(mf) - exact))
+            errs[n] = np.max(np.abs(mf.christoffel - exact))
         assert np.log2(errs[16] / errs[32]) > 3.5
 
     def test_lower_symmetry(self, state16):
@@ -163,25 +164,14 @@ class TestHodgeOperators:
 
     def test_laplacian_flat_zero_and_exactness(self, state16):
         st = flat_state()
-        lap = ge.hodge_laplacian_closed(st.phi, st.metric)
+        lap = fl.rhs(st.phi)
         assert lap.max_abs() == 0.0
-        lap16 = ge.hodge_laplacian_closed(state16.phi, state16.metric)
+        lap16 = fl.rhs(state16.phi)
         assert gr.exterior_derivative(lap16).max_abs() < 1e-13
-
-    def test_laplacian_warns_on_nonclosed(self, state16):
-        vals = state16.phi.values.copy()
-        # vary a component with no leg on axis 1 along axis 1: not closed
-        comp = al.POS[3][(3, 4, 5)]
-        vals[..., comp] = vals[..., comp] + \
-            0.05 * np.sin(state16.spec.coordinates(1))
-        bad = gr.FormField(3, state16.spec, vals)
-        assert gr.exterior_derivative(bad).max_abs() > 1e-3
-        with pytest.warns(UserWarning):
-            ge.hodge_laplacian_closed(bad, ge.MetricField.from_phi(bad))
 
     def test_laplacian_matches_full_hodge_on_closed(self, state16):
         m = state16.metric
-        closed_part = ge.hodge_laplacian_closed(state16.phi, m)
+        closed_part = fl.rhs(state16.phi)
         dphi = gr.exterior_derivative(state16.phi)
         full = closed_part.values + ge.codifferential(dphi, m).values
         assert np.max(np.abs(full - closed_part.values)) < 1e-13

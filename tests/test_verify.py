@@ -136,7 +136,7 @@ class TestTrajectories:
         # already resolves second order in dt through the spatial floor
         spec = scenario_spec(32)
         phi0 = perturbed_phi_field(spec, 0.05)
-        c = auto_shift(fl.flow_state(phi0).bundle)
+        c = auto_shift(fl.FlowState(0.0, phi0).bundle)
         h2 = spec.min_active_spacing() ** 2
         results = vf.run_evolution_checks(phi0, dt=1.5 * h2, c=c,
                                           gammas=(2.0,))
@@ -154,7 +154,7 @@ class TestTrajectories:
         for n in (32, 64):
             spec = scenario_spec(n)
             phi0 = perturbed_phi_field(spec, 0.05)
-            c = auto_shift(fl.flow_state(phi0).bundle)
+            c = auto_shift(fl.FlowState(0.0, phi0).bundle)
             prev, mid, nxt = vf.centered_states(phi0, dt, dt)
             res[n] = vf.evaluate_residuals(prev, mid, nxt, dt, c,
                                            gammas=(2.0,))
@@ -174,7 +174,7 @@ class TestMinimalPinchingConstant:
     def test_perturbed_finite(self):
         spec = scenario_spec(16)
         phi0 = perturbed_phi_field(spec, 0.05)
-        c = auto_shift(fl.flow_state(phi0).bundle)
+        c = auto_shift(fl.FlowState(0.0, phi0).bundle)
         h2 = spec.min_active_spacing() ** 2
         prev, mid, nxt = vf.centered_states(phi0, 2 * h2, h2)
         cmin = vf.minimal_pinching_constant(prev, mid, nxt, c)
@@ -188,7 +188,7 @@ class TestMinimalPinchingConstant:
         vals = {}
         for eps in (0.05, 0.025):
             phi0 = perturbed_phi_field(spec, eps)
-            c = auto_shift(fl.flow_state(phi0).bundle)
+            c = auto_shift(fl.FlowState(0.0, phi0).bundle)
             prev, mid, nxt = vf.centered_states(phi0, 2 * h2, h2)
             vals[eps] = vf.minimal_pinching_constant(prev, mid, nxt, c)
         if vals[0.05] > 0.0:
