@@ -7,10 +7,10 @@ error, 3 runtime error (positivity loss, stall, bad snapshot).
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,51 +21,102 @@ from .report import (CsvWriter, atomic_write_json, read_csv,
 
 TWO_PI = 2.0 * np.pi
 
-KNOWN_KEYS = {
-    'config_version', 'seed',
-    'grid.n', 'grid.active_axes', 'grid.period', 'grid.shape', 'grid.periods',
-    'initial.family', 'initial.epsilon', 'initial.modes', 'initial.snapshot',
-    'flow.steps', 'flow.safety', 'flow.dt_floor', 'flow.max_dt',
-    'flow.fixed_dt',
-    'pinching.c', 'pinching.gammas',
-    'checks.enable', 'checks.tol_scale', 'checks.min_time_order',
-    'verify.dt_multiplier', 'verify.gammas',
-    'output.dir', 'output.plots', 'output.snapshot_every',
-}
-
 CHECK_GROUPS = ('structure', 'evolution', 'crosschecks')
 
 
-@dataclass
+def _int(raw, number=int):
+    try:
+        return number(raw)
+    except ValueError:
+        raise ValueError(f"cannot parse {raw!r}") from None
+
+
+def _real(raw):
+    """The one parser of real values; nan and inf are rejected."""
+    v = _int(raw, float)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return v
+
+
+def _tuple(item):
+    def parse(raw):
+        try:
+            return tuple(item(x) for x in raw.split(','))
+        except ValueError:
+            raise ValueError("cannot parse") from None
+    return parse
+
+
+def _groups(raw):
+    groups = {'': (), 'none': (), 'all': CHECK_GROUPS}.get(
+        raw, tuple(x.strip() for x in raw.split(',')))
+    bad = [x for x in groups if x not in CHECK_GROUPS]
+    if bad:
+        raise ValueError(f"unknown groups {bad}")
+    return groups
+
+
+_BOOLS = {'true': True, '1': True, 'yes': True,
+          'false': False, '0': False, 'no': False}
+_GT0 = (lambda v: v > 0, "must be > 0.0")
+_GE0 = (lambda v: v >= 0, "must be >= 0")
+_GAMMAS = (lambda gs: all(g > 0 for g in gs), "gammas must be positive")
+
+# The config schema, one row per key: (key, parser, default, *checks), each
+# check a (predicate, problem) pair whose problem is formatted with the
+# value; a parser or check may also raise ValueError(problem).  A key's
+# RunConfig attribute is the key with dots as underscores.
+SCHEMA = (
+    ('config_version', _int, 1, (lambda v: v == 1, "unsupported version {}")),
+    ('seed', _int, 0),
+    ('grid.n', _int, 32,
+     (lambda n: n >= 4, "need at least 4 points per axis")),
+    ('grid.active_axes', lambda raw: tuple(sorted(_tuple(int)(raw))), (1, 2),
+     (lambda axes: all(1 <= a <= 7 for a in axes)
+      and len(set(axes)) == len(axes), "need distinct axes in 1..7")),
+    ('grid.period', _real, TWO_PI, (lambda v: v > 0, "must be positive")),
+    # full 7-tuples, overriding the three keys above
+    ('grid.shape', _tuple(int), None,
+     (lambda s: len(s) == 7 and min(s) >= 1, "need 7 positive integers")),
+    ('grid.periods', _tuple(_real), None,
+     (lambda p: len(p) == 7 and min(p) > 0, "need 7 positive reals")),
+    ('initial.family', str, 'flat',
+     (lambda f: f in ('flat', 'perturbed', 'from-snapshot'),
+      "unknown family {!r}")),
+    ('initial.epsilon', _real, 0.05, _GE0),
+    ('initial.modes', str, 'default'),
+    ('initial.snapshot', str, ''),
+    ('flow.steps', _int, 100, _GE0),
+    ('flow.safety', _real, 0.5,
+     _GT0, (lambda v: v <= 1.0, "must be in (0, 1]")),
+    ('flow.dt_floor', _real, 1e-9, _GT0),
+    ('flow.max_dt', _real, 1.0, _GT0),
+    ('flow.fixed_dt', lambda raw: _real(raw) if raw else None, None,
+     (lambda v: v is None or v > 0, "must be positive")),
+    ('pinching.c', str, 'auto',
+     (lambda c: c == 'auto' or _real(c) > 0, "must be positive or 'auto'")),
+    ('pinching.gammas', _tuple(_real), (2.0,), _GAMMAS),
+    ('checks.enable', _groups, ()),
+    ('checks.tol_scale', _real, 1.0, _GT0),
+    ('checks.min_time_order', _real, 1.8, _GT0),
+    ('verify.dt_multiplier', _real, 4.0, _GT0),
+    ('verify.gammas', _tuple(_real), (1.5, 2.0, 3.0), _GAMMAS),
+    ('output.dir', str, 'g2flow_out'),
+    ('output.plots', lambda raw: _BOOLS.get(raw.lower()), False,
+     (lambda v: v is not None, "expected true/false")),
+    ('output.snapshot_every', _int, 0, _GE0),
+)
+
+
 class RunConfig:
-    """Validated run configuration with defaults filled."""
-    config_version: int = 1
-    seed: int = 0
-    grid_n: int = 32
-    grid_active_axes: tuple = (1, 2)          # 1-based axes
-    grid_period: float = TWO_PI
-    grid_shape: tuple = None                  # full 7-tuple override
-    grid_periods: tuple = None
-    initial_family: str = 'flat'
-    initial_epsilon: float = 0.05
-    initial_modes: str = 'default'
-    initial_snapshot: str = ''
-    flow_steps: int = 100
-    flow_safety: float = 0.5
-    flow_dt_floor: float = 1e-9
-    flow_max_dt: float = 1.0
-    flow_fixed_dt: float = None
-    pinching_c: str = 'auto'
-    pinching_gammas: tuple = (2.0,)
-    checks_enable: tuple = ()
-    checks_tol_scale: float = 1.0
-    checks_min_time_order: float = 1.8
-    verify_dt_multiplier: float = 4.0
-    verify_gammas: tuple = (1.5, 2.0, 3.0)
-    output_dir: str = 'g2flow_out'
-    output_plots: bool = False
-    output_snapshot_every: int = 0
-    text: str = ''
+    """Validated run configuration: one attribute per SCHEMA key, holding
+    its default unless the config sets it, plus the config ``text``."""
+
+    def __init__(self, text):
+        for key, _, default, *_ in SCHEMA:
+            setattr(self, key.replace('.', '_'), default)
+        self.text = text
 
     def grid_spec(self):
         from .grid import GridSpec
@@ -88,23 +139,14 @@ class RunConfig:
         return tuple(out)
 
 
-def _parse_scalar(key, raw, caster, problems):
-    try:
-        return caster(raw)
-    except (TypeError, ValueError):
-        problems.append(f"{key}: cannot parse {raw!r}")
-        return None
-
-
 def parse_config(text):
-    """Parse and validate the key = value configuration format.
-
-    Lines are ``key = value`` with '#' comments; keys are dotted and the
-    full schema lives in the README.  Unknown keys, duplicate keys, type
-    errors and constraint violations are all reported together.
-    """
+    """Parse ``key = value`` lines ('#' comments) over the SCHEMA keys.
+    Unknown and duplicate keys, type errors and constraint violations are
+    all reported together."""
+    rows = {row[0]: row for row in SCHEMA}
+    cfg = RunConfig(text)
     problems = []
-    seen = {}
+    seen = set()
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split('#', 1)[0].strip()
         if not line:
@@ -112,177 +154,38 @@ def parse_config(text):
         if '=' not in line:
             problems.append(f"line {lineno}: expected key = value")
             continue
-        key, _, value = line.partition('=')
-        key = key.strip()
-        value = value.strip()
-        if key not in KNOWN_KEYS:
+        key, _, raw = (part.strip() for part in line.partition('='))
+        if key not in rows:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in seen:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        seen[key] = value
+        seen.add(key)
+        _, parse, _, *checks = rows[key]
+        try:
+            value = parse(raw)
+            for ok, problem in checks:
+                if not ok(value):
+                    raise ValueError(problem.format(value))
+        except ValueError as err:
+            problems.append(f"{key}: {err}")
+            continue
+        setattr(cfg, key.replace('.', '_'), value)
 
-    cfg = RunConfig(text=text)
-    g = seen.get
-
-    if 'config_version' in seen:
-        v = _parse_scalar('config_version', seen['config_version'], int, problems)
-        if v is not None and v != 1:
-            problems.append(f"config_version: unsupported version {v}")
-    if 'seed' in seen:
-        v = _parse_scalar('seed', seen['seed'], int, problems)
-        if v is not None:
-            cfg.seed = v
-    if 'grid.n' in seen:
-        v = _parse_scalar('grid.n', seen['grid.n'], int, problems)
-        if v is not None:
-            if v < 4:
-                problems.append("grid.n: need at least 4 points per axis")
-            else:
-                cfg.grid_n = v
-    if 'grid.active_axes' in seen:
-        try:
-            axes = tuple(int(a) for a in seen['grid.active_axes'].split(','))
-            if not axes or any(a < 1 or a > 7 for a in axes) or len(set(axes)) != len(axes):
-                problems.append("grid.active_axes: need distinct axes in 1..7")
-            else:
-                cfg.grid_active_axes = tuple(sorted(axes))
-        except ValueError:
-            problems.append("grid.active_axes: cannot parse")
-    if 'grid.period' in seen:
-        v = _parse_scalar('grid.period', seen['grid.period'], float, problems)
-        if v is not None:
-            if v <= 0:
-                problems.append("grid.period: must be positive")
-            else:
-                cfg.grid_period = v
-    if 'grid.shape' in seen:
-        try:
-            shape = tuple(int(x) for x in seen['grid.shape'].split(','))
-            if len(shape) != 7 or any(n < 1 for n in shape):
-                problems.append("grid.shape: need 7 positive integers")
-            else:
-                cfg.grid_shape = shape
-        except ValueError:
-            problems.append("grid.shape: cannot parse")
-    if 'grid.periods' in seen:
-        try:
-            periods = tuple(float(x) for x in seen['grid.periods'].split(','))
-            if len(periods) != 7 or any(p <= 0 for p in periods):
-                problems.append("grid.periods: need 7 positive reals")
-            else:
-                cfg.grid_periods = periods
-        except ValueError:
-            problems.append("grid.periods: cannot parse")
-    if 'initial.family' in seen:
-        fam = seen['initial.family']
-        if fam not in ('flat', 'perturbed', 'from-snapshot'):
-            problems.append(f"initial.family: unknown family {fam!r}")
-        else:
-            cfg.initial_family = fam
-    if 'initial.epsilon' in seen:
-        v = _parse_scalar('initial.epsilon', seen['initial.epsilon'], float,
-                          problems)
-        if v is not None:
-            if v < 0:
-                problems.append("initial.epsilon: must be >= 0")
-            else:
-                cfg.initial_epsilon = v
-    if 'initial.modes' in seen:
-        cfg.initial_modes = seen['initial.modes']
-        try:
-            cfg.modes()
-        except (ValueError, KeyError):
-            problems.append("initial.modes: cannot parse mode list")
-    if 'initial.snapshot' in seen:
-        cfg.initial_snapshot = seen['initial.snapshot']
+    # the mode list and the checks across keys
+    try:
+        cfg.modes()
+    except ValueError:
+        problems.append("initial.modes: cannot parse mode list")
     if cfg.initial_family == 'from-snapshot':
         if not cfg.initial_snapshot:
             problems.append("initial.snapshot: required for from-snapshot")
         elif not os.path.exists(cfg.initial_snapshot):
             problems.append(
                 f"initial.snapshot: path {cfg.initial_snapshot!r} not found")
-    if 'flow.steps' in seen:
-        v = _parse_scalar('flow.steps', seen['flow.steps'], int, problems)
-        if v is not None:
-            if v < 0:
-                problems.append("flow.steps: must be >= 0")
-            else:
-                cfg.flow_steps = v
-    for key, attr, lo in (('flow.safety', 'flow_safety', 0.0),
-                          ('flow.dt_floor', 'flow_dt_floor', 0.0),
-                          ('flow.max_dt', 'flow_max_dt', 0.0),
-                          ('checks.tol_scale', 'checks_tol_scale', 0.0),
-                          ('checks.min_time_order', 'checks_min_time_order', 0.0),
-                          ('verify.dt_multiplier', 'verify_dt_multiplier', 0.0)):
-        if key in seen:
-            v = _parse_scalar(key, seen[key], float, problems)
-            if v is not None:
-                if v <= lo:
-                    problems.append(f"{key}: must be > {lo}")
-                else:
-                    setattr(cfg, attr, v)
-    if 'flow.safety' in seen and cfg.flow_safety > 1.0:
-        problems.append("flow.safety: must be in (0, 1]")
-    if 'flow.fixed_dt' in seen and seen['flow.fixed_dt']:
-        v = _parse_scalar('flow.fixed_dt', seen['flow.fixed_dt'], float,
-                          problems)
-        if v is not None:
-            if v <= 0:
-                problems.append("flow.fixed_dt: must be positive")
-            else:
-                cfg.flow_fixed_dt = v
-    if 'pinching.c' in seen:
-        raw = seen['pinching.c']
-        if raw != 'auto':
-            v = _parse_scalar('pinching.c', raw, float, problems)
-            if v is not None and v <= 0:
-                problems.append("pinching.c: must be positive or 'auto'")
-        cfg.pinching_c = raw
-    for key, attr in (('pinching.gammas', 'pinching_gammas'),
-                      ('verify.gammas', 'verify_gammas')):
-        if key in seen:
-            try:
-                gam = tuple(float(x) for x in seen[key].split(','))
-                if any(gv <= 0 for gv in gam):
-                    problems.append(f"{key}: gammas must be positive")
-                else:
-                    setattr(cfg, attr, gam)
-            except ValueError:
-                problems.append(f"{key}: cannot parse")
-    if 'checks.enable' in seen:
-        raw = seen['checks.enable'].strip()
-        if raw in ('', 'none'):
-            cfg.checks_enable = ()
-        elif raw == 'all':
-            cfg.checks_enable = CHECK_GROUPS
-        else:
-            groups = tuple(x.strip() for x in raw.split(','))
-            bad = [x for x in groups if x not in CHECK_GROUPS]
-            if bad:
-                problems.append(f"checks.enable: unknown groups {bad}")
-            else:
-                cfg.checks_enable = groups
-    if 'output.dir' in seen:
-        cfg.output_dir = seen['output.dir']
-    if 'output.plots' in seen:
-        raw = seen['output.plots'].lower()
-        if raw in ('true', '1', 'yes'):
-            cfg.output_plots = True
-        elif raw in ('false', '0', 'no'):
-            cfg.output_plots = False
-        else:
-            problems.append("output.plots: expected true/false")
-    if 'output.snapshot_every' in seen:
-        v = _parse_scalar('output.snapshot_every',
-                          seen['output.snapshot_every'], int, problems)
-        if v is not None:
-            if v < 0:
-                problems.append("output.snapshot_every: must be >= 0")
-            else:
-                cfg.output_snapshot_every = v
-
+    if cfg.flow_max_dt < cfg.flow_dt_floor:
+        problems.append("flow.max_dt: must be >= flow.dt_floor")
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -548,28 +451,23 @@ def crosscheck_residuals(state, c):
 
 
 def run_verification(cfg, run_dir, log=print):
-    """Structure identities (two grids, spatial order), fixed-state
-    cross-checks, and the evolution-equation suite; returns the report
-    dict (also written to verification.json)."""
+    """Structure identities (spatial order against the grid halved along
+    each active axis), fixed-state cross-checks, and the evolution-equation
+    suite; returns the report dict (also written to verification.json)."""
     from .curvature import auto_shift
     from .flow import FlowState
+    from .grid import GridSpec
     from .initial_data import perturbed_phi_field
     from .verify import run_evolution_checks
 
     report = {'passed': True, 'groups': {}}
-    spec = cfg.grid_spec()
     eps = cfg.initial_epsilon if cfg.initial_family != 'flat' else 0.0
     flat = cfg.initial_family == 'flat'
 
-    def mkstate(n):
-        from .grid import GridSpec
-        axes0 = tuple(a - 1 for a in cfg.grid_active_axes)
-        sp = GridSpec.from_active(n, axes0, cfg.grid_period)
-        return FlowState(0.0, perturbed_phi_field(sp, eps, cfg.modes()))
+    def mkstate(spec):
+        return FlowState(0.0, perturbed_phi_field(spec, eps, cfg.modes()))
 
-    n_hi = cfg.grid_n
-    n_lo = n_hi // 2
-    state_hi = mkstate(n_hi)
+    state_hi = mkstate(cfg.grid_spec())
     c = auto_shift(state_hi.bundle) if cfg.pinching_c == 'auto' \
         else float(cfg.pinching_c)
     h = state_hi.spec.min_active_spacing()
@@ -584,7 +482,9 @@ def run_verification(cfg, run_dir, log=print):
                 grp[name] = {'residual': r, 'passed': ok}
                 report['passed'] &= ok
         else:
-            res_lo = structure_residuals(mkstate(n_lo))
+            hi = state_hi.spec
+            res_lo = structure_residuals(mkstate(GridSpec(
+                tuple(max(n // 2, 1) for n in hi.shape), hi.periods)))
             for name, r_hi in res_hi.items():
                 r_lo = res_lo[name]
                 if r_hi <= RESIDUAL_FLOOR:

@@ -12,6 +12,7 @@ floor that a parabolic dt = O(h^2) would otherwise mix into plain ratios.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,12 +40,7 @@ class StateTensors:
         self.b = state.bundle
         if self.b.W is None:
             weyl(self.b, self.m)
-        self._lazy = {}
-
-    def _get(self, name, builder):
-        if name not in self._lazy:
-            self._lazy[name] = builder()
-        return self._lazy[name]
+        self._f = {}
 
     # --- bare fields ---
     @property
@@ -71,218 +67,183 @@ class StateTensors:
     def Tn2(self):
         return self.b.T_norm2
 
-    @property
+    @cached_property
     def Rt(self):
         """Shifted scalar R + c; positivity enforced."""
-        return self._get('Rt', lambda: shifted_scalar(self.b, self.c))
+        return shifted_scalar(self.b, self.c)
 
-    @property
+    @cached_property
     def Ric_t(self):
         """Shifted Ricci: Ric + (c/7) g."""
-        return self._get('Ric_t', lambda: self.Ric + (self.c / 7.0) * self.m.g)
+        return self.Ric + (self.c / 7.0) * self.m.g
 
-    @property
+    @cached_property
     def Ric_t_norm2(self):
-        return self._get('Ric_t_norm2',
-                         lambda: tensor_norm2(self.Ric_t, self.m, 2))
+        return tensor_norm2(self.Ric_t, self.m, 2)
 
-    @property
+    @cached_property
     def Ric_norm2(self):
-        return self._get('Ric_norm2', lambda: tensor_norm2(self.Ric, self.m, 2))
+        return tensor_norm2(self.Ric, self.m, 2)
 
-    @property
+    @cached_property
     def E_norm2(self):
-        return self._get('E_norm2', lambda: tensor_norm2(self.b.E, self.m, 2))
+        return tensor_norm2(self.b.E, self.m, 2)
 
     # --- raised variants ---
-    @property
+    @cached_property
     def Ric_up(self):
-        return self._get('Ric_up', lambda: raise_all(self.Ric, self.m, 2))
+        return raise_all(self.Ric, self.m, 2)
 
-    @property
+    @cached_property
     def Ric_mixed(self):
         """R_i^p (second slot raised)."""
-        return self._get('Ric_mixed', lambda: raise_index(self.Ric, self.m, 2, 1))
+        return raise_index(self.Ric, self.m, 2, 1)
 
-    @property
+    @cached_property
     def Ric_t_up(self):
-        return self._get('Ric_t_up', lambda: raise_all(self.Ric_t, self.m, 2))
+        return raise_all(self.Ric_t, self.m, 2)
 
-    @property
+    @cached_property
     def That_up(self):
-        return self._get('That_up', lambda: raise_all(self.That, self.m, 2))
+        return raise_all(self.That, self.m, 2)
 
-    @property
+    @cached_property
     def T_up(self):
-        return self._get('T_up', lambda: raise_all(self.T, self.m, 2))
+        return raise_all(self.T, self.m, 2)
 
-    @property
+    @cached_property
     def E_up(self):
-        return self._get('E_up', lambda: raise_all(self.b.E, self.m, 2))
+        return raise_all(self.b.E, self.m, 2)
 
-    @property
+    @cached_property
     def S_up(self):
-        return self._get('S_up', lambda: raise_all(self.S, self.m, 2))
+        return raise_all(self.S, self.m, 2)
 
     # --- first derivatives ---
-    @property
+    @cached_property
     def nabla_Ric(self):
-        return self._get('nabla_Ric',
-                         lambda: covariant_derivative(self.Ric, self.m, 2))
+        return covariant_derivative(self.Ric, self.m, 2)
 
-    @property
+    @cached_property
     def nabla_Ric_norm2(self):
-        return self._get('nabla_Ric_norm2',
-                         lambda: tensor_norm2(self.nabla_Ric, self.m, 3))
+        return tensor_norm2(self.nabla_Ric, self.m, 3)
 
-    @property
+    @cached_property
     def nabla_T(self):
-        return self._get('nabla_T',
-                         lambda: covariant_derivative(self.T, self.m, 2))
+        return covariant_derivative(self.T, self.m, 2)
 
-    @property
+    @cached_property
     def grad_R(self):
-        return self._get('grad_R', lambda: partial_stack(self.R, self.m.spec))
+        return partial_stack(self.R, self.m.spec)
 
     # --- second derivatives ---
-    @property
+    @cached_property
     def dd_That(self):
-        return self._get('dd_That',
-                         lambda: second_covariant(self.That, self.m, 2))
+        return second_covariant(self.That, self.m, 2)
 
-    @property
+    @cached_property
     def lap_That(self):
-        def build():
-            return np.einsum('...ab,...abij->...ij', self.m.ginv,
-                             self.dd_That, optimize=True)
-        return self._get('lap_That', build)
+        return np.einsum('...ab,...abij->...ij', self.m.ginv,
+                         self.dd_That, optimize=True)
 
-    @property
+    @cached_property
     def div_grad_That(self):
         """A_ij = nabla_i nabla^p That_pj (inner derivative contracted with
         the first tensor slot)."""
-        def build():
-            return np.einsum('...ns,...insj->...ij', self.m.ginv,
-                             self.dd_That, optimize=True)
-        return self._get('div_grad_That', build)
+        return np.einsum('...ns,...insj->...ij', self.m.ginv,
+                         self.dd_That, optimize=True)
 
-    @property
+    @cached_property
     def div_div_That(self):
         """nabla^i nabla^j That_ij (outer with first slot, inner with
         second); equals the transposed wiring exactly because That is
         symmetric by construction."""
-        def build():
-            return np.einsum('...os,...nt,...onst->...', self.m.ginv,
-                             self.m.ginv, self.dd_That, optimize=True)
-        return self._get('div_div_That', build)
+        return np.einsum('...os,...nt,...onst->...', self.m.ginv,
+                         self.m.ginv, self.dd_That, optimize=True)
 
-    @property
+    @cached_property
     def hess_T2(self):
-        return self._get('hess_T2',
-                         lambda: second_covariant(self.Tn2, self.m, 0))
+        return second_covariant(self.Tn2, self.m, 0)
 
-    @property
+    @cached_property
     def lap_T2(self):
-        def build():
-            return np.einsum('...ab,...ab->...', self.m.ginv, self.hess_T2)
-        return self._get('lap_T2', build)
+        return np.einsum('...ab,...ab->...', self.m.ginv, self.hess_T2)
 
-    @property
+    @cached_property
     def dd_S(self):
-        return self._get('dd_S', lambda: second_covariant(self.S, self.m, 2))
+        return second_covariant(self.S, self.m, 2)
 
-    @property
+    @cached_property
     def lap_S(self):
-        def build():
-            return np.einsum('...ab,...abij->...ij', self.m.ginv, self.dd_S,
-                             optimize=True)
-        return self._get('lap_S', build)
+        return np.einsum('...ab,...abij->...ij', self.m.ginv, self.dd_S,
+                         optimize=True)
 
-    @property
+    @cached_property
     def dd_Ric(self):
-        return self._get('dd_Ric', lambda: second_covariant(self.Ric, self.m, 2))
+        return second_covariant(self.Ric, self.m, 2)
 
-    @property
+    @cached_property
     def lap_Ric(self):
-        def build():
-            return np.einsum('...ab,...abij->...ij', self.m.ginv,
-                             self.dd_Ric, optimize=True)
-        return self._get('lap_Ric', build)
+        return np.einsum('...ab,...abij->...ij', self.m.ginv,
+                         self.dd_Ric, optimize=True)
 
     # --- curvature contractions ---
-    @property
+    @cached_property
     def Rm_Ric_up(self):
         """R_pijl R^pl."""
-        def build():
-            return np.einsum('...pijl,...pl->...ij', self.b.Rm, self.Ric_up,
-                             optimize=True)
-        return self._get('Rm_Ric_up', build)
+        return np.einsum('...pijl,...pl->...ij', self.b.Rm, self.Ric_up,
+                         optimize=True)
 
-    @property
+    @cached_property
     def Rm_That_up(self):
         """R_pijl That^pl."""
-        def build():
-            return np.einsum('...pijl,...pl->...ij', self.b.Rm, self.That_up,
-                             optimize=True)
-        return self._get('Rm_That_up', build)
+        return np.einsum('...pijl,...pl->...ij', self.b.Rm, self.That_up,
+                         optimize=True)
 
-    @property
+    @cached_property
     def Rm_TT(self):
         """R_ijmn T^in T^mj (the scalar-evolution quadratic)."""
-        def build():
-            return np.einsum('...ijmn,...in,...mj->...', self.b.Rm,
-                             self.T_up, self.T_up, optimize=True)
-        return self._get('Rm_TT', build)
+        return np.einsum('...ijmn,...in,...mj->...', self.b.Rm,
+                         self.T_up, self.T_up, optimize=True)
 
-    @property
+    @cached_property
     def Rm_TT_div(self):
         """R_ijmp T^ip T^mj (the divergence-identity quadratic)."""
-        def build():
-            return np.einsum('...ijmp,...ip,...mj->...', self.b.Rm,
-                             self.T_up, self.T_up, optimize=True)
-        return self._get('Rm_TT_div', build)
+        return np.einsum('...ijmp,...ip,...mj->...', self.b.Rm,
+                         self.T_up, self.T_up, optimize=True)
 
-    @property
+    @cached_property
     def gradT_combo(self):
         """nabla^j T_im nabla^i T^m_j."""
-        def build():
-            nt = self.nabla_T
-            return np.einsum('...ja,...ib,...mn,...aim,...bnj->...',
-                             self.m.ginv, self.m.ginv, self.m.ginv,
-                             nt, nt, optimize=True)
-        return self._get('gradT_combo', build)
+        nt = self.nabla_T
+        return np.einsum('...ja,...ib,...mn,...aim,...bnj->...',
+                         self.m.ginv, self.m.ginv, self.m.ginv,
+                         nt, nt, optimize=True)
 
-    @property
+    @cached_property
     def W_c1_field(self):
-        def build():
-            fld, _ = c1_norm(self.b.W, self.m, 4)
-            return fld
-        return self._get('W_c1_field', build)
+        fld, _ = c1_norm(self.b.W, self.m, 4)
+        return fld
 
     # --- pinching scalars ---
     def f_field(self, gamma):
-        key = ('f', gamma)
-        if key not in self._lazy:
-            self._lazy[key] = self.E_norm2 / self.Rt ** gamma
-        return self._lazy[key]
+        if gamma not in self._f:
+            self._f[gamma] = self.E_norm2 / self.Rt ** gamma
+        return self._f[gamma]
 
-    @property
+    @cached_property
     def E3(self):
         """E_ij E^j_l E^li."""
-        def build():
-            E = self.b.E
-            Em = raise_index(E, self.m, 2, 1)         # E_i^j
-            return np.einsum('...ij,...jl,...li->...', Em, Em, Em,
-                             optimize=True)
-        return self._get('E3', build)
+        E = self.b.E
+        Em = raise_index(E, self.m, 2, 1)         # E_i^j
+        return np.einsum('...ij,...jl,...li->...', Em, Em, Em,
+                         optimize=True)
 
-    @property
+    @cached_property
     def WEE(self):
         """W_pijl E^pl E^ij with the trace-free Weyl."""
-        def build():
-            return np.einsum('...pijl,...pl,...ij->...', self.b.W,
-                             self.E_up, self.E_up, optimize=True)
-        return self._get('WEE', build)
+        return np.einsum('...pijl,...pl,...ij->...', self.b.W,
+                         self.E_up, self.E_up, optimize=True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from g2flow import flow as fl
-from g2flow import geometry as ge
 from g2flow import grid as gr
 from g2flow.initial_data import flat_phi_field, perturbed_phi_field
 

@@ -14,11 +14,9 @@ import pytest
 from g2flow import algebra as al
 from g2flow import cli
 from g2flow import flow as fl
-from g2flow import geometry as ge
-from g2flow import grid as gr
 from g2flow import verify as vf
 from g2flow.curvature import auto_shift, traceless_ricci_ratio_fit
-from g2flow.initial_data import flat_phi_field, perturbed_phi_field
+from g2flow.initial_data import flat_phi_field
 
 from conftest import scenario_spec
 

@@ -1,11 +1,10 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
 from g2flow import report as rp
-from g2flow.cli import (RunConfig, main, monitor_summary, parse_config)
+from g2flow.cli import main, monitor_summary, parse_config
 from g2flow.errors import ConfigError
 
 BASE_CFG = """\
@@ -29,6 +28,30 @@ def write_cfg(tmp_path, name, **kw):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# every real-valued key: a value template and the problem a non-finite
+# entry gives (lists report their usual parse failure)
+FINITE = "must be finite, got {!r}"
+REAL_VALUED = [
+    ('grid.period', '{}', FINITE),
+    ('grid.periods', '1,1,1,1,1,1,{}', "cannot parse"),
+    ('initial.epsilon', '{}', FINITE),
+    ('flow.safety', '{}', FINITE),
+    ('flow.dt_floor', '{}', FINITE),
+    ('flow.max_dt', '{}', FINITE),
+    ('flow.fixed_dt', '{}', FINITE),
+    ('pinching.c', '{}', FINITE),
+    ('pinching.gammas', '1.5,{}', "cannot parse"),
+    ('checks.tol_scale', '{}', FINITE),
+    ('checks.min_time_order', '{}', FINITE),
+    ('verify.dt_multiplier', '{}', FINITE),
+    ('verify.gammas', '{}', "cannot parse"),
+]
+
+# the default mode list moved onto axes 1 and 3
+MODES_AXES_13 = ("1,0,0,0,0,0,0|2,3|1.0|0.4;0,0,1,0,0,0,0|4,5|0.85|1.1;"
+                 "1,0,1,0,0,0,0|6,7|0.6|0.7;1,0,-1,0,0,0,0|1,4|0.45|0.2")
 
 
 class TestParseConfig:
@@ -62,6 +85,14 @@ class TestParseConfig:
         msgs = "\n".join(err.value.problems)
         assert "pinching.c" in msgs
         assert "pinching.gammas" in msgs
+
+    @pytest.mark.parametrize('bad', ['nan', 'inf'])
+    @pytest.mark.parametrize('key, value, problem', REAL_VALUED,
+                             ids=[row[0] for row in REAL_VALUED])
+    def test_nonfinite_reals_rejected(self, key, value, problem, bad):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = {value.format(bad)}\n")
+        assert err.value.problems == [f"{key}: {problem.format(bad)}"]
 
     def test_unsupported_version(self):
         with pytest.raises(ConfigError):
@@ -184,10 +215,36 @@ output.dir = {out}
             outs.append((out / 'verification.json').read_bytes())
         assert outs[0] == outs[1]
 
+    def test_verify_uses_grid_shape(self, tmp_path):
+        # grid.shape spells the same grid as grid.n with grid.active_axes;
+        # structure also builds the halved grid
+        outs = []
+        for tag, grid in (("shape", "grid.shape = 8,1,8,1,1,1,1"),
+                          ("axes", "grid.n = 8\ngrid.active_axes = 1,3")):
+            out = tmp_path / tag
+            cfg = tmp_path / f"{tag}.cfg"
+            cfg.write_text(f"""\
+{grid}
+initial.family = perturbed
+initial.modes = {MODES_AXES_13}
+checks.enable = structure,crosschecks
+output.dir = {out}
+""")
+            assert main(['verify', str(cfg)]) in (0, 1)
+            outs.append((out / 'verification.json').read_bytes())
+        assert outs[0] == outs[1]
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("grid.n = -3\nunknown.key = 1\n")
         assert main(['run', str(cfg)]) == 2
+
+    def test_max_dt_below_floor_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "dt.cfg"
+        cfg.write_text(f"flow.max_dt = 1e-12\noutput.dir = {tmp_path}\n")
+        assert main(['run', str(cfg)]) == 2
+        assert "flow.max_dt: must be >= flow.dt_floor" in \
+            capsys.readouterr().err
 
     def test_missing_config_file(self):
         assert main(['run', '/definitely/not/here.cfg']) == 2

@@ -8,7 +8,7 @@ from g2flow.cli import csv_columns, monitor_row
 from g2flow.errors import NonPositiveShiftedScalar
 from g2flow.grid import period_integrals
 
-from conftest import flat_state, perturbed_state
+from conftest import flat_state
 
 RNG = np.random.default_rng(21)
 
