@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, G2FlowError
+from .errors import ConfigError, G2FlowError, NonPositiveShiftedScalar
 from .report import (CsvWriter, atomic_write_json, read_csv,
                      write_run_plots)
 
@@ -94,8 +94,8 @@ SCHEMA = (
     ('flow.max_dt', _real, 1.0, _GT0),
     ('flow.fixed_dt', lambda raw: _real(raw) if raw else None, None,
      (lambda v: v is None or v > 0, "must be positive")),
-    ('pinching.c', str, 'auto',
-     (lambda c: c == 'auto' or _real(c) > 0, "must be positive or 'auto'")),
+    ('pinching.c', lambda raw: raw if raw == 'auto' else _real(raw), 'auto',
+     (lambda c: c == 'auto' or c > 0, "must be positive or 'auto'")),
     ('pinching.gammas', _tuple(_real), (2.0,), _GAMMAS),
     ('checks.enable', _groups, ()),
     ('checks.tol_scale', _real, 1.0, _GT0),
@@ -131,11 +131,15 @@ class RunConfig:
         if self.initial_modes in ('default', ''):
             return DEFAULT_MODES
         out = []
-        for part in self.initial_modes.split(';'):
-            waves, comp, amp, phase = part.split('|')
-            waves = tuple(int(w) for w in waves.split(','))
-            a, b = (int(x) for x in comp.split(','))
-            out.append(Mode(waves, (a - 1, b - 1), float(amp), float(phase)))
+        try:
+            for part in self.initial_modes.split(';'):
+                waves, comp, amp, phase = part.split('|')
+                waves = tuple(int(w) for w in waves.split(','))
+                a, b = (int(x) for x in comp.split(','))
+                out.append(Mode(waves, (a - 1, b - 1), float(amp),
+                                float(phase)))
+        except ValueError:
+            raise ValueError("cannot parse mode list") from None
         return tuple(out)
 
 
@@ -143,6 +147,7 @@ def parse_config(text):
     """Parse ``key = value`` lines ('#' comments) over the SCHEMA keys.
     Unknown and duplicate keys, type errors and constraint violations are
     all reported together."""
+    from .initial_data import check_modes
     rows = {row[0]: row for row in SCHEMA}
     cfg = RunConfig(text)
     problems = []
@@ -175,9 +180,11 @@ def parse_config(text):
 
     # the mode list and the checks across keys
     try:
-        cfg.modes()
-    except ValueError:
-        problems.append("initial.modes: cannot parse mode list")
+        modes = cfg.modes()
+        if cfg.initial_family == 'perturbed':
+            check_modes(cfg.grid_spec(), modes)
+    except ValueError as err:
+        problems.append(f"initial.modes: {err}")
     if cfg.initial_family == 'from-snapshot':
         if not cfg.initial_snapshot:
             problems.append("initial.snapshot: required for from-snapshot")
@@ -210,8 +217,7 @@ def build_initial_state(cfg):
     from .flow import FlowState, restore
     from .initial_data import flat_phi_field, perturbed_phi_field
     if cfg.initial_family == 'from-snapshot':
-        state, aux = restore(cfg.initial_snapshot)
-        return state, aux
+        return restore(cfg.initial_snapshot)
     spec = cfg.grid_spec()
     if cfg.initial_family == 'flat':
         phi = flat_phi_field(spec)
@@ -220,50 +226,52 @@ def build_initial_state(cfg):
     return FlowState(0.0, phi), {}
 
 
-def monitor_row(state, dt, c, gammas, g0, running):
-    """All monitored scalars at one accepted state: the series.csv row
-    (without min_C_g2) plus the pointwise Weyl C1 field under
-    '_w_c1_field'.  ``running`` holds the reference periods and the running
-    Weyl-ratio maximum, which is updated in place."""
-    from .curvature import c1_norm, metric_distortion, weyl
-    from .geometry import tensor_norm2
+def pinching_shift(cfg, state):
+    """The shift c of R + c: the configured number, or auto_shift of the
+    state's curvature."""
+    from .curvature import auto_shift
+    if cfg.pinching_c == 'auto':
+        return auto_shift(state.bundle)
+    return cfg.pinching_c
+
+
+def monitor_row(ts, dt, gammas, g0, running):
+    """The series.csv row of one accepted state, read through its
+    StateTensors ``ts``; min_C_g2 is left blank for the caller.  Where
+    min(R + c) <= 0 the ratio and f cells are blank too, and
+    running['pinching_paused'] is set.  ``running`` holds the reference
+    periods and the running Weyl-ratio maximum, updated in place."""
+    from .curvature import metric_distortion
     from .grid import period_integrals
-    b = state.bundle
-    m = state.metric
-    if b.W is None:
-        weyl(b, m)
+    state, b = ts.state, ts.b
     periods = period_integrals(state.phi)
     ref = running['period_ref']
-    perr = max(abs(periods[k] - ref[k]) for k in ref)
-    row = {
+    row = dict.fromkeys(csv_columns(gammas))
+    row.update({
         'step': state.step_index, 't': state.t, 'dt': dt,
-        'closedness': state.closedness(), 'period_max_err': perr,
+        'closedness': state.closedness(),
+        'period_max_err': max(abs(periods[k] - ref[k]) for k in ref),
         'volume': state.volume(),
         'min_R': float(np.min(b.R)), 'max_R': float(np.max(b.R)),
         'T2_max': float(np.max(b.T_norm2)),
-    }
-    e2 = tensor_norm2(b.E, m, 2)
-    row['E_max'] = float(np.sqrt(np.max(e2)))
-    wfld, wmax = c1_norm(b.W, m, 4)
-    row['W_c1_max'] = wmax
-    rt = b.R + c
-    if np.min(rt) > 0.0:
-        row['ratio_lhs'] = float(np.max(np.sqrt(e2) / rt))
+        'E_max': float(np.sqrt(np.max(ts.E_norm2))),
+        'W_c1_max': float(np.max(ts.W_c1_field)),
+    })
+    try:
+        rt = ts.Rt
+    except NonPositiveShiftedScalar:
+        running['pinching_paused'] = True
+    else:
+        row['ratio_lhs'] = float(np.max(np.sqrt(ts.E_norm2) / rt))
         running['w_ratio'] = max(running.get('w_ratio', 0.0),
-                                 float(np.max(wfld / rt)))
+                                 float(np.max(ts.W_c1_field / rt)))
         row['ratio_driver'] = running['w_ratio']
         for g in gammas:
-            fg = e2 / rt ** g
-            row[f'f_max_g{g:g}'] = float(np.max(fg))
+            row[f'f_max_g{g:g}'] = float(np.max(ts.f_field(g)))
             if g == 2.0:
-                row['f_min_g2'] = float(np.min(fg))
-        if 2.0 not in gammas:
-            row['f_min_g2'] = None
-    else:
-        running['pinching_paused'] = True
-    row['distortion'] = metric_distortion(g0, m.g, state.spec)
+                row['f_min_g2'] = float(np.min(ts.f_field(g)))
+    row['distortion'] = metric_distortion(g0, state.metric.g, state.spec)
     row['speed_integral'] = running.get('speed_integral', 0.0)
-    row['_w_c1_field'] = wfld
     return row
 
 
@@ -272,14 +280,14 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
 
     The minimal-pinching-constant column needs a centered state triple, so
     the row for step n is written once step n+1 exists; the very first and
-    last rows carry an empty cell there.  A resumed run emits rows strictly
-    after its restored step, which makes its output byte-comparable with
-    the same rows of an unbroken run.
+    last rows carry an empty cell there, as does any triple holding a state
+    with min(R + c) <= 0.  A resumed run emits rows strictly after its
+    restored step, which makes its output byte-comparable with the same
+    rows of an unbroken run.
     """
-    from .curvature import auto_shift
     from .flow import StepPolicy, snapshot, step, step_fixed
     from .geometry import tensor_norm2
-    from .verify import minimal_pinching_constant
+    from .verify import StateTensors, minimal_pinching_constant
 
     os.makedirs(run_dir, exist_ok=True)
     snap_dir = os.path.join(run_dir, 'snapshots')
@@ -292,13 +300,7 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     gammas = cfg.pinching_gammas
     policy = StepPolicy(safety=cfg.flow_safety, dt_floor=cfg.flow_dt_floor,
                         max_dt=cfg.flow_max_dt)
-
-    if 'c' in aux:
-        c = float(aux['c'])
-    elif cfg.pinching_c == 'auto':
-        c = auto_shift(state.bundle)
-    else:
-        c = float(cfg.pinching_c)
+    c = float(aux['c']) if 'c' in aux else pinching_shift(cfg, state)
 
     # Distortion is measured against g at t = 0; when resuming, the
     # starting metric is rebuilt from the configured initial family.
@@ -322,62 +324,60 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
                        csv_columns(gammas))
     history = []
 
-    def emit(row):
-        clean = {k: v for k, v in row.items() if not k.startswith('_')}
-        history.append(clean)
-        writer.add_row(clean)
+    def snapshot_to(name):
+        snapshot(ts.state, os.path.join(snap_dir, name),
+                 {'c': c, 'w_ratio': running['w_ratio'],
+                  'speed_integral': running['speed_integral']})
 
-    prev_state = None
-    cur_state = state
-    # a resumed run's restored row already exists in the original CSV
-    cur_row = None if resumed else monitor_row(state, None, c, gammas, g0,
-                                               running)
-    target = cfg.flow_steps
+    def emit(k):
+        """Write the pending row of window[k], if any."""
+        tensors, row = window[k]
+        if row is not None:
+            history.append(row)
+            writer.add_row(row)
+            window[k] = (tensors, None)
+
+    # (StateTensors, row not yet written) of the last states; a resumed
+    # run's restored row already exists in the original CSV
+    ts = StateTensors(state, c)
+    window = [(ts, None if resumed else
+               monitor_row(ts, None, gammas, g0, running))]
     t_wall = time.time()
-    steps_done = 0
     try:
-        while state.step_index < target:
+        while ts.state.step_index < cfg.flow_steps:
             if cfg.flow_fixed_dt:
-                new_state = step_fixed(cur_state, cfg.flow_fixed_dt)
+                new = step_fixed(ts.state, cfg.flow_fixed_dt)
             else:
-                new_state = step(cur_state, policy)
-            dt = new_state.t - cur_state.t
+                new = step(ts.state, policy)
+            dt = new.t - ts.state.t
             # metric speed 2 |S| accumulates the distortion-bound integral
-            sp = 2.0 * np.sqrt(np.max(tensor_norm2(cur_state.bundle.S,
-                                                   cur_state.metric, 2)))
+            sp = 2.0 * np.sqrt(np.max(tensor_norm2(ts.b.S, ts.m, 2)))
             running['speed_integral'] += dt * sp
-            new_row = monitor_row(new_state, dt, c, gammas, g0, running)
-            if cur_row is not None:
-                if prev_state is not None:
-                    cur_row['min_C_g2'] = minimal_pinching_constant(
-                        prev_state, cur_state, new_state, c,
-                        w_c1_field=cur_row.get('_w_c1_field'))
-                else:
-                    cur_row['min_C_g2'] = None
-                emit(cur_row)
-            prev_state, cur_state, cur_row = cur_state, new_state, new_row
-            state = new_state
-            steps_done += 1
+            ts = StateTensors(new, c)
+            window.append((ts, monitor_row(ts, dt, gammas, g0, running)))
+            mid_row = window[-2][1]
+            if mid_row is not None and len(window) == 3:
+                try:
+                    mid_row['min_C_g2'] = minimal_pinching_constant(
+                        *(t for t, _ in window))
+                except NonPositiveShiftedScalar:
+                    pass
+            emit(-2)
+            window = window[-2:]
             if cfg.output_snapshot_every and \
-                    state.step_index % cfg.output_snapshot_every == 0:
-                aux_out = {'c': c, 'w_ratio': running['w_ratio'],
-                           'speed_integral': running['speed_integral']}
-                snapshot(state, os.path.join(
-                    snap_dir, f'step{state.step_index:06d}.g2snap'), aux_out)
+                    new.step_index % cfg.output_snapshot_every == 0:
+                snapshot_to(f'step{new.step_index:06d}.g2snap')
     finally:
-        if cur_row is not None:
-            cur_row['min_C_g2'] = None
-            emit(cur_row)
+        for k in range(len(window)):
+            emit(k)
         writer.flush()
-    aux_out = {'c': c, 'w_ratio': running['w_ratio'],
-               'speed_integral': running['speed_integral']}
-    snapshot(state, os.path.join(snap_dir, 'final.g2snap'), aux_out)
-    events.append(f'completed {steps_done} steps in '
-                  f'{time.time() - t_wall:.1f}s wall')
+    snapshot_to('final.g2snap')
+    events.append(f'completed {ts.state.step_index - state.step_index} '
+                  f'steps in {time.time() - t_wall:.1f}s wall')
     if running.get('pinching_paused'):
         events.append('pinching monitors paused: min(R + c) <= 0 '
                       '(scalar curvature escaped below -c)')
-    return history, events, c, state
+    return history, events, c, ts.state
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +454,6 @@ def run_verification(cfg, run_dir, log=print):
     """Structure identities (spatial order against the grid halved along
     each active axis), fixed-state cross-checks, and the evolution-equation
     suite; returns the report dict (also written to verification.json)."""
-    from .curvature import auto_shift
     from .flow import FlowState
     from .grid import GridSpec
     from .initial_data import perturbed_phi_field
@@ -468,8 +467,7 @@ def run_verification(cfg, run_dir, log=print):
         return FlowState(0.0, perturbed_phi_field(spec, eps, cfg.modes()))
 
     state_hi = mkstate(cfg.grid_spec())
-    c = auto_shift(state_hi.bundle) if cfg.pinching_c == 'auto' \
-        else float(cfg.pinching_c)
+    c = pinching_shift(cfg, state_hi)
     h = state_hi.spec.min_active_spacing()
     scale4 = max(eps, 1e-3) * h ** 4 * cfg.checks_tol_scale
 
@@ -608,21 +606,21 @@ def cmd_run(cfg, resume_from=None):
         if resume_from is not None:
             from .flow import restore
             start_state, start_aux = restore(resume_from)
-        history, events, c, final = run_flow(cfg, run_dir, start_state,
-                                             start_aux)
+        history, events, c, _ = run_flow(cfg, run_dir, start_state,
+                                         start_aux)
+        if cfg.checks_enable:
+            report = run_verification(cfg, run_dir)
+        else:
+            report = {'passed': True, 'groups': {}}
+            atomic_write_json(os.path.join(run_dir, 'verification.json'),
+                              report)
     except G2FlowError as err:
         _error_record(run_dir, err)
         print(f"runtime error: {err}", file=sys.stderr)
         return 3
-    if cfg.checks_enable:
-        report = run_verification(cfg, run_dir)
-    else:
-        report = {'passed': True, 'groups': {}}
-        atomic_write_json(os.path.join(run_dir, 'verification.json'), report)
-    final_row = {k: v for k, v in history[-1].items()} if history else {}
     write_manifest(cfg, run_dir, events, c,
                    extra={'monitors': monitor_summary(history),
-                          'final': final_row})
+                          'final': dict(history[-1]) if history else {}})
     if cfg.output_plots:
         data = read_csv(os.path.join(run_dir, 'series.csv'))
         write_run_plots(run_dir, data)

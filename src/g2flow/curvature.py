@@ -23,12 +23,10 @@ def kulkarni_nomizu(alpha, beta):
 
 
 def weyl(bundle, m):
-    """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g; attached to
-    the bundle and returned."""
+    """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g."""
     R = bundle.R[..., None, None, None, None]
-    bundle.W = (bundle.Rm - (R / 84.0) * kulkarni_nomizu(m.g, m.g)
-                - 0.2 * kulkarni_nomizu(bundle.E, m.g))
-    return bundle.W
+    return (bundle.Rm - (R / 84.0) * kulkarni_nomizu(m.g, m.g)
+            - 0.2 * kulkarni_nomizu(bundle.E, m.g))
 
 
 def weyl_variant_residual(bundle):
@@ -37,7 +35,7 @@ def weyl_variant_residual(bundle):
     + (1/30)(g_il g_jk - g_ik g_jl); nonzero whenever the scalar curvature
     differs from 1."""
     g = bundle.m.g
-    W = weyl(bundle, bundle.m) if bundle.W is None else bundle.W
+    W = weyl(bundle, bundle.m)
     pair = (np.einsum('...il,...jk->...ijkl', g, g)
             - np.einsum('...ik,...jl->...ijkl', g, g))
     printed = bundle.Rm - 0.2 * kulkarni_nomizu(bundle.Ric, g) + pair / 30.0

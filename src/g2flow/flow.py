@@ -11,6 +11,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,60 +44,44 @@ class StepPolicy:
 class FlowState:
     """Flow snapshot: time, the closed 3-form, and lazily derived geometry.
 
-    Derived data (dual 4-form, metric, torsion, curvature) is computed on
-    first access and cached; the 3-form array is frozen so caches can never
-    go stale.
+    The dual 4-form, metric, torsion and curvature are computed on first
+    access and cached; the 3-form array is frozen so caches can never go
+    stale.
     """
 
     def __init__(self, t, phi, step_index=0):
         self.t = float(t)
         self.phi = phi
         self.step_index = int(step_index)
-        self._cache = {}
 
     @property
     def spec(self):
         return self.phi.spec
 
     def closedness(self):
-        if 'closedness' not in self._cache:
-            self._cache['closedness'] = exterior_derivative(self.phi).max_abs()
-        return self._cache['closedness']
+        return exterior_derivative(self.phi).max_abs()
 
-    @property
+    @cached_property
     def metric(self):
-        if 'metric' not in self._cache:
-            self._cache['metric'] = MetricField.from_phi(self.phi)
-        return self._cache['metric']
+        return MetricField.from_phi(self.phi)
 
-    @property
+    @cached_property
     def psi(self):
-        if 'psi' not in self._cache:
-            self._cache['psi'] = hodge_star_field(self.phi, self.metric)
-        return self._cache['psi']
+        return hodge_star_field(self.phi, self.metric)
 
-    @property
+    @cached_property
     def torsion(self):
-        if 'torsion' not in self._cache:
-            self._cache['torsion'] = torsion_from_phi(self.phi, self.metric,
-                                                      self.psi)
-        return self._cache['torsion']
+        return torsion_from_phi(self.phi, self.metric, self.psi)
 
-    @property
+    @cached_property
     def bundle(self):
         """Curvature bundle with the torsion-dependent members attached."""
-        if 'bundle' not in self._cache:
-            b = riemann(self.metric)
-            self._cache['bundle'] = attach_torsion(b, self.torsion)
-        return self._cache['bundle']
+        return attach_torsion(riemann(self.metric), self.torsion)
 
     def volume(self):
         """Total volume of the induced metric (the functional whose
         gradient flow this is)."""
-        if 'volume' not in self._cache:
-            self._cache['volume'] = integrate_scalar(self.metric.vol,
-                                                     self.spec)
-        return self._cache['volume']
+        return integrate_scalar(self.metric.vol, self.spec)
 
 
 def rhs(phi):

@@ -193,7 +193,6 @@ class CurvatureBundle:
     R: np.ndarray
     E: np.ndarray
     symmetry_defect: float
-    W: np.ndarray = None
     That: np.ndarray = None
     S: np.ndarray = None
     T_norm2: np.ndarray = None

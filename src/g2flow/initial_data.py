@@ -40,8 +40,17 @@ DEFAULT_MODES = (
 )
 
 
+def check_modes(spec, modes):
+    """Raise ValueError if a mode waves along an inactive axis of spec."""
+    for mode in modes:
+        for a, k in enumerate(mode.waves):
+            if k != 0 and spec.shape[a] == 1:
+                raise ValueError(f"mode wave on inactive axis {a + 1}")
+
+
 def potential_2form(spec, modes=DEFAULT_MODES):
     """Sample the mode list into a 2-form field on the grid."""
+    check_modes(spec, modes)
     vals = spec.zeros((21,))
     for mode in modes:
         phase = np.asarray(mode.phase)
@@ -49,8 +58,6 @@ def potential_2form(spec, modes=DEFAULT_MODES):
         for a, k in enumerate(mode.waves):
             if k == 0:
                 continue
-            if spec.shape[a] == 1:
-                raise ValueError(f"mode wave on inactive axis {a + 1}")
             arg = arg + (2.0 * np.pi * k / spec.periods[a]) * spec.coordinates(a)
         vals[..., POS[2][tuple(mode.comp)]] += mode.amplitude * np.cos(arg + phase)
     return FormField(2, spec, vals)

@@ -29,17 +29,17 @@ from .geometry import (covariant_derivative, partial_stack, raise_all,
 
 class StateTensors:
     """Derived tensor arrays at one flow state, computed once and shared by
-    every check.  Second derivatives are nested first derivatives, and all
-    raised variants come from the same inverse metric, so algebraically
-    identical expressions evaluate to identical arrays."""
+    the run monitor and every check.  Second derivatives are nested first
+    derivatives, and all raised variants come from the same inverse metric,
+    so algebraically identical expressions evaluate to identical arrays.
+    Everything built on R + c raises NonPositiveShiftedScalar when
+    min(R + c) <= 0."""
 
     def __init__(self, state, c=1.0):
         self.state = state
         self.c = float(c)
         self.m = state.metric
         self.b = state.bundle
-        if self.b.W is None:
-            weyl(self.b, self.m)
         self._f = {}
 
     # --- bare fields ---
@@ -221,8 +221,13 @@ class StateTensors:
                          nt, nt, optimize=True)
 
     @cached_property
+    def W(self):
+        """Trace-free Weyl tensor."""
+        return weyl(self.b, self.m)
+
+    @cached_property
     def W_c1_field(self):
-        fld, _ = c1_norm(self.b.W, self.m, 4)
+        fld, _ = c1_norm(self.W, self.m, 4)
         return fld
 
     # --- pinching scalars ---
@@ -242,7 +247,7 @@ class StateTensors:
     @cached_property
     def WEE(self):
         """W_pijl E^pl E^ij with the trace-free Weyl."""
-        return np.einsum('...pijl,...pl,...ij->...', self.b.W,
+        return np.einsum('...pijl,...pl,...ij->...', self.W,
                          self.E_up, self.E_up, optimize=True)
 
 
@@ -329,13 +334,11 @@ class AuxTerms:
     I: np.ndarray
     J: np.ndarray
     H: np.ndarray
-    E3: np.ndarray
-    WEE: np.ndarray
     grad_combo: np.ndarray
 
 
 def compute_aux_terms(ts):
-    """I, J, H plus the cubic/Weyl scalars entering the pinching equation."""
+    """I, J and H, and the gradient combination of the pinching equation."""
     c = ts.c
     Rt = ts.Rt
     rn2 = ts.Ric_t_norm2
@@ -359,8 +362,7 @@ def compute_aux_terms(ts):
     combo = Rt[..., None, None, None] * ts.nabla_Ric \
         - np.einsum('...a,...ij->...aij', ts.grad_R, ts.Ric_t)
     grad_combo = tensor_norm2(combo, ts.m, 3)
-    return AuxTerms(I=I, J=J, H=H, E3=ts.E3, WEE=ts.WEE,
-                    grad_combo=grad_combo)
+    return AuxTerms(I=I, J=J, H=H, grad_combo=grad_combo)
 
 
 def rhs_shifted_ricci_norm_evolution(ts, aux=None):
@@ -396,8 +398,8 @@ def rhs_pinching_evolution(ts, gamma, aux=None):
     grad_Rt_n2 = np.einsum('...ab,...a,...b->...', m.ginv, grad_Rt, grad_Rt,
                            optimize=True)
     bracket = (-gamma * E2 ** 2
-               + 2.0 * Rt * aux.WEE
-               - 0.8 * Rt * aux.E3
+               + 2.0 * Rt * ts.WEE
+               - 0.8 * Rt * ts.E3
                + (5.0 / 21.0 - gamma / 7.0) * Rt ** 2 * E2
                + (c / 21.0) * Rt * E2
                - (2.0 * c / 49.0) * Rt ** 3)
@@ -524,10 +526,6 @@ def centered_states(phi0, t_center, spacing):
     return keep[n_center - 1], keep[n_center], keep[n_center + 1]
 
 
-def _fd(prev_val, next_val, spacing):
-    return (next_val - prev_val) / (2.0 * spacing)
-
-
 CHECK_NAMES = (
     'general_flow_ricci', 'general_flow_scalar', 'ricci_evolution',
     'ricci_norm_evolution', 'scalar_evolution',
@@ -538,43 +536,32 @@ CHECK_NAMES = (
 def evaluate_residuals(prev, mid, nxt, spacing, c, gammas=(2.0,)):
     """Max-norm residuals of every evolution equation on one state triple."""
     ts = StateTensors(mid, c=c)
+    tp, tn = StateTensors(prev, c=c), StateTensors(nxt, c=c)
     aux = compute_aux_terms(ts)
-    bp, bn = prev.bundle, nxt.bundle
-    mp_, mn_ = prev.metric, nxt.metric
     out = {}
 
+    def resid(name, lhs, rhs):
+        out[name] = float(np.max(np.abs(lhs - rhs)))
+
+    def fd(prev_val, next_val):
+        return (next_val - prev_val) / (2.0 * spacing)
+
     eta = -2.0 * ts.S
-    fd_ric = _fd(bp.Ric, bn.Ric, spacing)
-    out['general_flow_ricci'] = float(np.max(np.abs(
-        fd_ric - rhs_general_flow_ricci(ts, eta))))
-    fd_R = _fd(bp.R, bn.R, spacing)
-    out['general_flow_scalar'] = float(np.max(np.abs(
-        fd_R - rhs_general_flow_scalar(ts, eta))))
-    out['ricci_evolution'] = float(np.max(np.abs(
-        fd_ric - rhs_ricci_evolution(ts))))
-
-    ric2_p = tensor_norm2(bp.Ric, mp_, 2)
-    ric2_n = tensor_norm2(bn.Ric, mn_, 2)
-    out['ricci_norm_evolution'] = float(np.max(np.abs(
-        _fd(ric2_p, ric2_n, spacing) - rhs_ricci_norm_evolution(ts))))
-    out['scalar_evolution'] = float(np.max(np.abs(
-        fd_R - rhs_scalar_evolution(ts))))
-
-    rict_p = bp.Ric + (c / 7.0) * mp_.g
-    rict_n = bn.Ric + (c / 7.0) * mn_.g
-    out['shifted_ricci_norm_evolution'] = float(np.max(np.abs(
-        _fd(tensor_norm2(rict_p, mp_, 2), tensor_norm2(rict_n, mn_, 2),
-            spacing) - rhs_shifted_ricci_norm_evolution(ts, aux))))
-    out['shifted_scalar_evolution'] = float(np.max(np.abs(
-        fd_R - rhs_shifted_scalar_evolution(ts, aux))))
-
+    fd_ric, fd_R = fd(tp.Ric, tn.Ric), fd(tp.R, tn.R)
+    resid('general_flow_ricci', fd_ric, rhs_general_flow_ricci(ts, eta))
+    resid('general_flow_scalar', fd_R, rhs_general_flow_scalar(ts, eta))
+    resid('ricci_evolution', fd_ric, rhs_ricci_evolution(ts))
+    resid('ricci_norm_evolution', fd(tp.Ric_norm2, tn.Ric_norm2),
+          rhs_ricci_norm_evolution(ts))
+    resid('scalar_evolution', fd_R, rhs_scalar_evolution(ts))
+    resid('shifted_ricci_norm_evolution', fd(tp.Ric_t_norm2, tn.Ric_t_norm2),
+          rhs_shifted_ricci_norm_evolution(ts, aux))
+    resid('shifted_scalar_evolution', fd_R,
+          rhs_shifted_scalar_evolution(ts, aux))
     for gamma in gammas:
-        ep = tensor_norm2(bp.E, mp_, 2)
-        en = tensor_norm2(bn.E, mn_, 2)
-        fp = ep / (bp.R + c) ** gamma
-        fn = en / (bn.R + c) ** gamma
-        out[f'pinching_evolution_g{gamma:g}'] = float(np.max(np.abs(
-            _fd(fp, fn, spacing) - rhs_pinching_evolution(ts, gamma, aux))))
+        resid(f'pinching_evolution_g{gamma:g}',
+              fd(tp.f_field(gamma), tn.f_field(gamma)),
+              rhs_pinching_evolution(ts, gamma, aux))
     return out
 
 
@@ -602,20 +589,20 @@ def run_evolution_checks(phi0, dt, c, gammas=(1.5, 2.0, 3.0), levels=3,
     return out
 
 
-def minimal_pinching_constant(prev, mid, nxt, c, w_c1_field=None):
+def minimal_pinching_constant(prev, mid, nxt):
     """Smallest C >= 0 making the gamma = 2 pinching inequality hold
-    pointwise on this state triple:
+    pointwise on a triple of StateTensors sharing one shift c:
 
       df/dt <= Delta f + (2/Rt)<grad f, grad Rt>
                + 4 Rt f (-f/2 + C sqrt(f) + C + C |W|_C1^2 / Rt^2).
+
+    Raises NonPositiveShiftedScalar when min(R + c) <= 0 at any of the
+    three states.
     """
-    ts = StateTensors(mid, c=c)
-    m = ts.m
-    spacing_r = mid.t - prev.t
-    spacing_s = nxt.t - mid.t
-    f_p = tensor_norm2(prev.bundle.E, prev.metric, 2) / (prev.bundle.R + c) ** 2
-    f_n = tensor_norm2(nxt.bundle.E, nxt.metric, 2) / (nxt.bundle.R + c) ** 2
-    f_m = ts.f_field(2.0)
+    f_p, f_m, f_n = (ts.f_field(2.0) for ts in (prev, mid, nxt))
+    m = mid.m
+    spacing_r = mid.state.t - prev.state.t
+    spacing_s = nxt.state.t - mid.state.t
     if abs(spacing_r - spacing_s) < 1e-13 * max(spacing_r, spacing_s):
         dfdt = (f_n - f_p) / (spacing_r + spacing_s)
     else:
@@ -623,13 +610,13 @@ def minimal_pinching_constant(prev, mid, nxt, c, w_c1_field=None):
         dfdt = (-s / (r * (r + s))) * f_p + ((s - r) / (r * s)) * f_m \
             + (r / (s * (r + s))) * f_n
     grad_f = partial_stack(f_m, m.spec)
-    inner = np.einsum('...ab,...a,...b->...', m.ginv, grad_f, ts.grad_R,
+    inner = np.einsum('...ab,...a,...b->...', m.ginv, grad_f, mid.grad_R,
                       optimize=True)
-    base = scalar_laplacian(f_m, m) + (2.0 / ts.Rt) * inner \
-        - 2.0 * ts.Rt * f_m ** 2
-    w2 = (ts.W_c1_field if w_c1_field is None else w_c1_field) ** 2
+    base = scalar_laplacian(f_m, m) + (2.0 / mid.Rt) * inner \
+        - 2.0 * mid.Rt * f_m ** 2
+    w2 = mid.W_c1_field ** 2
     num = dfdt - base
-    den = 4.0 * ts.Rt * f_m * (np.sqrt(f_m) + 1.0 + w2 / ts.Rt ** 2)
+    den = 4.0 * mid.Rt * f_m * (np.sqrt(f_m) + 1.0 + w2 / mid.Rt ** 2)
     mask = den > 0.0
     if not np.any(mask):
         return 0.0

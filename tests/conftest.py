@@ -3,9 +3,17 @@ import pytest
 
 from g2flow import flow as fl
 from g2flow import grid as gr
-from g2flow.initial_data import flat_phi_field, perturbed_phi_field
+from g2flow.initial_data import (DEFAULT_MODES, Mode, flat_phi_field,
+                                 perturbed_phi_field)
 
 EPS = 0.05
+
+# three active axes with unequal periods, and the default modes plus two
+# that wave along the third axis
+GRID3 = gr.GridSpec((8, 8, 8, 1, 1, 1, 1),
+                    (2 * np.pi, 5.0, 3.0) + (2 * np.pi,) * 4)
+MODES3 = DEFAULT_MODES + (Mode((0, 0, 1, 0, 0, 0, 0), (2, 5), 0.5, 0.3),
+                          Mode((1, 0, -1, 0, 0, 0, 0), (0, 6), 0.4, 1.3))
 
 
 def scenario_spec(n, axes=(0, 1)):
@@ -14,6 +22,10 @@ def scenario_spec(n, axes=(0, 1)):
 
 def perturbed_state(n, eps=EPS):
     return fl.FlowState(0.0, perturbed_phi_field(scenario_spec(n), eps))
+
+
+def perturbed_state3(eps=EPS):
+    return fl.FlowState(0.0, perturbed_phi_field(GRID3, eps, MODES3))
 
 
 def flat_state(n=8):
@@ -33,7 +45,8 @@ def smooth_field(spec, ncomp, seed=0, amp=1.0):
             arg = np.zeros(spec.shape)
             for ax in spec.active_axes:
                 k = int(rng.integers(-2, 3))
-                arg = arg + k * spec.coordinates(ax)
+                arg = arg + (2 * np.pi * k / spec.periods[ax]) \
+                    * spec.coordinates(ax)
             f = f + a * np.sin(arg + ph)
         out[..., comp] = f
     return out

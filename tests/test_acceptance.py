@@ -136,9 +136,9 @@ class TestCriterion2:
         drift = float(np.max(np.abs(st.phi.values - ref)))
         b = st.bundle
         from g2flow.curvature import weyl
-        weyl(b, st.metric)
+        W = weyl(b, st.metric)
         worst = max(float(np.max(np.abs(b.T))), float(np.max(np.abs(b.R))),
-                    float(np.max(np.abs(b.Rm))), float(np.max(np.abs(b.W))))
+                    float(np.max(np.abs(b.Rm))), float(np.max(np.abs(W))))
         elapsed = time.time() - t0
         ok = drift <= 1e-12 and worst <= 1e-12 and elapsed < 30.0
         assert report(

@@ -94,6 +94,22 @@ class TestParseConfig:
             parse_config(f"{key} = {value.format(bad)}\n")
         assert err.value.problems == [f"{key}: {problem.format(bad)}"]
 
+    def test_pinching_shift_is_auto_or_number(self):
+        assert parse_config("pinching.c = 0.5").pinching_c == 0.5
+        with pytest.raises(ConfigError) as err:
+            parse_config("pinching.c = big")
+        assert err.value.problems == ["pinching.c: cannot parse 'big'"]
+
+    def test_modes_on_inactive_axis_rejected(self):
+        text = "grid.n = 8\ngrid.active_axes = 1,3\ninitial.family = {}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.format('perturbed'))
+        assert err.value.problems == [
+            "initial.modes: mode wave on inactive axis 2"]
+        parse_config(text.format('flat'))
+        parse_config(text.format('perturbed')
+                     + f"initial.modes = {MODES_AXES_13}\n")
+
     def test_unsupported_version(self):
         with pytest.raises(ConfigError):
             parse_config("config_version = 2")
@@ -245,6 +261,45 @@ output.dir = {out}
         assert main(['run', str(cfg)]) == 2
         assert "flow.max_dt: must be >= flow.dt_floor" in \
             capsys.readouterr().err
+
+    def test_inactive_mode_axis_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "axes.cfg"
+        cfg.write_text("grid.n = 8\ngrid.active_axes = 1,3\n"
+                       "initial.family = perturbed\n"
+                       f"output.dir = {tmp_path}\n")
+        assert main(['run', str(cfg)]) == 2
+        assert "initial.modes: mode wave on inactive axis 2" in \
+            capsys.readouterr().err
+
+    def test_nonpositive_shift_pauses(self, tmp_path):
+        # min(R + c) < 0 on every state: the pinching cells stay blank,
+        # the manifest records the pause, and the run still exits 0
+        out = tmp_path / "pause"
+        cfg = tmp_path / "pause.cfg"
+        cfg.write_text(BASE_CFG.format(family='perturbed', steps=3, snap=0,
+                                       out=out) + "pinching.c = 0.0001\n")
+        assert main(['run', str(cfg)]) == 0
+        man = json.loads((out / 'manifest.json').read_text())
+        assert any(e.startswith('pinching monitors paused')
+                   for e in man['events'])
+        data = rp.read_csv(out / 'series.csv')
+        assert len(data['step']) == 4
+        assert all(r + 0.0001 < 0.0 for r in data['min_R'])
+        for col in ('ratio_lhs', 'f_max_g1.5', 'f_max_g2', 'f_min_g2',
+                    'min_C_g2'):
+            assert data[col] == [None] * 4
+
+    def test_nonpositive_shift_in_checks_exit_code(self, tmp_path):
+        # the crosschecks need R + c > 0: a typed error and exit 3 after
+        # the run, not a traceback
+        out = tmp_path / "chk"
+        cfg = tmp_path / "chk.cfg"
+        cfg.write_text(BASE_CFG.format(family='perturbed', steps=1, snap=0,
+                                       out=out)
+                       + "pinching.c = 0.0001\nchecks.enable = crosschecks\n")
+        assert main(['run', str(cfg)]) == 3
+        rec = json.loads((out / 'error.json').read_text())
+        assert rec['error_type'] == 'NonPositiveShiftedScalar'
 
     def test_missing_config_file(self):
         assert main(['run', '/definitely/not/here.cfg']) == 2

@@ -9,7 +9,7 @@ from g2flow import grid as gr
 from g2flow.errors import NotPositive, PositivityLost, SnapshotError, Stalled
 from g2flow.initial_data import flat_phi_field, perturbed_phi_field
 
-from conftest import scenario_spec
+from conftest import GRID3, perturbed_state3, scenario_spec
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,18 @@ class TestStep:
         policy = fl.StepPolicy(safety=0.5, dt_floor=10.0, max_dt=20.0)
         with pytest.raises(Stalled):
             fl.step(short_run[0], policy)
+
+    def test_three_axes_unequal_periods_conserved(self):
+        st = perturbed_state3()
+        p0 = gr.period_integrals(st.phi)
+        h = GRID3.min_active_spacing()
+        for _ in range(3):
+            st = fl.step_fixed(st, 0.25 * h * h)
+        assert st.closedness() <= 1e-12
+        p1 = gr.period_integrals(st.phi)
+        scale = max(abs(v) for v in p0.values())
+        for key in p0:
+            assert abs(p1[key] - p0[key]) <= 1e-10 * scale
 
     def test_state_caches_are_fresh(self, short_run):
         s = short_run[1]

@@ -8,7 +8,8 @@ from g2flow import grid as gr
 from g2flow.errors import DegreeError
 from g2flow.initial_data import perturbed_phi_field
 
-from conftest import flat_state, perturbed_state, scenario_spec, smooth_field
+from conftest import (flat_state, perturbed_state, perturbed_state3,
+                      scenario_spec, smooth_field)
 
 
 def warped_metric_field(n, amp=0.15):
@@ -136,18 +137,26 @@ class TestHodgeOperators:
         with pytest.raises(DegreeError):
             ge.codifferential(zero, st.metric)
 
-    def test_adjointness_exact(self, state16):
-        # summation by parts telescopes exactly on the periodic grid, so
-        # the discrete pair (d, d*) is adjoint to rounding, curved or not
-        m = state16.metric
-        spec = state16.spec
+    @staticmethod
+    def adjoint_gap(state):
+        """|<da, b> - <a, d*b>| / (|a| |b|) for smooth a, b."""
+        m = state.metric
+        spec = state.spec
         a = gr.FormField(1, spec, smooth_field(spec, 7, 11))
         b = gr.FormField(2, spec, smooth_field(spec, 21, 12))
         lhs = ge.l2_form_inner(gr.exterior_derivative(a), b, m)
         rhs = ge.l2_form_inner(a, ge.codifferential(b, m), m)
         na = np.sqrt(ge.l2_form_inner(a, a, m))
         nb = np.sqrt(ge.l2_form_inner(b, b, m))
-        assert abs(lhs - rhs) / (na * nb) < 1e-12
+        return abs(lhs - rhs) / (na * nb)
+
+    def test_adjointness_exact(self, state16):
+        # summation by parts telescopes exactly on the periodic grid, so
+        # the discrete pair (d, d*) is adjoint to rounding, curved or not
+        assert self.adjoint_gap(state16) < 1e-12
+
+    def test_adjointness_three_axes_unequal_periods(self):
+        assert self.adjoint_gap(perturbed_state3()) < 1e-12
 
     def test_codifferential_is_negative_divergence(self):
         errs = {}

@@ -6,7 +6,7 @@ from g2flow import grid as gr
 from g2flow.errors import DegreeError
 from g2flow.initial_data import flat_phi_field
 
-from conftest import scenario_spec, smooth_field
+from conftest import GRID3, scenario_spec, smooth_field
 
 
 class TestGridSpec:
@@ -51,6 +51,11 @@ class TestDerivative:
     def test_d_squared_rounding_only(self):
         spec = scenario_spec(16)
         a = gr.FormField(2, spec, smooth_field(spec, 21, seed=2))
+        dda = gr.exterior_derivative(gr.exterior_derivative(a))
+        assert dda.max_abs() <= 1e-13
+
+    def test_d_squared_three_axes_unequal_periods(self):
+        a = gr.FormField(2, GRID3, smooth_field(GRID3, 21, seed=2))
         dda = gr.exterior_derivative(gr.exterior_derivative(a))
         assert dda.max_abs() <= 1e-13
 

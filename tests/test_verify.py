@@ -163,13 +163,18 @@ class TestTrajectories:
             assert order >= 3.5, f"{name}: spatial order {order:.2f}"
 
 
+def pinching_constant(states, c):
+    return vf.minimal_pinching_constant(
+        *(vf.StateTensors(st, c=c) for st in states))
+
+
 class TestMinimalPinchingConstant:
     def test_flat_needs_nothing(self):
         from g2flow.initial_data import flat_phi_field
         spec = scenario_spec(8)
         phi0 = flat_phi_field(spec)
         prev, mid, nxt = vf.centered_states(phi0, 0.02, 0.01)
-        assert vf.minimal_pinching_constant(prev, mid, nxt, c=1.0) == 0.0
+        assert pinching_constant((prev, mid, nxt), c=1.0) == 0.0
 
     def test_perturbed_finite(self):
         spec = scenario_spec(16)
@@ -177,7 +182,7 @@ class TestMinimalPinchingConstant:
         c = auto_shift(fl.FlowState(0.0, phi0).bundle)
         h2 = spec.min_active_spacing() ** 2
         prev, mid, nxt = vf.centered_states(phi0, 2 * h2, h2)
-        cmin = vf.minimal_pinching_constant(prev, mid, nxt, c)
+        cmin = pinching_constant((prev, mid, nxt), c)
         assert np.isfinite(cmin)
         assert cmin >= 0.0
 
@@ -190,6 +195,15 @@ class TestMinimalPinchingConstant:
             phi0 = perturbed_phi_field(spec, eps)
             c = auto_shift(fl.FlowState(0.0, phi0).bundle)
             prev, mid, nxt = vf.centered_states(phi0, 2 * h2, h2)
-            vals[eps] = vf.minimal_pinching_constant(prev, mid, nxt, c)
+            vals[eps] = pinching_constant((prev, mid, nxt), c)
         if vals[0.05] > 0.0:
             assert vals[0.025] <= 2.0 * max(vals[0.05], 1e-6)
+
+    def test_nonpositive_shift_raises(self):
+        # min(R + c) <= 0 at the first state only is enough to raise
+        phi0 = perturbed_phi_field(scenario_spec(8), 0.05)
+        prev, mid, nxt = vf.centered_states(phi0, 0.02, 0.01)
+        c = -float(np.min(prev.bundle.R))
+        assert float(np.min(mid.bundle.R)) + c > 0.0
+        with pytest.raises(NonPositiveShiftedScalar):
+            pinching_constant((prev, mid, nxt), c)
