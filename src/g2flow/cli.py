@@ -406,7 +406,7 @@ def structure_residuals(state):
     structure at one state."""
     from . import geometry as ge
     m = state.metric
-    tor = state.torsion
+    T = state.torsion
     b = state.bundle
     spec = state.spec
     alpha = np.zeros(spec.shape + (7,))
@@ -415,20 +415,21 @@ def structure_residuals(state):
         for a in spec.active_axes:
             f = f + np.sin(spec.coordinates(a) + 0.37 * comp + 0.11 * a)
         alpha[..., comp] = f
-    ric_tor = ge.ricci_from_torsion(tor, state.phi, m)
+    ric_tor = ge.ricci_from_torsion(T, state.phi, m)
+    tau2 = ge.intrinsic_torsion(state.phi, state.psi, m)[2]
     return {
-        'torsion_defines_nabla_phi': ge.nabla_phi_residual(tor, state.phi,
+        'torsion_defines_nabla_phi': ge.nabla_phi_residual(T, state.phi,
                                                            state.psi, m),
         'nabla_psi_formula': ge.nabla_psi_residual(state.phi, state.psi,
-                                                   tor, m),
-        'lie_algebra_torsion_divergence': ge.divergence_residual(tor.tau2, m),
+                                                   T, m),
+        'lie_algebra_torsion_divergence': ge.divergence_residual(tau2, m),
         'ricci_commutator_identity': ge.ricci_identity_residual(alpha, m, b),
         'ricci_from_torsion_vs_metric': float(np.max(np.abs(ric_tor - b.Ric))),
         'scalar_equals_minus_torsion_norm': float(np.max(np.abs(
-            b.R + ge.tensor_norm2(tor.T, m, 2)))),
-        'bianchi_type_identity': ge.bianchi_type_residual(tor, b, state.phi, m),
+            b.R + ge.tensor_norm2(T, m, 2)))),
+        'bianchi_type_identity': ge.bianchi_type_residual(T, b, state.phi, m),
         'torsion_gradient_formula': ge.torsion_gradient_residual(
-            tor, b, state.phi, m),
+            T, b, state.phi, m),
     }
 
 

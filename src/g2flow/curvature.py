@@ -50,10 +50,10 @@ def c1_norm(tensor, m, rank):
     return fld, float(np.max(fld))
 
 
-def auto_shift(bundle, margin=1.0):
+def auto_shift(bundle):
     """Default shift: 1 + max(0, -min R) for the supplied (initial)
     curvature bundle."""
-    return float(margin + max(0.0, -float(np.min(bundle.R))))
+    return float(1.0 + max(0.0, -float(np.min(bundle.R))))
 
 
 def shifted_scalar(bundle, c):
@@ -129,13 +129,11 @@ def weyl_blowup_monitor(history, T_est, delta):
     return {'t': ts, 'rate': rate}
 
 
-def distortion_bound_check(history, speed_integral=None):
+def distortion_bound_check(history):
     """e^{-N} g(0) <= g(t) <= e^{N} g(0): the recorded eigenvalue
     distortion may not exceed exp of the accumulated metric-speed
     integral N(t) = int max 2|S| dt."""
     dist = _column(history, 'distortion')
-    if speed_integral is None:
-        speed_integral = _column(history, 'speed_integral')
-    bound = np.exp(np.asarray(speed_integral, dtype=float))
+    bound = np.exp(_column(history, 'speed_integral'))
     return {'distortion': dist, 'bound': bound,
             'ok': bool(np.all(dist <= bound * (1.0 + 1e-10)))}

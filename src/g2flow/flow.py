@@ -22,7 +22,10 @@ from .geometry import (MetricField, attach_torsion, codifferential,
                        torsion_from_phi)
 from .grid import FormField, GridSpec, exterior_derivative, integrate_scalar
 
-CLOSED_TOL = 1e-12
+# retries of a step whose stages leave the positive cone, each at half dt
+MAX_RETRIES = 8
+# largest ||d phi|| a restored 3-form may show
+CLOSED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,6 @@ class StepPolicy:
     safety: float = 0.5
     dt_floor: float = 1e-9
     max_dt: float = 1.0
-    max_retries: int = 8
 
     def __post_init__(self):
         if not 0.0 < self.safety <= 1.0:
@@ -71,6 +73,7 @@ class FlowState:
 
     @cached_property
     def torsion(self):
+        """The raw torsion 2-tensor T (skew to discretization error)."""
         return torsion_from_phi(self.phi, self.metric, self.psi)
 
     @cached_property
@@ -126,7 +129,7 @@ def step(state, policy=StepPolicy()):
         raise Stalled(f"suggested dt {dt:.3e} below floor", dt=dt)
     history = []
     last_err = None
-    for _ in range(policy.max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         history.append(dt)
         try:
             phi_new = _rk4(state.phi, dt)
@@ -193,6 +196,12 @@ def metric_evolution_crosscheck(state_prev, state_next):
 
 MAGIC = b"G2SNAP01"
 SNAP_VERSION = 1
+SNAP_HEADER = struct.Struct('<8sII7I7dIdQII')
+
+
+def _axis_mask(spec):
+    """Bit a set for every active axis a of the grid."""
+    return sum(1 << a for a in spec.active_axes)
 
 
 def snapshot(state, path, aux=None):
@@ -206,12 +215,9 @@ def snapshot(state, path, aux=None):
     aux_bytes = json.dumps(aux or {}, sort_keys=True,
                            separators=(",", ":")).encode()
     payload = np.ascontiguousarray(state.phi.values, dtype='<f8').tobytes()
-    mask = 0
-    for a in spec.active_axes:
-        mask |= 1 << a
-    header = struct.pack(
-        '<8sII7I7dIdQII', MAGIC, SNAP_VERSION, state.phi.degree,
-        *spec.shape, *spec.periods, mask, state.t, state.step_index,
+    header = SNAP_HEADER.pack(
+        MAGIC, SNAP_VERSION, state.phi.degree, *spec.shape, *spec.periods,
+        _axis_mask(spec), state.t, state.step_index,
         binascii.crc32(payload), len(aux_bytes))
     tmp = str(path) + ".tmp"
     with open(tmp, 'wb') as f:
@@ -221,19 +227,19 @@ def snapshot(state, path, aux=None):
     os.replace(tmp, path)
 
 
-def restore(path, closed_tol=1e-9):
+def restore(path):
     """Read a snapshot back; returns (FlowState, aux dict).
 
-    Fails loudly (SnapshotError) on a bad magic, unknown version, size or
-    CRC mismatch, non-finite values, or a 3-form that is not closed.
+    Fails loudly (SnapshotError) on a bad magic, unknown version, an
+    active-axis mask the shape does not imply, size or CRC mismatch,
+    non-finite values, or a 3-form that is not closed.
     """
-    head_fmt = '<8sII7I7dIdQII'
-    head_len = struct.calcsize(head_fmt)
+    head_len = SNAP_HEADER.size
     with open(path, 'rb') as f:
         raw = f.read()
     if len(raw) < head_len:
         raise SnapshotError("snapshot truncated inside header")
-    fields = struct.unpack(head_fmt, raw[:head_len])
+    fields = SNAP_HEADER.unpack(raw[:head_len])
     magic, version, degree = fields[0], fields[1], fields[2]
     if magic != MAGIC:
         raise SnapshotError("bad magic; not a snapshot file")
@@ -241,11 +247,16 @@ def restore(path, closed_tol=1e-9):
         raise SnapshotError(f"unsupported snapshot version {version}")
     shape = fields[3:10]
     periods = fields[10:17]
+    mask = fields[17]
     t = fields[18]
     step_index = fields[19]
     crc = fields[20]
     aux_len = fields[21]
     spec = GridSpec(shape, periods)
+    if mask != _axis_mask(spec):
+        raise SnapshotError(
+            f"active-axis mask {mask:#x} does not match the shape "
+            f"(want {_axis_mask(spec):#x})")
     ncomp = al.NCOMP[degree]
     want = spec.npoints * ncomp * 8
     aux_end = head_len + aux_len
@@ -266,7 +277,7 @@ def restore(path, closed_tol=1e-9):
     phi = FormField(degree, spec, values)
     if degree == 3:
         resid = exterior_derivative(phi).max_abs()
-        if not resid <= closed_tol:
+        if not resid <= CLOSED_TOL:
             raise SnapshotError(
                 f"restored form is not closed (||d phi|| = {resid:.3e})")
     return FlowState(t, phi, step_index), aux

@@ -15,7 +15,7 @@ import numpy as np
 from . import algebra as al
 from .algebra import DIM
 from .errors import DegreeError, NotPositive
-from .grid import FormField, GridSpec, integrate_scalar, partial_derivative
+from .grid import FormField, integrate_scalar, partial_derivative
 
 _SLOT = "ijklmn"  # einsum letters for tensor slots
 
@@ -49,12 +49,6 @@ class MetricField:
         if np.any(orient != orient.flat[0]):
             raise NotPositive("orientation flips across the grid")
         return cls(phi.spec, g, ginv, detg, vol, orient)
-
-    @classmethod
-    def flat(cls, spec):
-        eye = np.broadcast_to(np.eye(DIM), spec.shape + (DIM, DIM)).copy()
-        one = np.ones(spec.shape)
-        return cls(spec, eye, eye.copy(), one.copy(), one.copy(), one.copy())
 
     @property
     def christoffel(self):
@@ -309,35 +303,12 @@ def _wedge7_norm():
     return _WEDGE7_NORM
 
 
-@dataclass
-class TorsionField:
-    """Full torsion 2-tensor and intrinsic torsion forms of a 3-form field.
-
-    ``T`` is the raw contraction (1/24) nabla_i phi psi^{j...}; for closed
-    structures it is skew to discretization error, and ``T_skew`` is its
-    exact skew part, which all evolution formulas use.
-    """
-    spec: GridSpec
-    T: np.ndarray
-    T_skew: np.ndarray
-    T_mixed: np.ndarray
-    tau0: np.ndarray
-    tau1: FormField
-    tau2: FormField
-    tau3: FormField
-    nabla_phi: np.ndarray
-
-
 def torsion_from_phi(phi, m, psi):
-    """Full torsion tensor and intrinsic torsion forms.
-
-    The 2-tensor comes from the contraction of nabla phi with the dual
-    4-form; the intrinsic forms come from the type decomposition of d phi
-    and d psi.  For a closed field only tau2 is populated beyond
-    discretization error.
-    """
-    from .grid import exterior_derivative
-    spec = phi.spec
+    """Full torsion 2-tensor T of a 3-form field: the raw contraction
+    T_i^m = (1/24) nabla_i phi_jkl psi^{mjkl} with its second slot
+    lowered.  For a closed structure it is skew to discretization error;
+    ``attach_torsion`` takes its exact skew part for the evolution
+    formulas."""
     phid = al.form_to_dense(3, phi.values)
     psid = al.form_to_dense(4, psi.values)
     npsi = raise_all(psid, m, 4)
@@ -347,9 +318,15 @@ def torsion_from_phi(phi, m, psi):
     lhs = nphi.reshape(bshape + (DIM, DIM ** 3))
     rhs = npsi.reshape(bshape + (DIM, DIM ** 3))
     T_mixed = np.matmul(lhs, np.swapaxes(rhs, -1, -2)) / 24.0
-    T = np.einsum('...ij,...jk->...ik', T_mixed, m.g, optimize=True)
-    T_skew = 0.5 * (T - np.einsum('...ij->...ji', T))
+    return np.einsum('...ij,...jk->...ik', T_mixed, m.g, optimize=True)
 
+
+def intrinsic_torsion(phi, psi, m):
+    """Intrinsic torsion forms (tau0, tau1, tau2, tau3) of a 3-form field,
+    from the type decomposition of d phi and d psi.  For a closed field
+    only tau2 is populated beyond discretization error."""
+    from .grid import exterior_derivative
+    spec = phi.spec
     dphi = exterior_derivative(phi)
     dpsi = exterior_derivative(psi)
     # scalar torsion: coefficient of psi in d phi.  <d phi, psi> = 4 <*d
@@ -382,19 +359,16 @@ def torsion_from_phi(phi, m, psi):
                                                       sdpsi.values)), m)
     pi14 = (2.0 * sdpsi.values - wstar.values) / 3.0
     tau2 = FormField(2, spec, -pi14)
-
-    return TorsionField(spec=spec, T=T, T_skew=T_skew, T_mixed=T_mixed,
-                        tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3,
-                        nabla_phi=nphi)
+    return tau0, tau1, tau2, tau3
 
 
-def attach_torsion(bundle, torsion):
-    """Fill the torsion-dependent members of a curvature bundle: the
-    squared torsion T_hat, |T|^2 and the flow tensor S = Ric + |T|^2 g / 3
-    + 2 T_hat, all built from the exact skew part so S is symmetric to
-    rounding."""
+def attach_torsion(bundle, T):
+    """Fill the torsion-dependent members of a curvature bundle: the exact
+    skew part T of the torsion, the squared torsion T_hat, |T|^2 and the
+    flow tensor S = Ric + |T|^2 g / 3 + 2 T_hat, all built from the skew
+    part so S is symmetric to rounding."""
     m = bundle.m
-    Ts = torsion.T_skew
+    Ts = 0.5 * (T - np.einsum('...ij->...ji', T))
     T_up = raise_index(Ts, m, 2, 1)                       # T_i^k
     That = np.einsum('...ik,...kj->...ij', T_up, Ts, optimize=True)
     Tn2 = tensor_norm2(Ts, m, 2)
@@ -409,34 +383,28 @@ def attach_torsion(bundle, torsion):
 # identity residuals (Section 2 of the underlying theory)
 # ---------------------------------------------------------------------------
 
-def nabla_phi_residual(torsion, phi, psi, m):
-    """Residual of nabla_i phi_jkl = T_i^m psi_mjkl."""
-    psid = al.form_to_dense(4, psi.values)
-    pred = np.einsum('...im,...mjkl->...ijkl', torsion.T_mixed, psid,
-                     optimize=True)
-    return float(np.max(np.abs(torsion.nabla_phi - pred)))
+def nabla_phi_residual(T, phi, psi, m):
+    """Residual of nabla_i phi = T_i^m (e_m -| psi), read on the increasing
+    components of each derivative direction."""
+    idx, sgn = al.basis_interior_table(4)
+    pred = raise_index(T, m, 2, 1) @ (psi.values[..., idx] * sgn)
+    nphi = covariant_derivative(al.form_to_dense(3, phi.values), m, 3)
+    return float(np.max(np.abs(al.dense_to_form(3, nphi) - pred)))
 
 
-def nabla_psi_residual(phi, psi, torsion, m):
-    """Residual of the four-term formula for nabla_m psi_ijkl in terms of
-    the torsion and phi."""
-    phid = al.form_to_dense(3, phi.values)
-    psid = al.form_to_dense(4, psi.values)
-    npsi = covariant_derivative(psid, m, 4)
-    T = torsion.T
-    pred = -(np.einsum('...mi,...jkl->...mijkl', T, phid)
-             - np.einsum('...mj,...ikl->...mijkl', T, phid)
-             - np.einsum('...mk,...jil->...mijkl', T, phid)
-             - np.einsum('...ml,...jki->...mijkl', T, phid))
-    return float(np.max(np.abs(npsi - pred)))
+def nabla_psi_residual(phi, psi, T, m):
+    """Residual of nabla_m psi = -T_m ^ phi (T_m the 1-form T_mi dx^i),
+    read on the increasing components of each derivative direction."""
+    pred = -al.wedge_comps(1, 3, T, phi.values[..., None, :])
+    npsi = covariant_derivative(al.form_to_dense(4, psi.values), m, 4)
+    return float(np.max(np.abs(al.dense_to_form(4, npsi) - pred)))
 
 
-def bianchi_type_residual(torsion, bundle, phi, m):
+def bianchi_type_residual(T, bundle, phi, m):
     """Residual of the Bianchi-type identity
     nabla_i T_jk - nabla_j T_ik = -(R_ijmn/2 + T_im T_jn) phi_k^{mn}."""
     phid = al.form_to_dense(3, phi.values)
     phi_up = raise_index(raise_index(phid, m, 3, 1), m, 3, 2)
-    T = torsion.T
     nT = covariant_derivative(T, m, 2)
     lhs = nT - np.einsum('...ijk->...jik', nT)
     quad = np.einsum('...im,...jn->...ijmn', T, T)
@@ -445,12 +413,11 @@ def bianchi_type_residual(torsion, bundle, phi, m):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def torsion_gradient_residual(torsion, bundle, phi, m):
+def torsion_gradient_residual(T, bundle, phi, m):
     """Residual of the six-term closed-structure formula expressing
     nabla_i T_jk through curvature and torsion squares."""
     phid = al.form_to_dense(3, phi.values)
     phi_up = raise_index(raise_index(phid, m, 3, 1), m, 3, 2)
-    T = torsion.T
     Rm = bundle.Rm
     nT = covariant_derivative(T, m, 2)
     quad = np.einsum('...am,...bn->...abmn', T, T)
@@ -463,12 +430,11 @@ def torsion_gradient_residual(torsion, bundle, phi, m):
     return float(np.max(np.abs(nT - rhs)))
 
 
-def ricci_from_torsion(torsion, phi, m):
+def ricci_from_torsion(T, phi, m):
     """Ricci curvature of a closed structure from its torsion:
     R_jk = -(nabla_i T_jm) phi_k^{im} - T_j^i T_ik."""
     phid = al.form_to_dense(3, phi.values)
     phi_up = raise_index(raise_index(phid, m, 3, 1), m, 3, 2)
-    T = torsion.T
     nT = covariant_derivative(T, m, 2)
     term1 = -np.einsum('...ijm,...kim->...jk', nT, phi_up, optimize=True)
     T_up = raise_index(T, m, 2, 1)                       # T_j^i

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DIM, INC, NCOMP, POS, interior_comps, wedge_comps
+from .algebra import DIM, INC, NCOMP, POS, wedge_comps
 from .errors import DegreeError
 
 TWO_PI = 2.0 * np.pi
@@ -127,17 +127,10 @@ class FormField:
         self.values.setflags(write=False)
 
     @classmethod
-    def zero(cls, degree, spec):
-        return cls(degree, spec, spec.zeros((NCOMP[degree],)))
-
-    @classmethod
     def constant(cls, form, spec):
         """Broadcast a pointwise FormK over the whole grid."""
         vals = np.broadcast_to(form.comps, spec.shape + form.comps.shape).copy()
         return cls(form.degree, spec, vals)
-
-    def copy(self):
-        return FormField(self.degree, self.spec, self.values.copy())
 
     def __add__(self, other):
         self._check(other)
@@ -164,11 +157,6 @@ class FormField:
         return FormField(self.degree + other.degree, self.spec,
                          wedge_comps(self.degree, other.degree,
                                      self.values, other.values))
-
-    def interior(self, vec_field):
-        """Interior product with a vector field of shape (*grid, 7)."""
-        return FormField(self.degree - 1, self.spec,
-                         interior_comps(self.degree, vec_field, self.values))
 
 
 def exterior_derivative(a):

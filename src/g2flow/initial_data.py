@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import POS, standard_phi
+from .algebra import DIM, POS, standard_phi
 from .grid import FormField
 
 
@@ -41,8 +41,17 @@ DEFAULT_MODES = (
 
 
 def check_modes(spec, modes):
-    """Raise ValueError if a mode waves along an inactive axis of spec."""
+    """Raise ValueError if a mode has more than 7 wavenumbers, a component
+    that is not an increasing index pair, or a wave along an inactive axis
+    of spec."""
     for mode in modes:
+        if len(mode.waves) > DIM:
+            raise ValueError(f"mode has {len(mode.waves)} wavenumbers, "
+                             f"at most {DIM}")
+        i, j = mode.comp
+        if not 0 <= i < j < DIM:
+            raise ValueError(f"mode component {i + 1},{j + 1} is not a pair "
+                             f"a,b with 1 <= a < b <= {DIM}")
         for a, k in enumerate(mode.waves):
             if k != 0 and spec.shape[a] == 1:
                 raise ValueError(f"mode wave on inactive axis {a + 1}")

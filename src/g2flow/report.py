@@ -124,14 +124,14 @@ def svg_line_chart(xs, series, title, width=720, height=360):
     return "\n".join(out)
 
 
-def write_run_plots(run_dir, csv_data, columns=None):
+def write_run_plots(run_dir, csv_data):
     """One SVG per monitored column, plotted against time."""
     xs = csv_data.get("t", [])
     plot_dir = os.path.join(run_dir, "plots")
     os.makedirs(plot_dir, exist_ok=True)
     skip = {"step", "t"}
     written = []
-    for col in (columns or csv_data):
+    for col in csv_data:
         if col in skip:
             continue
         svg = svg_line_chart(xs, {col: csv_data[col]}, col)

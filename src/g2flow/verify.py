@@ -486,13 +486,8 @@ class EvolutionCheckResult:
     """Outcome of one evolution-equation check."""
     name: str
     residuals: dict                 # spacing -> max-norm residual
-    expected_order: tuple = (2.0, 4.0)
     measured_order: float = None
     passed: bool = None
-
-    @property
-    def residual_max(self):
-        return self.residuals[max(self.residuals)]
 
 
 def difference_order(residuals):
@@ -565,8 +560,7 @@ def evaluate_residuals(prev, mid, nxt, spacing, c, gammas=(2.0,)):
     return out
 
 
-def run_evolution_checks(phi0, dt, c, gammas=(1.5, 2.0, 3.0), levels=3,
-                         min_order=1.8):
+def run_evolution_checks(phi0, dt, c, gammas=(1.5, 2.0, 3.0), min_order=1.8):
     """All evolution checks at spacings dt, dt/2, dt/4 centered at t = dt.
 
     Returns a list of EvolutionCheckResult with measured time orders from
@@ -574,7 +568,7 @@ def run_evolution_checks(phi0, dt, c, gammas=(1.5, 2.0, 3.0), levels=3,
     """
     names = list(CHECK_NAMES) + [f'pinching_evolution_g{g:g}' for g in gammas]
     residuals = {n: {} for n in names}
-    for lvl in range(levels):
+    for lvl in range(3):
         s = dt / 2 ** lvl
         prev, mid, nxt = centered_states(phi0, dt, s)
         res = evaluate_residuals(prev, mid, nxt, s, c, gammas)

@@ -133,6 +133,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("initial.modes = garbage")
 
+    @pytest.mark.parametrize('mode, problem', [
+        ('1,0,0,0,0,0,0,1|2,3|1|0', "mode has 8 wavenumbers, at most 7"),
+        ('1,0,0,0,0,0,0|3,2|1|0', "mode component 3,2 is not a pair"),
+        ('1,0,0,0,0,0,0|0,2|1|0', "mode component 0,2 is not a pair"),
+        ('1,0,0,0,0,0,0|2,2|1|0', "mode component 2,2 is not a pair"),
+        ('1,0,0,0,0,0,0|1,8|1|0', "mode component 1,8 is not a pair"),
+    ])
+    def test_malformed_mode_rejected(self, mode, problem):
+        with pytest.raises(ConfigError) as err:
+            parse_config("grid.n = 8\ninitial.family = perturbed\n"
+                         f"initial.modes = {mode}\n")
+        [got] = err.value.problems
+        assert got.startswith(f"initial.modes: {problem}")
+
     def test_grid_shape_override(self):
         cfg = parse_config("grid.shape = 8,1,8,1,1,1,1")
         assert cfg.grid_spec().active_axes == (0, 2)

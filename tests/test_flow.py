@@ -191,6 +191,17 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             fl.restore(path)
 
+    def test_axis_mask_rewritten_rejected(self, short_run, tmp_path):
+        path = tmp_path / "m.g2snap"
+        fl.snapshot(short_run[0], path)
+        raw = bytearray(path.read_bytes())
+        fields = list(fl.SNAP_HEADER.unpack_from(raw))
+        fields[17] = 0x7f  # all seven axes; the shape has two
+        raw[:fl.SNAP_HEADER.size] = fl.SNAP_HEADER.pack(*fields)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match="active-axis mask"):
+            fl.restore(path)
+
     def test_nonclosed_rejected(self, tmp_path):
         spec = scenario_spec(8)
         vals = flat_phi_field(spec).values.copy()
