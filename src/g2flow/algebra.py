@@ -161,21 +161,19 @@ def basis_interior_table(k):
 
 
 @lru_cache(maxsize=None)
-def volume_partition_table():
-    """All 210 disjoint (pair, pair, triple) partitions of {0..6} with the
-    sign of the concatenated permutation.  Drives the bilinear form of a
-    3-form: a 2-form, a 2-form and a 3-form wedge to the volume form."""
-    pa, pb, pt, sg = [], [], [], []
+def volume_pairing_table():
+    """Fixed (35, 441) table K: (phi @ K)[21 a + b] is the coefficient of
+    dx^1...dx^7 in e^a ^ e^b ^ phi for the 2-form basis elements a, b.
+    Each of the 210 disjoint (pair, pair, triple) partitions of {0..6}
+    contributes the sign of its concatenated permutation."""
+    K = np.zeros((NCOMP[3], NCOMP[2] * NCOMP[2]))
     for A in INC[2]:
         rest = tuple(sorted(set(range(DIM)) - set(A)))
         for B in combinations(rest, 2):
             T = tuple(sorted(set(rest) - set(B)))
-            pa.append(POS[2][A])
-            pb.append(POS[2][B])
-            pt.append(POS[3][T])
-            sg.append(float(perm_sign(A + B + T)))
-    return (np.asarray(pa, dtype=np.intp), np.asarray(pb, dtype=np.intp),
-            np.asarray(pt, dtype=np.intp), np.asarray(sg))
+            col = NCOMP[2] * POS[2][A] + POS[2][B]
+            K[POS[3][T], col] = perm_sign(A + B + T)
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -217,45 +215,6 @@ def dense_to_form(k, dense):
     _, _, _, inc_flat = dense_table(k)
     flat = dense.reshape(dense.shape[:-k] + (DIM ** k,))
     return flat[..., inc_flat].copy()
-
-
-@lru_cache(maxsize=None)
-def _compound_gather(k):
-    """Flat gather indices (nk, nk, k, k) into a flattened 7x7 matrix for
-    assembling all k x k minors at once."""
-    rows = np.asarray(INC[k], dtype=np.intp)
-    flat = (rows[:, None, :, None] * DIM + rows[None, :, None, :])
-    return flat
-
-
-def compound_matrix(A, k):
-    """k-th compound of a batched 7x7 matrix: determinants of k x k minors
-    indexed by increasing row/column multi-indices.  Used to move k-form
-    indices up or down with g or its inverse.  Only orders up to 3 occur
-    (higher-degree stars run through the dual route)."""
-    if k == 0:
-        return np.ones(A.shape[:-2] + (1, 1))
-    if k == 1:
-        return A
-    flat = _compound_gather(k)
-    G = A.reshape(A.shape[:-2] + (DIM * DIM,))[..., flat]
-    if k == 2:
-        return (G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0])
-    if k == 3:
-        return (G[..., 0, 0] * (G[..., 1, 1] * G[..., 2, 2]
-                                - G[..., 1, 2] * G[..., 2, 1])
-                - G[..., 0, 1] * (G[..., 1, 0] * G[..., 2, 2]
-                                  - G[..., 1, 2] * G[..., 2, 0])
-                + G[..., 0, 2] * (G[..., 1, 0] * G[..., 2, 1]
-                                  - G[..., 1, 1] * G[..., 2, 0]))
-    out = np.zeros(A.shape[:-2] + (NCOMP[k], NCOMP[k]))
-    for p in permutations(range(k)):
-        s = perm_sign(p)
-        term = G[..., 0, p[0]]
-        for m in range(1, k):
-            term = term * G[..., m, p[m]]
-        out += s * term
-    return out
 
 
 def move_indices_dense(k, comps, mat):
@@ -311,10 +270,9 @@ def form_inner_comps(k, a, b, ginv):
 def star_comps(k, a, g, ginv, vol, orientation):
     """Hodge star on raw components.
 
-    For k <= 3 the input indices are raised with the k-th compound of
-    g^{-1}; for k >= 4 the dual route is used (permute first, lower the
-    (7-k)-form indices with the compound of g) so only compounds of order
-    <= 3 ever appear.
+    For k <= 3 every input index is raised with g^{-1}; for k >= 4 the
+    dual route is used (permute first, lower the (7-k)-form indices with
+    g) so only forms of degree <= 3 are ever moved.
     """
     signed_vol = vol * orientation
     if k <= 3:
@@ -336,15 +294,16 @@ def bilinear_form_comps(phi3):
     """Volume-form coefficient of (1/6)(e_i -| phi)^(e_j -| phi)^phi.
 
     Returns a batched symmetric 7x7 array measured against dx^1...dx^7.
-    The sum runs over the 210 disjoint (pair, pair, triple) partitions of
-    the index set, batched as one matrix product.
+    Bryant's formula as matrix products: Q(phi) = phi @ K is the 21x21
+    volume pairing of 2-forms wedged with phi, and B = iphi Q iphi^T / 6
+    with iphi the rows e_i -| phi.
     """
     idx, sgn = basis_interior_table(3)
-    iphi = phi3[..., idx] * sgn                      # (..., 7, 21)
-    pa, pb, pt, sg = volume_partition_table()
-    left = iphi[..., pa] * (phi3[..., pt] * sg)[..., None, :]
-    right = np.ascontiguousarray(np.swapaxes(iphi[..., pb], -1, -2))
-    return np.matmul(left, right) / 6.0
+    flat = phi3.reshape(-1, NCOMP[3])   # one batch axis halves matmul time
+    iphi = flat[:, idx] * sgn                        # (n, 7, 21)
+    Q = (flat @ volume_pairing_table()).reshape(-1, NCOMP[2], NCOMP[2])
+    B = iphi @ Q @ np.swapaxes(iphi, -1, -2) / 6.0
+    return B.reshape(phi3.shape[:-1] + (DIM, DIM))
 
 
 def metric_data_from_phi(phi3):

@@ -2,7 +2,8 @@
 suites, snapshots, and CI-friendly exit codes.
 
 Exit codes: 0 all enabled checks passed, 1 check failure, 2 configuration
-error, 3 runtime error (positivity loss, stall, bad snapshot).
+error, 3 runtime error (positivity loss, stall, bad snapshot, a failed
+numpy linear-algebra or floating-point operation, memory exhaustion).
 """
 
 import argparse
@@ -557,6 +558,11 @@ def write_manifest(cfg, run_dir, events, c, extra=None):
     atomic_write_json(os.path.join(run_dir, 'manifest.json'), manifest)
 
 
+# failures of a run that exit 3 with error.json instead of a traceback
+RUNTIME_ERRORS = (G2FlowError, np.linalg.LinAlgError, FloatingPointError,
+                  MemoryError)
+
+
 def _error_record(run_dir, err):
     rec = {'error_type': type(err).__name__, 'message': str(err)}
     for attr in ('t', 'point', 'dt', 'dt_history'):
@@ -615,7 +621,7 @@ def cmd_run(cfg, resume_from=None):
             report = {'passed': True, 'groups': {}}
             atomic_write_json(os.path.join(run_dir, 'verification.json'),
                               report)
-    except G2FlowError as err:
+    except RUNTIME_ERRORS as err:
         _error_record(run_dir, err)
         print(f"runtime error: {err}", file=sys.stderr)
         return 3
@@ -636,7 +642,7 @@ def cmd_verify(cfg):
     os.makedirs(run_dir, exist_ok=True)
     try:
         report = run_verification(cfg, run_dir)
-    except G2FlowError as err:
+    except RUNTIME_ERRORS as err:
         _error_record(run_dir, err)
         print(f"runtime error: {err}", file=sys.stderr)
         return 3

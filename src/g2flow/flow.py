@@ -125,7 +125,7 @@ def step(state, policy=StepPolicy()):
     PositivityLost if the retry budget is exhausted.
     """
     dt = suggest_dt(state, policy)
-    if dt < policy.dt_floor:
+    if not dt >= policy.dt_floor:
         raise Stalled(f"suggested dt {dt:.3e} below floor", dt=dt)
     history = []
     last_err = None
@@ -139,7 +139,7 @@ def step(state, policy=StepPolicy()):
         except NotPositive as e:
             last_err = e
             dt *= 0.5
-            if dt < policy.dt_floor:
+            if not dt >= policy.dt_floor:
                 raise Stalled("positivity retries drove dt below floor",
                               dt=dt, dt_history=history) from e
     raise PositivityLost("positivity failed after retries", t=state.t,
@@ -230,9 +230,11 @@ def snapshot(state, path, aux=None):
 def restore(path):
     """Read a snapshot back; returns (FlowState, aux dict).
 
-    Fails loudly (SnapshotError) on a bad magic, unknown version, an
-    active-axis mask the shape does not imply, size or CRC mismatch,
-    non-finite values, or a 3-form that is not closed.
+    Fails loudly (SnapshotError) on a bad magic, unknown version, a
+    degree other than 3, a shape entry below 1, a period that is not
+    finite and positive, an active-axis mask the shape does not imply,
+    size or CRC mismatch, non-finite values, or a 3-form that is not
+    closed.
     """
     head_len = SNAP_HEADER.size
     with open(path, 'rb') as f:
@@ -252,12 +254,19 @@ def restore(path):
     step_index = fields[19]
     crc = fields[20]
     aux_len = fields[21]
+    if degree != 3:
+        raise SnapshotError(f"snapshot degree {degree}, want 3")
+    if min(shape) < 1:
+        raise SnapshotError(f"snapshot shape {shape} has an entry below 1")
+    if not all(0.0 < p < np.inf for p in periods):
+        raise SnapshotError(f"snapshot periods {periods} are not all "
+                            "finite and positive")
     spec = GridSpec(shape, periods)
     if mask != _axis_mask(spec):
         raise SnapshotError(
             f"active-axis mask {mask:#x} does not match the shape "
             f"(want {_axis_mask(spec):#x})")
-    ncomp = al.NCOMP[degree]
+    ncomp = al.NCOMP[3]
     want = spec.npoints * ncomp * 8
     aux_end = head_len + aux_len
     if len(raw) != aux_end + want:
@@ -274,10 +283,9 @@ def restore(path):
     values = values.reshape(spec.shape + (ncomp,))
     if not np.all(np.isfinite(values)):
         raise SnapshotError("snapshot payload holds non-finite values")
-    phi = FormField(degree, spec, values)
-    if degree == 3:
-        resid = exterior_derivative(phi).max_abs()
-        if not resid <= CLOSED_TOL:
-            raise SnapshotError(
-                f"restored form is not closed (||d phi|| = {resid:.3e})")
+    phi = FormField(3, spec, values)
+    resid = exterior_derivative(phi).max_abs()
+    if not resid <= CLOSED_TOL:
+        raise SnapshotError(
+            f"restored form is not closed (||d phi|| = {resid:.3e})")
     return FlowState(t, phi, step_index), aux

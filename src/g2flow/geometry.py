@@ -249,8 +249,8 @@ def ricci_identity_residual(alpha, m, bundle):
 # ---------------------------------------------------------------------------
 
 def hodge_star_field(a, m):
-    """Hodge star of a FormField under a MetricField (compound-matrix
-    kernels shared with the pointwise implementation)."""
+    """Hodge star of a FormField under a MetricField (kernels shared
+    with the pointwise implementation)."""
     out = al.star_comps(a.degree, a.values, m.g, m.ginv, m.vol,
                         m.orientation)
     return FormField(DIM - a.degree, a.spec, out)

@@ -32,6 +32,15 @@ def flat_state(n=8):
     return fl.FlowState(0.0, flat_phi_field(scenario_spec(n)))
 
 
+def rewrite_header(path, field, value):
+    """Overwrite one field of a snapshot header in place."""
+    raw = bytearray(path.read_bytes())
+    fields = list(fl.SNAP_HEADER.unpack_from(raw))
+    fields[field] = value
+    raw[:fl.SNAP_HEADER.size] = fl.SNAP_HEADER.pack(*fields)
+    path.write_bytes(bytes(raw))
+
+
 def smooth_field(spec, ncomp, seed=0, amp=1.0):
     """Deterministic few-mode field used where tests need generic smooth
     data that refines consistently across grids."""

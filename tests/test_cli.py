@@ -1,11 +1,16 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from g2flow import algebra as al
+from g2flow import flow as fl
 from g2flow import report as rp
 from g2flow.cli import main, monitor_summary, parse_config
 from g2flow.errors import ConfigError
+
+from conftest import flat_state, rewrite_header
 
 BASE_CFG = """\
 config_version = 1
@@ -334,6 +339,26 @@ output.dir = {out}
         assert main(['run', str(cfg)]) == 3
         rec = json.loads((out / 'error.json').read_text())
         assert rec['error_type'] == 'SnapshotError'
+
+    def test_resume_from_malformed_header_exit_code(self, tmp_path):
+        snap = tmp_path / "deg9.g2snap"
+        fl.snapshot(flat_state(), snap)
+        rewrite_header(snap, 2, 9)  # degree
+        out = tmp_path / "deg9"
+        cfg = write_cfg(tmp_path, "deg9.cfg", out=out)
+        assert main(['resume', str(snap), cfg]) == 3
+        rec = json.loads((out / 'error.json').read_text())
+        assert rec['error_type'] == 'SnapshotError'
+
+    def test_linalg_error_exit_code(self, tmp_path, monkeypatch):
+        def fail(phi3):
+            raise np.linalg.LinAlgError("singular matrix")
+        monkeypatch.setattr(al, 'metric_data_from_phi', fail)
+        out = tmp_path / "linalg"
+        cfg = write_cfg(tmp_path, "linalg.cfg", out=out)
+        assert main(['run', cfg]) == 3
+        rec = json.loads((out / 'error.json').read_text())
+        assert rec['error_type'] == 'LinAlgError'
 
 
 class TestReportAndPlots:

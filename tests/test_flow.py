@@ -9,7 +9,7 @@ from g2flow import grid as gr
 from g2flow.errors import NotPositive, PositivityLost, SnapshotError, Stalled
 from g2flow.initial_data import flat_phi_field, perturbed_phi_field
 
-from conftest import GRID3, perturbed_state3, scenario_spec
+from conftest import GRID3, perturbed_state3, rewrite_header, scenario_spec
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,12 @@ class TestStep:
         policy = fl.StepPolicy(safety=0.5, dt_floor=10.0, max_dt=20.0)
         with pytest.raises(Stalled):
             fl.step(short_run[0], policy)
+
+    def test_nan_dt_stalls(self, short_run, monkeypatch):
+        # nan < dt_floor is False; the controller must still refuse nan
+        monkeypatch.setattr(fl, 'suggest_dt', lambda state, policy: np.nan)
+        with pytest.raises(Stalled):
+            fl.step(short_run[0])
 
     def test_three_axes_unequal_periods_conserved(self):
         st = perturbed_state3()
@@ -194,12 +200,22 @@ class TestSnapshot:
     def test_axis_mask_rewritten_rejected(self, short_run, tmp_path):
         path = tmp_path / "m.g2snap"
         fl.snapshot(short_run[0], path)
-        raw = bytearray(path.read_bytes())
-        fields = list(fl.SNAP_HEADER.unpack_from(raw))
-        fields[17] = 0x7f  # all seven axes; the shape has two
-        raw[:fl.SNAP_HEADER.size] = fl.SNAP_HEADER.pack(*fields)
-        path.write_bytes(bytes(raw))
+        rewrite_header(path, 17, 0x7f)  # all seven axes; the shape has two
         with pytest.raises(SnapshotError, match="active-axis mask"):
+            fl.restore(path)
+
+    @pytest.mark.parametrize('field, value, problem', [
+        (2, 9, "degree 9"),
+        (3, 0, "shape"),
+        (10, -1.0, "periods"),
+        (10, np.inf, "periods"),
+    ])
+    def test_malformed_header_rejected(self, short_run, tmp_path, field,
+                                       value, problem):
+        path = tmp_path / "h.g2snap"
+        fl.snapshot(short_run[0], path)
+        rewrite_header(path, field, value)
+        with pytest.raises(SnapshotError, match=problem):
             fl.restore(path)
 
     def test_nonclosed_rejected(self, tmp_path):

@@ -3,7 +3,9 @@
 The torsion identities nabla phi = T -| psi and nabla psi = -T ^ phi are
 checked on increasing components through the interior-table gather and
 the wedge kernel; these tests pin both against the dense einsum formulas
-on random data.
+on random data.  The metric kernel's bilinear form, a product with a fixed
+volume-pairing table, is pinned against Bryant's formula spelled out with
+the interior and wedge kernels.
 """
 
 import numpy as np
@@ -52,3 +54,19 @@ def test_interior_table_matches_einsum(T, psi):
     got = T @ (psi[..., idx] * sgn)
     scale = 7.0 * np.max(np.abs(T)) * np.max(np.abs(psi))
     assert_close(got, al.dense_to_form(3, dense), scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=forms, near=st.booleans())
+def test_bilinear_form_matches_bryant_formula(phi, near):
+    # B_ij vol = (1/6)(e_i -| phi) ^ (e_j -| phi) ^ phi, built without
+    # the volume-pairing table; near=True takes a small perturbation of
+    # standard_phi
+    if near:
+        phi = al.standard_phi().comps + 0.1 * phi
+    iphi = al.interior_comps(3, np.eye(7), phi[:, None, :])   # (B, 7, 21)
+    pairs = al.wedge_comps(2, 2, iphi[:, :, None, :], iphi[:, None, :, :])
+    want = al.wedge_comps(4, 3, pairs, phi[:, None, None, :])[..., 0] / 6.0
+    # each entry sums 210 products of three components, over 6
+    scale = 35.0 * np.max(np.abs(phi)) ** 3
+    assert_close(al.bilinear_form_comps(phi), want, scale)
