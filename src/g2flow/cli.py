@@ -19,6 +19,10 @@ from . import __version__
 from .errors import ConfigError, G2FlowError, NonPositiveShiftedScalar
 from .report import (CsvWriter, atomic_write_json, read_csv,
                      write_run_plots)
+# structure/crosscheck_residuals are bound here as perfbench's span targets
+from .verify import (StateTensors, crosscheck_residuals,
+                     minimal_pinching_constant, pinching_shift,
+                     run_verification, structure_residuals)
 
 TWO_PI = 2.0 * np.pi
 
@@ -227,15 +231,6 @@ def build_initial_state(cfg):
     return FlowState(0.0, phi), {}
 
 
-def pinching_shift(cfg, state):
-    """The shift c of R + c: the configured number, or auto_shift of the
-    state's curvature."""
-    from .curvature import auto_shift
-    if cfg.pinching_c == 'auto':
-        return auto_shift(state.bundle)
-    return cfg.pinching_c
-
-
 def monitor_row(ts, dt, gammas, g0, running):
     """The series.csv row of one accepted state, read through its
     StateTensors ``ts``; min_C_g2 is left blank for the caller.  Where
@@ -271,7 +266,7 @@ def monitor_row(ts, dt, gammas, g0, running):
             row[f'f_max_g{g:g}'] = float(np.max(ts.f_field(g)))
             if g == 2.0:
                 row['f_min_g2'] = float(np.min(ts.f_field(g)))
-    row['distortion'] = metric_distortion(g0, state.metric.g, state.spec)
+    row['distortion'] = metric_distortion(g0, state.metric.g)
     row['speed_integral'] = running.get('speed_integral', 0.0)
     return row
 
@@ -288,7 +283,6 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     """
     from .flow import StepPolicy, snapshot, step, step_fixed
     from .geometry import tensor_norm2
-    from .verify import StateTensors, minimal_pinching_constant
 
     os.makedirs(run_dir, exist_ok=True)
     snap_dir = os.path.join(run_dir, 'snapshots')
@@ -379,163 +373,6 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
         events.append('pinching monitors paused: min(R + c) <= 0 '
                       '(scalar curvature escaped below -c)')
     return history, events, c, ts.state
-
-
-# ---------------------------------------------------------------------------
-# verification driver
-# ---------------------------------------------------------------------------
-
-STRUCTURE_MIN_ORDER = 3.5
-RESIDUAL_FLOOR = 1e-12
-
-# Per-check constants for the 4th-order tolerance C * eps * h^4, calibrated
-# on the reference scenario with ample headroom.
-CROSSCHECK_TOL = {
-    'divergence_identity': 0.2,
-    'bochner': 20.0,
-    'ricci_trace_vs_scalar': 20.0,
-    'shifted_norm_consistency': 1.0,
-}
-EXACT_CROSSCHECKS = {
-    'shifted_scalar_consistency': 1e-9,
-    'lichnerowicz_metric': 1e-9,
-}
-
-
-def structure_residuals(state):
-    """Residuals of the pointwise/derivative identities of a closed
-    structure at one state."""
-    from . import geometry as ge
-    m = state.metric
-    T = state.torsion
-    b = state.bundle
-    spec = state.spec
-    alpha = np.zeros(spec.shape + (7,))
-    for comp in range(7):
-        f = np.zeros(spec.shape)
-        for a in spec.active_axes:
-            f = f + np.sin(spec.coordinates(a) + 0.37 * comp + 0.11 * a)
-        alpha[..., comp] = f
-    ric_tor = ge.ricci_from_torsion(T, state.phi, m)
-    tau2 = ge.intrinsic_torsion(state.phi, state.psi, m)[2]
-    return {
-        'torsion_defines_nabla_phi': ge.nabla_phi_residual(T, state.phi,
-                                                           state.psi, m),
-        'nabla_psi_formula': ge.nabla_psi_residual(state.phi, state.psi,
-                                                   T, m),
-        'lie_algebra_torsion_divergence': ge.divergence_residual(tau2, m),
-        'ricci_commutator_identity': ge.ricci_identity_residual(alpha, m, b),
-        'ricci_from_torsion_vs_metric': float(np.max(np.abs(ric_tor - b.Ric))),
-        'scalar_equals_minus_torsion_norm': float(np.max(np.abs(
-            b.R + ge.tensor_norm2(T, m, 2)))),
-        'bianchi_type_identity': ge.bianchi_type_residual(T, b, state.phi, m),
-        'torsion_gradient_formula': ge.torsion_gradient_residual(
-            T, b, state.phi, m),
-    }
-
-
-def crosscheck_residuals(state, c):
-    from .verify import (StateTensors, bochner_residual,
-                         divergence_identity_residual,
-                         lichnerowicz_metric_residual,
-                         ricci_trace_vs_scalar_residual,
-                         shifted_norm_consistency_residual,
-                         shifted_scalar_consistency_residual)
-    ts = StateTensors(state, c=c)
-    return {
-        'divergence_identity': divergence_identity_residual(ts),
-        'bochner': bochner_residual(ts),
-        'ricci_trace_vs_scalar': ricci_trace_vs_scalar_residual(ts),
-        'shifted_norm_consistency': shifted_norm_consistency_residual(ts),
-        'shifted_scalar_consistency': shifted_scalar_consistency_residual(ts),
-        'lichnerowicz_metric': lichnerowicz_metric_residual(ts),
-    }
-
-
-def run_verification(cfg, run_dir, log=print):
-    """Structure identities (spatial order against the grid halved along
-    each active axis), fixed-state cross-checks, and the evolution-equation
-    suite; returns the report dict (also written to verification.json)."""
-    from .flow import FlowState
-    from .grid import GridSpec
-    from .initial_data import perturbed_phi_field
-    from .verify import run_evolution_checks
-
-    report = {'passed': True, 'groups': {}}
-    eps = cfg.initial_epsilon if cfg.initial_family != 'flat' else 0.0
-    flat = cfg.initial_family == 'flat'
-
-    def mkstate(spec):
-        return FlowState(0.0, perturbed_phi_field(spec, eps, cfg.modes()))
-
-    state_hi = mkstate(cfg.grid_spec())
-    c = pinching_shift(cfg, state_hi)
-    h = state_hi.spec.min_active_spacing()
-    scale4 = max(eps, 1e-3) * h ** 4 * cfg.checks_tol_scale
-
-    if 'structure' in cfg.checks_enable:
-        grp = {}
-        res_hi = structure_residuals(state_hi)
-        if flat:
-            for name, r in res_hi.items():
-                ok = r <= 1e-11
-                grp[name] = {'residual': r, 'passed': ok}
-                report['passed'] &= ok
-        else:
-            hi = state_hi.spec
-            res_lo = structure_residuals(mkstate(GridSpec(
-                tuple(max(n // 2, 1) for n in hi.shape), hi.periods)))
-            for name, r_hi in res_hi.items():
-                r_lo = res_lo[name]
-                if r_hi <= RESIDUAL_FLOOR:
-                    order, ok = None, True
-                else:
-                    order = float(np.log2(r_lo / r_hi))
-                    ok = order >= STRUCTURE_MIN_ORDER
-                grp[name] = {'residual_coarse': r_lo, 'residual_fine': r_hi,
-                             'order': order, 'min_order': STRUCTURE_MIN_ORDER,
-                             'passed': ok}
-                report['passed'] &= ok
-        report['groups']['structure'] = grp
-
-    if 'crosschecks' in cfg.checks_enable:
-        grp = {}
-        res = crosscheck_residuals(state_hi, c)
-        for name, r in res.items():
-            if name in EXACT_CROSSCHECKS:
-                tol = EXACT_CROSSCHECKS[name] * cfg.checks_tol_scale
-            else:
-                tol = CROSSCHECK_TOL[name] * scale4
-            ok = r <= tol
-            grp[name] = {'residual': r, 'tolerance': tol, 'passed': ok}
-            report['passed'] &= ok
-        report['groups']['crosschecks'] = grp
-
-    if 'evolution' in cfg.checks_enable:
-        grp = {}
-        h2 = h * h
-        dt = cfg.verify_dt_multiplier * 0.5 * h2
-        results = run_evolution_checks(
-            state_hi.phi, dt=dt, c=c, gammas=cfg.verify_gammas,
-            min_order=cfg.checks_min_time_order)
-        for r in results:
-            res_fine = r.residuals[min(r.residuals)]
-            if res_fine <= RESIDUAL_FLOOR:
-                ok = True
-            else:
-                ok = bool(r.passed)
-            grp[r.name] = {
-                'residuals': {repr(s): v for s, v in sorted(r.residuals.items())},
-                'measured_order': r.measured_order,
-                'min_order': cfg.checks_min_time_order,
-                'passed': ok,
-            }
-            report['passed'] &= ok
-        report['groups']['evolution'] = grp
-
-    report['pinching_shift_c'] = c
-    atomic_write_json(os.path.join(run_dir, 'verification.json'), report)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -672,12 +509,6 @@ def _load_config(path):
 
 
 def main(argv=None):
-    # honor the thread-count variable before any heavy numpy work
-    threads = os.environ.get('G2FLOW_THREADS')
-    if threads:
-        for var in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS',
-                    'MKL_NUM_THREADS'):
-            os.environ.setdefault(var, threads)
     parser = argparse.ArgumentParser(
         prog='g2flow',
         description='Laplacian flow of closed G2-structures on the flat '

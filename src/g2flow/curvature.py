@@ -65,7 +65,7 @@ def shifted_scalar(bundle, c):
     return rt
 
 
-def metric_distortion(g0, g, spec):
+def metric_distortion(g0, g):
     """max over the grid of max(lambda_max, 1/lambda_min) for the pencil
     g(t) v = lambda g(0) v (Cholesky-whitened symmetric eigenproblem)."""
     L = np.linalg.cholesky(g0)

@@ -1,9 +1,12 @@
-"""Numerical verification of the evolution equations along the flow.
+"""Numerical verification: the evolution equations along the flow, the
+fixed-state cross-checks and structure identities, and the driver that
+gates them and writes verification.json.
 
-Each check compares a centered finite-difference time derivative over three
-states against the stated right-hand side evaluated at the middle state;
-every derivative in an RHS uses the same discrete operators as the flow, so
-residuals isolate the tensor algebra rather than mixing discretizations.
+Each evolution check compares a centered finite-difference time derivative
+over three states against the stated right-hand side evaluated at the middle
+state; every derivative in an RHS uses the same discrete operators as the
+flow, so residuals isolate the tensor algebra rather than mixing
+discretizations.
 
 Measured orders use the three-spacing difference estimator
 log2((r1 - r2) / (r2 - r4)), which cancels the spacing-independent spatial
@@ -11,21 +14,32 @@ floor that a parabolic dt = O(h^2) would otherwise mix into plain ratios.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .curvature import c1_norm, shifted_scalar, weyl
+from . import geometry as ge
+from .curvature import auto_shift, c1_norm, shifted_scalar, weyl
 from .flow import FlowState, step_fixed
 from .geometry import (covariant_derivative, partial_stack, raise_all,
                        raise_index, scalar_laplacian, second_covariant,
                        tensor_norm2)
+from .grid import GridSpec
+from .initial_data import perturbed_phi_field
+from .report import atomic_write_json
 
 
 # ---------------------------------------------------------------------------
 # shared per-state tensor cache
 # ---------------------------------------------------------------------------
+
+def trace_hessian(dd, m):
+    """g^ab dd_abij: the rough Laplacian of a 2-tensor from its second
+    covariant derivative."""
+    return np.einsum('...ab,...abij->...ij', m.ginv, dd, optimize=True)
+
 
 class StateTensors:
     """Derived tensor arrays at one flow state, computed once and shared by
@@ -42,31 +56,6 @@ class StateTensors:
         self.b = state.bundle
         self._f = {}
 
-    # --- bare fields ---
-    @property
-    def Ric(self):
-        return self.b.Ric
-
-    @property
-    def R(self):
-        return self.b.R
-
-    @property
-    def S(self):
-        return self.b.S
-
-    @property
-    def T(self):
-        return self.b.T
-
-    @property
-    def That(self):
-        return self.b.That
-
-    @property
-    def Tn2(self):
-        return self.b.T_norm2
-
     @cached_property
     def Rt(self):
         """Shifted scalar R + c; positivity enforced."""
@@ -75,7 +64,7 @@ class StateTensors:
     @cached_property
     def Ric_t(self):
         """Shifted Ricci: Ric + (c/7) g."""
-        return self.Ric + (self.c / 7.0) * self.m.g
+        return self.b.Ric + (self.c / 7.0) * self.m.g
 
     @cached_property
     def Ric_t_norm2(self):
@@ -83,7 +72,7 @@ class StateTensors:
 
     @cached_property
     def Ric_norm2(self):
-        return tensor_norm2(self.Ric, self.m, 2)
+        return tensor_norm2(self.b.Ric, self.m, 2)
 
     @cached_property
     def E_norm2(self):
@@ -92,12 +81,12 @@ class StateTensors:
     # --- raised variants ---
     @cached_property
     def Ric_up(self):
-        return raise_all(self.Ric, self.m, 2)
+        return raise_all(self.b.Ric, self.m, 2)
 
     @cached_property
     def Ric_mixed(self):
         """R_i^p (second slot raised)."""
-        return raise_index(self.Ric, self.m, 2, 1)
+        return raise_index(self.b.Ric, self.m, 2, 1)
 
     @cached_property
     def Ric_t_up(self):
@@ -105,11 +94,11 @@ class StateTensors:
 
     @cached_property
     def That_up(self):
-        return raise_all(self.That, self.m, 2)
+        return raise_all(self.b.That, self.m, 2)
 
     @cached_property
     def T_up(self):
-        return raise_all(self.T, self.m, 2)
+        return raise_all(self.b.T, self.m, 2)
 
     @cached_property
     def E_up(self):
@@ -117,12 +106,12 @@ class StateTensors:
 
     @cached_property
     def S_up(self):
-        return raise_all(self.S, self.m, 2)
+        return raise_all(self.b.S, self.m, 2)
 
     # --- first derivatives ---
     @cached_property
     def nabla_Ric(self):
-        return covariant_derivative(self.Ric, self.m, 2)
+        return covariant_derivative(self.b.Ric, self.m, 2)
 
     @cached_property
     def nabla_Ric_norm2(self):
@@ -130,21 +119,20 @@ class StateTensors:
 
     @cached_property
     def nabla_T(self):
-        return covariant_derivative(self.T, self.m, 2)
+        return covariant_derivative(self.b.T, self.m, 2)
 
     @cached_property
     def grad_R(self):
-        return partial_stack(self.R, self.m.spec)
+        return partial_stack(self.b.R, self.m.spec)
 
     # --- second derivatives ---
     @cached_property
     def dd_That(self):
-        return second_covariant(self.That, self.m, 2)
+        return second_covariant(self.b.That, self.m, 2)
 
     @cached_property
     def lap_That(self):
-        return np.einsum('...ab,...abij->...ij', self.m.ginv,
-                         self.dd_That, optimize=True)
+        return trace_hessian(self.dd_That, self.m)
 
     @cached_property
     def div_grad_That(self):
@@ -163,29 +151,19 @@ class StateTensors:
 
     @cached_property
     def hess_T2(self):
-        return second_covariant(self.Tn2, self.m, 0)
+        return second_covariant(self.b.T_norm2, self.m, 0)
 
     @cached_property
     def lap_T2(self):
         return np.einsum('...ab,...ab->...', self.m.ginv, self.hess_T2)
 
     @cached_property
-    def dd_S(self):
-        return second_covariant(self.S, self.m, 2)
-
-    @cached_property
     def lap_S(self):
-        return np.einsum('...ab,...abij->...ij', self.m.ginv, self.dd_S,
-                         optimize=True)
-
-    @cached_property
-    def dd_Ric(self):
-        return second_covariant(self.Ric, self.m, 2)
+        return trace_hessian(second_covariant(self.b.S, self.m, 2), self.m)
 
     @cached_property
     def lap_Ric(self):
-        return np.einsum('...ab,...abij->...ij', self.m.ginv,
-                         self.dd_Ric, optimize=True)
+        return trace_hessian(second_covariant(self.b.Ric, self.m, 2), self.m)
 
     # --- curvature contractions ---
     @cached_property
@@ -207,10 +185,14 @@ class StateTensors:
                          self.T_up, self.T_up, optimize=True)
 
     @cached_property
-    def Rm_TT_div(self):
-        """R_ijmp T^ip T^mj (the divergence-identity quadratic)."""
-        return np.einsum('...ijmp,...ip,...mj->...', self.b.Rm,
-                         self.T_up, self.T_up, optimize=True)
+    def div_gap(self):
+        """The divergence identity's two sides, nabla^i nabla^j That_ij
+        - (R^jp That_pj - R_ijmp T^ip T^mj + nabla^j T_im nabla^i T^m_j)."""
+        Rm_TT = np.einsum('...ijmp,...ip,...mj->...', self.b.Rm,
+                          self.T_up, self.T_up, optimize=True)
+        return self.div_div_That - (
+            np.einsum('...jp,...jp->...', self.Ric_up, self.b.That)
+            - Rm_TT + self.gradT_combo)
 
     @cached_property
     def gradT_combo(self):
@@ -259,10 +241,7 @@ def rhs_general_flow_ricci(ts, eta):
     """Evolution of Ric under d/dt g = eta: -(Lichnerowicz Laplacian of eta
     + Hess tr eta - symmetrized derivative of div eta)/2."""
     m = ts.m
-    dd_eta = second_covariant(eta, m, 2)
-    lap_eta = np.einsum('...ab,...abij->...ij', m.ginv, dd_eta, optimize=True)
-    eta_mixed = raise_index(eta, m, 2, 0)
-    lich = (lap_eta
+    lich = (trace_hessian(second_covariant(eta, m, 2), m)
             - np.einsum('...ip,...pj->...ij', ts.Ric_mixed, eta)
             - np.einsum('...jp,...pi->...ij', ts.Ric_mixed, eta)
             + 2.0 * np.einsum('...pijl,...pl->...ij', ts.b.Rm,
@@ -294,9 +273,9 @@ def rhs_ricci_evolution(ts):
     A = ts.div_grad_That
     hess = ts.hess_T2
     return (ts.lap_S
-            - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, ts.Ric)
-            - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, ts.That)
-            - 2.0 * np.einsum('...jp,...pi->...ij', ts.Ric_mixed, ts.That)
+            - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, ts.b.Ric)
+            - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, ts.b.That)
+            - 2.0 * np.einsum('...jp,...pi->...ij', ts.Ric_mixed, ts.b.That)
             + 2.0 * ts.Rm_Ric_up
             + 4.0 * ts.Rm_That_up
             - hess / 3.0
@@ -311,9 +290,9 @@ def rhs_ricci_norm_evolution(ts):
     return (lap_ric2
             - 2.0 * ts.nabla_Ric_norm2
             + 4.0 * np.einsum('...ij,...ij->...', ts.Rm_Ric_up, ts.Ric_up)
-            + (4.0 / 3.0) * ts.Tn2 * ts.Ric_norm2
+            + (4.0 / 3.0) * ts.b.T_norm2 * ts.Ric_norm2
             + 8.0 * np.einsum('...ij,...ij->...', ts.Rm_That_up, ts.Ric_up)
-            + (2.0 / 3.0) * ts.R * ts.lap_T2
+            + (2.0 / 3.0) * ts.b.R * ts.lap_T2
             + 4.0 * np.einsum('...ij,...ij->...', ts.Ric_up, ts.lap_That)
             - (2.0 / 3.0) * np.einsum('...ij,...ij->...', ts.Ric_up, ts.hess_T2)
             - 8.0 * np.einsum('...ij,...ij->...', ts.Ric_up, A))
@@ -321,9 +300,9 @@ def rhs_ricci_norm_evolution(ts):
 
 def rhs_scalar_evolution(ts):
     """Evolution of R: Delta R + 2|Ric|^2 - (2/3) R^2 + torsion terms."""
-    return (scalar_laplacian(ts.R, ts.m)
+    return (scalar_laplacian(ts.b.R, ts.m)
             + 2.0 * ts.Ric_norm2
-            - (2.0 / 3.0) * ts.R ** 2
+            - (2.0 / 3.0) * ts.b.R ** 2
             + 4.0 * ts.Rm_TT
             - 4.0 * ts.gradT_combo)
 
@@ -418,11 +397,8 @@ def rhs_pinching_evolution(ts, gamma, aux=None):
 # ---------------------------------------------------------------------------
 
 def divergence_identity_residual(ts):
-    """nabla^i nabla^j That_ij - (R^jp That_pj - R_ijmp T^ip T^mj
-    + nabla^j T_im nabla^i T^m_j); order h^4."""
-    rhs = (np.einsum('...jp,...jp->...', ts.Ric_up, ts.That)
-           - ts.Rm_TT_div + ts.gradT_combo)
-    return float(np.max(np.abs(ts.div_div_That - rhs)))
+    """The divergence identity (StateTensors.div_gap); order h^4."""
+    return float(np.max(np.abs(ts.div_gap)))
 
 
 def bochner_residual(ts):
@@ -438,11 +414,8 @@ def ricci_trace_vs_scalar_residual(ts):
     traces with the Laplacian and substitutes R = -|T|^2)."""
     m = ts.m
     tr32 = np.einsum('...ij,...ij->...', m.ginv, rhs_ricci_evolution(ts))
-    metric_motion = 2.0 * np.einsum('...ij,...ij->...', ts.S_up, ts.Ric)
-    div_gap = ts.div_div_That - (
-        np.einsum('...jp,...jp->...', ts.Ric_up, ts.That)
-        - ts.Rm_TT_div + ts.gradT_combo)
-    lhs = tr32 + metric_motion - rhs_scalar_evolution(ts) + 4.0 * div_gap
+    metric_motion = 2.0 * np.einsum('...ij,...ij->...', ts.S_up, ts.b.Ric)
+    lhs = tr32 + metric_motion - rhs_scalar_evolution(ts) + 4.0 * ts.div_gap
     return float(np.max(np.abs(lhs)))
 
 
@@ -467,14 +440,34 @@ def lichnerowicz_metric_residual(ts):
     """Lichnerowicz Laplacian applied to g itself collapses to Delta g = 0
     (exact metric compatibility)."""
     m = ts.m
-    dd_g = second_covariant(m.g, m, 2)
-    lap_g = np.einsum('...ab,...abij->...ij', m.ginv, dd_g, optimize=True)
-    lich = (lap_g
+    lich = (trace_hessian(second_covariant(m.g, m, 2), m)
             - np.einsum('...ip,...pj->...ij', ts.Ric_mixed, m.g)
             - np.einsum('...jp,...pi->...ij', ts.Ric_mixed, m.g)
             + 2.0 * np.einsum('...pijl,...pl->...ij', ts.b.Rm, m.ginv,
                               optimize=True))
     return float(np.max(np.abs(lich)))
+
+
+# One row per cross-check: (name, residual, constant, exact).  An exact
+# check's tolerance is constant * tol_scale; the others are 4th order, with
+# tolerance constant * eps * h^4 * tol_scale, calibrated on the reference
+# scenario with ample headroom.
+CROSSCHECKS = (
+    ('divergence_identity', divergence_identity_residual, 0.2, False),
+    ('bochner', bochner_residual, 20.0, False),
+    ('ricci_trace_vs_scalar', ricci_trace_vs_scalar_residual, 20.0, False),
+    ('shifted_norm_consistency', shifted_norm_consistency_residual, 1.0,
+     False),
+    ('shifted_scalar_consistency', shifted_scalar_consistency_residual,
+     1e-9, True),
+    ('lichnerowicz_metric', lichnerowicz_metric_residual, 1e-9, True),
+)
+
+
+def crosscheck_residuals(state, c):
+    """Every CROSSCHECKS residual at one state with shift c."""
+    ts = StateTensors(state, c=c)
+    return {name: residual(ts) for name, residual, _, _ in CROSSCHECKS}
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +534,8 @@ def evaluate_residuals(prev, mid, nxt, spacing, c, gammas=(2.0,)):
     def fd(prev_val, next_val):
         return (next_val - prev_val) / (2.0 * spacing)
 
-    eta = -2.0 * ts.S
-    fd_ric, fd_R = fd(tp.Ric, tn.Ric), fd(tp.R, tn.R)
+    eta = -2.0 * ts.b.S
+    fd_ric, fd_R = fd(tp.b.Ric, tn.b.Ric), fd(tp.b.R, tn.b.R)
     resid('general_flow_ricci', fd_ric, rhs_general_flow_ricci(ts, eta))
     resid('general_flow_scalar', fd_R, rhs_general_flow_scalar(ts, eta))
     resid('ricci_evolution', fd_ric, rhs_ricci_evolution(ts))
@@ -616,3 +609,122 @@ def minimal_pinching_constant(prev, mid, nxt):
         return 0.0
     ratio = np.where(mask & (num > 0.0), num / np.where(mask, den, 1.0), 0.0)
     return float(np.max(ratio))
+
+
+# ---------------------------------------------------------------------------
+# verification driver
+# ---------------------------------------------------------------------------
+
+STRUCTURE_MIN_ORDER = 3.5
+RESIDUAL_FLOOR = 1e-12
+
+
+def pinching_shift(cfg, state):
+    """The shift c of R + c: the configured number, or auto_shift of the
+    state's curvature."""
+    if cfg.pinching_c == 'auto':
+        return auto_shift(state.bundle)
+    return cfg.pinching_c
+
+
+def structure_residuals(state):
+    """Residuals of the pointwise/derivative identities of a closed
+    structure at one state."""
+    m = state.metric
+    T = state.torsion
+    b = state.bundle
+    spec = state.spec
+    alpha = np.zeros(spec.shape + (7,))
+    for comp in range(7):
+        f = np.zeros(spec.shape)
+        for a in spec.active_axes:
+            f = f + np.sin(spec.coordinates(a) + 0.37 * comp + 0.11 * a)
+        alpha[..., comp] = f
+    ric_tor = ge.ricci_from_torsion(T, state.phi, m)
+    tau2 = ge.intrinsic_torsion(state.phi, state.psi, m)[2]
+    return {
+        'torsion_defines_nabla_phi': ge.nabla_phi_residual(T, state.phi,
+                                                           state.psi, m),
+        'nabla_psi_formula': ge.nabla_psi_residual(state.phi, state.psi,
+                                                   T, m),
+        'lie_algebra_torsion_divergence': ge.divergence_residual(tau2, m),
+        'ricci_commutator_identity': ge.ricci_identity_residual(alpha, m, b),
+        'ricci_from_torsion_vs_metric': float(np.max(np.abs(ric_tor - b.Ric))),
+        'scalar_equals_minus_torsion_norm': float(np.max(np.abs(
+            b.R + tensor_norm2(T, m, 2)))),
+        'bianchi_type_identity': ge.bianchi_type_residual(T, b, state.phi, m),
+        'torsion_gradient_formula': ge.torsion_gradient_residual(
+            T, b, state.phi, m),
+    }
+
+
+def _record(report, group, records):
+    """Store one group's per-check records; the report passes only if
+    every record does."""
+    report['groups'][group] = records
+    report['passed'] &= all(r['passed'] for r in records.values())
+
+
+def run_verification(cfg, run_dir, log=print):
+    """Structure identities (spatial order against the grid halved along
+    each active axis), fixed-state cross-checks, and the evolution-equation
+    suite; returns the report dict (also written to verification.json)."""
+    report = {'passed': True, 'groups': {}}
+    eps = cfg.initial_epsilon if cfg.initial_family != 'flat' else 0.0
+
+    def mkstate(spec):
+        return FlowState(0.0, perturbed_phi_field(spec, eps, cfg.modes()))
+
+    state_hi = mkstate(cfg.grid_spec())
+    c = pinching_shift(cfg, state_hi)
+    h = state_hi.spec.min_active_spacing()
+    scale4 = max(eps, 1e-3) * h ** 4 * cfg.checks_tol_scale
+
+    if 'structure' in cfg.checks_enable:
+        res_hi = structure_residuals(state_hi)
+        if cfg.initial_family == 'flat':
+            records = {name: {'residual': r, 'passed': r <= 1e-11}
+                       for name, r in res_hi.items()}
+        else:
+            hi = state_hi.spec
+            res_lo = structure_residuals(mkstate(GridSpec(
+                tuple(max(n // 2, 1) for n in hi.shape), hi.periods)))
+            records = {}
+            for name, r_hi in res_hi.items():
+                r_lo = res_lo[name]
+                if r_hi <= RESIDUAL_FLOOR:
+                    order, ok = None, True
+                else:
+                    order = float(np.log2(r_lo / r_hi))
+                    ok = order >= STRUCTURE_MIN_ORDER
+                records[name] = {
+                    'residual_coarse': r_lo, 'residual_fine': r_hi,
+                    'order': order, 'min_order': STRUCTURE_MIN_ORDER,
+                    'passed': ok}
+        _record(report, 'structure', records)
+
+    if 'crosschecks' in cfg.checks_enable:
+        res = crosscheck_residuals(state_hi, c)
+        records = {}
+        for name, _, const, exact in CROSSCHECKS:
+            tol = const * (cfg.checks_tol_scale if exact else scale4)
+            records[name] = {'residual': res[name], 'tolerance': tol,
+                             'passed': res[name] <= tol}
+        _record(report, 'crosschecks', records)
+
+    if 'evolution' in cfg.checks_enable:
+        dt = cfg.verify_dt_multiplier * 0.5 * (h * h)
+        results = run_evolution_checks(
+            state_hi.phi, dt=dt, c=c, gammas=cfg.verify_gammas,
+            min_order=cfg.checks_min_time_order)
+        _record(report, 'evolution', {r.name: {
+            'residuals': {repr(s): v for s, v in sorted(r.residuals.items())},
+            'measured_order': r.measured_order,
+            'min_order': cfg.checks_min_time_order,
+            'passed': (r.residuals[min(r.residuals)] <= RESIDUAL_FLOOR
+                       or bool(r.passed)),
+        } for r in results})
+
+    report['pinching_shift_c'] = c
+    atomic_write_json(os.path.join(run_dir, 'verification.json'), report)
+    return report

@@ -150,8 +150,8 @@ class TestCriterion2:
 class TestCriterion3:
     def test_structure_identities_spatial_order(self, state32, state64):
         t0 = time.time()
-        res32 = cli.structure_residuals(state32)
-        res64 = cli.structure_residuals(state64)
+        res32 = vf.structure_residuals(state32)
+        res64 = vf.structure_residuals(state64)
         orders = {name: float(np.log2(res32[name] / res64[name]))
                   for name in res32}
         worst_name = min(orders, key=orders.get)

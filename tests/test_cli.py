@@ -250,6 +250,54 @@ output.dir = {out}
             outs.append((out / 'verification.json').read_bytes())
         assert outs[0] == outs[1]
 
+    def test_verification_record_layout(self, tmp_path):
+        # the perturbed N=8 structure group fails the 3.5 order gate on
+        # its pre-asymptotic coarse grid; the layout is what is pinned here
+        out = tmp_path / "layout"
+        cfg = tmp_path / "layout.cfg"
+        cfg.write_text(f"""\
+grid.n = 8
+initial.family = perturbed
+checks.enable = all
+verify.dt_multiplier = 0.25
+output.dir = {out}
+""")
+        code = main(['verify', str(cfg)])
+        rep = json.loads((out / 'verification.json').read_text())
+        assert set(rep) == {'passed', 'groups', 'pinching_shift_c'}
+        assert code == (0 if rep['passed'] else 1)
+        groups = rep['groups']
+        assert set(groups) == {'structure', 'crosschecks', 'evolution'}
+        assert set(groups['structure']) == {
+            'torsion_defines_nabla_phi', 'nabla_psi_formula',
+            'lie_algebra_torsion_divergence', 'ricci_commutator_identity',
+            'ricci_from_torsion_vs_metric',
+            'scalar_equals_minus_torsion_norm', 'bianchi_type_identity',
+            'torsion_gradient_formula'}
+        assert set(groups['crosschecks']) == {
+            'divergence_identity', 'bochner', 'ricci_trace_vs_scalar',
+            'shifted_norm_consistency', 'shifted_scalar_consistency',
+            'lichnerowicz_metric'}
+        assert set(groups['evolution']) == {
+            'general_flow_ricci', 'general_flow_scalar', 'ricci_evolution',
+            'ricci_norm_evolution', 'scalar_evolution',
+            'shifted_ricci_norm_evolution', 'shifted_scalar_evolution',
+            'pinching_evolution_g1.5', 'pinching_evolution_g2',
+            'pinching_evolution_g3'}
+        keys = {'structure': {'residual_coarse', 'residual_fine', 'order',
+                              'min_order', 'passed'},
+                'crosschecks': {'residual', 'tolerance', 'passed'},
+                'evolution': {'residuals', 'measured_order', 'min_order',
+                              'passed'}}
+        for name, records in groups.items():
+            for rec in records.values():
+                assert set(rec) == keys[name]
+        for rec in groups['evolution'].values():
+            assert len(rec['residuals']) == 3
+        assert rep['passed'] == all(rec['passed'] for records in
+                                    groups.values()
+                                    for rec in records.values())
+
     def test_verify_uses_grid_shape(self, tmp_path):
         # grid.shape spells the same grid as grid.n with grid.active_axes;
         # structure also builds the halved grid

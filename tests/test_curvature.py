@@ -228,12 +228,12 @@ class TestBlowupMonitor:
 class TestMetricDistortion:
     def test_identity(self, state16):
         g = state16.metric.g
-        assert cv.metric_distortion(g, g, state16.spec) == \
+        assert cv.metric_distortion(g, g) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_known_stretch(self, state16):
         g = state16.metric.g
-        assert cv.metric_distortion(g, 4.0 * g, state16.spec) == \
+        assert cv.metric_distortion(g, 4.0 * g) == \
             pytest.approx(4.0, rel=1e-10)
-        assert cv.metric_distortion(g, 0.25 * g, state16.spec) == \
+        assert cv.metric_distortion(g, 0.25 * g) == \
             pytest.approx(4.0, rel=1e-10)

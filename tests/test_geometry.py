@@ -236,6 +236,9 @@ class TestTorsion:
         assert float(np.max(state32.bundle.R)) <= 10 * 0.05 * h4
         assert float(np.max(state16.bundle.R)) < 0.0
 
+    def test_scalar_curvature_negative_three_axes(self):
+        assert float(np.max(perturbed_state3().bundle.R)) < 0.0
+
     def test_bianchi_residual_invariant_under_axis_relabeling(self, state16):
         # swap the two active coordinates (and every tensor index 0 <-> 1):
         # the residual of the Bianchi-type identity must not change

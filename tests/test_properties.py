@@ -1,11 +1,14 @@
-"""Property tests (hypothesis) for pointwise kernels.
+"""Property tests (hypothesis) for pointwise kernels and the discrete
+exterior calculus.
 
 The torsion identities nabla phi = T -| psi and nabla psi = -T ^ phi are
 checked on increasing components through the interior-table gather and
 the wedge kernel; these tests pin both against the dense einsum formulas
 on random data.  The metric kernel's bilinear form, a product with a fixed
 volume-pairing table, is pinned against Bryant's formula spelled out with
-the interior and wedge kernels.
+the interior and wedge kernels.  On random smooth periodic fields on the
+three-axis, unequal-period grid, d o d vanishes and d* is the adjoint of
+d to rounding.
 """
 
 import numpy as np
@@ -17,6 +20,10 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from g2flow import algebra as al  # noqa: E402
+from g2flow import geometry as ge  # noqa: E402
+from g2flow import grid as gr  # noqa: E402
+
+from conftest import GRID3, perturbed_state3, smooth_field  # noqa: E402
 
 BATCH = 3
 REL = 1e-13
@@ -70,3 +77,41 @@ def test_bilinear_form_matches_bryant_formula(phi, near):
     # each entry sums 210 products of three components, over 6
     scale = 35.0 * np.max(np.abs(phi)) ** 3
     assert_close(al.bilinear_form_comps(phi), want, scale)
+
+
+def smooth_fields(ncomp):
+    """Random smooth periodic fields on GRID3 (conftest.smooth_field: two
+    random Fourier modes per component), over six decades of size."""
+    return st.builds(
+        lambda seed, log_amp: smooth_field(GRID3, ncomp, seed,
+                                           10.0 ** log_amp),
+        st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0))
+
+
+@pytest.fixture(scope="module")
+def state3():
+    return perturbed_state3()
+
+
+@settings(max_examples=10, deadline=None)
+@given(vals=smooth_fields(21))
+def test_d_squared_vanishes_on_three_axes(vals):
+    dda = gr.exterior_derivative(gr.exterior_derivative(
+        gr.FormField(2, GRID3, vals)))
+    # the GRID3 bound of test_grid, relative to the size of the field
+    assert dda.max_abs() <= 1e-13 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize('k', (2, 3))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_codifferential_adjoint_on_three_axes(state3, k, data):
+    # |<da, b> - <a, d*b>| / (|a| |b|) for a random (k-1)-form a and
+    # k-form b under the perturbed three-axis metric
+    m = state3.metric
+    a = gr.FormField(k - 1, GRID3, data.draw(smooth_fields(al.NCOMP[k - 1])))
+    b = gr.FormField(k, GRID3, data.draw(smooth_fields(al.NCOMP[k])))
+    lhs = ge.l2_form_inner(gr.exterior_derivative(a), b, m)
+    rhs = ge.l2_form_inner(a, ge.codifferential(b, m), m)
+    norms = np.sqrt(ge.l2_form_inner(a, a, m) * ge.l2_form_inner(b, b, m))
+    assert abs(lhs - rhs) <= 1e-12 * norms
