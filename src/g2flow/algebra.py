@@ -217,54 +217,42 @@ def dense_to_form(k, dense):
     return flat[..., inc_flat].copy()
 
 
+def slot_apply(T, mat, rank, slots=None):
+    """out[.., i', ..] = mat[i', p] T[.., p, ..] on each listed slot of a
+    rank-``rank`` tensor (every slot by default), for batched matrices mat
+    of shape (.., r, 7), so the slot's size becomes r.  The last slot (rank
+    >= 2) is one right product with mat^T; any other slot is moved to the
+    front, a copy in runs of the trailing slots, for one left product.
+    Only T refers to the previous step's array, so no stale one survives."""
+    nb = T.ndim - rank
+    for s in range(rank) if slots is None else slots:
+        if s == rank - 1 and s > 0:
+            sh = T.shape
+            T = np.matmul(T.reshape(sh[:nb] + (-1, DIM)),
+                          np.swapaxes(mat, -1, -2)).reshape(sh[:-1] + (-1,))
+        else:
+            T = np.moveaxis(T, nb + s, nb)
+            sh = T.shape
+            T = np.matmul(mat, T.reshape(sh[:nb] + (DIM, -1)))
+            T = np.moveaxis(T.reshape(sh[:nb] + (-1,) + sh[nb + 1:]),
+                            nb, nb + s)
+    return T
+
+
 def move_indices_dense(k, comps, mat):
-    """Act with ``mat`` on every slot of a k-form (k <= 3): raise all
-    indices when mat is the inverse metric, lower when it is the metric.
-    Runs through the dense representation with one batched matmul per
-    slot, which beats materializing the order-k compound matrix."""
+    """Act with ``mat`` on every slot of a k-form: raise all indices when
+    mat is the inverse metric, lower when it is the metric.  Runs through
+    the dense representation, which beats materializing the order-k
+    compound matrix."""
     if k == 0:
         return comps.copy()
-    if k == 1:
-        return np.matmul(mat, comps[..., None])[..., 0]
-    d = form_to_dense(k, comps)
-    sh = d.shape
-    batch = sh[:-k]
-    if k == 2:
-        d = np.matmul(mat, d)
-        d = np.matmul(d, np.swapaxes(mat, -1, -2))
-    else:
-        d = np.matmul(mat, d.reshape(batch + (DIM, DIM * DIM))).reshape(sh)
-        d = np.moveaxis(np.matmul(mat, np.moveaxis(d, -2, -3).reshape(
-            batch + (DIM, DIM * DIM))).reshape(sh), -3, -2)
-        d = np.matmul(d.reshape(batch + (DIM * DIM, DIM)),
-                      np.swapaxes(mat, -1, -2)).reshape(sh)
-    return dense_to_form(k, d)
+    return dense_to_form(k, slot_apply(form_to_dense(k, comps), mat, k))
 
 
 def form_inner_comps(k, a, b, ginv):
-    """Tensor inner product of two k-forms (includes the k! multiplicity).
-    Degrees above 3 are routed through complements to keep minor
-    determinants at order <= 3."""
-    if k == 0:
-        return a[..., 0] * b[..., 0]
-    if k > 3:
-        # Jacobi complementary-minor identity: the order-k compound of
-        # g^{-1} equals det(g^{-1}) times the signed order-(7-k) compound
-        # of g on complements, so the pairing never needs minors above 3.
-        idx, sg = complement_table(k)
-        kc = DIM - k
-        ac = np.zeros(a.shape[:-1] + (NCOMP[kc],))
-        bc = np.zeros(b.shape[:-1] + (NCOMP[kc],))
-        ac[..., idx] = a * sg
-        bc[..., idx] = b * sg
-        g = np.linalg.inv(ginv)
-        det_ginv = np.linalg.det(ginv)
-        fact = float(math.factorial(k))
-        inner_c = np.sum(ac * move_indices_dense(kc, bc, g), axis=-1)
-        return fact * det_ginv * inner_c
+    """Tensor inner product of two k-forms (includes the k! multiplicity)."""
     br = move_indices_dense(k, b, ginv)
-    fact = float(math.factorial(k))
-    return fact * np.sum(a * br, axis=-1)
+    return math.factorial(k) * np.sum(a * br, axis=-1)
 
 
 def star_comps(k, a, g, ginv, vol, orientation):
@@ -275,19 +263,15 @@ def star_comps(k, a, g, ginv, vol, orientation):
     g) so only forms of degree <= 3 are ever moved.
     """
     signed_vol = vol * orientation
+    idx, sg = complement_table(k)
     if k <= 3:
         raised = move_indices_dense(k, a, ginv)
-        idx, sg = complement_table(k)
         out = np.zeros(a.shape[:-1] + (NCOMP[DIM - k],))
         out[..., idx] = raised * sg * signed_vol[..., None]
         return out
-    kc = DIM - k
-    idx, sg = complement_table(k)
-    tmp = np.zeros(a.shape[:-1] + (NCOMP[kc],))
-    tmp[..., idx] = a * sg / signed_vol[..., None]
-    if kc == 0:
-        return tmp
-    return move_indices_dense(kc, tmp, g)
+    out = np.zeros(a.shape[:-1] + (NCOMP[DIM - k],))
+    out[..., idx] = a * sg / signed_vol[..., None]
+    return move_indices_dense(DIM - k, out, g)
 
 
 def bilinear_form_comps(phi3):

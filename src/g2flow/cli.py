@@ -196,6 +196,11 @@ def parse_config(text):
         elif not os.path.exists(cfg.initial_snapshot):
             problems.append(
                 f"initial.snapshot: path {cfg.initial_snapshot!r} not found")
+        # the structure orders need the same field at N/2, which a
+        # snapshot cannot supply
+        if cfg.checks_enable:
+            problems.append("checks.enable: verification needs "
+                            "initial.family flat or perturbed")
     if cfg.flow_max_dt < cfg.flow_dt_floor:
         problems.append("flow.max_dt: must be >= flow.dt_floor")
     if problems:

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as al
-from .algebra import DIM
+from .algebra import DIM, slot_apply
 from .errors import DegreeError, NotPositive
 from .grid import FormField, integrate_scalar, partial_derivative
-
-_SLOT = "ijklmn"  # einsum letters for tensor slots
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +58,7 @@ class MetricField:
             A = (np.einsum('...ijl->...lij', dg)
                  + np.einsum('...jil->...lij', dg)
                  - dg)
-            sh = A.shape
-            flatA = A.reshape(sh[:-3] + (DIM, DIM * DIM))
-            self._christoffel = 0.5 * np.matmul(self.ginv, flatA).reshape(sh)
+            self._christoffel = 0.5 * slot_apply(A, self.ginv, 3, (0,))
         return self._christoffel
 
     @property
@@ -93,40 +89,20 @@ def partial_stack(T, spec):
     return out
 
 
-def slot_apply(T, mat, rank, slot):
-    """Contract ``mat`` (batched 7x7) against one tensor slot:
-    out[.., i_slot', ..] = mat[i_slot', p] T[.., p, ..].  Runs as one
-    batched matrix product with the slot moved last."""
-    nbatch = T.ndim - rank
-    moved = np.moveaxis(T, nbatch + slot, -1)
-    sh = moved.shape
-    flat = moved.reshape(sh[:nbatch] + (-1, DIM))
-    res = np.matmul(flat, np.swapaxes(mat, -1, -2))
-    return np.moveaxis(res.reshape(sh), -1, nbatch + slot)
-
-
 def covariant_derivative(T, m, rank):
     """Levi-Civita covariant derivative of a (0, rank)-tensor field.
 
     Returns a (0, rank+1)-tensor with the derivative slot first:
     out[a, i1..ik] = d_a T - sum_m Gamma^p_{a i_m} T[.. p ..].
     """
-    spec = m.spec
-    out = partial_stack(T, spec)
-    if rank == 0:
-        return out
-    gf = m.gamma_flat                                    # (.., a*i, p)
-    nbatch = T.ndim - rank
-    bshape = T.shape[:nbatch]
+    out = partial_stack(T, m.spec)
+    sh = T.shape
+    nb = T.ndim - rank
     for s in range(rank):
-        moved = np.moveaxis(T, nbatch + s, -1)           # slot s last
-        other = moved.shape[nbatch:-1]
-        flat = np.ascontiguousarray(moved).reshape(bshape + (-1, DIM))
-        corr = np.matmul(flat, np.swapaxes(gf, -1, -2))  # (.., M, a*i)
-        corr = corr.reshape(bshape + other + (DIM, DIM))  # (.., other, a, i)
-        corr = np.moveaxis(corr, -2, nbatch)             # a to front
-        corr = np.moveaxis(corr, -1, nbatch + 1 + s)     # i back to slot s
-        out -= corr
+        # Gamma^p_{a i} T[.. p ..]: slot s becomes the pair (a, i), a to front
+        corr = slot_apply(T, m.gamma_flat, rank, (s,))
+        corr = corr.reshape(sh[:nb + s] + (DIM, DIM) + sh[nb + s + 1:])
+        out -= np.moveaxis(corr, nb + s, nb)
     return out
 
 
@@ -144,26 +120,8 @@ def scalar_laplacian(u, m):
 def tensor_norm2(T, m, rank):
     """Pointwise squared norm of a (0, rank)-tensor: full contraction with
     the inverse metric on every slot."""
-    if rank == 0:
-        return T * T
-    raised = T
-    for s in range(rank):
-        raised = slot_apply(raised, m.ginv, rank, s)
     axes = tuple(range(-rank, 0))
-    return np.sum(T * raised, axis=axes)
-
-
-def raise_index(T, m, rank, slot):
-    """Raise one slot of a (0, rank)-tensor with the inverse metric."""
-    return slot_apply(T, m.ginv, rank, slot)
-
-
-def raise_all(T, m, rank):
-    """Raise every slot of a (0, rank)-tensor."""
-    out = T
-    for s in range(rank):
-        out = slot_apply(out, m.ginv, rank, s)
-    return out
+    return np.sum(T * slot_apply(T, m.ginv, rank), axis=axes)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +181,7 @@ def riemann(m):
     rup = (np.einsum('...iljk->...ijkl', dgam)
            - np.einsum('...jlik->...ijkl', dgam)
            + gg - np.einsum('...jikl->...ijkl', gg))
-    raw = slot_apply(rup, m.g, 4, 3)
+    raw = slot_apply(rup, m.g, 4, (3,))
     Rm = _curvature_project(raw)
     defect = float(np.max(np.abs(Rm - raw)))
     Ric = np.einsum('...il,...ijkl->...jk', m.ginv, Rm, optimize=True)
@@ -311,7 +269,7 @@ def torsion_from_phi(phi, m, psi):
     formulas."""
     phid = al.form_to_dense(3, phi.values)
     psid = al.form_to_dense(4, psi.values)
-    npsi = raise_all(psid, m, 4)
+    npsi = slot_apply(psid, m.ginv, 4)
     nphi = covariant_derivative(phid, m, 3)
     nbatch = nphi.ndim - 4
     bshape = nphi.shape[:nbatch]
@@ -369,7 +327,7 @@ def attach_torsion(bundle, T):
     part so S is symmetric to rounding."""
     m = bundle.m
     Ts = 0.5 * (T - np.einsum('...ij->...ji', T))
-    T_up = raise_index(Ts, m, 2, 1)                       # T_i^k
+    T_up = slot_apply(Ts, m.ginv, 2, (1,))                # T_i^k
     That = np.einsum('...ik,...kj->...ij', T_up, Ts, optimize=True)
     Tn2 = tensor_norm2(Ts, m, 2)
     bundle.That = That
@@ -387,7 +345,7 @@ def nabla_phi_residual(T, phi, psi, m):
     """Residual of nabla_i phi = T_i^m (e_m -| psi), read on the increasing
     components of each derivative direction."""
     idx, sgn = al.basis_interior_table(4)
-    pred = raise_index(T, m, 2, 1) @ (psi.values[..., idx] * sgn)
+    pred = slot_apply(T, m.ginv, 2, (1,)) @ (psi.values[..., idx] * sgn)
     nphi = covariant_derivative(al.form_to_dense(3, phi.values), m, 3)
     return float(np.max(np.abs(al.dense_to_form(3, nphi) - pred)))
 
@@ -404,7 +362,7 @@ def bianchi_type_residual(T, bundle, phi, m):
     """Residual of the Bianchi-type identity
     nabla_i T_jk - nabla_j T_ik = -(R_ijmn/2 + T_im T_jn) phi_k^{mn}."""
     phid = al.form_to_dense(3, phi.values)
-    phi_up = raise_index(raise_index(phid, m, 3, 1), m, 3, 2)
+    phi_up = slot_apply(phid, m.ginv, 3, (1, 2))
     nT = covariant_derivative(T, m, 2)
     lhs = nT - np.einsum('...ijk->...jik', nT)
     quad = np.einsum('...im,...jn->...ijmn', T, T)
@@ -417,7 +375,7 @@ def torsion_gradient_residual(T, bundle, phi, m):
     """Residual of the six-term closed-structure formula expressing
     nabla_i T_jk through curvature and torsion squares."""
     phid = al.form_to_dense(3, phi.values)
-    phi_up = raise_index(raise_index(phid, m, 3, 1), m, 3, 2)
+    phi_up = slot_apply(phid, m.ginv, 3, (1, 2))
     Rm = bundle.Rm
     nT = covariant_derivative(T, m, 2)
     quad = np.einsum('...am,...bn->...abmn', T, T)
@@ -434,10 +392,10 @@ def ricci_from_torsion(T, phi, m):
     """Ricci curvature of a closed structure from its torsion:
     R_jk = -(nabla_i T_jm) phi_k^{im} - T_j^i T_ik."""
     phid = al.form_to_dense(3, phi.values)
-    phi_up = raise_index(raise_index(phid, m, 3, 1), m, 3, 2)
+    phi_up = slot_apply(phid, m.ginv, 3, (1, 2))
     nT = covariant_derivative(T, m, 2)
     term1 = -np.einsum('...ijm,...kim->...jk', nT, phi_up, optimize=True)
-    T_up = raise_index(T, m, 2, 1)                       # T_j^i
+    T_up = slot_apply(T, m.ginv, 2, (1,))                 # T_j^i
     term2 = -np.einsum('...ja,...ak->...jk', T_up, T, optimize=True)
     return term1 + term2
 

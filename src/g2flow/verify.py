@@ -21,11 +21,11 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry as ge
+from .algebra import slot_apply
 from .curvature import auto_shift, c1_norm, shifted_scalar, weyl
 from .flow import FlowState, step_fixed
-from .geometry import (covariant_derivative, partial_stack, raise_all,
-                       raise_index, scalar_laplacian, second_covariant,
-                       tensor_norm2)
+from .geometry import (covariant_derivative, partial_stack, scalar_laplacian,
+                       second_covariant, tensor_norm2)
 from .grid import GridSpec
 from .initial_data import perturbed_phi_field
 from .report import atomic_write_json
@@ -81,32 +81,32 @@ class StateTensors:
     # --- raised variants ---
     @cached_property
     def Ric_up(self):
-        return raise_all(self.b.Ric, self.m, 2)
+        return slot_apply(self.b.Ric, self.m.ginv, 2)
 
     @cached_property
     def Ric_mixed(self):
         """R_i^p (second slot raised)."""
-        return raise_index(self.b.Ric, self.m, 2, 1)
+        return slot_apply(self.b.Ric, self.m.ginv, 2, (1,))
 
     @cached_property
     def Ric_t_up(self):
-        return raise_all(self.Ric_t, self.m, 2)
+        return slot_apply(self.Ric_t, self.m.ginv, 2)
 
     @cached_property
     def That_up(self):
-        return raise_all(self.b.That, self.m, 2)
+        return slot_apply(self.b.That, self.m.ginv, 2)
 
     @cached_property
     def T_up(self):
-        return raise_all(self.b.T, self.m, 2)
+        return slot_apply(self.b.T, self.m.ginv, 2)
 
     @cached_property
     def E_up(self):
-        return raise_all(self.b.E, self.m, 2)
+        return slot_apply(self.b.E, self.m.ginv, 2)
 
     @cached_property
     def S_up(self):
-        return raise_all(self.b.S, self.m, 2)
+        return slot_apply(self.b.S, self.m.ginv, 2)
 
     # --- first derivatives ---
     @cached_property
@@ -188,11 +188,9 @@ class StateTensors:
     def div_gap(self):
         """The divergence identity's two sides, nabla^i nabla^j That_ij
         - (R^jp That_pj - R_ijmp T^ip T^mj + nabla^j T_im nabla^i T^m_j)."""
-        Rm_TT = np.einsum('...ijmp,...ip,...mj->...', self.b.Rm,
-                          self.T_up, self.T_up, optimize=True)
         return self.div_div_That - (
             np.einsum('...jp,...jp->...', self.Ric_up, self.b.That)
-            - Rm_TT + self.gradT_combo)
+            - self.Rm_TT + self.gradT_combo)
 
     @cached_property
     def gradT_combo(self):
@@ -221,8 +219,7 @@ class StateTensors:
     @cached_property
     def E3(self):
         """E_ij E^j_l E^li."""
-        E = self.b.E
-        Em = raise_index(E, self.m, 2, 1)         # E_i^j
+        Em = slot_apply(self.b.E, self.m.ginv, 2, (1,))  # E_i^j
         return np.einsum('...ij,...jl,...li->...', Em, Em, Em,
                          optimize=True)
 
@@ -237,15 +234,22 @@ class StateTensors:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
+def lichnerowicz(ts, h, h_up):
+    """Lichnerowicz Laplacian of a symmetric 2-tensor h, given h_up, h with
+    both slots raised: Delta h - Ric h - h Ric + 2 Rm(h)."""
+    m = ts.m
+    return (trace_hessian(second_covariant(h, m, 2), m)
+            - np.einsum('...ip,...pj->...ij', ts.Ric_mixed, h)
+            - np.einsum('...jp,...pi->...ij', ts.Ric_mixed, h)
+            + 2.0 * np.einsum('...pijl,...pl->...ij', ts.b.Rm, h_up,
+                              optimize=True))
+
+
 def rhs_general_flow_ricci(ts, eta):
     """Evolution of Ric under d/dt g = eta: -(Lichnerowicz Laplacian of eta
     + Hess tr eta - symmetrized derivative of div eta)/2."""
     m = ts.m
-    lich = (trace_hessian(second_covariant(eta, m, 2), m)
-            - np.einsum('...ip,...pj->...ij', ts.Ric_mixed, eta)
-            - np.einsum('...jp,...pi->...ij', ts.Ric_mixed, eta)
-            + 2.0 * np.einsum('...pijl,...pl->...ij', ts.b.Rm,
-                              raise_all(eta, m, 2), optimize=True))
+    lich = lichnerowicz(ts, eta, slot_apply(eta, m.ginv, 2))
     tr_eta = np.einsum('...ij,...ij->...', m.ginv, eta)
     hess_tr = second_covariant(tr_eta, m, 0)
     div_eta = np.einsum('...am,...amj->...j', m.ginv,
@@ -439,12 +443,7 @@ def shifted_scalar_consistency_residual(ts):
 def lichnerowicz_metric_residual(ts):
     """Lichnerowicz Laplacian applied to g itself collapses to Delta g = 0
     (exact metric compatibility)."""
-    m = ts.m
-    lich = (trace_hessian(second_covariant(m.g, m, 2), m)
-            - np.einsum('...ip,...pj->...ij', ts.Ric_mixed, m.g)
-            - np.einsum('...jp,...pi->...ij', ts.Ric_mixed, m.g)
-            + 2.0 * np.einsum('...pijl,...pl->...ij', ts.b.Rm, m.ginv,
-                              optimize=True))
+    lich = lichnerowicz(ts, ts.m.g, ts.m.ginv)
     return float(np.max(np.abs(lich)))
 
 
@@ -557,7 +556,8 @@ def run_evolution_checks(phi0, dt, c, gammas=(1.5, 2.0, 3.0), min_order=1.8):
     """All evolution checks at spacings dt, dt/2, dt/4 centered at t = dt.
 
     Returns a list of EvolutionCheckResult with measured time orders from
-    the difference estimator.
+    the difference estimator.  A check passes when its order reaches
+    min_order or its finest residual is at the rounding floor.
     """
     names = list(CHECK_NAMES) + [f'pinching_evolution_g{g:g}' for g in gammas]
     residuals = {n: {} for n in names}
@@ -570,9 +570,10 @@ def run_evolution_checks(phi0, dt, c, gammas=(1.5, 2.0, 3.0), min_order=1.8):
     out = []
     for n in names:
         order = difference_order(residuals[n])
+        floor = residuals[n][min(residuals[n])] <= RESIDUAL_FLOOR
         out.append(EvolutionCheckResult(
             name=n, residuals=residuals[n], measured_order=order,
-            passed=(order is not None and order >= min_order)))
+            passed=floor or (order is not None and order >= min_order)))
     return out
 
 
@@ -721,8 +722,7 @@ def run_verification(cfg, run_dir, log=print):
             'residuals': {repr(s): v for s, v in sorted(r.residuals.items())},
             'measured_order': r.measured_order,
             'min_order': cfg.checks_min_time_order,
-            'passed': (r.residuals[min(r.residuals)] <= RESIDUAL_FLOOR
-                       or bool(r.passed)),
+            'passed': r.passed,
         } for r in results})
 
     report['pinching_shift_c'] = c

@@ -125,6 +125,19 @@ class TestParseConfig:
                          "initial.snapshot = /nowhere/x.g2snap")
         assert any("not found" in p for p in err.value.problems)
 
+    def test_snapshot_family_rejects_checks(self, tmp_path):
+        # verification builds its field (and the N/2 field of the structure
+        # orders) from the config, never from the snapshot
+        snap = tmp_path / "s.g2snap"
+        fl.snapshot(flat_state(), snap)
+        text = f"initial.family = from-snapshot\ninitial.snapshot = {snap}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "checks.enable = structure")
+        assert err.value.problems == [
+            "checks.enable: verification needs initial.family flat or "
+            "perturbed"]
+        assert parse_config(text).checks_enable == ()
+
     def test_mode_list_parsing(self):
         cfg = parse_config(
             "initial.modes = 1,0,0,0,0,0,0|2,3|1.0|0.5;"
@@ -367,6 +380,17 @@ output.dir = {out}
         assert main(['run', str(cfg)]) == 3
         rec = json.loads((out / 'error.json').read_text())
         assert rec['error_type'] == 'NonPositiveShiftedScalar'
+
+    def test_verify_from_snapshot_exit_code(self, tmp_path, capsys):
+        snap = tmp_path / "s.g2snap"
+        fl.snapshot(flat_state(), snap)
+        cfg = tmp_path / "snap.cfg"
+        cfg.write_text(f"grid.n = 8\ninitial.family = from-snapshot\n"
+                       f"initial.snapshot = {snap}\nchecks.enable = all\n"
+                       f"output.dir = {tmp_path / 'out'}\n")
+        assert main(['verify', str(cfg)]) == 2
+        assert "checks.enable: verification needs" in capsys.readouterr().err
+        assert not (tmp_path / 'out' / 'verification.json').exists()
 
     def test_missing_config_file(self):
         assert main(['run', '/definitely/not/here.cfg']) == 2

@@ -6,9 +6,10 @@ checked on increasing components through the interior-table gather and
 the wedge kernel; these tests pin both against the dense einsum formulas
 on random data.  The metric kernel's bilinear form, a product with a fixed
 volume-pairing table, is pinned against Bryant's formula spelled out with
-the interior and wedge kernels.  On random smooth periodic fields on the
-three-axis, unequal-period grid, d o d vanishes and d* is the adjoint of
-d to rounding.
+the interior and wedge kernels.  The one slot kernel, slot_apply, is
+pinned against einsum on every rank and slot choice it serves.  On random
+smooth periodic fields on the three-axis, unequal-period grid, d o d
+vanishes and d* is the adjoint of d to rounding.
 """
 
 import numpy as np
@@ -77,6 +78,30 @@ def test_bilinear_form_matches_bryant_formula(phi, near):
     # each entry sums 210 products of three components, over 6
     scale = 35.0 * np.max(np.abs(phi)) ** 3
     assert_close(al.bilinear_form_comps(phi), want, scale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rank=st.integers(1, 5), data=st.data())
+def test_slot_apply_matches_einsum(rank, data):
+    # square (.., 7, 7) matrices on a random slot subset or every slot
+    # (None), or the (.., 49, 7) Christoffel shape on one slot
+    rows = data.draw(st.sampled_from((7, 49)))
+    if rows == 7:
+        slots = data.draw(st.none() | st.lists(
+            st.integers(0, rank - 1), min_size=1, max_size=rank, unique=True))
+    else:
+        slots = [data.draw(st.integers(0, rank - 1))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    T = rng.standard_normal((BATCH,) + (7,) * rank)
+    mat = rng.standard_normal((BATCH, rows, 7))
+    sub = 'abcde'[:rank]
+    want = T
+    for s in range(rank) if slots is None else slots:
+        out = sub[:s] + 'z' + sub[s + 1:]
+        want = np.einsum(f'nz{sub[s]},n{sub}->n{out}', mat, want)
+    got = al.slot_apply(T, mat, rank, slots)
+    assert got.shape == want.shape
+    assert_close(got, want, np.max(np.abs(want)))
 
 
 def smooth_fields(ncomp):
