@@ -480,6 +480,11 @@ def cmd_run(cfg, resume_from=None):
 
 
 def cmd_verify(cfg):
+    if cfg.initial_family == 'from-snapshot':
+        # verification builds its field from the config, never from the
+        # snapshot, so its report would describe another state
+        raise ConfigError(["initial.family: g2flow verify needs "
+                           "initial.family flat or perturbed"])
     run_dir = cfg.output_dir
     os.makedirs(run_dir, exist_ok=True)
     try:

@@ -53,8 +53,7 @@ class MetricField:
         """Gamma^k_ij with index order [k, i, j], from central differences
         of the metric; built on first use and cached."""
         if self._christoffel is None:
-            dg = np.stack([partial_derivative(self.g, self.spec, a)
-                           for a in range(DIM)], axis=DIM)  # (.., a, i, j)
+            dg = partial_stack(self.g, self.spec)           # (.., a, i, j)
             A = (np.einsum('...ijl->...lij', dg)
                  + np.einsum('...jil->...lij', dg)
                  - dg)
@@ -191,17 +190,6 @@ def riemann(m):
                            symmetry_defect=defect)
 
 
-def ricci_identity_residual(alpha, m, bundle):
-    """Max-norm residual of the commutator identity on a 1-form field:
-    (nabla_i nabla_j - nabla_j nabla_i) alpha_k + R_{ijk}^m alpha_m."""
-    dd = second_covariant(alpha, m, 1)
-    comm = dd - np.einsum('...abk->...bak', dd)
-    rup = np.einsum('...ijkl,...lm->...ijkm', bundle.Rm, m.ginv,
-                    optimize=True)
-    term = np.einsum('...ijkm,...m->...ijk', rup, alpha, optimize=True)
-    return float(np.max(np.abs(comm + term)))
-
-
 # ---------------------------------------------------------------------------
 # Hodge star and codifferential on fields
 # ---------------------------------------------------------------------------
@@ -335,74 +323,3 @@ def attach_torsion(bundle, T):
     bundle.T = Ts
     bundle.S = bundle.Ric + (Tn2[..., None, None] / 3.0) * m.g + 2.0 * That
     return bundle
-
-
-# ---------------------------------------------------------------------------
-# identity residuals (Section 2 of the underlying theory)
-# ---------------------------------------------------------------------------
-
-def nabla_phi_residual(T, phi, psi, m):
-    """Residual of nabla_i phi = T_i^m (e_m -| psi), read on the increasing
-    components of each derivative direction."""
-    idx, sgn = al.basis_interior_table(4)
-    pred = slot_apply(T, m.ginv, 2, (1,)) @ (psi.values[..., idx] * sgn)
-    nphi = covariant_derivative(al.form_to_dense(3, phi.values), m, 3)
-    return float(np.max(np.abs(al.dense_to_form(3, nphi) - pred)))
-
-
-def nabla_psi_residual(phi, psi, T, m):
-    """Residual of nabla_m psi = -T_m ^ phi (T_m the 1-form T_mi dx^i),
-    read on the increasing components of each derivative direction."""
-    pred = -al.wedge_comps(1, 3, T, phi.values[..., None, :])
-    npsi = covariant_derivative(al.form_to_dense(4, psi.values), m, 4)
-    return float(np.max(np.abs(al.dense_to_form(4, npsi) - pred)))
-
-
-def bianchi_type_residual(T, bundle, phi, m):
-    """Residual of the Bianchi-type identity
-    nabla_i T_jk - nabla_j T_ik = -(R_ijmn/2 + T_im T_jn) phi_k^{mn}."""
-    phid = al.form_to_dense(3, phi.values)
-    phi_up = slot_apply(phid, m.ginv, 3, (1, 2))
-    nT = covariant_derivative(T, m, 2)
-    lhs = nT - np.einsum('...ijk->...jik', nT)
-    quad = np.einsum('...im,...jn->...ijmn', T, T)
-    rhs = -np.einsum('...ijmn,...kmn->...ijk',
-                     0.5 * bundle.Rm + quad, phi_up, optimize=True)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def torsion_gradient_residual(T, bundle, phi, m):
-    """Residual of the six-term closed-structure formula expressing
-    nabla_i T_jk through curvature and torsion squares."""
-    phid = al.form_to_dense(3, phi.values)
-    phi_up = slot_apply(phid, m.ginv, 3, (1, 2))
-    Rm = bundle.Rm
-    nT = covariant_derivative(T, m, 2)
-    quad = np.einsum('...am,...bn->...abmn', T, T)
-    rhs = (-0.25 * np.einsum('...ijmn,...kmn->...ijk', Rm, phi_up, optimize=True)
-           - 0.25 * np.einsum('...kjmn,...imn->...ijk', Rm, phi_up, optimize=True)
-           + 0.25 * np.einsum('...ikmn,...jmn->...ijk', Rm, phi_up, optimize=True)
-           - 0.5 * np.einsum('...ijmn,...kmn->...ijk', quad, phi_up, optimize=True)
-           - 0.5 * np.einsum('...kjmn,...imn->...ijk', quad, phi_up, optimize=True)
-           + 0.5 * np.einsum('...ikmn,...jmn->...ijk', quad, phi_up, optimize=True))
-    return float(np.max(np.abs(nT - rhs)))
-
-
-def ricci_from_torsion(T, phi, m):
-    """Ricci curvature of a closed structure from its torsion:
-    R_jk = -(nabla_i T_jm) phi_k^{im} - T_j^i T_ik."""
-    phid = al.form_to_dense(3, phi.values)
-    phi_up = slot_apply(phid, m.ginv, 3, (1, 2))
-    nT = covariant_derivative(T, m, 2)
-    term1 = -np.einsum('...ijm,...kim->...jk', nT, phi_up, optimize=True)
-    T_up = slot_apply(T, m.ginv, 2, (1,))                 # T_j^i
-    term2 = -np.einsum('...ja,...ak->...jk', T_up, T, optimize=True)
-    return term1 + term2
-
-
-def divergence_residual(beta, m):
-    """Max norm of nabla^i beta_ij for a 2-form field (divergence-free
-    check for the Lie-algebra torsion of a closed structure)."""
-    nb = covariant_derivative(al.form_to_dense(2, beta.values), m, 2)
-    div = np.einsum('...ai,...aij->...j', m.ginv, nb, optimize=True)
-    return float(np.max(np.abs(div)))

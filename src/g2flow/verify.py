@@ -20,13 +20,14 @@ from functools import cached_property
 
 import numpy as np
 
+from . import algebra as al
 from . import geometry as ge
 from .algebra import slot_apply
 from .curvature import auto_shift, c1_norm, shifted_scalar, weyl
 from .flow import FlowState, step_fixed
 from .geometry import (covariant_derivative, partial_stack, scalar_laplacian,
                        second_covariant, tensor_norm2)
-from .grid import GridSpec
+from .grid import TWO_PI, GridSpec
 from .initial_data import perturbed_phi_field
 from .report import atomic_write_json
 
@@ -93,20 +94,12 @@ class StateTensors:
         return slot_apply(self.Ric_t, self.m.ginv, 2)
 
     @cached_property
-    def That_up(self):
-        return slot_apply(self.b.That, self.m.ginv, 2)
-
-    @cached_property
     def T_up(self):
         return slot_apply(self.b.T, self.m.ginv, 2)
 
     @cached_property
     def E_up(self):
         return slot_apply(self.b.E, self.m.ginv, 2)
-
-    @cached_property
-    def S_up(self):
-        return slot_apply(self.b.S, self.m.ginv, 2)
 
     # --- first derivatives ---
     @cached_property
@@ -116,10 +109,6 @@ class StateTensors:
     @cached_property
     def nabla_Ric_norm2(self):
         return tensor_norm2(self.nabla_Ric, self.m, 3)
-
-    @cached_property
-    def nabla_T(self):
-        return covariant_derivative(self.b.T, self.m, 2)
 
     @cached_property
     def grad_R(self):
@@ -142,28 +131,12 @@ class StateTensors:
                          self.dd_That, optimize=True)
 
     @cached_property
-    def div_div_That(self):
-        """nabla^i nabla^j That_ij (outer with first slot, inner with
-        second); equals the transposed wiring exactly because That is
-        symmetric by construction."""
-        return np.einsum('...os,...nt,...onst->...', self.m.ginv,
-                         self.m.ginv, self.dd_That, optimize=True)
-
-    @cached_property
     def hess_T2(self):
         return second_covariant(self.b.T_norm2, self.m, 0)
 
     @cached_property
     def lap_T2(self):
         return np.einsum('...ab,...ab->...', self.m.ginv, self.hess_T2)
-
-    @cached_property
-    def lap_S(self):
-        return trace_hessian(second_covariant(self.b.S, self.m, 2), self.m)
-
-    @cached_property
-    def lap_Ric(self):
-        return trace_hessian(second_covariant(self.b.Ric, self.m, 2), self.m)
 
     # --- curvature contractions ---
     @cached_property
@@ -175,7 +148,8 @@ class StateTensors:
     @cached_property
     def Rm_That_up(self):
         """R_pijl That^pl."""
-        return np.einsum('...pijl,...pl->...ij', self.b.Rm, self.That_up,
+        return np.einsum('...pijl,...pl->...ij', self.b.Rm,
+                         slot_apply(self.b.That, self.m.ginv, 2),
                          optimize=True)
 
     @cached_property
@@ -188,14 +162,19 @@ class StateTensors:
     def div_gap(self):
         """The divergence identity's two sides, nabla^i nabla^j That_ij
         - (R^jp That_pj - R_ijmp T^ip T^mj + nabla^j T_im nabla^i T^m_j)."""
-        return self.div_div_That - (
+        # nabla^i nabla^j That_ij, outer derivative with the first slot and
+        # inner with the second; equals the transposed wiring exactly
+        # because That is symmetric by construction
+        div_div = np.einsum('...os,...nt,...onst->...', self.m.ginv,
+                            self.m.ginv, self.dd_That, optimize=True)
+        return div_div - (
             np.einsum('...jp,...jp->...', self.Ric_up, self.b.That)
             - self.Rm_TT + self.gradT_combo)
 
     @cached_property
     def gradT_combo(self):
         """nabla^j T_im nabla^i T^m_j."""
-        nt = self.nabla_T
+        nt = covariant_derivative(self.b.T, self.m, 2)
         return np.einsum('...ja,...ib,...mn,...aim,...bnj->...',
                          self.m.ginv, self.m.ginv, self.m.ginv,
                          nt, nt, optimize=True)
@@ -276,7 +255,7 @@ def rhs_ricci_evolution(ts):
     and torsion quadratics minus the Hessian terms."""
     A = ts.div_grad_That
     hess = ts.hess_T2
-    return (ts.lap_S
+    return (trace_hessian(second_covariant(ts.b.S, ts.m, 2), ts.m)
             - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, ts.b.Ric)
             - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, ts.b.That)
             - 2.0 * np.einsum('...jp,...pi->...ij', ts.Ric_mixed, ts.b.That)
@@ -407,8 +386,10 @@ def divergence_identity_residual(ts):
 
 def bochner_residual(ts):
     """Delta |Ric|^2 - 2 R^ij Delta R_ij - 2 |nabla Ric|^2; order h^4."""
-    lap_ric2 = scalar_laplacian(ts.Ric_norm2, ts.m)
-    mid = 2.0 * np.einsum('...ij,...ij->...', ts.Ric_up, ts.lap_Ric)
+    m = ts.m
+    lap_ric2 = scalar_laplacian(ts.Ric_norm2, m)
+    lap_ric = trace_hessian(second_covariant(ts.b.Ric, m, 2), m)
+    mid = 2.0 * np.einsum('...ij,...ij->...', ts.Ric_up, lap_ric)
     return float(np.max(np.abs(lap_ric2 - mid - 2.0 * ts.nabla_Ric_norm2)))
 
 
@@ -418,7 +399,8 @@ def ricci_trace_vs_scalar_residual(ts):
     traces with the Laplacian and substitutes R = -|T|^2)."""
     m = ts.m
     tr32 = np.einsum('...ij,...ij->...', m.ginv, rhs_ricci_evolution(ts))
-    metric_motion = 2.0 * np.einsum('...ij,...ij->...', ts.S_up, ts.b.Ric)
+    metric_motion = 2.0 * np.einsum('...ij,...ij->...',
+                                    slot_apply(ts.b.S, m.ginv, 2), ts.b.Ric)
     lhs = tr32 + metric_motion - rhs_scalar_evolution(ts) + 4.0 * ts.div_gap
     return float(np.max(np.abs(lhs)))
 
@@ -628,35 +610,82 @@ def pinching_shift(cfg, state):
     return cfg.pinching_c
 
 
+def ricci_identity_residual(alpha, m, bundle):
+    """Max-norm residual of the commutator identity on a 1-form field:
+    (nabla_i nabla_j - nabla_j nabla_i) alpha_k + R_{ijk}^m alpha_m."""
+    dd = second_covariant(alpha, m, 1)
+    comm = dd - np.einsum('...abk->...bak', dd)
+    rup = np.einsum('...ijkl,...lm->...ijkm', bundle.Rm, m.ginv,
+                    optimize=True)
+    term = np.einsum('...ijkm,...m->...ijk', rup, alpha, optimize=True)
+    return float(np.max(np.abs(comm + term)))
+
+
 def structure_residuals(state):
-    """Residuals of the pointwise/derivative identities of a closed
-    structure at one state."""
-    m = state.metric
-    T = state.torsion
-    b = state.bundle
+    """Max-norm residuals of the identities of a closed structure at one
+    state (Lotay-Wei, GAFA 2017), in one pass that builds each shared
+    tensor once.  The two form-gradient formulas are read on the
+    increasing components of each derivative direction."""
+    m, T, b, phi, psi = (state.metric, state.torsion, state.bundle,
+                         state.phi, state.psi)
     spec = state.spec
+
+    def gap(lhs, rhs):
+        return float(np.max(np.abs(lhs - rhs)))
+
+    # nabla_m psi = -T_m ^ phi (T_m the 1-form T_mi dx^i) comes first: its
+    # dense 7^5 derivative sets the pass's peak memory
+    npsi = covariant_derivative(al.form_to_dense(4, psi.values), m, 4)
+    res = {'nabla_psi_formula': gap(
+        al.dense_to_form(4, npsi),
+        -al.wedge_comps(1, 3, T, phi.values[..., None, :]))}
+    del npsi
+
+    phid = al.form_to_dense(3, phi.values)
+    phi_up = slot_apply(phid, m.ginv, 3, (1, 2))           # phi_k^{mn}
+    nT = covariant_derivative(T, m, 2)
+    T_mixed = slot_apply(T, m.ginv, 2, (1,))                # T_i^m
+    # Y_ijk = (R_ijmn / 4 + T_im T_jn / 2) phi_k^{mn}
+    X = 0.25 * b.Rm + 0.5 * np.einsum('...im,...jn->...ijmn', T, T)
+    Y = np.einsum('...ijmn,...kmn->...ijk', X, phi_up, optimize=True)
+    del X
+
+    # nabla_i phi = T_i^m (e_m -| psi)
+    idx, sgn = al.basis_interior_table(4)
+    res['torsion_defines_nabla_phi'] = gap(
+        al.dense_to_form(3, covariant_derivative(phid, m, 3)),
+        T_mixed @ (psi.values[..., idx] * sgn))
+    # nabla_i T_jk - nabla_j T_ik = -(R_ijmn / 2 + T_im T_jn) phi_k^{mn}
+    res['bianchi_type_identity'] = gap(
+        nT - np.einsum('...ijk->...jik', nT), -2.0 * Y)
+    # the six-term formula nabla_i T_jk = -Y_ijk - Y_kji + Y_ikj
+    res['torsion_gradient_formula'] = gap(
+        nT, -Y - np.einsum('...ijk->...kji', Y)
+        + np.einsum('...ijk->...ikj', Y))
+    # R_jk = -(nabla_i T_jm) phi_k^{im} - T_j^i T_ik
+    res['ricci_from_torsion_vs_metric'] = gap(
+        -np.einsum('...ijm,...kim->...jk', nT, phi_up, optimize=True)
+        - np.einsum('...ja,...ak->...jk', T_mixed, T, optimize=True),
+        b.Ric)
+    res['scalar_equals_minus_torsion_norm'] = gap(
+        b.R, -tensor_norm2(T, m, 2))
+
+    # the Lie-algebra torsion tau2 is divergence-free: nabla^i tau2_ij = 0
+    tau2 = ge.intrinsic_torsion(phi, psi, m)[2]
+    nb = covariant_derivative(al.form_to_dense(2, tau2.values), m, 2)
+    res['lie_algebra_torsion_divergence'] = float(np.max(np.abs(
+        np.einsum('...ai,...aij->...j', m.ginv, nb, optimize=True))))
+
+    # a smooth periodic test 1-form for the commutator identity
     alpha = np.zeros(spec.shape + (7,))
     for comp in range(7):
         f = np.zeros(spec.shape)
         for a in spec.active_axes:
-            f = f + np.sin(spec.coordinates(a) + 0.37 * comp + 0.11 * a)
+            k = TWO_PI / spec.periods[a]
+            f = f + np.sin(k * spec.coordinates(a) + 0.37 * comp + 0.11 * a)
         alpha[..., comp] = f
-    ric_tor = ge.ricci_from_torsion(T, state.phi, m)
-    tau2 = ge.intrinsic_torsion(state.phi, state.psi, m)[2]
-    return {
-        'torsion_defines_nabla_phi': ge.nabla_phi_residual(T, state.phi,
-                                                           state.psi, m),
-        'nabla_psi_formula': ge.nabla_psi_residual(state.phi, state.psi,
-                                                   T, m),
-        'lie_algebra_torsion_divergence': ge.divergence_residual(tau2, m),
-        'ricci_commutator_identity': ge.ricci_identity_residual(alpha, m, b),
-        'ricci_from_torsion_vs_metric': float(np.max(np.abs(ric_tor - b.Ric))),
-        'scalar_equals_minus_torsion_norm': float(np.max(np.abs(
-            b.R + tensor_norm2(T, m, 2)))),
-        'bianchi_type_identity': ge.bianchi_type_residual(T, b, state.phi, m),
-        'torsion_gradient_formula': ge.torsion_gradient_residual(
-            T, b, state.phi, m),
-    }
+    res['ricci_commutator_identity'] = ricci_identity_residual(alpha, m, b)
+    return res
 
 
 def _record(report, group, records):

@@ -392,6 +392,20 @@ output.dir = {out}
         assert "checks.enable: verification needs" in capsys.readouterr().err
         assert not (tmp_path / 'out' / 'verification.json').exists()
 
+    def test_verify_from_snapshot_without_checks_exit_code(self, tmp_path,
+                                                           capsys):
+        # with no group enabled the config passes, but g2flow verify would
+        # still report on a field rebuilt from the config
+        snap = tmp_path / "s.g2snap"
+        fl.snapshot(flat_state(), snap)
+        cfg = tmp_path / "snap.cfg"
+        cfg.write_text(f"grid.n = 8\ninitial.family = from-snapshot\n"
+                       f"initial.snapshot = {snap}\n"
+                       f"output.dir = {tmp_path / 'out'}\n")
+        assert main(['verify', str(cfg)]) == 2
+        assert "g2flow verify needs" in capsys.readouterr().err
+        assert not (tmp_path / 'out' / 'verification.json').exists()
+
     def test_missing_config_file(self):
         assert main(['run', '/definitely/not/here.cfg']) == 2
 

@@ -5,6 +5,7 @@ from g2flow import algebra as al
 from g2flow import flow as fl
 from g2flow import geometry as ge
 from g2flow import grid as gr
+from g2flow import verify as vf
 from g2flow.errors import DegreeError
 from g2flow.initial_data import perturbed_phi_field
 
@@ -74,7 +75,7 @@ class TestCovariantDerivative:
             st = perturbed_state(n)
             b = st.bundle
             alpha = smooth_field(st.spec, 7, seed=9)
-            errs[n] = ge.ricci_identity_residual(alpha, st.metric, b)
+            errs[n] = vf.ricci_identity_residual(alpha, st.metric, b)
         assert np.log2(errs[16] / errs[32]) > 3.5
 
 
@@ -211,22 +212,8 @@ class TestTorsion:
     def test_identity_convergence_suite(self):
         """Spatial order >= 3.5 for the closed-structure identities over
         one grid doubling (the acceptance run re-checks at 32 -> 64)."""
-        res = {}
-        for n in (16, 32):
-            st = perturbed_state(n)
-            m, T, b = st.metric, st.torsion, st.bundle
-            tau2 = ge.intrinsic_torsion(st.phi, st.psi, m)[2]
-            res[n] = {
-                'nabla_phi': ge.nabla_phi_residual(T, st.phi, st.psi, m),
-                'nabla_psi': ge.nabla_psi_residual(st.phi, st.psi, T, m),
-                'tau2_div': ge.divergence_residual(tau2, m),
-                'bianchi_type': ge.bianchi_type_residual(T, b, st.phi, m),
-                'nabla_T': ge.torsion_gradient_residual(T, b, st.phi, m),
-                'ricci_two_ways': float(np.max(np.abs(
-                    ge.ricci_from_torsion(T, st.phi, m) - b.Ric))),
-                'R_plus_T2': float(np.max(np.abs(
-                    b.R + ge.tensor_norm2(T, m, 2)))),
-            }
+        res = {n: vf.structure_residuals(perturbed_state(n))
+               for n in (16, 32)}
         for name in res[16]:
             order = np.log2(res[16][name] / res[32][name])
             assert order > 3.5, f"{name}: order {order:.2f}"
@@ -250,13 +237,9 @@ class TestTorsion:
             Jp, s = al.sort_with_sign(tuple(perm[j] for j in J))
             out[..., al.POS[3][Jp]] = s * vals[..., n]
         phi2 = gr.FormField(3, spec, out)
-        m2 = ge.MetricField.from_phi(phi2)
-        psi2 = ge.hodge_star_field(phi2, m2)
-        T2 = ge.torsion_from_phi(phi2, m2, psi2)
-        b2 = ge.riemann(m2)
-        r1 = ge.bianchi_type_residual(state16.torsion, state16.bundle,
-                                      state16.phi, state16.metric)
-        r2 = ge.bianchi_type_residual(T2, b2, phi2, m2)
+        r1 = vf.structure_residuals(state16)['bianchi_type_identity']
+        r2 = vf.structure_residuals(
+            fl.FlowState(0.0, phi2))['bianchi_type_identity']
         assert r2 == pytest.approx(r1, rel=1e-10)
 
     def test_nonclosed_structure_general_identities(self):
@@ -269,9 +252,8 @@ class TestTorsion:
             base = perturbed_phi_field(spec, 0.03)
             extra = 0.02 * smooth_field(spec, 35, seed=77, amp=0.5)
             phi = gr.FormField(3, spec, base.values + extra)
-            m = ge.MetricField.from_phi(phi)
-            psi = ge.hodge_star_field(phi, m)
-            T = ge.torsion_from_phi(phi, m, psi)
+            st = fl.FlowState(0.0, phi)
+            m, psi = st.metric, st.psi
             tau0, tau1, tau2, tau3 = ge.intrinsic_torsion(phi, psi, m)
             dphi = gr.exterior_derivative(phi)
             dpsi = gr.exterior_derivative(psi)
@@ -280,8 +262,6 @@ class TestTorsion:
                       + 3.0 * tau1.wedge(phi).values
                       + ge.hodge_star_field(tau3, m).values)
             assert np.max(np.abs(dphi.values - recon3)) < 1e-12
-            # ... so the content lives in tau3 really being the 27-part,
-            # which pins the tau0 and tau1 extraction constants
             # ... so the content lives in tau3 landing exactly in the
             # 27-type (pointwise projection algebra, rounding-level),
             # which pins the tau0 and tau1 extraction constants
@@ -291,9 +271,10 @@ class TestTorsion:
                 3, 4, tau3.values, psi.values))) < 1e-10
             recon4 = (4.0 * tau1.wedge(psi).values
                       + tau2.wedge(phi).values)
+            res = vf.structure_residuals(st)
             errs[n] = {
-                'nabla_phi': ge.nabla_phi_residual(T, phi, psi, m),
-                'nabla_psi': ge.nabla_psi_residual(phi, psi, T, m),
+                'nabla_phi': res['torsion_defines_nabla_phi'],
+                'nabla_psi': res['nabla_psi_formula'],
                 'dpsi_recon': float(np.max(np.abs(dpsi.values - recon4))),
             }
         for name in errs[16]:

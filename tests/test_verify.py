@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from g2flow import flow as fl
+from g2flow import grid as gr
 from g2flow import verify as vf
 from g2flow.curvature import auto_shift
 from g2flow.errors import NonPositiveShiftedScalar
 from g2flow.initial_data import perturbed_phi_field
 
-from conftest import flat_state, perturbed_state, scenario_spec
+from conftest import (EPS, GRID3, MODES3, flat_state, perturbed_state,
+                      scenario_spec)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,22 @@ class TestFixedStateCrosschecks:
         assert vf.bochner_residual(ts) < 1e-14
         assert vf.ricci_trace_vs_scalar_residual(ts) < 1e-14
         assert vf.shifted_norm_consistency_residual(ts) < 1e-14
+
+
+class TestStructureIdentities:
+    def test_orders_three_axes_unequal_periods(self):
+        # GRID3 against GRID3 doubled along each active axis; the periods
+        # 5 and 3 are not multiples of 2 pi, so every test field must use
+        # the grid's own wavenumbers.  8^3 is pre-asymptotic (orders
+        # 3.40-3.57), so the gate here is 3.0 rather than 3.5
+        doubled = gr.GridSpec(
+            tuple(2 * n if n > 1 else 1 for n in GRID3.shape), GRID3.periods)
+        coarse, fine = (vf.structure_residuals(fl.FlowState(
+            0.0, perturbed_phi_field(spec, EPS, MODES3)))
+            for spec in (GRID3, doubled))
+        for name in coarse:
+            order = math.log2(coarse[name] / fine[name])
+            assert order >= 3.0, f"{name}: order {order:.2f}"
 
 
 class TestOrderEstimator:
