@@ -227,14 +227,22 @@ def snapshot(state, path, aux=None):
     os.replace(tmp, path)
 
 
+def _finite_number(text):
+    """restore's aux JSON number hook: NaN, Infinity and 1e999 raise."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise SnapshotError(f"auxiliary block holds non-finite {text}")
+    return value
+
+
 def restore(path):
     """Read a snapshot back; returns (FlowState, aux dict).
 
     Fails loudly (SnapshotError) on a bad magic, unknown version, a
     degree other than 3, a shape entry below 1, a period that is not
-    finite and positive, an active-axis mask the shape does not imply,
-    size or CRC mismatch, non-finite values, or a 3-form that is not
-    closed.
+    finite and positive, a negative or non-finite t, an active-axis mask
+    the shape does not imply, size or CRC mismatch, non-finite values in
+    the aux block or payload, or a 3-form that is not closed.
     """
     head_len = SNAP_HEADER.size
     with open(path, 'rb') as f:
@@ -261,6 +269,8 @@ def restore(path):
     if not all(0.0 < p < np.inf for p in periods):
         raise SnapshotError(f"snapshot periods {periods} are not all "
                             "finite and positive")
+    if not 0.0 <= t < np.inf:
+        raise SnapshotError(f"snapshot time {t} is not finite and >= 0")
     spec = GridSpec(shape, periods)
     if mask != _axis_mask(spec):
         raise SnapshotError(
@@ -273,7 +283,9 @@ def restore(path):
         raise SnapshotError(
             f"snapshot size mismatch: have {len(raw)}, want {aux_end + want}")
     try:
-        aux = json.loads(raw[head_len:aux_end].decode())
+        aux = json.loads(raw[head_len:aux_end].decode(),
+                         parse_constant=_finite_number,
+                         parse_float=_finite_number)
     except ValueError as e:
         raise SnapshotError("corrupt auxiliary block") from e
     payload = raw[aux_end:]

@@ -3,9 +3,10 @@ grid: induced metric, Levi-Civita connection, curvature, Hodge operators
 and the full torsion of a (not necessarily closed) positive 3-form field.
 
 Tensor fields are dense numpy arrays with the 7 grid axes leading and the
-tensor slots trailing.  All second derivatives are compositions of the same
-first-order covariant derivative, so contraction bookkeeping downstream can
-rely on a single consistent discretization.
+tensor slots trailing; forms and their derivatives keep increasing
+components.  All second derivatives are compositions of the same first-order
+covariant derivative, so contraction bookkeeping downstream can rely on a
+single consistent discretization.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,8 @@ import numpy as np
 from . import algebra as al
 from .algebra import DIM, slot_apply
 from .errors import DegreeError, NotPositive
-from .grid import FormField, integrate_scalar, partial_derivative
+from .grid import (FormField, exterior_derivative, integrate_scalar,
+                   partial_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,20 @@ def covariant_derivative(T, m, rank):
         corr = corr.reshape(sh[:nb + s] + (DIM, DIM) + sh[nb + s + 1:])
         out -= np.moveaxis(corr, nb + s, nb)
     return out
+
+
+def form_covariant_derivative(a, m):
+    """Levi-Civita covariant derivative of a k-form field (k >= 1) on its
+    increasing components, shape (.., 7, binomial(7, k)) with the
+    derivative slot first: nabla_a w = d_a w - Gamma^p_ai e^i ^ (e_p -| w),
+    the derivation Gamma_a induces on k-forms.  The interior gather, one
+    product with gamma_flat and the e^i ^ scatter share one table."""
+    idx, sgn = al.basis_interior_table(a.degree)
+    scatter = np.zeros((idx.size, al.NCOMP[a.degree]))
+    scatter[np.arange(idx.size), idx.ravel()] = sgn.ravel()
+    gam_iw = m.gamma_flat @ (a.values[..., idx] * sgn)      # (.., (a, i), J)
+    corr = gam_iw.reshape(a.values.shape[:-1] + (DIM, idx.size)) @ scatter
+    return partial_stack(a.values, m.spec) - corr
 
 
 def second_covariant(T, m, rank):
@@ -206,7 +222,6 @@ def codifferential(a, m):
     """d* = (-1)^k  star d star  on a k-form field; the sign makes the
     operator L2-adjoint to d on the periodic grid up to discretization
     error (pinned by the adjointness test)."""
-    from .grid import exterior_derivative
     k = a.degree
     if k < 1:
         raise DegreeError("codifferential requires degree >= 1")
@@ -215,17 +230,13 @@ def codifferential(a, m):
     return FormField(k - 1, a.spec, sgn * out.values)
 
 
-def form_inner_field(a, b, m):
-    """Pointwise tensor inner product of two k-form fields."""
-    return al.form_inner_comps(a.degree, a.values, b.values, m.ginv)
-
-
 def l2_form_inner(a, b, m):
     """Global L2 pairing of k-form fields in the k!-normalized (form)
     convention, the one in which d and the codifferential are mutually
     adjoint; the k-tensor convention differs by the multiplicity k!."""
     import math
-    v = form_inner_field(a, b, m) / float(math.factorial(a.degree))
+    v = al.form_inner_comps(a.degree, a.values, b.values, m.ginv) \
+        / float(math.factorial(a.degree))
     return integrate_scalar(v, a.spec, weight=m.vol)
 
 
@@ -233,45 +244,23 @@ def l2_form_inner(a, b, m):
 # torsion of a G2-structure field
 # ---------------------------------------------------------------------------
 
-# universal constant: |alpha ^ phi|^2 = _WEDGE7_NORM * |alpha|^2 for 1-forms
-# against any compatible (phi, g); evaluated once on the standard model.
-_WEDGE7_NORM = None
-
-
-def _wedge7_norm():
-    global _WEDGE7_NORM
-    if _WEDGE7_NORM is None:
-        phi = al.standard_phi()
-        m = al.metric_from_phi(phi)
-        e1 = al.FormK(1, np.eye(DIM)[0])
-        w = al.wedge(e1, phi)
-        _WEDGE7_NORM = al.form_inner(w, w, m)
-    return _WEDGE7_NORM
-
-
 def torsion_from_phi(phi, m, psi):
-    """Full torsion 2-tensor T of a 3-form field: the raw contraction
-    T_i^m = (1/24) nabla_i phi_jkl psi^{mjkl} with its second slot
-    lowered.  For a closed structure it is skew to discretization error;
-    ``attach_torsion`` takes its exact skew part for the evolution
-    formulas."""
-    phid = al.form_to_dense(3, phi.values)
-    psid = al.form_to_dense(4, psi.values)
-    npsi = slot_apply(psid, m.ginv, 4)
-    nphi = covariant_derivative(phid, m, 3)
-    nbatch = nphi.ndim - 4
-    bshape = nphi.shape[:nbatch]
-    lhs = nphi.reshape(bshape + (DIM, DIM ** 3))
-    rhs = npsi.reshape(bshape + (DIM, DIM ** 3))
-    T_mixed = np.matmul(lhs, np.swapaxes(rhs, -1, -2)) / 24.0
-    return np.einsum('...ij,...jk->...ik', T_mixed, m.g, optimize=True)
+    """Full torsion 2-tensor T_il = (1/4) (nabla_i phi)_J (e_l -| psi)^J of
+    a 3-form field, summed over increasing J: the raw contraction T_i^m =
+    (1/24) nabla_i phi_jkl psi^{mjkl} with its second slot lowered.  For a
+    closed structure it is skew to discretization error; ``attach_torsion``
+    takes its exact skew part for the evolution formulas."""
+    idx, sgn = al.basis_interior_table(4)
+    ipsi_up = al.move_indices_dense(3, psi.values[..., idx] * sgn,
+                                    m.ginv[..., None, :, :])
+    nphi = form_covariant_derivative(phi, m)
+    return 0.25 * (nphi @ np.swapaxes(ipsi_up, -1, -2))
 
 
 def intrinsic_torsion(phi, psi, m):
     """Intrinsic torsion forms (tau0, tau1, tau2, tau3) of a 3-form field,
     from the type decomposition of d phi and d psi.  For a closed field
     only tau2 is populated beyond discretization error."""
-    from .grid import exterior_derivative
     spec = phi.spec
     dphi = exterior_derivative(phi)
     dpsi = exterior_derivative(psi)
@@ -279,24 +268,23 @@ def intrinsic_torsion(phi, psi, m):
     # phi, phi> and |psi|^2 = 168 exactly for a compatible pair, so the
     # pairing runs through the cheap degree-3 inner product.
     sdphi = hodge_star_field(dphi, m)
-    tau0 = form_inner_field(sdphi, phi, m) / 42.0
+    tau0 = al.form_inner_comps(3, sdphi.values, phi.values, m.ginv) / 42.0
 
     # vector torsion: <d phi, dx^a ^ phi> = 3 c tau1^a with the universal
-    # c = |alpha ^ phi|^2 / |alpha|^2; the pairing is evaluated through the
+    # c = |alpha ^ phi|^2 / |alpha|^2 = 96 (4! times the four unit
+    # components of e^1 ^ phi); the pairing is evaluated through the
     # wedge/interior adjointness to stay on cheap degree-3 inner products
-    c = _wedge7_norm()
     idx, sgn = al.basis_interior_table(4)
     w = dphi.values[..., idx] * sgn                      # (.., 7, 35) e_m -| dphi
     phir = al.move_indices_dense(3, phi.values, m.ginv)
     inner_m = 24.0 * np.matmul(w, phir[..., None])[..., 0]
     M = np.einsum('...am,...m->...a', m.ginv, inner_m)   # <dphi, dx^a ^ phi>
-    tau1_up = M / (3.0 * c)
+    tau1_up = M / (3.0 * 96.0)
     tau1 = FormField(1, spec, np.einsum('...ab,...b->...a', m.g, tau1_up))
 
-    tau1_wedge_phi = tau1.wedge(phi)
     rem = FormField(4, spec,
                     dphi.values - tau0[..., None] * psi.values
-                    - 3.0 * tau1_wedge_phi.values)
+                    - 3.0 * tau1.wedge(phi).values)
     tau3 = hodge_star_field(rem, m)
 
     sdpsi = hodge_star_field(dpsi, m)                    # 2-form

@@ -328,12 +328,11 @@ def compute_aux_terms(ts):
 
 
 def rhs_shifted_ricci_norm_evolution(ts, aux=None):
-    """Evolution of |Ric + (c/7) g|^2."""
+    """Evolution of |Ric + (c/7) g|^2; nabla Ric_t = nabla Ric because
+    nabla g vanishes to rounding."""
     aux = aux or compute_aux_terms(ts)
-    m = ts.m
-    lap = scalar_laplacian(ts.Ric_t_norm2, m)
-    nrt = covariant_derivative(ts.Ric_t, m, 2)
-    return (lap - 2.0 * tensor_norm2(nrt, m, 3)
+    lap = scalar_laplacian(ts.Ric_t_norm2, ts.m)
+    return (lap - 2.0 * ts.nabla_Ric_norm2
             + 4.0 * np.einsum('...pijl,...pl,...ij->...', ts.b.Rm,
                               ts.Ric_t_up, ts.Ric_t_up, optimize=True)
             + aux.I + aux.J)
@@ -624,8 +623,8 @@ def ricci_identity_residual(alpha, m, bundle):
 def structure_residuals(state):
     """Max-norm residuals of the identities of a closed structure at one
     state (Lotay-Wei, GAFA 2017), in one pass that builds each shared
-    tensor once.  The two form-gradient formulas are read on the
-    increasing components of each derivative direction."""
+    tensor once.  Forms are differentiated, and the two form-gradient
+    formulas read, on increasing components."""
     m, T, b, phi, psi = (state.metric, state.torsion, state.bundle,
                          state.phi, state.psi)
     spec = state.spec
@@ -633,16 +632,12 @@ def structure_residuals(state):
     def gap(lhs, rhs):
         return float(np.max(np.abs(lhs - rhs)))
 
-    # nabla_m psi = -T_m ^ phi (T_m the 1-form T_mi dx^i) comes first: its
-    # dense 7^5 derivative sets the pass's peak memory
-    npsi = covariant_derivative(al.form_to_dense(4, psi.values), m, 4)
+    # nabla_m psi = -T_m ^ phi (T_m the 1-form T_mi dx^i)
     res = {'nabla_psi_formula': gap(
-        al.dense_to_form(4, npsi),
+        ge.form_covariant_derivative(psi, m),
         -al.wedge_comps(1, 3, T, phi.values[..., None, :]))}
-    del npsi
 
-    phid = al.form_to_dense(3, phi.values)
-    phi_up = slot_apply(phid, m.ginv, 3, (1, 2))           # phi_k^{mn}
+    phi_up = slot_apply(al.form_to_dense(3, phi.values), m.ginv, 3, (1, 2))
     nT = covariant_derivative(T, m, 2)
     T_mixed = slot_apply(T, m.ginv, 2, (1,))                # T_i^m
     # Y_ijk = (R_ijmn / 4 + T_im T_jn / 2) phi_k^{mn}
@@ -653,7 +648,7 @@ def structure_residuals(state):
     # nabla_i phi = T_i^m (e_m -| psi)
     idx, sgn = al.basis_interior_table(4)
     res['torsion_defines_nabla_phi'] = gap(
-        al.dense_to_form(3, covariant_derivative(phid, m, 3)),
+        ge.form_covariant_derivative(phi, m),
         T_mixed @ (psi.values[..., idx] * sgn))
     # nabla_i T_jk - nabla_j T_ik = -(R_ijmn / 2 + T_im T_jn) phi_k^{mn}
     res['bianchi_type_identity'] = gap(
@@ -672,9 +667,9 @@ def structure_residuals(state):
 
     # the Lie-algebra torsion tau2 is divergence-free: nabla^i tau2_ij = 0
     tau2 = ge.intrinsic_torsion(phi, psi, m)[2]
-    nb = covariant_derivative(al.form_to_dense(2, tau2.values), m, 2)
+    div = al.interior_comps(2, m.ginv, ge.form_covariant_derivative(tau2, m))
     res['lie_algebra_torsion_divergence'] = float(np.max(np.abs(
-        np.einsum('...ai,...aij->...j', m.ginv, nb, optimize=True))))
+        div.sum(axis=-2))))
 
     # a smooth periodic test 1-form for the commutator identity
     alpha = np.zeros(spec.shape + (7,))

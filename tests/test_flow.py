@@ -209,6 +209,9 @@ class TestSnapshot:
         (3, 0, "shape"),
         (10, -1.0, "periods"),
         (10, np.inf, "periods"),
+        (18, np.nan, "time"),
+        (18, np.inf, "time"),
+        (18, -1.0, "time"),
     ])
     def test_malformed_header_rejected(self, short_run, tmp_path, field,
                                        value, problem):
@@ -216,6 +219,17 @@ class TestSnapshot:
         fl.snapshot(short_run[0], path)
         rewrite_header(path, field, value)
         with pytest.raises(SnapshotError, match=problem):
+            fl.restore(path)
+
+    @pytest.mark.parametrize('number', [b'NaN', b'Infinity', b'1e999'])
+    def test_nonfinite_aux_rejected(self, short_run, tmp_path, number):
+        # json.loads reads NaN, Infinity and 1e999 by default; the value is
+        # padded with spaces so the aux length, size and CRC still match
+        path = tmp_path / "aux.g2snap"
+        fl.snapshot(short_run[0], path, aux={'c': 1.2345678})
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'1.2345678', number.ljust(9), 1))
+        with pytest.raises(SnapshotError, match="non-finite"):
             fl.restore(path)
 
     def test_nonclosed_rejected(self, tmp_path):

@@ -69,6 +69,20 @@ class TestCovariantDerivative:
         out = ge.covariant_derivative(np.ones(spec.shape), state16.metric, 0)
         assert np.max(np.abs(out)) == 0.0
 
+    @pytest.mark.parametrize('k', (1, 2, 3, 4))
+    def test_form_derivative_matches_dense(self, k):
+        # the induced derivation on increasing components against the dense
+        # rank-k derivative, under the three-axis unequal-period metric;
+        # the dense reference holds 7^(k+1) doubles per point, so k <= 4
+        m = perturbed_state3().metric
+        w = gr.FormField(k, m.spec, smooth_field(m.spec, al.NCOMP[k], 20 + k))
+        dense = ge.covariant_derivative(al.form_to_dense(k, w.values), m, k)
+        got = ge.form_covariant_derivative(w, m)
+        assert got.shape == m.spec.shape + (7, al.NCOMP[k])
+        err = np.max(np.abs(got - al.dense_to_form(k, dense)))
+        scale = np.max(np.abs(dense))
+        assert err <= 1e-13 * scale
+
     def test_ricci_identity_order(self):
         errs = {}
         for n in (16, 32):

@@ -6,10 +6,12 @@ checked on increasing components through the interior-table gather and
 the wedge kernel; these tests pin both against the dense einsum formulas
 on random data.  The metric kernel's bilinear form, a product with a fixed
 volume-pairing table, is pinned against Bryant's formula spelled out with
-the interior and wedge kernels.  The one slot kernel, slot_apply, is
-pinned against einsum on every rank and slot choice it serves.  On random
-smooth periodic fields on the three-axis, unequal-period grid, d o d
-vanishes and d* is the adjoint of d to rounding.
+the interior and wedge kernels, and the metric kernel is GL-equivariant:
+the pullback of the standard 3-form by u induces the metric u^T u.  The
+one slot kernel, slot_apply, is pinned against einsum on every rank and
+slot choice it serves.  On random smooth periodic fields on the
+three-axis, unequal-period grid, d o d vanishes and d* is the adjoint of d
+to rounding.
 """
 
 import numpy as np
@@ -78,6 +80,33 @@ def test_bilinear_form_matches_bryant_formula(phi, near):
     # each entry sums 210 products of three components, over 6
     scale = 35.0 * np.max(np.abs(phi)) ** 3
     assert_close(al.bilinear_form_comps(phi), want, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       sv=arrays(np.float64, (BATCH, 7), elements=st.floats(0.5, 2.0)),
+       flip=st.booleans())
+def test_metric_kernel_gl_equivariant(seed, sv, flip):
+    # u = q1 diag(sv) q2 with random orthogonal q1, q2, reflected by flip:
+    # the pullback u* phi_0 of the standard 3-form induces g = u^T u, so
+    # det g = det(u)^2, vol = |det u| and the orientation is sign(det u)
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((BATCH, 7, 7)))[0]
+              for _ in range(2))
+    u = q1 * sv[:, None, :] @ q2
+    if flip:
+        u[:, 0] = -u[:, 0]
+    phis = al.dense_to_form(3, np.einsum(
+        'nia,njb,nkc,ijk->nabc', u, u, u, al.standard_phi().to_dense(),
+        optimize=True))
+    g, ginv, det_g, vol, orient = al.metric_data_from_phi(phis)
+    gram = np.swapaxes(u, -1, -2) @ u
+    det_u = np.linalg.det(u)
+    for got, want in ((g, gram), (ginv, np.linalg.inv(gram)),
+                      (det_g, det_u ** 2), (vol, np.abs(det_u))):
+        err = np.abs(got - want).reshape(BATCH, -1).max(axis=1)
+        assert np.all(err <= 1e-12 * np.abs(want).reshape(BATCH, -1).max(1))
+    assert np.array_equal(orient, np.sign(det_u))
 
 
 @settings(max_examples=25, deadline=None)
