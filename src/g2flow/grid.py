@@ -101,11 +101,13 @@ def partial_derivative(values, spec, axis):
     """
     if spec.shape[axis] == 1:
         return np.zeros_like(values)
-    h = spec.spacing[axis]
-    f1 = np.roll(values, -1, axis=axis)
-    b1 = np.roll(values, 1, axis=axis)
-    f2 = np.roll(values, -2, axis=axis)
-    b2 = np.roll(values, 2, axis=axis)
+    h, n = spec.spacing[axis], spec.shape[axis]
+    lead = (slice(None),) * axis
+    # two wrapped planes on each side; the +-1, +-2 neighbours are slices
+    pad = np.concatenate((values[lead + (slice(n - 2, n),)], values,
+                          values[lead + (slice(0, 2),)]), axis=axis)
+    f1, b1, f2, b2 = (pad[lead + (slice(2 + s, 2 + s + n),)]
+                      for s in (1, -1, 2, -2))
     return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * h)
 
 

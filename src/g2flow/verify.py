@@ -186,7 +186,7 @@ class StateTensors:
 
     @cached_property
     def W_c1_field(self):
-        fld, _ = c1_norm(self.W, self.m, 4)
+        fld, _ = c1_norm(self.W, self.m)
         return fld
 
     # --- pinching scalars ---

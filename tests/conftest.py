@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from g2flow import flow as fl
+from g2flow import geometry as ge
 from g2flow import grid as gr
 from g2flow.initial_data import (DEFAULT_MODES, Mode, flat_phi_field,
                                  perturbed_phi_field)
@@ -30,6 +31,13 @@ def perturbed_state3(eps=EPS):
 
 def flat_state(n=8):
     return fl.FlowState(0.0, flat_phi_field(scenario_spec(n)))
+
+
+def dense_c1_norm(T, m, rank):
+    """Pointwise sqrt(|T|^2 + |nabla T|^2) of a dense (0, rank)-tensor
+    field, every slot raised: the reference for curvature.c1_norm."""
+    return np.sqrt(ge.tensor_norm2(T, m, rank) + ge.tensor_norm2(
+        ge.covariant_derivative(T, m, rank), m, rank + 1))
 
 
 def rewrite_header(path, field, value):

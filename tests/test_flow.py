@@ -120,16 +120,46 @@ class TestStep:
         assert s.step_index == 1
 
 
+def metric_evolution_crosscheck(state_prev, state_next):
+    """Compare the finite-difference metric velocity between two states
+    against -2 S at the averaged midpoint 3-form.
+
+    Returns a dict with the max absolute and relative residuals, the exact
+    trace identity tr S = R + |T|^2/3 (algebraic, rounding-level) and the
+    discretization-level residual tr S - (2/3) R.
+    """
+    dt = state_next.t - state_prev.t
+    fd = (state_next.metric.g - state_prev.metric.g) / dt
+    mid = fl.FlowState(0.5 * (state_prev.t + state_next.t),
+                       gr.FormField(3, state_prev.spec,
+                                    0.5 * (state_prev.phi.values
+                                           + state_next.phi.values)))
+    b = mid.bundle
+    rhs_mid = -2.0 * b.S
+    resid = np.max(np.abs(fd - rhs_mid))
+    scale = max(float(np.max(np.abs(rhs_mid))), 1e-30)
+    m = mid.metric
+    trS = np.einsum('...ij,...ij->...', m.ginv, b.S)
+    exact_tr = np.max(np.abs(trS - (b.R + b.T_norm2 / 3.0)))
+    paper_tr = np.max(np.abs(trS - (2.0 / 3.0) * b.R))
+    return {
+        'residual_max': float(resid),
+        'residual_rel': float(resid / scale),
+        'trace_algebraic': float(exact_tr),
+        'trace_vs_scalar': float(paper_tr),
+    }
+
+
 class TestCrosscheck:
     def test_flat_both_sides_zero(self):
         spec = scenario_spec(8)
         a = fl.FlowState(0.0, flat_phi_field(spec))
         b = fl.step_fixed(a, 1e-3)
-        out = fl.metric_evolution_crosscheck(a, b)
+        out = metric_evolution_crosscheck(a, b)
         assert out['residual_max'] <= 1e-14
 
     def test_trace_identities(self, short_run):
-        out = fl.metric_evolution_crosscheck(short_run[0], short_run[1])
+        out = metric_evolution_crosscheck(short_run[0], short_run[1])
         assert out['trace_algebraic'] <= 1e-12
         # tr S = (2/3) R holds through R = -|T|^2, an order h^4 statement
         assert out['trace_vs_scalar'] < 1e-4
@@ -144,7 +174,7 @@ class TestCrosscheck:
             dt = 1.0 * h2 / 2 ** lvl
             a = fl.FlowState(0.0, phi0)
             b = fl.step_fixed(a, dt)
-            res[dt] = fl.metric_evolution_crosscheck(a, b)['residual_max']
+            res[dt] = metric_evolution_crosscheck(a, b)['residual_max']
         ss = sorted(res, reverse=True)
         num = res[ss[0]] - res[ss[1]]
         den = res[ss[1]] - res[ss[2]]
@@ -231,6 +261,14 @@ class TestSnapshot:
         path.write_bytes(raw.replace(b'1.2345678', number.ljust(9), 1))
         with pytest.raises(SnapshotError, match="non-finite"):
             fl.restore(path)
+
+    @pytest.mark.parametrize('number', [float('nan'), float('inf')])
+    def test_nonfinite_aux_refused_on_write(self, short_run, tmp_path,
+                                            number):
+        path = tmp_path / "aux.g2snap"
+        with pytest.raises(SnapshotError, match="aux"):
+            fl.snapshot(short_run[0], path, aux={'c': number})
+        assert list(tmp_path.iterdir()) == []
 
     def test_nonclosed_rejected(self, tmp_path):
         spec = scenario_spec(8)

@@ -48,6 +48,21 @@ class TestDerivative:
         vals = smooth_field(spec, 1, seed=1)[..., 0]
         assert np.all(gr.partial_derivative(vals, spec, 3) == 0.0)
 
+    @pytest.mark.parametrize('spec, ncomp', [
+        (GRID3, 35), (scenario_spec(32), 441), (scenario_spec(3), 5),
+        (scenario_spec(2), 5)])
+    def test_stencil_bytes_match_roll_formula(self, spec, ncomp):
+        # the padded-slice stencil evaluates the same expression on the
+        # same operands as the four-np.roll formula, so bytes agree
+        vals = np.random.default_rng(4).standard_normal(spec.shape + (ncomp,))
+        for ax in spec.active_axes:
+            h = spec.spacing[ax]
+            f1, b1, f2, b2 = (np.roll(vals, s, axis=ax)
+                              for s in (-1, 1, -2, 2))
+            want = (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * h)
+            got = gr.partial_derivative(vals, spec, ax)
+            assert got.tobytes() == want.tobytes()
+
     def test_d_squared_rounding_only(self):
         spec = scenario_spec(16)
         a = gr.FormField(2, spec, smooth_field(spec, 21, seed=2))

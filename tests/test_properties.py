@@ -11,7 +11,10 @@ the pullback of the standard 3-form by u induces the metric u^T u.  The
 one slot kernel, slot_apply, is pinned against einsum on every rank and
 slot choice it serves.  On random smooth periodic fields on the
 three-axis, unequal-period grid, d o d vanishes and d* is the adjoint of d
-to rounding.
+to rounding.  The pair-form Weyl C1 norm matches the dense every-slot
+contraction on perturbed 2- and 3-axis states, is bit-identical under the
+grid's translations and the reflection x1 -> -x1, and agrees to rounding
+under permutations of axes with equal shape and period.
 """
 
 import numpy as np
@@ -23,10 +26,16 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from g2flow import algebra as al  # noqa: E402
+from g2flow import curvature as cv  # noqa: E402
+from g2flow import flow as fl  # noqa: E402
 from g2flow import geometry as ge  # noqa: E402
 from g2flow import grid as gr  # noqa: E402
+from g2flow import verify as vf  # noqa: E402
+from g2flow.initial_data import (DEFAULT_MODES,  # noqa: E402
+                                 perturbed_phi_field)
 
-from conftest import GRID3, perturbed_state3, smooth_field  # noqa: E402
+from conftest import (GRID3, MODES3, dense_c1_norm,  # noqa: E402
+                      perturbed_state3, smooth_field)
 
 BATCH = 3
 REL = 1e-13
@@ -169,3 +178,86 @@ def test_codifferential_adjoint_on_three_axes(state3, k, data):
     rhs = ge.l2_form_inner(a, ge.codifferential(b, m), m)
     norms = np.sqrt(ge.l2_form_inner(a, a, m) * ge.l2_form_inner(b, b, m))
     assert abs(lhs - rhs) <= 1e-12 * norms
+
+
+@settings(max_examples=8, deadline=None)
+@given(three=st.booleans(), n=st.sampled_from((6, 8, 12)),
+       periods=st.lists(st.floats(4.0, 9.0), min_size=3, max_size=3),
+       eps=st.floats(0.01, 0.1))
+def test_weyl_c1_pair_form_matches_dense(three, n, periods, eps):
+    # perturbed states on 2-axis grids and on 3-axis grids, with unequal
+    # periods on the active axes
+    axes = (0, 1, 2) if three else (0, 1)
+    shape = tuple(n if a in axes else 1 for a in range(7))
+    spec = gr.GridSpec(shape, tuple(periods) + (2 * np.pi,) * 4)
+    state = fl.FlowState(0.0, perturbed_phi_field(
+        spec, eps, MODES3 if three else DEFAULT_MODES))
+    m = state.metric
+    W = cv.weyl(state.bundle, m)
+    want = dense_c1_norm(W, m, 4)
+    got, mx = cv.c1_norm(W, m)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    assert mx == np.max(got)
+
+
+# --- the grid's symmetries through the pair-form index code ---
+
+SIGN_X1 = np.array([-1.0 if 0 in I else 1.0 for I in al.INC[3]])
+
+
+def w_c1_field(values, spec):
+    state = fl.FlowState(0.0, gr.FormField(3, spec, values))
+    return vf.StateTensors(state).W_c1_field
+
+
+@pytest.fixture(scope="module")
+def symmetry_cases(state16, state3):
+    """(state, its W_c1_field) on a 2-axis and a 3-axis grid."""
+    return {three: (s, w_c1_field(s.phi.values, s.spec))
+            for three, s in ((False, state16), (True, state3))}
+
+
+@settings(max_examples=8, deadline=None)
+@given(three=st.booleans(), reflect=st.booleans(), data=st.data())
+def test_weyl_c1_translation_and_reflection_exact(symmetry_cases, three,
+                                                  reflect, data):
+    # a cyclic shift by whole cells, and x1 -> -x1 (grid index i -> -i
+    # mod N, components signed (-1)^[1 in I]), commute exactly with the
+    # stencil and every pointwise kernel
+    state, want = symmetry_cases[three]
+    axes = state.spec.active_axes
+    shifts = tuple(data.draw(st.integers(0, state.spec.shape[a] - 1))
+                   for a in axes)
+    vals = np.roll(state.phi.values, shifts, axis=axes)
+    if reflect:
+        vals = SIGN_X1 * np.roll(np.flip(vals, 0), 1, axis=0)
+    got = w_c1_field(vals, state.spec)
+    if reflect:
+        got = np.roll(np.flip(got, 0), 1, axis=0)
+    got = np.roll(got, tuple(-s for s in shifts), axis=axes)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=8, deadline=None)
+@given(three=st.booleans(), data=st.data())
+def test_weyl_c1_axis_permutation(symmetry_cases, three, data):
+    # relabelling axes of equal shape and period (the active axes among
+    # themselves when their periods agree, the inactive ones among
+    # themselves) maps the field to itself up to the rounding of reordered
+    # sums; unlike a shift or a sign, it moves entries between pair indices
+    state, want = symmetry_cases[three]
+    spec = state.spec
+    groups = [tuple(a for a in range(7) if spec.shape[a] == 1)]
+    if not three:
+        groups.append(spec.active_axes)      # equal N and period on state16
+    perm = list(range(7))
+    for group in groups:
+        for a, b in zip(group, data.draw(st.permutations(group))):
+            perm[a] = b
+    new = np.empty_like(state.phi.values)
+    for n, I in enumerate(al.INC[3]):
+        J, sgn = al.sort_with_sign(tuple(perm[i] for i in I))
+        new[..., al.POS[3][J]] = sgn * state.phi.values[..., n]
+    order = tuple(np.argsort(perm)) + (7,)
+    got = np.transpose(w_c1_field(np.transpose(new, order), spec), perm)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
