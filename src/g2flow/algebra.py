@@ -31,6 +31,11 @@ INC = {k: tuple(combinations(range(DIM), k)) for k in range(DIM + 1)}
 POS = {k: {idx: n for n, idx in enumerate(INC[k])} for k in range(DIM + 1)}
 NCOMP = {k: len(INC[k]) for k in range(DIM + 1)}  # 1,7,21,35,35,21,7,1
 
+# Pair form of a curvature-type 4-tensor T: the symmetric 21x21 matrix
+# T[(...,) + PAIR] = T[(i<j), (k<l)], rows and columns in INC[2] order.
+_I, _J = (np.array(c) for c in zip(*INC[2]))
+PAIR = (_I[:, None], _J[:, None], _I[None, :], _J[None, :])
+
 
 def perm_sign(seq):
     """Sign of the permutation sorting ``seq``; 0 if any index repeats."""
@@ -93,28 +98,6 @@ def wedge_table(p, q):
     scatter = np.zeros((len(iout), NCOMP[k]))
     scatter[np.arange(len(iout)), iout] = 1.0
     return ia, ib, sg, scatter
-
-
-@lru_cache(maxsize=None)
-def interior_table(k):
-    """Term list for v -| a with a of degree k: arrays (m, iin, iout, sign)."""
-    ms, iin, iout, sg = [], [], [], []
-    for n_out, J in enumerate(INC[k - 1]):
-        for m in range(DIM):
-            if m in J:
-                continue
-            I, s = sort_with_sign((m,) + J)
-            ms.append(m)
-            iin.append(POS[k][I])
-            iout.append(n_out)
-            sg.append(float(s))
-    ms = np.asarray(ms, dtype=np.intp)
-    iin = np.asarray(iin, dtype=np.intp)
-    iout = np.asarray(iout, dtype=np.intp)
-    sg = np.asarray(sg, dtype=np.float64)
-    scatter = np.zeros((len(iout), NCOMP[k - 1]))
-    scatter[np.arange(len(iout)), iout] = 1.0
-    return ms, iin, sg, scatter
 
 
 @lru_cache(maxsize=None)
@@ -197,9 +180,8 @@ def interior_comps(k, v, a):
     """Interior product v -| a on raw component arrays (v has 7 entries)."""
     if k < 1:
         raise DegreeError("interior product requires degree >= 1")
-    ms, iin, sg, scatter = interior_table(k)
-    terms = v[..., ms] * a[..., iin] * sg
-    return terms @ scatter
+    idx, sgn = basis_interior_table(k)
+    return (v[..., None, :] @ (a[..., idx] * sgn))[..., 0, :]
 
 
 def form_to_dense(k, a):
@@ -208,6 +190,20 @@ def form_to_dense(k, a):
     out = np.zeros(a.shape[:-1] + (DIM ** k,))
     out[..., flat_idx] = a[..., src] * sg
     return out.reshape(a.shape[:-1] + (DIM,) * k)
+
+
+def pair_to_dense(P):
+    """Expand a pair-form tensor into the dense 7^4 array: one gather of
+    pair entries by form_to_dense's table on rows and columns, each entry
+    times the product of the two signs (0 on a repeated index)."""
+    flat_idx, src, sg, _ = dense_table(2)
+    pos, sign = np.zeros(DIM * DIM, dtype=np.intp), np.zeros(DIM * DIM)
+    pos[flat_idx] = src
+    sign[flat_idx] = sg
+    out = np.take(P.reshape(P.shape[:-2] + (-1,)),
+                  (NCOMP[2] * pos[:, None] + pos).ravel(), axis=-1)
+    out *= np.outer(sign, sign).ravel()
+    return out.reshape(P.shape[:-2] + (DIM,) * 4)
 
 
 def dense_to_form(k, dense):

@@ -11,24 +11,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DIM, INC, NCOMP, basis_interior_table
+from .algebra import DIM, NCOMP, PAIR, basis_interior_table
 from .errors import NonPositiveShiftedScalar
 # perfbench/selftest.py checks that its tracer wraps this tensor_norm2 binding
-from .geometry import partial_stack, tensor_norm2  # noqa: F401
+from .geometry import pair_norm2, partial_stack, tensor_norm2  # noqa: F401
 
 
 def kulkarni_nomizu(alpha, beta):
     """(a o b)_ijkl = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik for
-    symmetric 2-tensors (batched over leading axes)."""
-    return (np.einsum('...il,...jk->...ijkl', alpha, beta)
-            + np.einsum('...jk,...il->...ijkl', alpha, beta)
-            - np.einsum('...ik,...jl->...ijkl', alpha, beta)
-            - np.einsum('...jl,...ik->...ijkl', alpha, beta))
+    symmetric 2-tensors (batched over leading axes), in pair form."""
+    i, j, k, l = PAIR
+    return (alpha[..., i, l] * beta[..., j, k]
+            + alpha[..., j, k] * beta[..., i, l]
+            - alpha[..., i, k] * beta[..., j, l]
+            - alpha[..., j, l] * beta[..., i, k])
 
 
 def weyl(bundle, m):
-    """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g."""
-    R = bundle.R[..., None, None, None, None]
+    """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g in pair form."""
+    R = bundle.R[..., None, None]
     return (bundle.Rm - (R / 84.0) * kulkarni_nomizu(m.g, m.g)
             - 0.2 * kulkarni_nomizu(bundle.E, m.g))
 
@@ -39,11 +40,9 @@ def weyl_variant_residual(bundle):
     + (1/30)(g_il g_jk - g_ik g_jl); nonzero whenever the scalar curvature
     differs from 1."""
     g = bundle.m.g
-    W = weyl(bundle, bundle.m)
-    pair = (np.einsum('...il,...jk->...ijkl', g, g)
-            - np.einsum('...ik,...jl->...ijkl', g, g))
+    pair = kulkarni_nomizu(g, g) / 2.0
     printed = bundle.Rm - 0.2 * kulkarni_nomizu(bundle.Ric, g) + pair / 30.0
-    return float(np.max(np.abs(W - printed)))
+    return float(np.max(np.abs(weyl(bundle, bundle.m) - printed)))
 
 
 @lru_cache(maxsize=None)
@@ -59,32 +58,20 @@ def pair_derivation_table():
 
 
 def c1_norm(W, m):
-    """Pointwise |W|_{C1} = sqrt(|W|^2 + |nabla W|^2) of a dense Weyl field
-    and its grid supremum, evaluated on pair components.
-
-    W_p = W[(i<j), (k<l)] is a symmetric 21x21 matrix per point, and
-    Lam = Lambda^2(g^-1) raises one pair, so |W|^2 = 4 tr(W_p Lam W_p Lam).
-    Gamma_a acts on each pair as the 2-form derivation D_a, so
-    nabla_a W_p = d_a W_p - D_a W_p - (D_a W_p)^T and
-    |nabla W|^2 = 4 g^ab tr(nabla_a W_p Lam nabla_b W_p Lam).
+    """Pointwise |W|_{C1} = sqrt(|W|^2 + |nabla W|^2) of a pair-form Weyl
+    field, |W|^2 from pair_norm2.  Gamma_a acts on each pair as the 2-form
+    derivation D_a, so nabla_a W = d_a W - D_a W - (D_a W)^T, and
+    |nabla W|^2 = 4 g^ab tr(nabla_a W Lam nabla_b W Lam), Lam = m.pair_ginv.
     """
-    i, j = (np.array(c) for c in zip(*INC[2]))
-    a, b, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
-    Wp = W[..., a, b, k, l]
-    gi = m.ginv
-    lam = gi[..., a, k] * gi[..., b, l] - gi[..., a, l] * gi[..., b, k]
-    sh = Wp.shape[:-2]
+    sh = W.shape[:-2]
     D = (m.gamma_flat.reshape(sh + (DIM, DIM * DIM))
-         @ pair_derivation_table()).reshape(sh + (DIM,) + Wp.shape[-2:])
-    DW = D @ Wp[..., None, :, :]
-    nWL = (partial_stack(Wp, m.spec) - DW - np.swapaxes(DW, -1, -2)) \
-        @ lam[..., None, :, :]
-    WL = Wp @ lam
-    gnWL = (gi @ nWL.reshape(sh + (DIM, -1))).reshape(nWL.shape)
-    n2 = np.sum(WL * np.swapaxes(WL, -1, -2), axis=(-2, -1))
+         @ pair_derivation_table()).reshape(sh + (DIM,) + W.shape[-2:])
+    DW = D @ W[..., None, :, :]
+    nWL = (partial_stack(W, m.spec) - DW - np.swapaxes(DW, -1, -2)) \
+        @ m.pair_ginv[..., None, :, :]
+    gnWL = (m.ginv @ nWL.reshape(sh + (DIM, -1))).reshape(nWL.shape)
     dn2 = np.sum(nWL * np.swapaxes(gnWL, -1, -2), axis=(-3, -2, -1))
-    fld = np.sqrt(4.0 * (n2 + dn2))
-    return fld, float(np.max(fld))
+    return np.sqrt(pair_norm2(W, m) + 4.0 * dn2)
 
 
 def auto_shift(bundle):

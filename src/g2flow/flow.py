@@ -18,7 +18,7 @@ import numpy as np
 from . import algebra as al
 from .errors import NotPositive, PositivityLost, SnapshotError, Stalled
 from .geometry import (MetricField, attach_torsion, codifferential,
-                       hodge_star_field, riemann, tensor_norm2,
+                       hodge_star_field, pair_norm2, riemann,
                        torsion_from_phi)
 from .grid import FormField, GridSpec, exterior_derivative, integrate_scalar
 
@@ -102,7 +102,7 @@ def suggest_dt(state, policy):
     if h is None:
         return policy.max_dt
     b = state.bundle
-    rm_norm = np.sqrt(tensor_norm2(b.Rm, state.metric, 4))
+    rm_norm = np.sqrt(pair_norm2(b.Rm, state.metric))
     crowd = float(np.max(b.T_norm2 + rm_norm))
     dt = policy.safety * h * h / (1.0 + crowd)
     return min(dt, policy.max_dt)

@@ -4,20 +4,21 @@ and the full torsion of a (not necessarily closed) positive 3-form field.
 
 Tensor fields are dense numpy arrays with the 7 grid axes leading and the
 tensor slots trailing; forms and their derivatives keep increasing
-components.  All second derivatives are compositions of the same first-order
-covariant derivative, so contraction bookkeeping downstream can rely on a
-single consistent discretization.
+components, and the curvature its 21x21 pair form.  All second derivatives
+are compositions of the same first-order covariant derivative, so
+contraction bookkeeping downstream can rely on a single consistent
+discretization.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import algebra as al
 from .algebra import DIM, slot_apply
 from .errors import DegreeError, NotPositive
-from .grid import (FormField, exterior_derivative, integrate_scalar,
-                   partial_derivative)
+from .grid import FormField, exterior_derivative, partial_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,14 @@ class MetricField:
             self._gamma_flat = np.ascontiguousarray(
                 flat.reshape(sh[:-3] + (DIM * DIM, DIM)))
         return self._gamma_flat
+
+    @cached_property
+    def pair_ginv(self):
+        """Lambda^2(g^-1) = g^ik g^jl - g^il g^jk in pair form: it raises one
+        pair of a pair-form tensor."""
+        i, j, k, l = al.PAIR
+        gi = self.ginv
+        return gi[..., i, k] * gi[..., j, l] - gi[..., i, l] * gi[..., j, k]
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +148,13 @@ def tensor_norm2(T, m, rank):
     return np.sum(T * slot_apply(T, m.ginv, rank), axis=axes)
 
 
+def pair_norm2(P, m):
+    """Pointwise squared norm of a pair-form tensor, every slot raised:
+    |P|^2 = 4 tr(P Lam P Lam), Lam = m.pair_ginv."""
+    PL = P @ m.pair_ginv
+    return 4.0 * np.sum(PL * np.swapaxes(PL, -1, -2), axis=(-2, -1))
+
+
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------
@@ -147,12 +163,12 @@ def tensor_norm2(T, m, rank):
 class CurvatureBundle:
     """Curvature data of a metric field.
 
-    Rm carries the full algebraic curvature symmetries exactly: the raw
-    finite-difference tensor is projected onto the space of algebraic
-    curvature tensors, and the size of that projection (an order h^4
-    quantity) is kept in ``symmetry_defect`` as a discretization
-    diagnostic.  Torsion-dependent members (That, S, T_norm2) are attached
-    by ``attach_torsion``.
+    The raw finite-difference curvature is projected onto the space of
+    algebraic curvature tensors, and the size of that projection (an order
+    h^4 quantity) is kept in ``symmetry_defect`` as a discretization
+    diagnostic.  Rm stores the projection in pair form (algebra.PAIR), a
+    symmetric 21x21 matrix per point.  Torsion-dependent members (That, S,
+    T_norm2) are attached by ``attach_torsion``.
     """
     m: MetricField
     Rm: np.ndarray
@@ -202,7 +218,7 @@ def riemann(m):
     Ric = np.einsum('...il,...ijkl->...jk', m.ginv, Rm, optimize=True)
     R = np.einsum('...jk,...jk->...', m.ginv, Ric, optimize=True)
     E = Ric - (R[..., None, None] / 7.0) * m.g
-    return CurvatureBundle(m=m, Rm=Rm, Ric=Ric, R=R, E=E,
+    return CurvatureBundle(m=m, Rm=Rm[(...,) + al.PAIR], Ric=Ric, R=R, E=E,
                            symmetry_defect=defect)
 
 
@@ -228,16 +244,6 @@ def codifferential(a, m):
     sgn = -1.0 if k % 2 else 1.0
     out = hodge_star_field(exterior_derivative(hodge_star_field(a, m)), m)
     return FormField(k - 1, a.spec, sgn * out.values)
-
-
-def l2_form_inner(a, b, m):
-    """Global L2 pairing of k-form fields in the k!-normalized (form)
-    convention, the one in which d and the codifferential are mutually
-    adjoint; the k-tensor convention differs by the multiplicity k!."""
-    import math
-    v = al.form_inner_comps(a.degree, a.values, b.values, m.ginv) \
-        / float(math.factorial(a.degree))
-    return integrate_scalar(v, a.spec, weight=m.vol)
 
 
 # ---------------------------------------------------------------------------

@@ -140,22 +140,27 @@ class StateTensors:
 
     # --- curvature contractions ---
     @cached_property
+    def Rm_dense(self):
+        """Rm expanded to 7^4, for the contractions that cross its pairs."""
+        return al.pair_to_dense(self.b.Rm)
+
+    @cached_property
     def Rm_Ric_up(self):
         """R_pijl R^pl."""
-        return np.einsum('...pijl,...pl->...ij', self.b.Rm, self.Ric_up,
+        return np.einsum('...pijl,...pl->...ij', self.Rm_dense, self.Ric_up,
                          optimize=True)
 
     @cached_property
     def Rm_That_up(self):
         """R_pijl That^pl."""
-        return np.einsum('...pijl,...pl->...ij', self.b.Rm,
+        return np.einsum('...pijl,...pl->...ij', self.Rm_dense,
                          slot_apply(self.b.That, self.m.ginv, 2),
                          optimize=True)
 
     @cached_property
     def Rm_TT(self):
         """R_ijmn T^in T^mj (the scalar-evolution quadratic)."""
-        return np.einsum('...ijmn,...in,...mj->...', self.b.Rm,
+        return np.einsum('...ijmn,...in,...mj->...', self.Rm_dense,
                          self.T_up, self.T_up, optimize=True)
 
     @cached_property
@@ -181,13 +186,12 @@ class StateTensors:
 
     @cached_property
     def W(self):
-        """Trace-free Weyl tensor."""
+        """Trace-free Weyl tensor in pair form."""
         return weyl(self.b, self.m)
 
     @cached_property
     def W_c1_field(self):
-        fld, _ = c1_norm(self.W, self.m)
-        return fld
+        return c1_norm(self.W, self.m)
 
     # --- pinching scalars ---
     def f_field(self, gamma):
@@ -205,8 +209,9 @@ class StateTensors:
     @cached_property
     def WEE(self):
         """W_pijl E^pl E^ij with the trace-free Weyl."""
-        return np.einsum('...pijl,...pl,...ij->...', self.W,
-                         self.E_up, self.E_up, optimize=True)
+        return np.einsum('...pijl,...pl,...ij->...',
+                         al.pair_to_dense(self.W), self.E_up, self.E_up,
+                         optimize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +225,7 @@ def lichnerowicz(ts, h, h_up):
     return (trace_hessian(second_covariant(h, m, 2), m)
             - np.einsum('...ip,...pj->...ij', ts.Ric_mixed, h)
             - np.einsum('...jp,...pi->...ij', ts.Ric_mixed, h)
-            + 2.0 * np.einsum('...pijl,...pl->...ij', ts.b.Rm, h_up,
+            + 2.0 * np.einsum('...pijl,...pl->...ij', ts.Rm_dense, h_up,
                               optimize=True))
 
 
@@ -333,7 +338,7 @@ def rhs_shifted_ricci_norm_evolution(ts, aux=None):
     aux = aux or compute_aux_terms(ts)
     lap = scalar_laplacian(ts.Ric_t_norm2, ts.m)
     return (lap - 2.0 * ts.nabla_Ric_norm2
-            + 4.0 * np.einsum('...pijl,...pl,...ij->...', ts.b.Rm,
+            + 4.0 * np.einsum('...pijl,...pl,...ij->...', ts.Rm_dense,
                               ts.Ric_t_up, ts.Ric_t_up, optimize=True)
             + aux.I + aux.J)
 
@@ -614,8 +619,8 @@ def ricci_identity_residual(alpha, m, bundle):
     (nabla_i nabla_j - nabla_j nabla_i) alpha_k + R_{ijk}^m alpha_m."""
     dd = second_covariant(alpha, m, 1)
     comm = dd - np.einsum('...abk->...bak', dd)
-    rup = np.einsum('...ijkl,...lm->...ijkm', bundle.Rm, m.ginv,
-                    optimize=True)
+    rup = np.einsum('...ijkl,...lm->...ijkm', al.pair_to_dense(bundle.Rm),
+                    m.ginv, optimize=True)
     term = np.einsum('...ijkm,...m->...ijk', rup, alpha, optimize=True)
     return float(np.max(np.abs(comm + term)))
 
@@ -641,7 +646,8 @@ def structure_residuals(state):
     nT = covariant_derivative(T, m, 2)
     T_mixed = slot_apply(T, m.ginv, 2, (1,))                # T_i^m
     # Y_ijk = (R_ijmn / 4 + T_im T_jn / 2) phi_k^{mn}
-    X = 0.25 * b.Rm + 0.5 * np.einsum('...im,...jn->...ijmn', T, T)
+    X = 0.25 * al.pair_to_dense(b.Rm) \
+        + 0.5 * np.einsum('...im,...jn->...ijmn', T, T)
     Y = np.einsum('...ijmn,...kmn->...ijk', X, phi_up, optimize=True)
     del X
 

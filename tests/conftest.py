@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from g2flow import algebra as al
 from g2flow import flow as fl
 from g2flow import geometry as ge
 from g2flow import grid as gr
@@ -31,6 +32,26 @@ def perturbed_state3(eps=EPS):
 
 def flat_state(n=8):
     return fl.FlowState(0.0, flat_phi_field(scenario_spec(n)))
+
+
+def dense_kulkarni_nomizu(alpha, beta):
+    """(a o b)_ijkl = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik as a
+    dense 7^4 array: the reference for the pair-form
+    curvature.kulkarni_nomizu."""
+    return (np.einsum('...il,...jk->...ijkl', alpha, beta)
+            + np.einsum('...jk,...il->...ijkl', alpha, beta)
+            - np.einsum('...ik,...jl->...ijkl', alpha, beta)
+            - np.einsum('...jl,...ik->...ijkl', alpha, beta))
+
+
+def l2_form_inner(a, b, m):
+    """Global L2 pairing of k-form fields in the k!-normalized (form)
+    convention, the one in which d and the codifferential are mutually
+    adjoint; the k-tensor convention differs by the multiplicity k!."""
+    import math
+    v = al.form_inner_comps(a.degree, a.values, b.values, m.ginv) \
+        / float(math.factorial(a.degree))
+    return gr.integrate_scalar(v, a.spec, weight=m.vol)
 
 
 def dense_c1_norm(T, m, rank):

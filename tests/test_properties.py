@@ -12,9 +12,13 @@ one slot kernel, slot_apply, is pinned against einsum on every rank and
 slot choice it serves.  On random smooth periodic fields on the
 three-axis, unequal-period grid, d o d vanishes and d* is the adjoint of d
 to rounding.  The pair-form Weyl C1 norm matches the dense every-slot
-contraction on perturbed 2- and 3-axis states, is bit-identical under the
-grid's translations and the reflection x1 -> -x1, and agrees to rounding
-under permutations of axes with equal shape and period.
+contraction on perturbed 2- and 3-axis states; the pair-form
+Kulkarni-Nomizu product matches the dense einsum, the dense expansion of
+the stored Rm has the curvature symmetries, and suggest_dt's pair-form
+|Rm| matches the dense norm.  The Weyl C1 field, R, |E|^2 and suggest_dt's
+field |T|^2 + |Rm| are bit-identical under the grid's translations and the
+reflection x1 -> -x1, and agree to rounding under permutations of axes
+with equal shape and period.
 """
 
 import numpy as np
@@ -35,7 +39,8 @@ from g2flow.initial_data import (DEFAULT_MODES,  # noqa: E402
                                  perturbed_phi_field)
 
 from conftest import (GRID3, MODES3, dense_c1_norm,  # noqa: E402
-                      perturbed_state3, smooth_field)
+                      dense_kulkarni_nomizu, l2_form_inner, perturbed_state3,
+                      smooth_field)
 
 BATCH = 3
 REL = 1e-13
@@ -174,9 +179,9 @@ def test_codifferential_adjoint_on_three_axes(state3, k, data):
     m = state3.metric
     a = gr.FormField(k - 1, GRID3, data.draw(smooth_fields(al.NCOMP[k - 1])))
     b = gr.FormField(k, GRID3, data.draw(smooth_fields(al.NCOMP[k])))
-    lhs = ge.l2_form_inner(gr.exterior_derivative(a), b, m)
-    rhs = ge.l2_form_inner(a, ge.codifferential(b, m), m)
-    norms = np.sqrt(ge.l2_form_inner(a, a, m) * ge.l2_form_inner(b, b, m))
+    lhs = l2_form_inner(gr.exterior_derivative(a), b, m)
+    rhs = l2_form_inner(a, ge.codifferential(b, m), m)
+    norms = np.sqrt(l2_form_inner(a, a, m) * l2_form_inner(b, b, m))
     assert abs(lhs - rhs) <= 1e-12 * norms
 
 
@@ -194,33 +199,87 @@ def test_weyl_c1_pair_form_matches_dense(three, n, periods, eps):
         spec, eps, MODES3 if three else DEFAULT_MODES))
     m = state.metric
     W = cv.weyl(state.bundle, m)
-    want = dense_c1_norm(W, m, 4)
-    got, mx = cv.c1_norm(W, m)
+    want = dense_c1_norm(al.pair_to_dense(W), m, 4)
+    got = cv.c1_norm(W, m)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-    assert mx == np.max(got)
+
+
+# --- the pair form against its dense expansion ---
+
+@settings(max_examples=40, deadline=None)
+@given(a=tensors, b=tensors)
+def test_kulkarni_nomizu_pair_form_matches_dense(a, b):
+    # random batched symmetric 2-tensors; the expansion also carries the
+    # entries off the increasing pairs
+    a, b = a + np.swapaxes(a, -1, -2), b + np.swapaxes(b, -1, -2)
+    want = dense_kulkarni_nomizu(a, b)
+    got = al.pair_to_dense(cv.kulkarni_nomizu(a, b))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+CURVED = pytest.mark.parametrize('three', (False, True),
+                                ids=('2axis', '3axis'))
+
+
+@CURVED
+def test_pair_to_dense_rm_symmetries(state16, state3, three):
+    # both antisymmetries and the pair symmetry hold exactly, the first
+    # Bianchi identity to rounding, and the pair entries read back
+    Rm = (state3 if three else state16).bundle.Rm
+    D = al.pair_to_dense(Rm)
+    assert np.array_equal(D, -np.einsum('...ijkl->...jikl', D))
+    assert np.array_equal(D, -np.einsum('...ijkl->...ijlk', D))
+    assert np.array_equal(D, np.einsum('...ijkl->...klij', D))
+    bianchi = (D + np.einsum('...ijkl->...jkil', D)
+               + np.einsum('...ijkl->...kijl', D))
+    assert np.max(np.abs(bianchi)) < 1e-14
+    assert D[(...,) + al.PAIR].tobytes() == Rm.tobytes()
+
+
+@CURVED
+def test_suggest_dt_pair_norm_matches_dense(state16, state3, three):
+    # |Rm|^2 = 4 tr(Rm Lam Rm Lam) against every slot of the dense
+    # expansion raised, and the step suggest_dt takes from it
+    curved = state3 if three else state16
+    b, m = curved.bundle, curved.metric
+    want = ge.tensor_norm2(al.pair_to_dense(b.Rm), m, 4)
+    got = ge.pair_norm2(b.Rm, m)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+    policy = fl.StepPolicy()
+    h = curved.spec.min_active_spacing()
+    dt = policy.safety * h * h / (1.0 + np.max(b.T_norm2 + np.sqrt(want)))
+    assert fl.suggest_dt(curved, policy) == pytest.approx(dt, rel=1e-14)
 
 
 # --- the grid's symmetries through the pair-form index code ---
 
 SIGN_X1 = np.array([-1.0 if 0 in I else 1.0 for I in al.INC[3]])
 
+# the fields the symmetry tests follow; the crowd field |T|^2 + |Rm| is
+# the one flow.suggest_dt takes the maximum of
+FIELDS = {
+    'W_c1_field': lambda ts: ts.W_c1_field,
+    'R': lambda ts: ts.b.R,
+    'E_norm2': lambda ts: ts.E_norm2,
+    'crowd': lambda ts: ts.b.T_norm2 + np.sqrt(ge.pair_norm2(ts.b.Rm, ts.m)),
+}
+SCALARS = ('R', 'E_norm2', 'crowd')
 
-def w_c1_field(values, spec):
-    state = fl.FlowState(0.0, gr.FormField(3, spec, values))
-    return vf.StateTensors(state).W_c1_field
+
+def fields(values, spec, names):
+    ts = vf.StateTensors(fl.FlowState(0.0, gr.FormField(3, spec, values)))
+    return {name: FIELDS[name](ts) for name in names}
 
 
 @pytest.fixture(scope="module")
 def symmetry_cases(state16, state3):
-    """(state, its W_c1_field) on a 2-axis and a 3-axis grid."""
-    return {three: (s, w_c1_field(s.phi.values, s.spec))
+    """(state, its FIELDS) on a 2-axis and a 3-axis grid."""
+    return {three: (s, fields(s.phi.values, s.spec, FIELDS))
             for three, s in ((False, state16), (True, state3))}
 
 
-@settings(max_examples=8, deadline=None)
-@given(three=st.booleans(), reflect=st.booleans(), data=st.data())
-def test_weyl_c1_translation_and_reflection_exact(symmetry_cases, three,
-                                                  reflect, data):
+def check_translation_and_reflection(symmetry_cases, three, reflect, data,
+                                     names):
     # a cyclic shift by whole cells, and x1 -> -x1 (grid index i -> -i
     # mod N, components signed (-1)^[1 in I]), commute exactly with the
     # stencil and every pointwise kernel
@@ -231,16 +290,30 @@ def test_weyl_c1_translation_and_reflection_exact(symmetry_cases, three,
     vals = np.roll(state.phi.values, shifts, axis=axes)
     if reflect:
         vals = SIGN_X1 * np.roll(np.flip(vals, 0), 1, axis=0)
-    got = w_c1_field(vals, state.spec)
-    if reflect:
-        got = np.roll(np.flip(got, 0), 1, axis=0)
-    got = np.roll(got, tuple(-s for s in shifts), axis=axes)
-    assert got.tobytes() == want.tobytes()
+    for name, got in fields(vals, state.spec, names).items():
+        if reflect:
+            got = np.roll(np.flip(got, 0), 1, axis=0)
+        got = np.roll(got, tuple(-s for s in shifts), axis=axes)
+        assert got.tobytes() == want[name].tobytes(), name
 
 
 @settings(max_examples=8, deadline=None)
-@given(three=st.booleans(), data=st.data())
-def test_weyl_c1_axis_permutation(symmetry_cases, three, data):
+@given(three=st.booleans(), reflect=st.booleans(), data=st.data())
+def test_weyl_c1_translation_and_reflection_exact(symmetry_cases, three,
+                                                  reflect, data):
+    check_translation_and_reflection(symmetry_cases, three, reflect, data,
+                                     ('W_c1_field',))
+
+
+@settings(max_examples=8, deadline=None)
+@given(three=st.booleans(), reflect=st.booleans(), data=st.data())
+def test_curvature_scalars_translation_and_reflection_exact(
+        symmetry_cases, three, reflect, data):
+    check_translation_and_reflection(symmetry_cases, three, reflect, data,
+                                     SCALARS)
+
+
+def check_axis_permutation(symmetry_cases, three, data, names):
     # relabelling axes of equal shape and period (the active axes among
     # themselves when their periods agree, the inactive ones among
     # themselves) maps the field to itself up to the rounding of reordered
@@ -259,5 +332,21 @@ def test_weyl_c1_axis_permutation(symmetry_cases, three, data):
         J, sgn = al.sort_with_sign(tuple(perm[i] for i in I))
         new[..., al.POS[3][J]] = sgn * state.phi.values[..., n]
     order = tuple(np.argsort(perm)) + (7,)
-    got = np.transpose(w_c1_field(np.transpose(new, order), spec), perm)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    for name, got in fields(np.transpose(new, order), spec, names).items():
+        # R = -|T|^2 is small beside the curvature it is contracted from,
+        # so its rounding is measured on the curvature scale max|Rm|
+        scale = state.bundle.Rm if name == 'R' else want[name]
+        err = np.max(np.abs(np.transpose(got, perm) - want[name]))
+        assert err <= 1e-12 * np.max(np.abs(scale)), name
+
+
+@settings(max_examples=8, deadline=None)
+@given(three=st.booleans(), data=st.data())
+def test_weyl_c1_axis_permutation(symmetry_cases, three, data):
+    check_axis_permutation(symmetry_cases, three, data, ('W_c1_field',))
+
+
+@settings(max_examples=8, deadline=None)
+@given(three=st.booleans(), data=st.data())
+def test_curvature_scalars_axis_permutation(symmetry_cases, three, data):
+    check_axis_permutation(symmetry_cases, three, data, SCALARS)
