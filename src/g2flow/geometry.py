@@ -4,10 +4,9 @@ and the full torsion of a (not necessarily closed) positive 3-form field.
 
 Tensor fields are dense numpy arrays with the 7 grid axes leading and the
 tensor slots trailing; forms and their derivatives keep increasing
-components, and the curvature its 21x21 pair form.  All second derivatives
-are compositions of the same first-order covariant derivative, so
-contraction bookkeeping downstream can rely on a single consistent
-discretization.
+components, and the curvature is computed and stored in 21x21 pair form.
+All second derivatives are nested first-order covariant derivatives, so
+contraction bookkeeping downstream relies on one discretization.
 """
 
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ class MetricField:
         self.vol = vol
         self.orientation = orientation
         self._christoffel = None
-        self._gamma_flat = None
 
     @classmethod
     def from_phi(cls, phi):
@@ -63,17 +61,13 @@ class MetricField:
             self._christoffel = 0.5 * slot_apply(A, self.ginv, 3, (0,))
         return self._christoffel
 
-    @property
+    @cached_property
     def gamma_flat(self):
-        """Christoffel symbols reshaped to ((a, i) pairs, p) for the
-        batched matrix products in covariant derivatives."""
-        if self._gamma_flat is None:
-            gam = self.christoffel                       # (.., p, a, i)
-            sh = gam.shape
-            flat = np.moveaxis(gam, -3, -1)              # (.., a, i, p)
-            self._gamma_flat = np.ascontiguousarray(
-                flat.reshape(sh[:-3] + (DIM * DIM, DIM)))
-        return self._gamma_flat
+        """Christoffel symbols Gamma^p_ai as rows (a, i) and columns p, a
+        contiguous copy for the batched matrix products in covariant
+        derivatives and curvature."""
+        flat = np.moveaxis(self.christoffel, -3, -1)     # (.., a, i, p)
+        return flat.reshape(self.g.shape[:-2] + (DIM * DIM, DIM))
 
     @cached_property
     def pair_ginv(self):
@@ -163,12 +157,12 @@ def pair_norm2(P, m):
 class CurvatureBundle:
     """Curvature data of a metric field.
 
-    The raw finite-difference curvature is projected onto the space of
-    algebraic curvature tensors, and the size of that projection (an order
-    h^4 quantity) is kept in ``symmetry_defect`` as a discretization
-    diagnostic.  Rm stores the projection in pair form (algebra.PAIR), a
-    symmetric 21x21 matrix per point.  Torsion-dependent members (That, S,
-    T_norm2) are attached by ``attach_torsion``.
+    Rm is the raw finite-difference curvature projected onto algebraic
+    curvature tensors, stored in pair form (algebra.PAIR), a symmetric
+    21x21 matrix per point; the size of the projection (an order h^4
+    quantity) is kept in ``symmetry_defect`` as a discretization
+    diagnostic.  Torsion-dependent members (That, S, T_norm2) are attached
+    by ``attach_torsion``.
     """
     m: MetricField
     Rm: np.ndarray
@@ -182,43 +176,47 @@ class CurvatureBundle:
     T: np.ndarray = None
 
 
-def _curvature_project(A):
-    """Orthogonal projection onto algebraic curvature tensors: antisymmetry
-    in both pairs, pair symmetry, and the first Bianchi identity."""
-    A = 0.5 * (A - np.einsum('...ijkl->...jikl', A))
-    A = 0.5 * (A - np.einsum('...ijkl->...ijlk', A))
-    A = 0.5 * (A + np.einsum('...ijkl->...klij', A))
-    b = (A + np.einsum('...ijkl->...jkil', A)
-         + np.einsum('...ijkl->...kijl', A)) / 3.0
-    return A - b
+def _curvature_project(raw):
+    """Orthogonal projection of raw rows raw[.., P, k, l] = R_ijkl, P =
+    (i<j), onto algebraic curvature tensors in pair form: antisymmetry in
+    (k, l), pair symmetry, then the first Bianchi identity, which removes
+    the Lambda^4 part (R_ijkl + R_jkil + R_kijl) / 3 by the wedge table."""
+    k, l = al.PAIR[2][0], al.PAIR[3][0]
+    A = 0.5 * (raw[..., k, l] - raw[..., l, k])
+    Rm = 0.5 * (A + np.swapaxes(A, -1, -2))
+    ia, ib, sg, scatter = al.wedge_table(2, 2)
+    w = (Rm[..., ia, ib] * sg) @ scatter / 6.0
+    Rm[..., ia, ib] -= (w @ scatter.T) * sg
+    return Rm
 
 
 def riemann(m):
-    """Curvature bundle of a metric field.
-
-    Index conventions are pinned by the tests: the Ricci identity holds as
+    """Curvature bundle of a metric field.  Rm is, on the 21 pairs i<j, the
+    curvature d_i G_j - d_j G_i + [G_i, G_j] of the connection matrices
+    (G_i)^l_k = Gamma^l_ik: its transposed rows R_ijk^l come from H_i =
+    G_i^T in gamma_flat and are lowered by one product with g.  Index
+    conventions are pinned by the tests: the Ricci identity holds as
     (nabla_i nabla_j - nabla_j nabla_i) alpha_k = -R_{ijk}^m alpha_m, and
     Ric_jk = g^{il} R_{ijkl}, so the scalar curvature of a closed
-    G2-structure comes out nonpositive.
-    """
-    spec = m.spec
-    gam = m.christoffel
-    dgam = partial_stack(gam, spec)                 # (.., a, l, i, j)
-    # Gamma^l_{ip} Gamma^p_{jk} as one batched matmul over p
-    li_p = gam.reshape(gam.shape[:-3] + (49, DIM))
-    p_jk = gam.reshape(gam.shape[:-3] + (DIM, 49))
-    gg = np.matmul(li_p, p_jk).reshape(gam.shape[:-3] + (DIM,) * 4)  # (l,i,j,k)
-    gg = np.einsum('...lijk->...ijkl', gg)
-    rup = (np.einsum('...iljk->...ijkl', dgam)
-           - np.einsum('...jlik->...ijkl', dgam)
-           + gg - np.einsum('...jikl->...ijkl', gg))
-    raw = slot_apply(rup, m.g, 4, (3,))
+    G2-structure comes out nonpositive."""
+    i, j = al.PAIR[0][:, 0], al.PAIR[1][:, 0]
+    H = m.gamma_flat.reshape(m.g.shape[:-2] + (DIM,) * 3)
+    rup = np.zeros(H.shape[:-3] + (i.size, DIM, DIM))    # (.., P, k, l)
+    for a in m.spec.active_axes:
+        dH = partial_derivative(H, m.spec, a)           # d_a H_b
+        rup[..., i == a, :, :] += dH[..., j[i == a], :, :]
+        rup[..., j == a, :, :] -= dH[..., i[j == a], :, :]
+    rup += H[..., j, :, :] @ H[..., i, :, :]
+    rup -= H[..., i, :, :] @ H[..., j, :, :]
+    raw = slot_apply(rup, m.g, 3, (2,))
     Rm = _curvature_project(raw)
-    defect = float(np.max(np.abs(Rm - raw)))
-    Ric = np.einsum('...il,...ijkl->...jk', m.ginv, Rm, optimize=True)
+    # the traces read one transient expansion; rows j<i mirror rows i<j
+    dense = al.pair_to_dense(Rm)
+    defect = float(np.max(np.abs(dense[..., i, j, :, :] - raw)))
+    Ric = np.einsum('...il,...ijkl->...jk', m.ginv, dense, optimize=True)
     R = np.einsum('...jk,...jk->...', m.ginv, Ric, optimize=True)
     E = Ric - (R[..., None, None] / 7.0) * m.g
-    return CurvatureBundle(m=m, Rm=Rm[(...,) + al.PAIR], Ric=Ric, R=R, E=E,
+    return CurvatureBundle(m=m, Rm=Rm, Ric=Ric, R=R, E=E,
                            symmetry_defect=defect)
 
 

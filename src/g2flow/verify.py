@@ -614,14 +614,13 @@ def pinching_shift(cfg, state):
     return cfg.pinching_c
 
 
-def ricci_identity_residual(alpha, m, bundle):
+def ricci_identity_residual(alpha, m, Rm_dense):
     """Max-norm residual of the commutator identity on a 1-form field:
-    (nabla_i nabla_j - nabla_j nabla_i) alpha_k + R_{ijk}^m alpha_m."""
+    (nabla_i nabla_j - nabla_j nabla_i) alpha_k + R_ijkl alpha^l."""
     dd = second_covariant(alpha, m, 1)
     comm = dd - np.einsum('...abk->...bak', dd)
-    rup = np.einsum('...ijkl,...lm->...ijkm', al.pair_to_dense(bundle.Rm),
-                    m.ginv, optimize=True)
-    term = np.einsum('...ijkm,...m->...ijk', rup, alpha, optimize=True)
+    alpha_up = np.einsum('...lm,...m->...l', m.ginv, alpha)
+    term = np.einsum('...ijkl,...l->...ijk', Rm_dense, alpha_up, optimize=True)
     return float(np.max(np.abs(comm + term)))
 
 
@@ -642,12 +641,23 @@ def structure_residuals(state):
         ge.form_covariant_derivative(psi, m),
         -al.wedge_comps(1, 3, T, phi.values[..., None, :]))}
 
+    # the commutator identity on a smooth periodic 1-form and dense Rm
+    alpha = np.zeros(spec.shape + (7,))
+    for comp in range(7):
+        f = np.zeros(spec.shape)
+        for a in spec.active_axes:
+            k = TWO_PI / spec.periods[a]
+            f = f + np.sin(k * spec.coordinates(a) + 0.37 * comp + 0.11 * a)
+        alpha[..., comp] = f
+    X = al.pair_to_dense(b.Rm)
+    ricci_commutator = ricci_identity_residual(alpha, m, X)
+
     phi_up = slot_apply(al.form_to_dense(3, phi.values), m.ginv, 3, (1, 2))
     nT = covariant_derivative(T, m, 2)
     T_mixed = slot_apply(T, m.ginv, 2, (1,))                # T_i^m
     # Y_ijk = (R_ijmn / 4 + T_im T_jn / 2) phi_k^{mn}
-    X = 0.25 * al.pair_to_dense(b.Rm) \
-        + 0.5 * np.einsum('...im,...jn->...ijmn', T, T)
+    X *= 0.25
+    X += 0.5 * np.einsum('...im,...jn->...ijmn', T, T)
     Y = np.einsum('...ijmn,...kmn->...ijk', X, phi_up, optimize=True)
     del X
 
@@ -676,16 +686,7 @@ def structure_residuals(state):
     div = al.interior_comps(2, m.ginv, ge.form_covariant_derivative(tau2, m))
     res['lie_algebra_torsion_divergence'] = float(np.max(np.abs(
         div.sum(axis=-2))))
-
-    # a smooth periodic test 1-form for the commutator identity
-    alpha = np.zeros(spec.shape + (7,))
-    for comp in range(7):
-        f = np.zeros(spec.shape)
-        for a in spec.active_axes:
-            k = TWO_PI / spec.periods[a]
-            f = f + np.sin(k * spec.coordinates(a) + 0.37 * comp + 0.11 * a)
-        alpha[..., comp] = f
-    res['ricci_commutator_identity'] = ricci_identity_residual(alpha, m, b)
+    res['ricci_commutator_identity'] = ricci_commutator
     return res
 
 

@@ -44,6 +44,42 @@ def dense_kulkarni_nomizu(alpha, beta):
             - np.einsum('...jl,...ik->...ijkl', alpha, beta))
 
 
+def dense_curvature_project(A):
+    """Orthogonal projection of a dense 7^4 array onto algebraic curvature
+    tensors: antisymmetry in both pairs, pair symmetry, and the first
+    Bianchi identity.  The reference for geometry._curvature_project."""
+    A = 0.5 * (A - np.einsum('...ijkl->...jikl', A))
+    A = 0.5 * (A - np.einsum('...ijkl->...ijlk', A))
+    A = 0.5 * (A + np.einsum('...ijkl->...klij', A))
+    b = (A + np.einsum('...ijkl->...jkil', A)
+         + np.einsum('...ijkl->...kijl', A)) / 3.0
+    return A - b
+
+
+def dense_riemann(m):
+    """Curvature bundle built on dense 7^4 arrays from the 49x49 Christoffel
+    product: the reference for the pair-form geometry.riemann."""
+    spec = m.spec
+    gam = m.christoffel
+    dgam = ge.partial_stack(gam, spec)              # (.., a, l, i, j)
+    # Gamma^l_{ip} Gamma^p_{jk} as one batched matmul over p
+    li_p = gam.reshape(gam.shape[:-3] + (49, 7))
+    p_jk = gam.reshape(gam.shape[:-3] + (7, 49))
+    gg = np.matmul(li_p, p_jk).reshape(gam.shape[:-3] + (7,) * 4)  # (l,i,j,k)
+    gg = np.einsum('...lijk->...ijkl', gg)
+    rup = (np.einsum('...iljk->...ijkl', dgam)
+           - np.einsum('...jlik->...ijkl', dgam)
+           + gg - np.einsum('...jikl->...ijkl', gg))
+    raw = al.slot_apply(rup, m.g, 4, (3,))
+    Rm = dense_curvature_project(raw)
+    defect = float(np.max(np.abs(Rm - raw)))
+    Ric = np.einsum('...il,...ijkl->...jk', m.ginv, Rm, optimize=True)
+    R = np.einsum('...jk,...jk->...', m.ginv, Ric, optimize=True)
+    E = Ric - (R[..., None, None] / 7.0) * m.g
+    return ge.CurvatureBundle(m=m, Rm=Rm[(...,) + al.PAIR], Ric=Ric, R=R,
+                              E=E, symmetry_defect=defect)
+
+
 def l2_form_inner(a, b, m):
     """Global L2 pairing of k-form fields in the k!-normalized (form)
     convention, the one in which d and the codifferential are mutually

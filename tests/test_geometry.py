@@ -9,8 +9,9 @@ from g2flow import verify as vf
 from g2flow.errors import DegreeError
 from g2flow.initial_data import perturbed_phi_field
 
-from conftest import (flat_state, l2_form_inner, perturbed_state,
-                      perturbed_state3, scenario_spec, smooth_field)
+from conftest import (dense_riemann, flat_state, l2_form_inner,
+                      perturbed_state, perturbed_state3, scenario_spec,
+                      smooth_field)
 
 
 def warped_metric_field(n, amp=0.15):
@@ -89,7 +90,8 @@ class TestCovariantDerivative:
             st = perturbed_state(n)
             b = st.bundle
             alpha = smooth_field(st.spec, 7, seed=9)
-            errs[n] = vf.ricci_identity_residual(alpha, st.metric, b)
+            errs[n] = vf.ricci_identity_residual(
+                alpha, st.metric, al.pair_to_dense(b.Rm))
         assert np.log2(errs[16] / errs[32]) > 3.5
 
 
@@ -117,6 +119,22 @@ class TestRiemann:
         bianchi = (Rm + np.einsum('...ijkl->...jkil', Rm)
                    + np.einsum('...ijkl->...kijl', Rm))
         assert np.max(np.abs(bianchi)) < 1e-14
+
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_matches_dense_reference(self, state16, three):
+        # the pair-form curvature of the connection matrices against the
+        # dense 7^4 construction, on state16 and on the unequal-period GRID3
+        m = (perturbed_state3() if three else state16).metric
+        got, want = ge.riemann(m), dense_riemann(m)
+        scale = np.max(np.abs(want.Rm))
+        for name, g, w in (('Rm', al.pair_to_dense(got.Rm),
+                            al.pair_to_dense(want.Rm)),
+                           ('Ric', got.Ric, want.Ric), ('E', got.E, want.E)):
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), name
+        # R = -|T|^2 is small beside the curvature it is traced from
+        assert np.max(np.abs(got.R - want.R)) <= 1e-14 * scale
+        assert got.symmetry_defect == pytest.approx(want.symmetry_defect,
+                                                    rel=1e-12)
 
     def test_symmetry_defect_converges(self):
         d16 = perturbed_state(16).bundle.symmetry_defect

@@ -15,11 +15,16 @@ to rounding.  The pair-form Weyl C1 norm matches the dense every-slot
 contraction on perturbed 2- and 3-axis states; the pair-form
 Kulkarni-Nomizu product matches the dense einsum, the dense expansion of
 the stored Rm has the curvature symmetries, and suggest_dt's pair-form
-|Rm| matches the dense norm.  The Weyl C1 field, R, |E|^2 and suggest_dt's
-field |T|^2 + |Rm| are bit-identical under the grid's translations and the
-reflection x1 -> -x1, and agree to rounding under permutations of axes
-with equal shape and period.
+|Rm| matches the dense norm.  The pair-form curvature projection matches
+the dense cyclic projection on random raw rows, is idempotent and leaves
+the first Bianchi identity to rounding.  The Weyl C1 field, R, |E|^2 and
+suggest_dt's field |T|^2 + |Rm| are bit-identical under the grid's
+translations and the reflection x1 -> -x1, and agree to rounding under
+permutations of axes with equal shape and period; so are the max-type
+columns of a whole 3-step monitored run.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -35,12 +40,13 @@ from g2flow import flow as fl  # noqa: E402
 from g2flow import geometry as ge  # noqa: E402
 from g2flow import grid as gr  # noqa: E402
 from g2flow import verify as vf  # noqa: E402
+from g2flow.cli import parse_config, run_flow  # noqa: E402
 from g2flow.initial_data import (DEFAULT_MODES,  # noqa: E402
                                  perturbed_phi_field)
 
 from conftest import (GRID3, MODES3, dense_c1_norm,  # noqa: E402
-                      dense_kulkarni_nomizu, l2_form_inner, perturbed_state3,
-                      smooth_field)
+                      dense_curvature_project, dense_kulkarni_nomizu,
+                      l2_form_inner, perturbed_state3, smooth_field)
 
 BATCH = 3
 REL = 1e-13
@@ -217,6 +223,29 @@ def test_kulkarni_nomizu_pair_form_matches_dense(a, b):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def bianchi_sum(D):
+    return (D + np.einsum('...ijkl->...jkil', D)
+            + np.einsum('...ijkl->...kijl', D))
+
+
+@settings(max_examples=30, deadline=None)
+@given(raw=arrays(np.float64, (BATCH, 21, 7, 7), elements=_unit))
+def test_curvature_project_on_pair_rows(raw):
+    # random raw rows R_ijkl, (i<j): the pair-form projection is the dense
+    # cyclic projection of the (i, j)-antisymmetric extension, gathered at
+    # PAIR; it is idempotent, and its result satisfies the first Bianchi
+    # identity, each to 1e-14 of the unit entry scale
+    i, j = al.PAIR[0][:, 0], al.PAIR[1][:, 0]
+    dense = np.zeros((BATCH,) + (7,) * 4)
+    dense[:, i, j], dense[:, j, i] = raw, -raw
+    got = ge._curvature_project(raw)
+    want = dense_curvature_project(dense)[(...,) + al.PAIR]
+    assert np.max(np.abs(got - want)) <= 1e-14
+    again = ge._curvature_project(al.pair_to_dense(got)[:, i, j])
+    assert np.max(np.abs(again - got)) <= 1e-14
+    assert np.max(np.abs(bianchi_sum(al.pair_to_dense(got)))) <= 1e-14
+
+
 CURVED = pytest.mark.parametrize('three', (False, True),
                                 ids=('2axis', '3axis'))
 
@@ -230,9 +259,7 @@ def test_pair_to_dense_rm_symmetries(state16, state3, three):
     assert np.array_equal(D, -np.einsum('...ijkl->...jikl', D))
     assert np.array_equal(D, -np.einsum('...ijkl->...ijlk', D))
     assert np.array_equal(D, np.einsum('...ijkl->...klij', D))
-    bianchi = (D + np.einsum('...ijkl->...jkil', D)
-               + np.einsum('...ijkl->...kijl', D))
-    assert np.max(np.abs(bianchi)) < 1e-14
+    assert np.max(np.abs(bianchi_sum(D))) < 1e-14
     assert D[(...,) + al.PAIR].tobytes() == Rm.tobytes()
 
 
@@ -278,6 +305,19 @@ def symmetry_cases(state16, state3):
             for three, s in ((False, state16), (True, state3))}
 
 
+def draw_shifts(spec, data):
+    return tuple(data.draw(st.integers(0, spec.shape[a] - 1))
+                 for a in spec.active_axes)
+
+
+def moved(values, axes, shifts, reflect):
+    """A 3-form field shifted by whole cells, then reflected x1 -> -x1."""
+    values = np.roll(values, shifts, axis=axes)
+    if reflect:
+        values = SIGN_X1 * np.roll(np.flip(values, 0), 1, axis=0)
+    return values
+
+
 def check_translation_and_reflection(symmetry_cases, three, reflect, data,
                                      names):
     # a cyclic shift by whole cells, and x1 -> -x1 (grid index i -> -i
@@ -285,11 +325,8 @@ def check_translation_and_reflection(symmetry_cases, three, reflect, data,
     # stencil and every pointwise kernel
     state, want = symmetry_cases[three]
     axes = state.spec.active_axes
-    shifts = tuple(data.draw(st.integers(0, state.spec.shape[a] - 1))
-                   for a in axes)
-    vals = np.roll(state.phi.values, shifts, axis=axes)
-    if reflect:
-        vals = SIGN_X1 * np.roll(np.flip(vals, 0), 1, axis=0)
+    shifts = draw_shifts(state.spec, data)
+    vals = moved(state.phi.values, axes, shifts, reflect)
     for name, got in fields(vals, state.spec, names).items():
         if reflect:
             got = np.roll(np.flip(got, 0), 1, axis=0)
@@ -350,3 +387,45 @@ def test_weyl_c1_axis_permutation(symmetry_cases, three, data):
 @given(three=st.booleans(), data=st.data())
 def test_curvature_scalars_axis_permutation(symmetry_cases, three, data):
     check_axis_permutation(symmetry_cases, three, data, SCALARS)
+
+
+# --- the grid's symmetries through a whole monitored run ---
+
+RUN3 = "grid.n = 16\ninitial.family = perturbed\nflow.steps = 3\n"
+INTEGRAL_COLUMNS = ('volume', 'period_max_err')
+
+
+def run_series(phi, run_dir):
+    return run_flow(parse_config(RUN3), run_dir, fl.FlowState(0.0, phi))[0]
+
+
+@pytest.fixture(scope="module")
+def base_series(state16, tmp_path_factory):
+    return run_series(state16.phi, str(tmp_path_factory.mktemp('base')))
+
+
+@pytest.mark.parametrize('reflect', (False, True),
+                         ids=('translate', 'reflect'))
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_run_series_translation_and_reflection(state16, base_series,
+                                               reflect, data):
+    # a 3-step run from a shifted (and reflected) start: each state is the
+    # moved image of the unmoved run's state, so every max-type column is
+    # bit-identical and the integral columns agree to rounding; the
+    # periods are measured against the unmoved flat class, so a reflection
+    # changes them and only translations are compared there
+    spec = state16.spec
+    vals = moved(state16.phi.values, spec.active_axes,
+                 draw_shifts(spec, data), reflect)
+    with tempfile.TemporaryDirectory() as run_dir:
+        series = run_series(gr.FormField(3, spec, vals), run_dir)
+    assert len(series) == len(base_series) == 4
+    for row, want in zip(series, base_series):
+        for col, value in want.items():
+            if col not in INTEGRAL_COLUMNS:
+                assert repr(row[col]) == repr(value), col
+        assert row['volume'] == pytest.approx(want['volume'], rel=1e-14)
+        if not reflect:
+            assert abs(row['period_max_err'] - want['period_max_err']) \
+                <= 1e-13
