@@ -286,33 +286,54 @@ def bilinear_form_comps(phi3):
     return B.reshape(phi3.shape[:-1] + (DIM, DIM))
 
 
+def _lower_inverse(L):
+    """X = L^-1 of batched lower-triangular 7x7 matrices: seven rows of
+    forward substitution, X_i = (e_i - L_i,<i X_<i) / L_ii."""
+    X = np.zeros_like(L)
+    for i in range(DIM):
+        row = -np.einsum('...k,...kj->...j', L[..., i, :i], X[..., :i, :])
+        row[..., i] += 1.0
+        X[..., i, :] = row / L[..., i, i, None]
+    return X
+
+
 def metric_data_from_phi(phi3):
     """Batched metric data (g, g_inv, det_g, vol, orientation) from a
     positive 3-form.  Raises NotPositive with the first offending flat
     index when a component is not finite or the bilinear form is not
-    definite."""
+    definite.
+
+    One Cholesky factor L of Bt = s0 B serves every output: the
+    factorization is the definiteness check, det Bt = prod diag(L)^2 and
+    Bt^-1 = X^T X with X = L^-1.  s0 = sign(B[0, 0]) is the sign of det B
+    on every definite B (an odd dimension), and a zero B[0, 0] fails the
+    factorization."""
     finite = np.all(np.isfinite(phi3), axis=-1)
     if not np.all(finite):
         bad = int(np.argmin(np.reshape(finite, -1)))
         raise NotPositive("3-form has non-finite components", point=bad)
     B = bilinear_form_comps(phi3)
-    detB = np.linalg.det(B)
-    s0 = np.sign(detB)
-    if np.any(s0 == 0.0):
-        bad = int(np.argmin(np.abs(detB).reshape(-1)))
-        raise NotPositive("bilinear form is singular", point=bad)
+    s0 = np.sign(B[..., 0, 0])
     Bt = s0[..., None, None] * B
     try:
-        np.linalg.cholesky(Bt)
+        L = np.linalg.cholesky(Bt)
     except np.linalg.LinAlgError:
-        ev = np.linalg.eigvalsh(Bt)[..., 0]
+        # the first point of least |det B| when one is singular, else the
+        # point of least eigenvalue of sign(det B) B
+        detB = np.linalg.det(B)
+        s = np.sign(detB)
+        if np.any(s == 0.0):
+            bad = int(np.argmin(np.abs(detB).reshape(-1)))
+            raise NotPositive("bilinear form is singular", point=bad)
+        ev = np.linalg.eigvalsh(s[..., None, None] * B)[..., 0]
         bad = int(np.argmin(ev.reshape(-1)))
         raise NotPositive("3-form is not positive (bilinear form indefinite)",
                           point=bad)
-    detBt = np.abs(detB)
+    detBt = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1) ** 2
+    X = _lower_inverse(L)
     scale = detBt ** (-1.0 / 9.0)
     g = scale[..., None, None] * Bt
-    ginv = np.linalg.inv(g)
+    ginv = (np.swapaxes(X, -1, -2) @ X) / scale[..., None, None]
     detg = detBt ** (2.0 / 9.0)
     vol = detBt ** (1.0 / 9.0)
     return g, ginv, detg, vol, s0

@@ -236,9 +236,10 @@ def build_initial_state(cfg):
     return FlowState(0.0, phi), {}
 
 
-def monitor_row(ts, dt, gammas, g0, running):
+def monitor_row(ts, gammas, g0, running):
     """The series.csv row of one accepted state, read through its
-    StateTensors ``ts``; min_C_g2 is left blank for the caller.  Where
+    StateTensors ``ts``; the dt cell is the step that produced the state,
+    blank when none did, and min_C_g2 is left blank for the caller.  Where
     min(R + c) <= 0 the ratio and f cells are blank too, and
     running['pinching_paused'] is set.  ``running`` holds the reference
     periods and the running Weyl-ratio maximum, updated in place."""
@@ -249,7 +250,7 @@ def monitor_row(ts, dt, gammas, g0, running):
     ref = running['period_ref']
     row = dict.fromkeys(csv_columns(gammas))
     row.update({
-        'step': state.step_index, 't': state.t, 'dt': dt,
+        'step': state.step_index, 't': state.t, 'dt': state.dt,
         'closedness': state.closedness(),
         'period_max_err': max(abs(periods[k] - ref[k]) for k in ref),
         'volume': state.volume(),
@@ -341,7 +342,7 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     # run's restored row already exists in the original CSV
     ts = StateTensors(state, c)
     window = [(ts, None if resumed else
-               monitor_row(ts, None, gammas, g0, running))]
+               monitor_row(ts, gammas, g0, running))]
     t_wall = time.time()
     try:
         while ts.state.step_index < cfg.flow_steps:
@@ -349,12 +350,11 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
                 new = step_fixed(ts.state, cfg.flow_fixed_dt)
             else:
                 new = step(ts.state, policy)
-            dt = new.t - ts.state.t
             # metric speed 2 |S| accumulates the distortion-bound integral
             sp = 2.0 * np.sqrt(np.max(tensor_norm2(ts.b.S, ts.m, 2)))
-            running['speed_integral'] += dt * sp
+            running['speed_integral'] += new.dt * sp
             ts = StateTensors(new, c)
-            window.append((ts, monitor_row(ts, dt, gammas, g0, running)))
+            window.append((ts, monitor_row(ts, gammas, g0, running)))
             mid_row = window[-2][1]
             if mid_row is not None and len(window) == 3:
                 try:

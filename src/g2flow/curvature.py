@@ -14,7 +14,8 @@ import numpy as np
 from .algebra import DIM, NCOMP, PAIR, basis_interior_table
 from .errors import NonPositiveShiftedScalar
 # perfbench/selftest.py checks that its tracer wraps this tensor_norm2 binding
-from .geometry import pair_norm2, partial_stack, tensor_norm2  # noqa: F401
+from .geometry import pair_norm2, tensor_norm2  # noqa: F401
+from .grid import partial_derivative
 
 
 def kulkarni_nomizu(alpha, beta):
@@ -57,21 +58,39 @@ def pair_derivation_table():
     return tab.reshape(DIM * DIM, NCOMP[2] ** 2)
 
 
+# points per batch of c1_norm's derivative terms: their (7, 21, 21)
+# temporaries then take about 3 MB per array whatever the grid size
+C1_CHUNK = 128
+
+
 def c1_norm(W, m):
     """Pointwise |W|_{C1} = sqrt(|W|^2 + |nabla W|^2) of a pair-form Weyl
     field, |W|^2 from pair_norm2.  Gamma_a acts on each pair as the 2-form
     derivation D_a, so nabla_a W = d_a W - D_a W - (D_a W)^T, and
     |nabla W|^2 = 4 g^ab tr(nabla_a W Lam nabla_b W Lam), Lam = m.pair_ginv.
+    The derivative terms run over chunks of C1_CHUNK points, each point
+    through the same operations as in one whole-grid pass, so the field
+    does not depend on the chunk size while the temporaries stay small.
     """
-    sh = W.shape[:-2]
-    D = (m.gamma_flat.reshape(sh + (DIM, DIM * DIM))
-         @ pair_derivation_table()).reshape(sh + (DIM,) + W.shape[-2:])
-    DW = D @ W[..., None, :, :]
-    nWL = (partial_stack(W, m.spec) - DW - np.swapaxes(DW, -1, -2)) \
-        @ m.pair_ginv[..., None, :, :]
-    gnWL = (m.ginv @ nWL.reshape(sh + (DIM, -1))).reshape(nWL.shape)
-    dn2 = np.sum(nWL * np.swapaxes(gnWL, -1, -2), axis=(-3, -2, -1))
-    return np.sqrt(pair_norm2(W, m) + 4.0 * dn2)
+    P = NCOMP[2]
+    Wf = W.reshape(-1, P, P)
+    n = Wf.shape[0]
+    gam = m.gamma_flat.reshape(n, DIM, DIM * DIM)
+    lam = m.pair_ginv.reshape(Wf.shape)
+    gi = m.ginv.reshape(n, DIM, DIM)
+    dW = [(a, partial_derivative(W, m.spec, a).reshape(Wf.shape))
+          for a in m.spec.active_axes]
+    dn2 = np.empty(n)
+    for c in (slice(s, s + C1_CHUNK) for s in range(0, n, C1_CHUNK)):
+        D = (gam[c] @ pair_derivation_table()).reshape(-1, DIM, P, P)
+        DW = D @ Wf[c, None, :, :]
+        dWc = np.zeros(DW.shape)             # d_a W, zero on inactive axes
+        for a, d in dW:
+            dWc[:, a] = d[c]
+        nWL = (dWc - DW - np.swapaxes(DW, -1, -2)) @ lam[c, None, :, :]
+        gnWL = (gi[c] @ nWL.reshape(-1, DIM, P * P)).reshape(nWL.shape)
+        dn2[c] = np.sum(nWL * np.swapaxes(gnWL, -1, -2), axis=(-3, -2, -1))
+    return np.sqrt(pair_norm2(W, m) + 4.0 * dn2.reshape(W.shape[:-2]))
 
 
 def auto_shift(bundle):

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import algebra as al
 from .errors import NotPositive, PositivityLost, SnapshotError, Stalled
-from .geometry import (MetricField, attach_torsion, codifferential,
-                       hodge_star_field, pair_norm2, riemann,
-                       torsion_from_phi)
+from .geometry import (MetricField, attach_torsion, hodge_star_field,
+                       pair_norm2, psi_from_phi, riemann, torsion_from_phi)
 from .grid import FormField, GridSpec, exterior_derivative, integrate_scalar
 
 # retries of a step whose stages leave the positive cone, each at half dt
@@ -48,13 +47,15 @@ class FlowState:
 
     The dual 4-form, metric, torsion and curvature are computed on first
     access and cached; the 3-form array is frozen so caches can never go
-    stale.
+    stale.  ``dt`` is the step that produced the state (None for a state
+    that no step produced).
     """
 
-    def __init__(self, t, phi, step_index=0):
+    def __init__(self, t, phi, step_index=0, dt=None):
         self.t = float(t)
         self.phi = phi
         self.step_index = int(step_index)
+        self.dt = dt
 
     @property
     def spec(self):
@@ -69,12 +70,12 @@ class FlowState:
 
     @cached_property
     def psi(self):
-        return hodge_star_field(self.phi, self.metric)
+        return psi_from_phi(self.phi, self.metric)
 
     @cached_property
     def torsion(self):
         """The raw torsion 2-tensor T (skew to discretization error)."""
-        return torsion_from_phi(self.phi, self.metric, self.psi)
+        return torsion_from_phi(self.phi, self.metric)
 
     @cached_property
     def bundle(self):
@@ -87,13 +88,20 @@ class FlowState:
         return integrate_scalar(self.metric.vol, self.spec)
 
 
-def rhs(phi):
-    """d(d* phi) on a closed 3-form field; exact in the image of d.
+def rhs(phi, m=None, psi=None):
+    """d(d* phi) on a closed 3-form field; exact in the image of d.  The
+    metric ``m`` and dual 4-form ``psi`` of phi are built unless given (a
+    FlowState passes its cached ones); d* phi = -* d psi on 3-forms.
 
     A 3-form outside the positive cone raises NotPositive with the flat
     index of the first bad point, for the step controller to translate.
     """
-    return exterior_derivative(codifferential(phi, MetricField.from_phi(phi)))
+    if m is None:
+        m = MetricField.from_phi(phi)
+    if psi is None:
+        psi = psi_from_phi(phi, m)
+    dstar = hodge_star_field(exterior_derivative(psi), m)
+    return exterior_derivative(FormField(2, phi.spec, -dstar.values))
 
 
 def suggest_dt(state, policy):
@@ -108,8 +116,11 @@ def suggest_dt(state, policy):
     return min(dt, policy.max_dt)
 
 
-def _rk4(phi, dt):
-    k1 = rhs(phi)
+def _rk4(state, dt):
+    """One classical RK4 step of the state's 3-form; stage k1 reads the
+    state's cached metric and dual 4-form."""
+    phi = state.phi
+    k1 = rhs(phi, state.metric, state.psi)
     k2 = rhs(FormField(3, phi.spec, phi.values + 0.5 * dt * k1.values))
     k3 = rhs(FormField(3, phi.spec, phi.values + 0.5 * dt * k2.values))
     k4 = rhs(FormField(3, phi.spec, phi.values + dt * k3.values))
@@ -132,8 +143,8 @@ def step(state, policy=StepPolicy()):
     for _ in range(MAX_RETRIES + 1):
         history.append(dt)
         try:
-            phi_new = _rk4(state.phi, dt)
-            new = FlowState(state.t + dt, phi_new, state.step_index + 1)
+            new = FlowState(state.t + dt, _rk4(state, dt),
+                            state.step_index + 1, dt)
             new.metric  # force the positivity check of the accepted state
             return new
         except NotPositive as e:
@@ -151,8 +162,8 @@ def step_fixed(state, dt):
     """One RK4 step at a prescribed dt (verification trajectories); no
     retry logic, positivity failure raises immediately."""
     try:
-        phi_new = _rk4(state.phi, dt)
-        new = FlowState(state.t + dt, phi_new, state.step_index + 1)
+        new = FlowState(state.t + dt, _rk4(state, dt), state.step_index + 1,
+                        dt)
         new.metric
         return new
     except NotPositive as e:

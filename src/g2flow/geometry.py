@@ -248,15 +248,49 @@ def codifferential(a, m):
 # torsion of a G2-structure field
 # ---------------------------------------------------------------------------
 
-def torsion_from_phi(phi, m, psi):
+# psi_ijab for each i<j<a<b (INC[4] order): the pair positions of (i, j)
+# and (a, b), and the four indices
+_SPLIT = tuple(np.array(c) for c in zip(*(
+    (al.POS[2][K[:2]], al.POS[2][K[2:]]) + K for K in al.INC[4])))
+
+
+def psi_from_phi(phi, m):
+    """The dual 4-form psi = *phi of a positive 3-form field under its own
+    metric m, by the contraction identity phi_ijk phi_ab^k = g_ia g_jb -
+    g_ib g_ja + psi_ijab on each increasing (i<j),(a<b) split: the rows
+    phi_Jk of the interior gather, one slot raised by g^-1, contracted
+    over k.  Quadratic in phi, so psi(-phi) = psi(phi) as for the star."""
+    P, Q, i, j, a, b = _SPLIT
+    idx, sgn = al.basis_interior_table(3)
+    rows = phi.values[..., idx] * sgn                # (.., k, J) phi_Jk
+    up = m.ginv @ rows                                # phi_J^k
+    g = m.g
+    out = (np.einsum('...kc,...kc->...c', rows[..., P], up[..., Q])
+           - g[..., i, a] * g[..., j, b] + g[..., i, b] * g[..., j, a])
+    return FormField(4, phi.spec, out)
+
+
+def raised_from_dual(dual, m):
+    """Components a^I of the form a = *dual with every slot raised, read
+    off its dual (** = 1 in dimension 7): a^I = sgn(I, Ic) dual_Ic / (vol
+    orientation), the inverse of the star's k <= 3 route."""
+    idx, sgn = al.complement_table(DIM - dual.degree)
+    out = dual.values[..., idx] * sgn
+    out /= (m.vol * m.orientation)[..., None]
+    return out
+
+
+def torsion_from_phi(phi, m):
     """Full torsion 2-tensor T_il = (1/4) (nabla_i phi)_J (e_l -| psi)^J of
     a 3-form field, summed over increasing J: the raw contraction T_i^m =
-    (1/24) nabla_i phi_jkl psi^{mjkl} with its second slot lowered.  For a
-    closed structure it is skew to discretization error; ``attach_torsion``
-    takes its exact skew part for the evolution formulas."""
+    (1/24) nabla_i phi_jkl psi^{mjkl} with its second slot lowered.  The
+    raised psi is read off its dual phi, so (e_l -| psi)^J = g_lm psi^{mJ}
+    is one gather and one product with g.  For a closed structure T is
+    skew to discretization error; ``attach_torsion`` takes its exact skew
+    part for the evolution formulas."""
+    psi_up = raised_from_dual(phi, m)
     idx, sgn = al.basis_interior_table(4)
-    ipsi_up = al.move_indices_dense(3, psi.values[..., idx] * sgn,
-                                    m.ginv[..., None, :, :])
+    ipsi_up = m.g @ (psi_up[..., idx] * sgn)        # (.., l, J)
     nphi = form_covariant_derivative(phi, m)
     return 0.25 * (nphi @ np.swapaxes(ipsi_up, -1, -2))
 
@@ -268,11 +302,12 @@ def intrinsic_torsion(phi, psi, m):
     spec = phi.spec
     dphi = exterior_derivative(phi)
     dpsi = exterior_derivative(psi)
+    phir = raised_from_dual(psi, m)                     # phi^I
     # scalar torsion: coefficient of psi in d phi.  <d phi, psi> = 4 <*d
     # phi, phi> and |psi|^2 = 168 exactly for a compatible pair, so the
     # pairing runs through the cheap degree-3 inner product.
     sdphi = hodge_star_field(dphi, m)
-    tau0 = al.form_inner_comps(3, sdphi.values, phi.values, m.ginv) / 42.0
+    tau0 = 6.0 * np.sum(sdphi.values * phir, axis=-1) / 42.0
 
     # vector torsion: <d phi, dx^a ^ phi> = 3 c tau1^a with the universal
     # c = |alpha ^ phi|^2 / |alpha|^2 = 96 (4! times the four unit
@@ -280,7 +315,6 @@ def intrinsic_torsion(phi, psi, m):
     # wedge/interior adjointness to stay on cheap degree-3 inner products
     idx, sgn = al.basis_interior_table(4)
     w = dphi.values[..., idx] * sgn                      # (.., 7, 35) e_m -| dphi
-    phir = al.move_indices_dense(3, phi.values, m.ginv)
     inner_m = 24.0 * np.matmul(w, phir[..., None])[..., 0]
     M = np.einsum('...am,...m->...a', m.ginv, inner_m)   # <dphi, dx^a ^ phi>
     tau1_up = M / (3.0 * 96.0)

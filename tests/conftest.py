@@ -97,6 +97,17 @@ def dense_c1_norm(T, m, rank):
         ge.covariant_derivative(T, m, rank), m, rank + 1))
 
 
+def dense_torsion(phi, m, psi):
+    """T_il = (1/4) (nabla_i phi)_J (e_l -| psi)^J with every slot of the
+    rows e_l -| psi raised as a dense 3-form: the reference for
+    geometry.torsion_from_phi, which reads the raised psi off phi."""
+    idx, sgn = al.basis_interior_table(4)
+    ipsi_up = al.move_indices_dense(3, psi.values[..., idx] * sgn,
+                                    m.ginv[..., None, :, :])
+    nphi = ge.form_covariant_derivative(phi, m)
+    return 0.25 * (nphi @ np.swapaxes(ipsi_up, -1, -2))
+
+
 def rewrite_header(path, field, value):
     """Overwrite one field of a snapshot header in place."""
     raw = bytearray(path.read_bytes())

@@ -148,6 +148,35 @@ class TestMetricFromPhi:
             al.metric_data_from_phi(phis)
         assert err.value.point == 7
 
+    @pytest.mark.parametrize('case, message', [
+        ('split', "3-form is not positive (bilinear form indefinite)"),
+        ('split_null_first_axis',
+         "3-form is not positive (bilinear form indefinite)"),
+        ('no_first_axis', "bilinear form is singular"),
+    ])
+    def test_nonpositive_rejected_with_point(self, case, message):
+        # the split 3-form (the sign of e356 flipped) has a bilinear form
+        # of signature (4, 3); pulled back by a map taking e1 to the null
+        # vector e1 + e3 it keeps det B = -1 with B[0, 0] = 0; without its
+        # terms on axis 1, e1 -| phi = 0 and B is singular, B[0, 0] = 0
+        comps = al.standard_phi().comps.copy()
+        comps[al.POS[3][(2, 4, 5)]] *= -1.0
+        if case == 'split_null_first_axis':
+            u = np.eye(7)
+            u[2, 0] = 1.0
+            comps = al.pullback_3form(u, al.FormK(3, comps)).comps
+        elif case == 'no_first_axis':
+            comps = al.standard_phi().comps.copy()
+            comps[[n for n, I in enumerate(al.INC[3]) if 0 in I]] = 0.0
+        if case != 'split':
+            assert al.bilinear_form_comps(comps)[0, 0] == 0.0
+        phis = np.broadcast_to(al.standard_phi().comps, (4, 3, 35)).copy()
+        phis[2, 1] = comps
+        with pytest.raises(NotPositive) as err:
+            al.metric_data_from_phi(phis)
+        assert str(err.value) == message
+        assert err.value.point == 7
+
     def test_metric_inverse_consistency(self):
         u = healthy_linear_map(np.random.default_rng(3))
         m = al.metric_from_phi(al.pullback_3form(u, al.standard_phi()))

@@ -7,7 +7,7 @@ import pytest
 from g2flow import algebra as al
 from g2flow import flow as fl
 from g2flow import report as rp
-from g2flow.cli import main, monitor_summary, parse_config
+from g2flow.cli import main, monitor_summary, parse_config, run_flow
 from g2flow.errors import ConfigError
 
 from conftest import flat_state, rewrite_header
@@ -216,6 +216,14 @@ class TestRunCommand:
         assert part[0] == full[0]
         # resumed rows are steps 5..8: rows 6.. of the unbroken file
         assert part[1:] == full[6:]
+
+    def test_dt_column_is_the_step_taken(self, tmp_path):
+        # at t = 1e6 the difference of consecutive times is not 0.001
+        out = tmp_path / "run"
+        text = BASE_CFG.format(family='flat', steps=3, out=out, snap=0)
+        cfg = parse_config(text + "flow.fixed_dt = 0.001\n")
+        run_flow(cfg, str(out), fl.FlowState(1e6, flat_state().phi))
+        assert rp.read_csv(out / 'series.csv')['dt'] == [None] + [0.001] * 3
 
     def test_manifest_config_roundtrip(self, tmp_path):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"

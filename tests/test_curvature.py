@@ -9,7 +9,7 @@ from g2flow.cli import csv_columns, monitor_row
 from g2flow.errors import NonPositiveShiftedScalar
 from g2flow.grid import period_integrals
 
-from conftest import dense_c1_norm, flat_state
+from conftest import dense_c1_norm, flat_state, perturbed_state3
 
 RNG = np.random.default_rng(21)
 
@@ -103,6 +103,16 @@ class TestC1Norm:
         fld = cv.c1_norm(cv.kulkarni_nomizu(m.g, m.g), m)
         assert np.max(np.abs(fld - np.sqrt(336.0))) <= 1e-12 * np.sqrt(336.0)
 
+    @pytest.mark.parametrize('three', (False, True))
+    def test_chunk_size_does_not_move_bits(self, state16, three,
+                                           monkeypatch):
+        # 5 divides neither 256 nor 512 points, so the last chunk is short
+        st = perturbed_state3() if three else state16
+        W = cv.weyl(st.bundle, st.metric)
+        whole = cv.c1_norm(W, st.metric)
+        monkeypatch.setattr(cv, 'C1_CHUNK', 5)
+        assert np.array_equal(cv.c1_norm(W, st.metric), whole)
+
     def test_weyl_c1_stable_under_refinement(self, state32, state64):
         vals = {}
         for st in (state32, state64):
@@ -154,7 +164,7 @@ class TestPinchingReport:
     def test_report_row(self, state16):
         c = cv.auto_shift(state16.bundle)
         running = {'period_ref': period_integrals(state16.phi)}
-        row = monitor_row(vf.StateTensors(state16, c), None, (2.0,),
+        row = monitor_row(vf.StateTensors(state16, c), (2.0,),
                           state16.metric.g, running)
         assert row['f_max_g2'] >= row['f_min_g2'] >= 0.0
         assert row['W_c1_max'] >= 0.0

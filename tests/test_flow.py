@@ -113,6 +113,23 @@ class TestStep:
         for key in p0:
             assert abs(p1[key] - p0[key]) <= 1e-10 * scale
 
+    def test_step_builds_four_metrics(self, monkeypatch):
+        # stage k1 reads the state's cached metric, so only stages k2-k4
+        # and the new state's positivity check build one
+        state = fl.FlowState(0.0, perturbed_phi_field(scenario_spec(8), 0.05))
+        state.metric
+        calls = []
+        inner = al.metric_data_from_phi
+
+        def counted(phi3):
+            calls.append(phi3.shape)
+            return inner(phi3)
+
+        monkeypatch.setattr(al, 'metric_data_from_phi', counted)
+        new = fl.step_fixed(state, 1e-3)
+        assert len(calls) == 4
+        assert new.dt == 1e-3
+
     def test_state_caches_are_fresh(self, short_run):
         s = short_run[1]
         assert s.metric is s.metric

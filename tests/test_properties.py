@@ -7,12 +7,16 @@ the wedge kernel; these tests pin both against the dense einsum formulas
 on random data.  The metric kernel's bilinear form, a product with a fixed
 volume-pairing table, is pinned against Bryant's formula spelled out with
 the interior and wedge kernels, and the metric kernel is GL-equivariant:
-the pullback of the standard 3-form by u induces the metric u^T u.  The
-one slot kernel, slot_apply, is pinned against einsum on every rank and
-slot choice it serves.  On random smooth periodic fields on the
-three-axis, unequal-period grid, d o d vanishes and d* is the adjoint of d
-to rounding.  The pair-form Weyl C1 norm matches the dense every-slot
-contraction on perturbed 2- and 3-axis states; the pair-form
+the pullback of the standard 3-form by u induces the metric u^T u.  On
+those pullbacks, in both orientations, psi read off phi by the
+contraction identity matches the Hodge star, and the torsion read
+through phi's dual matches the dense raise of e_l -| psi on perturbed
+2- and 3-axis states.  The one slot kernel, slot_apply, is pinned
+against einsum on every rank and slot choice it serves.  On random
+smooth periodic fields on the three-axis, unequal-period grid, d o d
+vanishes and d* is the adjoint of d to rounding.  The pair-form Weyl C1
+norm matches the dense every-slot contraction on perturbed 2- and 3-axis
+states; the pair-form
 Kulkarni-Nomizu product matches the dense einsum, the dense expansion of
 the stored Rm has the curvature symmetries, and suggest_dt's pair-form
 |Rm| matches the dense norm.  The pair-form curvature projection matches
@@ -46,7 +50,8 @@ from g2flow.initial_data import (DEFAULT_MODES,  # noqa: E402
 
 from conftest import (GRID3, MODES3, dense_c1_norm,  # noqa: E402
                       dense_curvature_project, dense_kulkarni_nomizu,
-                      l2_form_inner, perturbed_state3, smooth_field)
+                      dense_torsion, l2_form_inner, perturbed_state3,
+                      smooth_field)
 
 BATCH = 3
 REL = 1e-13
@@ -102,14 +107,10 @@ def test_bilinear_form_matches_bryant_formula(phi, near):
     assert_close(al.bilinear_form_comps(phi), want, scale)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1),
-       sv=arrays(np.float64, (BATCH, 7), elements=st.floats(0.5, 2.0)),
-       flip=st.booleans())
-def test_metric_kernel_gl_equivariant(seed, sv, flip):
-    # u = q1 diag(sv) q2 with random orthogonal q1, q2, reflected by flip:
-    # the pullback u* phi_0 of the standard 3-form induces g = u^T u, so
-    # det g = det(u)^2, vol = |det u| and the orientation is sign(det u)
+def gl_pullbacks(seed, sv, flip):
+    """u = q1 diag(sv) q2 with random orthogonal q1, q2 (one per batch
+    point), its first column negated when flip, and the pullbacks u* phi_0
+    of the standard 3-form."""
     rng = np.random.default_rng(seed)
     q1, q2 = (np.linalg.qr(rng.standard_normal((BATCH, 7, 7)))[0]
               for _ in range(2))
@@ -119,6 +120,21 @@ def test_metric_kernel_gl_equivariant(seed, sv, flip):
     phis = al.dense_to_form(3, np.einsum(
         'nia,njb,nkc,ijk->nabc', u, u, u, al.standard_phi().to_dense(),
         optimize=True))
+    return u, phis
+
+
+gl_maps = dict(seed=st.integers(0, 2 ** 32 - 1),
+               sv=arrays(np.float64, (BATCH, 7),
+                         elements=st.floats(0.5, 2.0)),
+               flip=st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(**gl_maps)
+def test_metric_kernel_gl_equivariant(seed, sv, flip):
+    # the pullback u* phi_0 of the standard 3-form induces g = u^T u, so
+    # det g = det(u)^2, vol = |det u| and the orientation is sign(det u)
+    u, phis = gl_pullbacks(seed, sv, flip)
     g, ginv, det_g, vol, orient = al.metric_data_from_phi(phis)
     gram = np.swapaxes(u, -1, -2) @ u
     det_u = np.linalg.det(u)
@@ -127,6 +143,28 @@ def test_metric_kernel_gl_equivariant(seed, sv, flip):
         err = np.abs(got - want).reshape(BATCH, -1).max(axis=1)
         assert np.all(err <= 1e-12 * np.abs(want).reshape(BATCH, -1).max(1))
     assert np.array_equal(orient, np.sign(det_u))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**gl_maps)
+def test_psi_from_phi_matches_star(seed, sv, flip):
+    # the contraction identity against the Hodge star's dense raise, in
+    # both orientations, on a field of BATCH points
+    phis = gl_pullbacks(seed, sv, flip)[1]
+    spec = gr.GridSpec((BATCH,) + (1,) * 6)
+    phi = gr.FormField(3, spec, phis.reshape(spec.shape + (35,)))
+    m = ge.MetricField.from_phi(phi)
+    want = al.star_comps(3, phi.values, m.g, m.ginv, m.vol, m.orientation)
+    assert_close(ge.psi_from_phi(phi, m).values, want, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize('three', (False, True))
+def test_torsion_matches_dense_raise(state16, state3, three):
+    # T from phi's dual psi^K against the seven dense 3-form raises
+    state = state3 if three else state16
+    T = ge.torsion_from_phi(state.phi, state.metric)
+    want = dense_torsion(state.phi, state.metric, state.psi)
+    assert_close(T, want, np.max(np.abs(want)))
 
 
 @settings(max_examples=25, deadline=None)
