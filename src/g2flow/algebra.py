@@ -61,14 +61,10 @@ def complement_table(k):
     """For each I in INC[k]: (position of complement in INC[7-k], sign(I, Ic)).
 
     sign(I, Ic) is the sign of the permutation (I, Ic) of (0..6); it equals
-    sign(Ic, I) because k(7-k) is even for every k.
+    sign(Ic, I) because k(7-k) is even for every k.  These are the terms
+    e^I ^ e^Ic = sign(I, Ic) e^0..6 of the wedge table, one per I in order.
     """
-    idx = np.empty(NCOMP[k], dtype=np.intp)
-    sgn = np.empty(NCOMP[k], dtype=np.float64)
-    for n, I in enumerate(INC[k]):
-        Ic = tuple(sorted(set(range(DIM)) - set(I)))
-        idx[n] = POS[DIM - k][Ic]
-        sgn[n] = perm_sign(I + Ic)
+    _, idx, sgn, _ = wedge_table(k, DIM - k)
     return idx, sgn
 
 
@@ -130,16 +126,13 @@ def dense_table(k):
 def basis_interior_table(k):
     """Gather table for e_m -| a over all m at once: (idx, sign) of shape
     (7, binomial(7, k-1)); idx points into the k-form components, entries
-    with m in J are flagged by sign 0 (idx 0)."""
+    with m in J are flagged by sign 0 (idx 0).  Each wedge-table term
+    e^m ^ e^J = s e^I gives e_m -| e^I = s e^J."""
+    m, J, s, scatter = wedge_table(1, k - 1)
     idx = np.zeros((DIM, NCOMP[k - 1]), dtype=np.intp)
     sgn = np.zeros((DIM, NCOMP[k - 1]))
-    for m in range(DIM):
-        for n_out, J in enumerate(INC[k - 1]):
-            if m in J:
-                continue
-            I, s = sort_with_sign((m,) + J)
-            idx[m, n_out] = POS[k][I]
-            sgn[m, n_out] = s
+    idx[m, J] = scatter.argmax(axis=1)
+    sgn[m, J] = s
     return idx, sgn
 
 
@@ -148,14 +141,13 @@ def volume_pairing_table():
     """Fixed (35, 441) table K: (phi @ K)[21 a + b] is the coefficient of
     dx^1...dx^7 in e^a ^ e^b ^ phi for the 2-form basis elements a, b.
     Each of the 210 disjoint (pair, pair, triple) partitions of {0..6}
-    contributes the sign of its concatenated permutation."""
+    contributes the sign of its concatenated permutation: the wedge-table
+    sign of e^a ^ e^b = s e^U times the complement sign of (U, T)."""
+    a, b, s, scatter = wedge_table(2, 2)
+    U = scatter.argmax(axis=1)
+    T, sign_UT = complement_table(4)
     K = np.zeros((NCOMP[3], NCOMP[2] * NCOMP[2]))
-    for A in INC[2]:
-        rest = tuple(sorted(set(range(DIM)) - set(A)))
-        for B in combinations(rest, 2):
-            T = tuple(sorted(set(rest) - set(B)))
-            col = NCOMP[2] * POS[2][A] + POS[2][B]
-            K[POS[3][T], col] = perm_sign(A + B + T)
+    K[T[U], NCOMP[2] * a + b] = s * sign_UT[U]
     return K
 
 
@@ -259,15 +251,13 @@ def star_comps(k, a, g, ginv, vol, orientation):
     g) so only forms of degree <= 3 are ever moved.
     """
     signed_vol = vol * orientation
-    idx, sg = complement_table(k)
+    # output component J reads input component Jc
+    idx, sg = complement_table(DIM - k)
     if k <= 3:
         raised = move_indices_dense(k, a, ginv)
-        out = np.zeros(a.shape[:-1] + (NCOMP[DIM - k],))
-        out[..., idx] = raised * sg * signed_vol[..., None]
-        return out
-    out = np.zeros(a.shape[:-1] + (NCOMP[DIM - k],))
-    out[..., idx] = a * sg / signed_vol[..., None]
-    return move_indices_dense(DIM - k, out, g)
+        return raised[..., idx] * sg * signed_vol[..., None]
+    dual = a[..., idx] * sg / signed_vol[..., None]
+    return move_indices_dense(DIM - k, dual, g)
 
 
 def bilinear_form_comps(phi3):

@@ -17,14 +17,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, G2FlowError, NonPositiveShiftedScalar
+from .grid import TWO_PI
 from .report import (CsvWriter, atomic_write_json, read_csv,
                      write_run_plots)
 # structure/crosscheck_residuals are bound here as perfbench's span targets
 from .verify import (StateTensors, crosscheck_residuals,
                      minimal_pinching_constant, pinching_shift,
                      run_verification, structure_residuals)
-
-TWO_PI = 2.0 * np.pi
 
 CHECK_GROUPS = ('structure', 'evolution', 'crosschecks')
 
@@ -281,16 +280,15 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     """Advance the configured flow, emitting CSV rows and snapshots.
 
     The minimal-pinching-constant column needs a centered state triple, so
-    the row for step n is written once step n+1 exists; the very first and
-    last rows carry an empty cell there, as does any triple holding a state
-    with min(R + c) <= 0.  A resumed run emits rows strictly after its
-    restored step, which makes its output byte-comparable with the same
-    rows of an unbroken run.
+    the row for step n gets its cell once step n+1 exists; the very first
+    and last rows carry an empty cell there, as does any triple holding a
+    state with min(R + c) <= 0.  A resumed run emits rows strictly after
+    its restored step, which makes its output byte-comparable with the
+    same rows of an unbroken run.
     """
     from .flow import StepPolicy, snapshot, step, step_fixed
     from .geometry import tensor_norm2
 
-    os.makedirs(run_dir, exist_ok=True)
     snap_dir = os.path.join(run_dir, 'snapshots')
     os.makedirs(snap_dir, exist_ok=True)
 
@@ -321,28 +319,16 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
                'period_ref': period_ref}
     events = []
 
-    writer = CsvWriter(os.path.join(run_dir, 'series.csv'),
-                       csv_columns(gammas))
-    history = []
-
     def snapshot_to(name):
         snapshot(ts.state, os.path.join(snap_dir, name),
                  {'c': c, 'w_ratio': running['w_ratio'],
                   'speed_integral': running['speed_integral']})
 
-    def emit(k):
-        """Write the pending row of window[k], if any."""
-        tensors, row = window[k]
-        if row is not None:
-            history.append(row)
-            writer.add_row(row)
-            window[k] = (tensors, None)
-
-    # (StateTensors, row not yet written) of the last states; a resumed
+    # every row made, and the StateTensors of the last states; a resumed
     # run's restored row already exists in the original CSV
     ts = StateTensors(state, c)
-    window = [(ts, None if resumed else
-               monitor_row(ts, gammas, g0, running))]
+    last = [ts]
+    history = [] if resumed else [monitor_row(ts, gammas, g0, running)]
     t_wall = time.time()
     try:
         while ts.state.step_index < cfg.flow_steps:
@@ -354,22 +340,22 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
             sp = 2.0 * np.sqrt(np.max(tensor_norm2(ts.b.S, ts.m, 2)))
             running['speed_integral'] += new.dt * sp
             ts = StateTensors(new, c)
-            window.append((ts, monitor_row(ts, gammas, g0, running)))
-            mid_row = window[-2][1]
-            if mid_row is not None and len(window) == 3:
+            last.append(ts)
+            history.append(monitor_row(ts, gammas, g0, running))
+            if len(last) == 3:
                 try:
-                    mid_row['min_C_g2'] = minimal_pinching_constant(
-                        *(t for t, _ in window))
+                    history[-2]['min_C_g2'] = minimal_pinching_constant(*last)
                 except NonPositiveShiftedScalar:
                     pass
-            emit(-2)
-            window = window[-2:]
+                del last[0]
             if cfg.output_snapshot_every and \
                     new.step_index % cfg.output_snapshot_every == 0:
                 snapshot_to(f'step{new.step_index:06d}.g2snap')
     finally:
-        for k in range(len(window)):
-            emit(k)
+        writer = CsvWriter(os.path.join(run_dir, 'series.csv'),
+                           csv_columns(gammas))
+        for row in history:
+            writer.add_row(row)
         writer.flush()
     snapshot_to('final.g2snap')
     events.append(f'completed {ts.state.step_index - state.step_index} '

@@ -22,12 +22,12 @@ class GridSpec:
 
     shape: points per axis (inactive axes have one point).
     periods: coordinate period per axis.
-    active_axes: axes along which fields may vary; must be exactly the axes
-    with more than one point.
+    active_axes: axes along which fields may vary, derived: the axes with
+    more than one point.
     """
     shape: tuple
     periods: tuple = (TWO_PI,) * DIM
-    active_axes: tuple = field(default=None)
+    active_axes: tuple = field(init=False)
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)
@@ -38,19 +38,10 @@ class GridSpec:
             raise ValueError("axis sizes must be positive")
         if any(p <= 0 for p in periods):
             raise ValueError("periods must be positive")
-        derived = tuple(a for a in range(DIM) if shape[a] > 1)
-        active = self.active_axes
-        if active is None:
-            active = derived
-        else:
-            active = tuple(sorted(int(a) for a in active))
-            if active != derived:
-                raise ValueError(
-                    f"active_axes {active} inconsistent with shape "
-                    f"(axes with N>1 are {derived})")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "active_axes", active)
+        object.__setattr__(self, "active_axes",
+                           tuple(a for a in range(DIM) if shape[a] > 1))
 
     @classmethod
     def from_active(cls, n, active_axes, period=TWO_PI):
@@ -191,15 +182,13 @@ def exterior_derivative(a):
     return FormField(k + 1, spec, out)
 
 
-def integrate_scalar(values, spec, weight=None):
+def integrate_scalar(values, spec):
     """Integral of a scalar sample over the torus (sum times cell volume).
 
-    ``weight`` multiplies pointwise (e.g. a volume density).  The reduction
-    is a plain fixed-order numpy sum, so results are reproducible bit for
-    bit for a fixed configuration.
+    The reduction is a plain fixed-order numpy sum, so results are
+    reproducible bit for bit for a fixed configuration.
     """
-    w = values if weight is None else values * weight
-    return float(np.sum(w)) * spec.cell_volume
+    return float(np.sum(values)) * spec.cell_volume
 
 
 def period_integrals(a):

@@ -59,7 +59,10 @@ def read_csv(path):
     return data
 
 
-def svg_line_chart(xs, series, title, width=720, height=360):
+WIDTH, HEIGHT = 720, 360   # chart size in pixels
+
+
+def svg_line_chart(xs, series, title):
     """Minimal multi-series line chart as an SVG string.
 
     ``series`` maps a label to a list of y values (None entries skipped).
@@ -75,7 +78,7 @@ def svg_line_chart(xs, series, title, width=720, height=360):
     if not pts or not xs:
         return ("<svg xmlns='http://www.w3.org/2000/svg' width='%d' "
                 "height='%d'><text x='20' y='30'>%s: no data</text></svg>"
-                % (width, height, title))
+                % (WIDTH, HEIGHT, title))
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(pts), max(pts)
     if x1 == x0:
@@ -86,25 +89,25 @@ def svg_line_chart(xs, series, title, width=720, height=360):
     y0, y1 = y0 - pad, y1 + pad
 
     def px(x):
-        return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
+        return margin + (x - x0) / (x1 - x0) * (WIDTH - 2 * margin)
 
     def py(y):
-        return height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
+        return HEIGHT - margin - (y - y0) / (y1 - y0) * (HEIGHT - 2 * margin)
 
-    out = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' "
-           f"height='{height}' viewBox='0 0 {width} {height}'>",
+    out = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{WIDTH}' "
+           f"height='{HEIGHT}' viewBox='0 0 {WIDTH} {HEIGHT}'>",
            "<rect width='100%' height='100%' fill='white'/>",
-           f"<text x='{width // 2}' y='24' text-anchor='middle' "
+           f"<text x='{WIDTH // 2}' y='24' text-anchor='middle' "
            f"font-family='monospace' font-size='14'>{title}</text>"]
     # axes
-    out.append(f"<line x1='{margin}' y1='{height - margin}' x2='{width - margin}' "
-               f"y2='{height - margin}' stroke='black'/>")
+    out.append(f"<line x1='{margin}' y1='{HEIGHT - margin}' x2='{WIDTH - margin}' "
+               f"y2='{HEIGHT - margin}' stroke='black'/>")
     out.append(f"<line x1='{margin}' y1='{margin}' x2='{margin}' "
-               f"y2='{height - margin}' stroke='black'/>")
+               f"y2='{HEIGHT - margin}' stroke='black'/>")
     for frac in (0.0, 0.5, 1.0):
         xv = x0 + frac * (x1 - x0)
         yv = y0 + frac * (y1 - y0)
-        out.append(f"<text x='{px(xv):.1f}' y='{height - margin + 18}' "
+        out.append(f"<text x='{px(xv):.1f}' y='{HEIGHT - margin + 18}' "
                    f"text-anchor='middle' font-family='monospace' "
                    f"font-size='11'>{xv:.4g}</text>")
         out.append(f"<text x='{margin - 6}' y='{py(yv):.1f}' "
@@ -117,7 +120,7 @@ def svg_line_chart(xs, series, title, width=720, height=360):
             path = " ".join(f"{cx:.2f},{cy:.2f}" for cx, cy in coords)
             out.append(f"<polyline points='{path}' fill='none' "
                        f"stroke='{color}' stroke-width='1.5'/>")
-        out.append(f"<text x='{width - margin + 4}' y='{margin + 14 * n + 10}' "
+        out.append(f"<text x='{WIDTH - margin + 4}' y='{margin + 14 * n + 10}' "
                    f"font-family='monospace' font-size='11' "
                    f"fill='{color}'>{label}</text>")
     out.append("</svg>")

@@ -145,6 +145,10 @@ class StateTensors:
         return al.pair_to_dense(self.b.Rm)
 
     @cached_property
+    def aux(self):
+        return compute_aux_terms(self)
+
+    @cached_property
     def Rm_Ric_up(self):
         """R_pijl R^pl."""
         return np.einsum('...pijl,...pl->...ij', self.Rm_dense, self.Ric_up,
@@ -229,10 +233,12 @@ def lichnerowicz(ts, h, h_up):
                               optimize=True))
 
 
-def rhs_general_flow_ricci(ts, eta):
-    """Evolution of Ric under d/dt g = eta: -(Lichnerowicz Laplacian of eta
-    + Hess tr eta - symmetrized derivative of div eta)/2."""
+def rhs_general_flow(ts):
+    """Evolutions of Ric and R under d/dt g = eta = -2S: Ric moves by
+    -(Lichnerowicz Laplacian of eta + Hess tr eta - symmetrized derivative
+    of div eta)/2, and R by -Delta tr eta + div div eta - <Ric, eta>."""
     m = ts.m
+    eta = -2.0 * ts.b.S
     lich = lichnerowicz(ts, eta, slot_apply(eta, m.ginv, 2))
     tr_eta = np.einsum('...ij,...ij->...', m.ginv, eta)
     hess_tr = second_covariant(tr_eta, m, 0)
@@ -240,19 +246,10 @@ def rhs_general_flow_ricci(ts, eta):
                         covariant_derivative(eta, m, 2), optimize=True)
     ddiv = covariant_derivative(div_eta, m, 1)
     sym_ddiv = ddiv + np.einsum('...ij->...ji', ddiv)
-    return -0.5 * (lich + hess_tr - sym_ddiv)
-
-
-def rhs_general_flow_scalar(ts, eta):
-    """Evolution of R under d/dt g = eta."""
-    m = ts.m
-    tr_eta = np.einsum('...ij,...ij->...', m.ginv, eta)
-    div_eta = np.einsum('...am,...amj->...j', m.ginv,
-                        covariant_derivative(eta, m, 2), optimize=True)
-    div_div = np.einsum('...aj,...aj->...', m.ginv,
-                        covariant_derivative(div_eta, m, 1), optimize=True)
+    div_div = np.einsum('...aj,...aj->...', m.ginv, ddiv, optimize=True)
     ric_pair = np.einsum('...ij,...ij->...', ts.Ric_up, eta)
-    return -scalar_laplacian(tr_eta, m) + div_div - ric_pair
+    return (-0.5 * (lich + hess_tr - sym_ddiv),
+            -scalar_laplacian(tr_eta, m) + div_div - ric_pair)
 
 
 def rhs_ricci_evolution(ts):
@@ -332,26 +329,24 @@ def compute_aux_terms(ts):
     return AuxTerms(I=I, J=J, H=H, grad_combo=grad_combo)
 
 
-def rhs_shifted_ricci_norm_evolution(ts, aux=None):
+def rhs_shifted_ricci_norm_evolution(ts):
     """Evolution of |Ric + (c/7) g|^2; nabla Ric_t = nabla Ric because
     nabla g vanishes to rounding."""
-    aux = aux or compute_aux_terms(ts)
     lap = scalar_laplacian(ts.Ric_t_norm2, ts.m)
     return (lap - 2.0 * ts.nabla_Ric_norm2
             + 4.0 * np.einsum('...pijl,...pl,...ij->...', ts.Rm_dense,
                               ts.Ric_t_up, ts.Ric_t_up, optimize=True)
-            + aux.I + aux.J)
+            + ts.aux.I + ts.aux.J)
 
 
-def rhs_shifted_scalar_evolution(ts, aux=None):
+def rhs_shifted_scalar_evolution(ts):
     """Evolution of R + c."""
-    aux = aux or compute_aux_terms(ts)
-    return scalar_laplacian(ts.Rt, ts.m) + 2.0 * ts.Ric_t_norm2 + aux.H
+    return scalar_laplacian(ts.Rt, ts.m) + 2.0 * ts.Ric_t_norm2 + ts.aux.H
 
 
-def rhs_pinching_evolution(ts, gamma, aux=None):
+def rhs_pinching_evolution(ts, gamma):
     """Full evolution equation of f = |E|^2 / (R + c)^gamma."""
-    aux = aux or compute_aux_terms(ts)
+    aux = ts.aux
     m = ts.m
     c = ts.c
     Rt = ts.Rt
@@ -412,8 +407,7 @@ def ricci_trace_vs_scalar_residual(ts):
 def shifted_norm_consistency_residual(ts):
     """RHS(shifted Ricci norm) - [RHS(Ricci norm) + (2c/7) RHS(scalar)];
     order h^4 through the R = -|T|^2 substitution in the I-term."""
-    aux = compute_aux_terms(ts)
-    lhs = rhs_shifted_ricci_norm_evolution(ts, aux)
+    lhs = rhs_shifted_ricci_norm_evolution(ts)
     rhs = rhs_ricci_norm_evolution(ts) + (2.0 * ts.c / 7.0) * rhs_scalar_evolution(ts)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -421,8 +415,7 @@ def shifted_norm_consistency_residual(ts):
 def shifted_scalar_consistency_residual(ts):
     """RHS(shifted scalar) - RHS(scalar): pure pointwise algebra, so this
     must vanish to rounding."""
-    aux = compute_aux_terms(ts)
-    lhs = rhs_shifted_scalar_evolution(ts, aux)
+    lhs = rhs_shifted_scalar_evolution(ts)
     return float(np.max(np.abs(lhs - rhs_scalar_evolution(ts))))
 
 
@@ -488,29 +481,17 @@ def centered_states(phi0, t_center, spacing):
     n_center = round(t_center / spacing)
     if abs(n_center * spacing - t_center) > 1e-12 * max(t_center, 1.0):
         raise ValueError("t_center must be a multiple of spacing")
-    st = FlowState(0.0, phi0)
-    keep = {}
-    for n in range(1, n_center + 2):
-        st = step_fixed(st, spacing)
-        if n in (n_center - 1, n_center, n_center + 1):
-            keep[n] = st
-    if n_center == 1:
-        keep[0] = FlowState(0.0, phi0)
-    return keep[n_center - 1], keep[n_center], keep[n_center + 1]
-
-
-CHECK_NAMES = (
-    'general_flow_ricci', 'general_flow_scalar', 'ricci_evolution',
-    'ricci_norm_evolution', 'scalar_evolution',
-    'shifted_ricci_norm_evolution', 'shifted_scalar_evolution',
-)
+    prev = FlowState(0.0, phi0)
+    for _ in range(n_center - 1):
+        prev = step_fixed(prev, spacing)
+    mid = step_fixed(prev, spacing)
+    return prev, mid, step_fixed(mid, spacing)
 
 
 def evaluate_residuals(prev, mid, nxt, spacing, c, gammas=(2.0,)):
     """Max-norm residuals of every evolution equation on one state triple."""
     ts = StateTensors(mid, c=c)
     tp, tn = StateTensors(prev, c=c), StateTensors(nxt, c=c)
-    aux = compute_aux_terms(ts)
     out = {}
 
     def resid(name, lhs, rhs):
@@ -519,22 +500,21 @@ def evaluate_residuals(prev, mid, nxt, spacing, c, gammas=(2.0,)):
     def fd(prev_val, next_val):
         return (next_val - prev_val) / (2.0 * spacing)
 
-    eta = -2.0 * ts.b.S
     fd_ric, fd_R = fd(tp.b.Ric, tn.b.Ric), fd(tp.b.R, tn.b.R)
-    resid('general_flow_ricci', fd_ric, rhs_general_flow_ricci(ts, eta))
-    resid('general_flow_scalar', fd_R, rhs_general_flow_scalar(ts, eta))
+    rhs_ric, rhs_R = rhs_general_flow(ts)
+    resid('general_flow_ricci', fd_ric, rhs_ric)
+    resid('general_flow_scalar', fd_R, rhs_R)
     resid('ricci_evolution', fd_ric, rhs_ricci_evolution(ts))
     resid('ricci_norm_evolution', fd(tp.Ric_norm2, tn.Ric_norm2),
           rhs_ricci_norm_evolution(ts))
     resid('scalar_evolution', fd_R, rhs_scalar_evolution(ts))
     resid('shifted_ricci_norm_evolution', fd(tp.Ric_t_norm2, tn.Ric_t_norm2),
-          rhs_shifted_ricci_norm_evolution(ts, aux))
-    resid('shifted_scalar_evolution', fd_R,
-          rhs_shifted_scalar_evolution(ts, aux))
+          rhs_shifted_ricci_norm_evolution(ts))
+    resid('shifted_scalar_evolution', fd_R, rhs_shifted_scalar_evolution(ts))
     for gamma in gammas:
         resid(f'pinching_evolution_g{gamma:g}',
               fd(tp.f_field(gamma), tn.f_field(gamma)),
-              rhs_pinching_evolution(ts, gamma, aux))
+              rhs_pinching_evolution(ts, gamma))
     return out
 
 
@@ -545,20 +525,18 @@ def run_evolution_checks(phi0, dt, c, gammas=(1.5, 2.0, 3.0), min_order=1.8):
     the difference estimator.  A check passes when its order reaches
     min_order or its finest residual is at the rounding floor.
     """
-    names = list(CHECK_NAMES) + [f'pinching_evolution_g{g:g}' for g in gammas]
-    residuals = {n: {} for n in names}
+    residuals = {}
     for lvl in range(3):
         s = dt / 2 ** lvl
-        prev, mid, nxt = centered_states(phi0, dt, s)
-        res = evaluate_residuals(prev, mid, nxt, s, c, gammas)
-        for n in names:
-            residuals[n][s] = res[n]
+        res = evaluate_residuals(*centered_states(phi0, dt, s), s, c, gammas)
+        for n, r in res.items():
+            residuals.setdefault(n, {})[s] = r
     out = []
-    for n in names:
-        order = difference_order(residuals[n])
-        floor = residuals[n][min(residuals[n])] <= RESIDUAL_FLOOR
+    for n, rs in residuals.items():
+        order = difference_order(rs)
+        floor = rs[min(rs)] <= RESIDUAL_FLOOR
         out.append(EvolutionCheckResult(
-            name=n, residuals=residuals[n], measured_order=order,
+            name=n, residuals=rs, measured_order=order,
             passed=floor or (order is not None and order >= min_order)))
     return out
 

@@ -87,7 +87,7 @@ def l2_form_inner(a, b, m):
     import math
     v = al.form_inner_comps(a.degree, a.values, b.values, m.ginv) \
         / float(math.factorial(a.degree))
-    return gr.integrate_scalar(v, a.spec, weight=m.vol)
+    return gr.integrate_scalar(v * m.vol, a.spec)
 
 
 def dense_c1_norm(T, m, rank):

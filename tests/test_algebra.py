@@ -103,6 +103,51 @@ class TestInterior:
             al.interior(np.eye(7)[0], al.FormK(0, [1.0]))
 
 
+class TestIndexTables:
+    """Each table read off the wedge table against its perm_sign
+    definition, entry by entry and in dtype."""
+
+    @staticmethod
+    def same(got, want):
+        return got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize('k', range(8))
+    def test_complement_table(self, k):
+        idx = np.empty(al.NCOMP[k], dtype=np.intp)
+        sgn = np.empty(al.NCOMP[k], dtype=np.float64)
+        for n, I in enumerate(al.INC[k]):
+            Ic = tuple(sorted(set(range(al.DIM)) - set(I)))
+            idx[n] = al.POS[al.DIM - k][Ic]
+            sgn[n] = al.perm_sign(I + Ic)
+        got = al.complement_table(k)
+        assert self.same(got[0], idx) and self.same(got[1], sgn)
+
+    @pytest.mark.parametrize('k', range(1, 8))
+    def test_basis_interior_table(self, k):
+        idx = np.zeros((al.DIM, al.NCOMP[k - 1]), dtype=np.intp)
+        sgn = np.zeros((al.DIM, al.NCOMP[k - 1]))
+        for m in range(al.DIM):
+            for n_out, J in enumerate(al.INC[k - 1]):
+                if m in J:
+                    continue
+                I, s = al.sort_with_sign((m,) + J)
+                idx[m, n_out] = al.POS[k][I]
+                sgn[m, n_out] = s
+        got = al.basis_interior_table(k)
+        assert self.same(got[0], idx) and self.same(got[1], sgn)
+
+    def test_volume_pairing_table(self):
+        from itertools import combinations
+        K = np.zeros((al.NCOMP[3], al.NCOMP[2] * al.NCOMP[2]))
+        for A in al.INC[2]:
+            rest = tuple(sorted(set(range(al.DIM)) - set(A)))
+            for B in combinations(rest, 2):
+                T = tuple(sorted(set(rest) - set(B)))
+                col = al.NCOMP[2] * al.POS[2][A] + al.POS[2][B]
+                K[al.POS[3][T], col] = al.perm_sign(A + B + T)
+        assert self.same(al.volume_pairing_table(), K)
+
+
 class TestBilinearForm:
     def test_standard_gives_identity(self):
         B = al.bilinear_form_B(al.standard_phi())

@@ -8,7 +8,7 @@ from g2flow import algebra as al
 from g2flow import flow as fl
 from g2flow import report as rp
 from g2flow.cli import main, monitor_summary, parse_config, run_flow
-from g2flow.errors import ConfigError
+from g2flow.errors import ConfigError, PositivityLost
 
 from conftest import flat_state, rewrite_header
 
@@ -443,6 +443,27 @@ output.dir = {out}
         assert main(['resume', str(snap), cfg]) == 3
         rec = json.loads((out / 'error.json').read_text())
         assert rec['error_type'] == 'SnapshotError'
+
+    def test_failed_run_keeps_its_rows(self, tmp_path, monkeypatch):
+        # the 4th step fails: rows 0-3 are written, and min_C_g2 only on
+        # the rows whose both neighbours exist
+        inner, calls = fl.step, []
+
+        def step(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 4:
+                raise PositivityLost("left the positive cone")
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(fl, 'step', step)
+        out = tmp_path / "failed"
+        cfg = write_cfg(tmp_path, "failed.cfg", out=out, snap=0)
+        assert main(['run', cfg]) == 3
+        rec = json.loads((out / 'error.json').read_text())
+        assert rec['error_type'] == 'PositivityLost'
+        data = rp.read_csv(out / 'series.csv')
+        assert data['step'] == [0, 1, 2, 3]
+        assert [v is None for v in data['min_C_g2']] == \
+            [True, False, False, True]
 
     def test_linalg_error_exit_code(self, tmp_path, monkeypatch):
         def fail(phi3):

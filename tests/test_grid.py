@@ -28,8 +28,6 @@ class TestGridSpec:
             gr.GridSpec((0, 8, 1, 1, 1, 1, 1))
         with pytest.raises(ValueError):
             gr.GridSpec((8, 1, 1, 1, 1, 1, 1), (0.0,) * 7)
-        with pytest.raises(ValueError):
-            gr.GridSpec((8, 1, 1, 1, 1, 1, 1), active_axes=(0, 1))
 
     def test_cell_volume_counts_inactive_periods(self):
         spec = gr.GridSpec.from_active(4, (0,))

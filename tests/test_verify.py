@@ -33,7 +33,7 @@ class TestAuxTerms:
         assert np.max(np.abs(aux.I)) < 1e-14
         assert np.max(np.abs(aux.J)) < 1e-14
         assert np.max(np.abs(aux.H + 2.0 / 7.0)) < 1e-14
-        rhs = vf.rhs_shifted_scalar_evolution(ts, aux)
+        rhs = vf.rhs_shifted_scalar_evolution(ts)
         assert np.max(np.abs(rhs)) < 1e-14
 
     def test_flat_h_scales_with_shift(self):
@@ -54,6 +54,17 @@ class TestAuxTerms:
         wee = np.einsum('pijl,pl,ij->', W, E, E)
         assert abs(wee - np.einsum('pijl,pl,ij->', W, -E, -E)) < 1e-12
 
+    def test_built_once_per_crosscheck_state(self, state16, monkeypatch):
+        # both shifted consistency checks read StateTensors.aux
+        inner, calls = vf.compute_aux_terms, []
+
+        def counted(ts):
+            calls.append(ts)
+            return inner(ts)
+        monkeypatch.setattr(vf, 'compute_aux_terms', counted)
+        vf.crosscheck_residuals(state16, 1.0)
+        assert len(calls) == 1
+
     def test_shift_positivity_enforced(self, state16):
         ts = vf.StateTensors(state16, c=1e-4)
         with pytest.raises(NonPositiveShiftedScalar):
@@ -64,8 +75,7 @@ class TestAuxTerms:
         # the term's coefficient vanishes identically at gamma = 2, so the
         # full RHS equals the version with that term deleted
         ts = vf.StateTensors(perturbed_state(8), c=1.0)
-        aux = vf.compute_aux_terms(ts)
-        full = vf.rhs_pinching_evolution(ts, 2.0, aux)
+        full = vf.rhs_pinching_evolution(ts, 2.0)
         grad_R = ts.grad_R
         grad_n2 = np.einsum('...ab,...a,...b->...', ts.m.ginv, grad_R,
                             grad_R)
