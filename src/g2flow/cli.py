@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, G2FlowError, NonPositiveShiftedScalar
-from .grid import TWO_PI
+from .grid import MIN_POINTS, TWO_PI, resolvable
 from .report import (CsvWriter, atomic_write_json, read_csv,
                      write_run_plots)
 # structure/crosscheck_residuals are bound here as perfbench's span targets
@@ -75,14 +75,15 @@ SCHEMA = (
     ('config_version', _int, 1, (lambda v: v == 1, "unsupported version {}")),
     ('seed', _int, 0),
     ('grid.n', _int, 32,
-     (lambda n: n >= 4, "need at least 4 points per axis")),
+     (lambda n: n >= MIN_POINTS, "need at least 4 points per axis")),
     ('grid.active_axes', lambda raw: tuple(sorted(_tuple(int)(raw))), (1, 2),
      (lambda axes: all(1 <= a <= 7 for a in axes)
       and len(set(axes)) == len(axes), "need distinct axes in 1..7")),
     ('grid.period', _real, TWO_PI, (lambda v: v > 0, "must be positive")),
     # full 7-tuples, overriding the three keys above
     ('grid.shape', _tuple(int), None,
-     (lambda s: len(s) == 7 and min(s) >= 1, "need 7 positive integers")),
+     (lambda s: len(s) == 7 and resolvable(s),
+      "need 7 axis sizes, each 1 or at least 4")),
     ('grid.periods', _tuple(_real), None,
      (lambda p: len(p) == 7 and min(p) > 0, "need 7 positive reals")),
     ('initial.family', str, 'flat',
@@ -189,6 +190,12 @@ def parse_config(text):
             check_modes(cfg.grid_spec(), modes)
     except ValueError as err:
         problems.append(f"initial.modes: {err}")
+    # the structure orders of a perturbed field rerun it on the halved grid
+    if 'structure' in cfg.checks_enable and \
+            cfg.initial_family == 'perturbed' and \
+            not resolvable(cfg.grid_spec().halved().shape):
+        problems.append("checks.enable: structure halves the grid, so each "
+                        "active axis needs at least 8 points")
     if cfg.initial_family == 'from-snapshot':
         if not cfg.initial_snapshot:
             problems.append("initial.snapshot: required for from-snapshot")
@@ -269,8 +276,7 @@ def monitor_row(ts, gammas, g0, running):
         row['ratio_driver'] = running['w_ratio']
         for g in gammas:
             row[f'f_max_g{g:g}'] = float(np.max(ts.f_field(g)))
-            if g == 2.0:
-                row['f_min_g2'] = float(np.min(ts.f_field(g)))
+        row['f_min_g2'] = float(np.min(ts.f_field(2.0)))
     row['distortion'] = metric_distortion(g0, state.metric.g)
     row['speed_integral'] = running.get('speed_integral', 0.0)
     return row
@@ -411,8 +417,7 @@ def monitor_summary(history):
     rows = [r for r in history if r.get('ratio_lhs') is not None]
     if not rows:
         return {'available': False}
-    f0 = rows[0].get('f_max_g2')
-    c1 = float(np.sqrt(f0)) if f0 is not None else 0.0
+    c1 = rows[0]['ratio_lhs']          # max |E| / (R + c) at the first row
     fit = traceless_ricci_ratio_fit(rows, c1)
     dist = distortion_bound_check(rows)
     mins = np.array([r['min_C_g2'] for r in history

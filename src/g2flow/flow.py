@@ -19,7 +19,8 @@ from . import algebra as al
 from .errors import NotPositive, PositivityLost, SnapshotError, Stalled
 from .geometry import (MetricField, attach_torsion, hodge_star_field,
                        pair_norm2, psi_from_phi, riemann, torsion_from_phi)
-from .grid import FormField, GridSpec, exterior_derivative, integrate_scalar
+from .grid import (MIN_POINTS, FormField, GridSpec, exterior_derivative,
+                   integrate_scalar, resolvable)
 
 # retries of a step whose stages leave the positive cone, each at half dt
 MAX_RETRIES = 8
@@ -224,7 +225,7 @@ def restore(path):
     """Read a snapshot back; returns (FlowState, aux dict).
 
     Fails loudly (SnapshotError) on a bad magic, unknown version, a
-    degree other than 3, a shape entry below 1, a period that is not
+    degree other than 3, a shape entry other than 1 or >= 4, a period not
     finite and positive, a negative or non-finite t, an active-axis mask
     the shape does not imply, size or CRC mismatch, non-finite values in
     the aux block or payload, or a 3-form that is not closed.
@@ -249,8 +250,9 @@ def restore(path):
     aux_len = fields[21]
     if degree != 3:
         raise SnapshotError(f"snapshot degree {degree}, want 3")
-    if min(shape) < 1:
-        raise SnapshotError(f"snapshot shape {shape} has an entry below 1")
+    if not resolvable(shape):
+        raise SnapshotError(f"snapshot shape {shape}: each axis needs 1 or "
+                            f"at least {MIN_POINTS} points")
     if not all(0.0 < p < np.inf for p in periods):
         raise SnapshotError(f"snapshot periods {periods} are not all "
                             "finite and positive")

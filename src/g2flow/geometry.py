@@ -157,12 +157,12 @@ def pair_norm2(P, m):
 class CurvatureBundle:
     """Curvature data of a metric field.
 
-    Rm is the raw finite-difference curvature projected onto algebraic
-    curvature tensors, stored in pair form (algebra.PAIR), a symmetric
-    21x21 matrix per point; the size of the projection (an order h^4
-    quantity) is kept in ``symmetry_defect`` as a discretization
-    diagnostic.  Torsion-dependent members (That, S, T_norm2) are attached
-    by ``attach_torsion``.
+    Rm is the raw finite-difference curvature made antisymmetric in its
+    second pair and symmetric under pair exchange, stored in pair form
+    (algebra.PAIR), a symmetric 21x21 matrix per point; the size of that
+    projection (an order h^4 quantity) is kept in ``symmetry_defect`` as a
+    discretization diagnostic.  Torsion-dependent members (That, S,
+    T_norm2) are attached by ``attach_torsion``.
     """
     m: MetricField
     Rm: np.ndarray
@@ -178,16 +178,13 @@ class CurvatureBundle:
 
 def _curvature_project(raw):
     """Orthogonal projection of raw rows raw[.., P, k, l] = R_ijkl, P =
-    (i<j), onto algebraic curvature tensors in pair form: antisymmetry in
-    (k, l), pair symmetry, then the first Bianchi identity, which removes
-    the Lambda^4 part (R_ijkl + R_jkil + R_kijl) / 3 by the wedge table."""
+    (i<j), onto Sym^2(Lambda^2) in pair form: antisymmetry in (k, l), then
+    pair symmetry.  The first Bianchi identity needs no projection: the
+    Christoffel symbols are exactly symmetric in their lower indices, so
+    the discrete cyclic sum of the raw curvature cancels term by term."""
     k, l = al.PAIR[2][0], al.PAIR[3][0]
     A = 0.5 * (raw[..., k, l] - raw[..., l, k])
-    Rm = 0.5 * (A + np.swapaxes(A, -1, -2))
-    ia, ib, sg, scatter = al.wedge_table(2, 2)
-    w = (Rm[..., ia, ib] * sg) @ scatter / 6.0
-    Rm[..., ia, ib] -= (w @ scatter.T) * sg
-    return Rm
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 def riemann(m):
@@ -210,10 +207,12 @@ def riemann(m):
     rup -= H[..., i, :, :] @ H[..., j, :, :]
     raw = slot_apply(rup, m.g, 3, (2,))
     Rm = _curvature_project(raw)
-    # the traces read one transient expansion; rows j<i mirror rows i<j
-    dense = al.pair_to_dense(Rm)
-    defect = float(np.max(np.abs(dense[..., i, j, :, :] - raw)))
-    Ric = np.einsum('...il,...ijkl->...jk', m.ginv, dense, optimize=True)
+    # the defect and the trace read the rows R_(i<j)kl: Ric_jk = e^P_ij
+    # R_Pk^i, with e^P_ij = +-1 on the two orders of pair P
+    rows = al.form_to_dense(2, Rm)
+    defect = float(np.max(np.abs(rows - raw)))
+    Ric = np.einsum('Pij,...Pki->...jk', al.form_to_dense(2, np.eye(i.size)),
+                    slot_apply(rows, m.ginv, 3, (2,)), optimize=True)
     R = np.einsum('...jk,...jk->...', m.ginv, Ric, optimize=True)
     E = Ric - (R[..., None, None] / 7.0) * m.g
     return CurvatureBundle(m=m, Rm=Rm, Ric=Ric, R=R, E=E,

@@ -15,6 +15,16 @@ from .errors import DegreeError
 
 TWO_PI = 2.0 * np.pi
 
+# The fewest points on an active axis: on 2 or 3 points the stencil's two
+# neighbours on each side wrap onto each other (d sin comes out 0 on 2).
+MIN_POINTS = 4
+
+
+def resolvable(shape):
+    """Whether every axis of a grid shape has 1 point or at least
+    MIN_POINTS: the rule for every grid that comes from outside."""
+    return all(n == 1 or n >= MIN_POINTS for n in shape)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -50,6 +60,12 @@ class GridSpec:
         for a in active_axes:
             shape[a] = int(n)
         return cls(tuple(shape), (float(period),) * DIM)
+
+    def halved(self):
+        """The grid with half the points on each active axis, the coarse
+        grid of the structure orders."""
+        return GridSpec(tuple(max(n // 2, 1) for n in self.shape),
+                        self.periods)
 
     @property
     def spacing(self):

@@ -47,7 +47,9 @@ def dense_kulkarni_nomizu(alpha, beta):
 def dense_curvature_project(A):
     """Orthogonal projection of a dense 7^4 array onto algebraic curvature
     tensors: antisymmetry in both pairs, pair symmetry, and the first
-    Bianchi identity.  The reference for geometry._curvature_project."""
+    Bianchi identity.  geometry._curvature_project leaves out the last
+    step, which on the raw curvature of a metric removes only rounding;
+    dense_riemann keeps it, so comparing against it checks that."""
     A = 0.5 * (A - np.einsum('...ijkl->...jikl', A))
     A = 0.5 * (A - np.einsum('...ijkl->...ijlk', A))
     A = 0.5 * (A + np.einsum('...ijkl->...klij', A))
@@ -58,7 +60,9 @@ def dense_curvature_project(A):
 
 def dense_riemann(m):
     """Curvature bundle built on dense 7^4 arrays from the 49x49 Christoffel
-    product: the reference for the pair-form geometry.riemann."""
+    product and the full projection, Bianchi included: the reference for
+    the pair-form geometry.riemann, which projects without Bianchi and
+    reads its defect and Ricci trace off the rows R_(i<j)kl."""
     spec = m.spec
     gam = m.christoffel
     dgam = ge.partial_stack(gam, spec)              # (.., a, l, i, j)

@@ -169,6 +169,34 @@ class TestParseConfig:
         cfg = parse_config("grid.shape = 8,1,8,1,1,1,1")
         assert cfg.grid_spec().active_axes == (0, 2)
 
+    @pytest.mark.parametrize('shape', ['8,1,3,1,1,1,1', '2,1,8,1,1,1,1',
+                                       '8,0,8,1,1,1,1', '8,8,8'])
+    def test_grid_shape_axis_sizes(self, shape):
+        # every axis has 1 or at least 4 points, as grid.n demands
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"grid.shape = {shape}")
+        assert err.value.problems == [
+            "grid.shape: need 7 axis sizes, each 1 or at least 4"]
+        parse_config("grid.shape = 4,1,5,1,1,1,1")
+
+    @pytest.mark.parametrize('n', [4, 7])
+    def test_structure_needs_halvable_grid(self, tmp_path, capsys, n):
+        # the structure orders rerun a perturbed field at N // 2 points
+        # per active axis, which must keep 4: refused before any work
+        def text(n, family='perturbed', groups='structure'):
+            return (f"grid.n = {n}\ninitial.family = {family}\n"
+                    f"checks.enable = {groups}\n"
+                    f"output.dir = {tmp_path / 'out'}\n")
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(text(n))
+        assert main(['verify', str(cfg)]) == 2
+        assert "checks.enable: structure halves the grid, so each active " \
+            "axis needs at least 8 points" in capsys.readouterr().err
+        assert not (tmp_path / 'out').exists()
+        parse_config(text(n, family='flat'))
+        parse_config(text(n, groups='crosschecks,evolution'))
+        parse_config(text(8))
+
     def test_checks_groups(self):
         assert parse_config("checks.enable = all").checks_enable == \
             ('structure', 'evolution', 'crosschecks')
@@ -521,6 +549,25 @@ class TestCsvHelpers:
 class TestMonitorSummary:
     def test_empty(self):
         assert monitor_summary([]) == {'available': False}
+
+    def test_gamma_two_columns_without_gamma_two(self, tmp_path):
+        # f_min_g2 and the manifest's c1 do not depend on whether 2 is
+        # among pinching.gammas
+        runs = {}
+        for tag, gammas in (('with', '2'), ('without', '1.5,3')):
+            out = tmp_path / tag
+            cfg = tmp_path / f"{tag}.cfg"
+            cfg.write_text(BASE_CFG.format(family='perturbed', steps=3,
+                                           snap=0, out=out)
+                           .replace("pinching.gammas = 1.5,2",
+                                    f"pinching.gammas = {gammas}"))
+            assert main(['run', str(cfg)]) == 0
+            runs[tag] = (rp.read_csv(out / 'series.csv')['f_min_g2'],
+                         json.loads((out / 'manifest.json').read_text()))
+        (f_with, man_with), (f_without, man_without) = runs.values()
+        assert None not in f_with and f_with == f_without
+        assert man_with['monitors']['c1'] > 0.0
+        assert man_with['monitors']['c1'] == man_without['monitors']['c1']
 
     def test_zero_series_statistics(self):
         rows = [{'ratio_lhs': 0.0, 'ratio_driver': 0.0, 'f_max_g2': 0.0,

@@ -254,6 +254,8 @@ class TestSnapshot:
     @pytest.mark.parametrize('field, value, problem', [
         (2, 9, "degree 9"),
         (3, 0, "shape"),
+        (3, 2, "shape"),
+        (3, 3, "shape"),
         (10, -1.0, "periods"),
         (10, np.inf, "periods"),
         (18, np.nan, "time"),

@@ -91,7 +91,7 @@ class TestCovariantDerivative:
             b = st.bundle
             alpha = smooth_field(st.spec, 7, seed=9)
             errs[n] = vf.ricci_identity_residual(
-                alpha, st.metric, al.pair_to_dense(b.Rm))
+                alpha, st.metric, al.form_to_dense(2, b.Rm))
         assert np.log2(errs[16] / errs[32]) > 3.5
 
 

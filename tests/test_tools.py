@@ -1,0 +1,45 @@
+"""The scripts under tools/, run as a user runs them."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+from g2flow.cli import main
+
+TOOLS = Path(__file__).resolve().parents[1] / 'tools'
+
+
+def run_diff(a, b):
+    return subprocess.run(
+        [sys.executable, str(TOOLS / 'run_diff.py'), str(a), str(b)],
+        capture_output=True, text=True, check=False)
+
+
+def test_run_diff_of_a_run_against_itself(tmp_path):
+    # every change is 0 and the exit status 0; a blanked cell in a copy
+    # is a structural difference, exit status 1
+    out = tmp_path / "run"
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"grid.n = 8\ninitial.family = perturbed\n"
+                   f"flow.steps = 2\nchecks.enable = crosschecks\n"
+                   f"output.dir = {out}\n")
+    assert main(['run', str(cfg)]) in (0, 1)
+    same = run_diff(out, out)
+    assert same.returncode == 0, same.stdout + same.stderr
+    changes = [line.strip('|').split('|')[-1].strip()
+               for line in same.stdout.splitlines()
+               if line.startswith('| ') and '---' not in line]
+    numbers = [c for c in changes if c and c[0].isdigit()]
+    assert len(numbers) > 20 and all(float(c) == 0.0 for c in numbers)
+    assert 'DIFFERS' not in same.stdout
+
+    other = tmp_path / "other"
+    shutil.copytree(out, other)
+    lines = (other / 'series.csv').read_text().splitlines()
+    lines[1] = ','.join([''] + lines[1].split(',')[1:])
+    (other / 'series.csv').write_text('\n'.join(lines) + '\n')
+    changed = run_diff(out, other)
+    assert changed.returncode == 1
+    assert 'DIFFERS: series.csv column step: blank cells differ' in \
+        changed.stdout
