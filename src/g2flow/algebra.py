@@ -15,7 +15,7 @@ standard 3-form).
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -98,27 +98,18 @@ def wedge_table(p, q):
 
 @lru_cache(maxsize=None)
 def dense_table(k):
-    """Scatter data mapping increasing components to the dense 7^k array."""
-    flat_idx, src, sg = [], [], []
-    for n, I in enumerate(INC[k]):
-        for p in permutations(range(k)):
-            J = tuple(I[m] for m in p)
-            s = perm_sign(p)
-            f = 0
-            for j in J:
-                f = f * DIM + j
-            flat_idx.append(f)
-            src.append(n)
-            sg.append(float(s))
-    inc_flat = []
-    for I in INC[k]:
-        f = 0
-        for j in I:
-            f = f * DIM + j
-        inc_flat.append(f)
-    return (np.asarray(flat_idx, dtype=np.intp),
-            np.asarray(src, dtype=np.intp),
-            np.asarray(sg, dtype=np.float64),
+    """Gather data of the dense 7^k array of a k-form: for each flat entry
+    the increasing component it reads and the sign of its index order, or
+    the extra component NCOMP[k] with sign +1 on a repeated index; plus the
+    flat positions of the increasing entries."""
+    pos, sign, inc_flat = [], [], []
+    for f, J in enumerate(product(range(DIM), repeat=k)):
+        I, s = sort_with_sign(J)
+        pos.append(POS[k][I] if s else NCOMP[k])
+        sign.append(float(s or 1))
+        if s and I == J:
+            inc_flat.append(f)
+    return (np.asarray(pos, dtype=np.intp), np.asarray(sign),
             np.asarray(inc_flat, dtype=np.intp))
 
 
@@ -155,6 +146,19 @@ def volume_pairing_table():
 # batched kernels (trailing component axis, arbitrary leading axes)
 # ---------------------------------------------------------------------------
 
+# points per chunk of the pointwise curvature kernels: their temporaries
+# then take a few MB per array whatever the grid size
+CHUNK = 128
+
+
+def chunks(n):
+    """Slices of CHUNK consecutive points covering range(n), the last one
+    possibly short.  Kernels run point by point through the same operations
+    in every chunk, so their results do not depend on CHUNK."""
+    size = CHUNK
+    return (slice(s, s + size) for s in range(0, n, size))
+
+
 def wedge_comps(p, q, a, b):
     """Wedge product on raw component arrays."""
     if p + q > DIM:
@@ -177,10 +181,13 @@ def interior_comps(k, v, a):
 
 
 def form_to_dense(k, a):
-    """Expand increasing components into the dense antisymmetric 7^k array."""
-    flat_idx, src, sg, _ = dense_table(k)
-    out = np.zeros(a.shape[:-1] + (DIM ** k,))
-    out[..., flat_idx] = a[..., src] * sg
+    """Expand increasing components into the dense antisymmetric 7^k array:
+    one gather by dense_table and a sign multiply.  An entry with a repeated
+    index reads an appended +0.0, so it is +0.0 whatever the components."""
+    pos, sign, _ = dense_table(k)
+    padded = np.concatenate((a, np.zeros(a.shape[:-1] + (1,))), axis=-1)
+    out = np.take(padded, pos, axis=-1)
+    out *= sign
     return out.reshape(a.shape[:-1] + (DIM,) * k)
 
 
@@ -188,10 +195,9 @@ def pair_to_dense(P):
     """Expand a pair-form tensor into the dense 7^4 array: one gather of
     pair entries by form_to_dense's table on rows and columns, each entry
     times the product of the two signs (0 on a repeated index)."""
-    flat_idx, src, sg, _ = dense_table(2)
-    pos, sign = np.zeros(DIM * DIM, dtype=np.intp), np.zeros(DIM * DIM)
-    pos[flat_idx] = src
-    sign[flat_idx] = sg
+    pos, sign, _ = dense_table(2)
+    rep = pos == NCOMP[2]
+    pos, sign = np.where(rep, 0, pos), np.where(rep, 0.0, sign)
     out = np.take(P.reshape(P.shape[:-2] + (-1,)),
                   (NCOMP[2] * pos[:, None] + pos).ravel(), axis=-1)
     out *= np.outer(sign, sign).ravel()
@@ -200,7 +206,7 @@ def pair_to_dense(P):
 
 def dense_to_form(k, dense):
     """Read increasing components off a dense antisymmetric array."""
-    _, _, _, inc_flat = dense_table(k)
+    _, _, inc_flat = dense_table(k)
     flat = dense.reshape(dense.shape[:-k] + (DIM ** k,))
     return flat[..., inc_flat].copy()
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DIM, NCOMP, PAIR, basis_interior_table
+from .algebra import DIM, NCOMP, PAIR, basis_interior_table, chunks
 from .errors import NonPositiveShiftedScalar
 # perfbench/selftest.py checks that its tracer wraps this tensor_norm2 binding
 from .geometry import pair_norm2, tensor_norm2  # noqa: F401
@@ -58,19 +58,12 @@ def pair_derivation_table():
     return tab.reshape(DIM * DIM, NCOMP[2] ** 2)
 
 
-# points per batch of c1_norm's derivative terms: their (7, 21, 21)
-# temporaries then take about 3 MB per array whatever the grid size
-C1_CHUNK = 128
-
-
 def c1_norm(W, m):
     """Pointwise |W|_{C1} = sqrt(|W|^2 + |nabla W|^2) of a pair-form Weyl
     field, |W|^2 from pair_norm2.  Gamma_a acts on each pair as the 2-form
     derivation D_a, so nabla_a W = d_a W - D_a W - (D_a W)^T, and
     |nabla W|^2 = 4 g^ab tr(nabla_a W Lam nabla_b W Lam), Lam = m.pair_ginv.
-    The derivative terms run over chunks of C1_CHUNK points, each point
-    through the same operations as in one whole-grid pass, so the field
-    does not depend on the chunk size while the temporaries stay small.
+    The derivative terms run over chunks of points (algebra.chunks).
     """
     P = NCOMP[2]
     Wf = W.reshape(-1, P, P)
@@ -81,7 +74,7 @@ def c1_norm(W, m):
     dW = [(a, partial_derivative(W, m.spec, a).reshape(Wf.shape))
           for a in m.spec.active_axes]
     dn2 = np.empty(n)
-    for c in (slice(s, s + C1_CHUNK) for s in range(0, n, C1_CHUNK)):
+    for c in chunks(n):
         D = (gam[c] @ pair_derivation_table()).reshape(-1, DIM, P, P)
         DW = D @ Wf[c, None, :, :]
         dWc = np.zeros(DW.shape)             # d_a W, zero on inactive axes

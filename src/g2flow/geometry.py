@@ -191,32 +191,42 @@ def riemann(m):
     """Curvature bundle of a metric field.  Rm is, on the 21 pairs i<j, the
     curvature d_i G_j - d_j G_i + [G_i, G_j] of the connection matrices
     (G_i)^l_k = Gamma^l_ik: its transposed rows R_ijk^l come from H_i =
-    G_i^T in gamma_flat and are lowered by one product with g.  Index
-    conventions are pinned by the tests: the Ricci identity holds as
-    (nabla_i nabla_j - nabla_j nabla_i) alpha_k = -R_{ijk}^m alpha_m, and
-    Ric_jk = g^{il} R_{ijkl}, so the scalar curvature of a closed
-    G2-structure comes out nonpositive."""
+    G_i^T in gamma_flat and are lowered by one product with g.  Only the
+    derivative rows, which need neighbours, are built on the whole grid;
+    the rest runs over al.chunks of points.  Index conventions are pinned
+    by the tests: the Ricci identity holds as (nabla_i nabla_j - nabla_j
+    nabla_i) alpha_k = -R_{ijk}^m alpha_m, and Ric_jk = g^{il} R_{ijkl}, so
+    the scalar curvature of a closed G2-structure comes out nonpositive."""
     i, j = al.PAIR[0][:, 0], al.PAIR[1][:, 0]
-    H = m.gamma_flat.reshape(m.g.shape[:-2] + (DIM,) * 3)
-    rup = np.zeros(H.shape[:-3] + (i.size, DIM, DIM))    # (.., P, k, l)
+    shape, n = m.g.shape[:-2], m.g[..., 0, 0].size
+    H = m.gamma_flat.reshape(shape + (DIM,) * 3)
+    rup = np.zeros(shape + (i.size, DIM, DIM))          # (.., P, k, l)
     for a in m.spec.active_axes:
         dH = partial_derivative(H, m.spec, a)           # d_a H_b
         rup[..., i == a, :, :] += dH[..., j[i == a], :, :]
         rup[..., j == a, :, :] -= dH[..., i[j == a], :, :]
-    rup += H[..., j, :, :] @ H[..., i, :, :]
-    rup -= H[..., i, :, :] @ H[..., j, :, :]
-    raw = slot_apply(rup, m.g, 3, (2,))
-    Rm = _curvature_project(raw)
+    H, rup = H.reshape(n, DIM, DIM, DIM), rup.reshape(n, i.size, DIM, DIM)
+    g, gi = m.g.reshape(n, DIM, DIM), m.ginv.reshape(n, DIM, DIM)
     # the defect and the trace read the rows R_(i<j)kl: Ric_jk = e^P_ij
     # R_Pk^i, with e^P_ij = +-1 on the two orders of pair P
-    rows = al.form_to_dense(2, Rm)
-    defect = float(np.max(np.abs(rows - raw)))
-    Ric = np.einsum('Pij,...Pki->...jk', al.form_to_dense(2, np.eye(i.size)),
-                    slot_apply(rows, m.ginv, 3, (2,)), optimize=True)
+    eP = al.form_to_dense(2, np.eye(i.size))
+    Rm, dev = np.empty((n, i.size, i.size)), np.empty(n)
+    Ric = np.empty(g.shape)
+    for c in al.chunks(n):
+        r = rup[c]
+        r += H[c, j] @ H[c, i]
+        r -= H[c, i] @ H[c, j]
+        raw = slot_apply(r, g[c], 3, (2,))
+        Rm[c] = _curvature_project(raw)
+        rows = al.form_to_dense(2, Rm[c])
+        dev[c] = np.max(np.abs(rows - raw), axis=(-3, -2, -1))
+        up = slot_apply(rows, gi[c], 3, (2,))
+        Ric[c] = np.einsum('Pij,...Pki->...jk', eP, up, optimize=True)
+    Rm, Ric = Rm.reshape(shape + Rm.shape[1:]), Ric.reshape(m.g.shape)
     R = np.einsum('...jk,...jk->...', m.ginv, Ric, optimize=True)
     E = Ric - (R[..., None, None] / 7.0) * m.g
     return CurvatureBundle(m=m, Rm=Rm, Ric=Ric, R=R, E=E,
-                           symmetry_defect=defect)
+                           symmetry_defect=float(np.max(dev)))
 
 
 # ---------------------------------------------------------------------------

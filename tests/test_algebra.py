@@ -148,6 +148,32 @@ class TestIndexTables:
         assert self.same(al.volume_pairing_table(), K)
 
 
+class TestFormToDense:
+    @staticmethod
+    def scatter_reference(k, a):
+        """The zero-filled array with every signed permutation of each
+        increasing component written into it."""
+        from itertools import permutations
+        out = np.zeros(a.shape[:-1] + (al.DIM,) * k)
+        for n, I in enumerate(al.INC[k]):
+            for p in permutations(range(k)):
+                J = tuple(I[m] for m in p)
+                out[(...,) + J] = a[..., n] * float(al.perm_sign(p))
+        return out
+
+    @pytest.mark.parametrize('k', range(1, 8))
+    def test_gather_matches_scatter_bytes(self, k):
+        # negative components and zeros of both signs: a repeated-index
+        # entry must be +0.0 whatever the component it shares a row with
+        a = RNG.normal(size=(3, 2, al.NCOMP[k]))
+        a.flat[::3] = -0.0
+        a.flat[1::5] = 0.0
+        got = al.form_to_dense(k, a)
+        want = self.scatter_reference(k, a)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBilinearForm:
     def test_standard_gives_identity(self):
         B = al.bilinear_form_B(al.standard_phi())

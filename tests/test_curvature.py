@@ -110,7 +110,7 @@ class TestC1Norm:
         st = perturbed_state3() if three else state16
         W = cv.weyl(st.bundle, st.metric)
         whole = cv.c1_norm(W, st.metric)
-        monkeypatch.setattr(cv, 'C1_CHUNK', 5)
+        monkeypatch.setattr(al, 'CHUNK', 5)
         assert np.array_equal(cv.c1_norm(W, st.metric), whole)
 
     def test_weyl_c1_stable_under_refinement(self, state32, state64):

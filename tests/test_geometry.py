@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,31 @@ class TestRiemann:
         assert np.max(np.abs(got.R - want.R)) <= 1e-14 * scale
         assert got.symmetry_defect == pytest.approx(want.symmetry_defect,
                                                     rel=1e-12)
+
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_chunk_size_does_not_move_bits(self, state16, three,
+                                           monkeypatch):
+        # 5 divides neither 256 nor 512 points, so the last chunk is short
+        m = (perturbed_state3() if three else state16).metric
+        whole = ge.riemann(m)
+        monkeypatch.setattr(al, 'CHUNK', 5)
+        got = ge.riemann(m)
+        for name in ('Rm', 'Ric', 'R', 'E'):
+            assert np.array_equal(getattr(got, name), getattr(whole, name))
+        assert got.symmetry_defect == whole.symmetry_defect
+
+    def test_peak_memory(self, state32):
+        # the rows after the derivative terms live one chunk at a time: the
+        # whole-grid pass peaked at 54 MB here, the chunked one at 20 MB
+        m = state32.metric
+        m.gamma_flat
+        tracemalloc.start()
+        try:
+            ge.riemann(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
 
     def test_symmetry_defect_converges(self):
         d16 = perturbed_state(16).bundle.symmetry_defect

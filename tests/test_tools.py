@@ -1,9 +1,12 @@
 """The scripts under tools/, run as a user runs them."""
 
+import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from g2flow.cli import main
 
@@ -43,3 +46,33 @@ def test_run_diff_of_a_run_against_itself(tmp_path):
     assert changed.returncode == 1
     assert 'DIFFERS: series.csv column step: blank cells differ' in \
         changed.stdout
+
+
+def test_bench_ab_smoke_self_pair(tmp_path):
+    # HEAD against itself on perfbench's N=8 grids: one ABBA pair, both
+    # runs correct, one ratio per end-to-end metric
+    root = TOOLS.parent
+    if subprocess.run(['git', '-C', str(root), 'rev-parse', 'HEAD'],
+                      capture_output=True, check=False).returncode != 0:
+        pytest.skip('needs a git checkout with a commit')
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / 'bench_ab.py'), '--label', 'selfpair',
+         '--base', 'HEAD', '--change', 'HEAD', '--smoke', '--workloads',
+         'flow_integrate_3d', '--seeds', '0', '--out', str(tmp_path)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rec = json.loads((tmp_path / 'BENCH_selfpair.json').read_text())
+    assert rec['base'] == rec['change'] and len(rec['base']) == 40
+    assert rec['fingerprint']['nproc'] >= 1 and rec['fingerprints_agree']
+    wl = rec['workloads']['flow_integrate_3d']
+    (pair,) = wl['pairs']
+    assert pair['first'] == 'base'
+    assert pair['base']['result']['correct'] and \
+        pair['change']['result']['correct']
+    names = {m['name'] for m in json.loads(
+        (root / 'BENCHMARK.json').read_text())['end_to_end']}
+    assert set(wl['metrics']) == names
+    for s in wl['metrics'].values():
+        assert s['pairs'] == 1 and len(s['ratios']) == 1
+        assert s['median_ratio'] == s['ratios'][0] > 0.0
+        assert s['change_lower'] in (0, 1)
