@@ -15,7 +15,7 @@ standard 3-form).
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -101,16 +101,15 @@ def dense_table(k):
     """Gather data of the dense 7^k array of a k-form: for each flat entry
     the increasing component it reads and the sign of its index order, or
     the extra component NCOMP[k] with sign +1 on a repeated index; plus the
-    flat positions of the increasing entries."""
-    pos, sign, inc_flat = [], [], []
-    for f, J in enumerate(product(range(DIM), repeat=k)):
-        I, s = sort_with_sign(J)
-        pos.append(POS[k][I] if s else NCOMP[k])
-        sign.append(float(s or 1))
-        if s and I == J:
-            inc_flat.append(f)
-    return (np.asarray(pos, dtype=np.intp), np.asarray(sign),
-            np.asarray(inc_flat, dtype=np.intp))
+    flat positions of the increasing entries.  Built from the k! orderings
+    of all increasing indices at once, not from the 7^k entries."""
+    inc = np.array(INC[k], dtype=np.intp).reshape(NCOMP[k], k)
+    weights = DIM ** np.arange(k - 1, -1, -1)
+    pos, sign = np.full(DIM ** k, NCOMP[k], dtype=np.intp), np.ones(DIM ** k)
+    for p in permutations(range(k)):
+        flat = inc[:, p] @ weights
+        pos[flat], sign[flat] = np.arange(NCOMP[k]), perm_sign(p)
+    return pos, sign, inc @ weights
 
 
 @lru_cache(maxsize=None)

@@ -1,19 +1,19 @@
 """Paired A/B benchmark record of two g2flow commits.
 
     python tools/bench_ab.py --label NAME [--base REV] [--change REV]
-        [--workloads a,b] [--seeds 1,2,3] [--seconds S] [--smoke] [--out DIR]
+        [--workloads a,b] [--seeds 1,2,3] [--smoke] [--out DIR]
 
 Exports each revision with ``git archive`` into its own temporary
 directory (no network, nothing registered in the repository), then runs
-``perfbench/run.py`` unchanged in both trees, one seed after the other, in
-ABBA order: the base runs first for the 1st, 3rd, ... seed and the change
-first for the 2nd, 4th, ....  Writes ``BENCH_<label>.json`` into --out
+``perfbench/run.py`` unchanged in both trees for BENCHMARK.json's
+``run_seconds``, one seed after the other, in ABBA order: the base runs
+first for the 1st, 3rd, ... seed and the change first for the 2nd, 4th,
+....  Writes ``BENCH_<label>.json`` into --out
 with both commit ids, the machine fingerprint, every raw result line and,
 per workload and end-to-end metric of BENCHMARK.json, the paired
 change/base ratios, their median, the number of pairs in which the change
-was lower, the base runs' median and quartiles and the verdict against the
-metric's bound.  ``--base HEAD --change HEAD`` is a self-pair: its ratios
-show the spread that noise alone gives.
+was lower and both sides' quartiles.  ``--base HEAD --change HEAD`` is a
+self-pair: its ratios show the spread that noise alone gives.
 
 Exit status: 0 when every run was correct, 1 when a run failed or was
 incorrect (the record is written either way), 2 on a usage error.
@@ -45,14 +45,16 @@ def export(commit, dest):
     archive = subprocess.run(['git', '-C', str(ROOT), 'archive', commit],
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter='data')
+        if hasattr(tarfile, 'data_filter'):  # Python >= 3.10.12 / 3.11.4
+            tar.extraction_filter = tarfile.data_filter
+        tar.extractall(dest)
 
 
-def run_perfbench(tree, workload, seed, args):
+def run_perfbench(tree, workload, seed, seconds, smoke):
     """One perfbench run; its result object, fingerprint and exit code."""
     cmd = [sys.executable, 'perfbench/run.py', '--workload', workload,
-           '--seed', str(seed), '--seconds', str(args.seconds),
-           '--trace', '0'] + (['--smoke'] if args.smoke else [])
+           '--seed', str(seed), '--seconds', str(seconds),
+           '--trace', '0'] + (['--smoke'] if smoke else [])
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           check=False)
     lines = proc.stdout.strip().splitlines() or ['']
@@ -77,8 +79,7 @@ def quartiles(xs):
 def summarize(pairs, metric):
     """Paired statistics of one end-to-end metric over the pairs whose two
     runs were both correct."""
-    name, bound = metric['name'], metric['bound']
-    lower_better = metric['better'] == 'lower'
+    name = metric['name']
     vals = [(p['base']['result']['metrics'][name]['value'],
              p['change']['result']['metrics'][name]['value'])
             for p in pairs if all(ok(p[s]) for s in ('base', 'change'))]
@@ -87,14 +88,10 @@ def summarize(pairs, metric):
     ratios = [c / b if b else float('nan') for b, c in vals]
     med = statistics.median(ratios)
     base_q, change_q = (quartiles(sorted(v)) for v in zip(*vals))
-    worse = med > 1.0 + bound if lower_better else med < 1.0 - bound
-    better = med < 1.0 - bound if lower_better else med > 1.0 + bound
     return {'pairs': len(vals), 'ratios': ratios, 'median_ratio': med,
             'change_lower': sum(c < b for b, c in vals),
             'base_quartiles': base_q, 'change_quartiles': change_q,
-            'bound': bound, 'better': metric['better'],
-            'verdict': 'worse' if worse else 'better' if better
-            else 'within bound'}
+            'bound': metric['bound'], 'better': metric['better']}
 
 
 def ok(run):
@@ -112,7 +109,6 @@ def main(argv=None):
     ap.add_argument('--workloads',
                     default=','.join(w['name'] for w in bench['workloads']))
     ap.add_argument('--seeds', default='1,2,3')
-    ap.add_argument('--seconds', type=float, default=bench['run_seconds'])
     ap.add_argument('--smoke', action='store_true',
                     help="perfbench's tiny grids (N=8), for a quick check")
     ap.add_argument('--out', default=str(ROOT))
@@ -132,7 +128,7 @@ def main(argv=None):
         ap.error(f'bad seeds or revision: {err}')
 
     record = {'label': args.label, 'base': commits['base'],
-              'change': commits['change'], 'seconds': args.seconds,
+              'change': commits['change'], 'seconds': bench['run_seconds'],
               'smoke': args.smoke, 'seeds': seeds, 'workloads': {}}
     with tempfile.TemporaryDirectory(prefix='bench_ab-') as tmp:
         trees = {}
@@ -146,7 +142,9 @@ def main(argv=None):
                     ('change', 'base')
                 pair = {'seed': seed, 'first': order[0]}
                 for side in order:
-                    pair[side] = run_perfbench(trees[side], wl, seed, args)
+                    pair[side] = run_perfbench(trees[side], wl, seed,
+                                               bench['run_seconds'],
+                                               args.smoke)
                     print(f'bench_ab: {wl} seed {seed} {side}: '
                           f"{json.dumps(pair[side]['result'])}", flush=True)
                 pairs.append(pair)
@@ -166,7 +164,7 @@ def main(argv=None):
             if s['pairs']:
                 print(f"bench_ab: {wl} {name}: median ratio "
                       f"{s['median_ratio']:.4f}, change lower in "
-                      f"{s['change_lower']}/{s['pairs']}, {s['verdict']}")
+                      f"{s['change_lower']}/{s['pairs']}")
     print(f'bench_ab: wrote {out}')
     return 0 if all(ok(r) for r in runs) else 1
 
