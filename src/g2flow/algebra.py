@@ -181,26 +181,60 @@ def interior_comps(k, v, a):
 
 def form_to_dense(k, a):
     """Expand increasing components into the dense antisymmetric 7^k array:
-    one gather by dense_table and a sign multiply.  An entry with a repeated
-    index reads an appended +0.0, so it is +0.0 whatever the components."""
+    one gather by dense_table and a sign multiply, with no padded copy of
+    the input.  An entry with a repeated index is +0.0 whatever a holds."""
     pos, sign, _ = dense_table(k)
-    padded = np.concatenate((a, np.zeros(a.shape[:-1] + (1,))), axis=-1)
-    out = np.take(padded, pos, axis=-1)
+    out = np.take(a, pos, axis=-1, mode='clip')
     out *= sign
+    out[..., pos == NCOMP[k]] = 0.0
     return out.reshape(a.shape[:-1] + (DIM,) * k)
 
 
-def pair_to_dense(P):
-    """Expand a pair-form tensor into the dense 7^4 array: one gather of
-    pair entries by form_to_dense's table on rows and columns, each entry
-    times the product of the two signs (0 on a repeated index)."""
-    pos, sign, _ = dense_table(2)
-    rep = pos == NCOMP[2]
-    pos, sign = np.where(rep, 0, pos), np.where(rep, 0.0, sign)
-    out = np.take(P.reshape(P.shape[:-2] + (-1,)),
-                  (NCOMP[2] * pos[:, None] + pos).ravel(), axis=-1)
-    out *= np.outer(sign, sign).ravel()
-    return out.reshape(P.shape[:-2] + (DIM,) * 4)
+def pair_entries(a):
+    """The entries (a_il, a_jk, a_ik, a_jl), each (.., 21, 21), of 7x7
+    matrices a on the pairs of PAIR: one np.take on the flat 49 slots, so
+    point-major in memory, where a[..., i, l] puts the pair axes first."""
+    i, j, k, l = PAIR
+    slots = np.stack([DIM * i + l, DIM * j + k, DIM * i + k, DIM * j + l])
+    flat = a.reshape(a.shape[:-2] + (DIM * DIM,))
+    return np.moveaxis(np.take(flat, slots, axis=-1), -3, 0)
+
+
+@lru_cache(maxsize=None)
+def pair_operator_table():
+    """pair_operator's gather, read off dense_table(2): for each entry
+    ((p, l), (i, j)) the flat pair entry [(p, i), (j, l)] and its sign, or
+    the appended entry 441 with sign +1 where p = i or j = l."""
+    P = NCOMP[2]
+    pos, sign = (t.reshape(DIM, DIM) for t in dense_table(2)[:2])
+    row, col = pos[:, None, :, None], pos.T[None, :, None, :]   # (p, l, i, j)
+    rep = (row == P) | (col == P)
+    sgn = np.where(rep, 1.0, sign[:, None, :, None] * sign.T[None, :, None, :])
+    return np.where(rep, P * P, P * row + col).ravel(), sgn.ravel()
+
+
+def pair_operator(P):
+    """The 49x49 operators M[(p, l), (i, j)] = P_pijl of pair-form tensors
+    P (.., 21, 21): one gather by pair_operator_table and a sign multiply.
+    A repeated-index entry reads an appended +0.0, so it is +0.0."""
+    src, sgn = pair_operator_table()
+    flat = P.reshape(P.shape[:-2] + (-1,))
+    M = np.take(np.concatenate((flat, np.zeros(flat.shape[:-1] + (1,))), -1),
+                src, axis=-1)
+    M *= sgn
+    return M.reshape(P.shape[:-2] + (DIM * DIM,) * 2)
+
+
+def pair_apply(P, X):
+    """P_pijl X^pl for pair-form tensors P and 2-tensors X at the same
+    points: X flattened times pair_operator(P), built one chunk of points
+    at a time, so no 7^4 array spans the grid."""
+    n = P[..., 0, 0].size
+    Pc, Xc = P.reshape(n, NCOMP[2], NCOMP[2]), X.reshape(n, 1, DIM * DIM)
+    out = np.empty(Xc.shape)
+    for c in chunks(n):
+        np.matmul(Xc[c], pair_operator(Pc[c]), out=out[c])
+    return out.reshape(X.shape)
 
 
 def dense_to_form(k, dense):

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DIM, NCOMP, PAIR, basis_interior_table, chunks
+from .algebra import DIM, NCOMP, basis_interior_table, chunks, pair_entries
 from .errors import NonPositiveShiftedScalar
 # perfbench/selftest.py checks that its tracer wraps this tensor_norm2 binding
 from .geometry import pair_norm2, tensor_norm2  # noqa: F401
@@ -21,18 +21,22 @@ from .grid import partial_derivative
 def kulkarni_nomizu(alpha, beta):
     """(a o b)_ijkl = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik for
     symmetric 2-tensors (batched over leading axes), in pair form."""
-    i, j, k, l = PAIR
-    return (alpha[..., i, l] * beta[..., j, k]
-            + alpha[..., j, k] * beta[..., i, l]
-            - alpha[..., i, k] * beta[..., j, l]
-            - alpha[..., j, l] * beta[..., i, k])
+    ail, ajk, aik, ajl = pair_entries(alpha)
+    bil, bjk, bik, bjl = pair_entries(beta)
+    return ail * bjk + ajk * bil - aik * bjl - ajl * bik
 
 
 def weyl(bundle, m):
-    """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g in pair form."""
-    R = bundle.R[..., None, None]
-    return (bundle.Rm - (R / 84.0) * kulkarni_nomizu(m.g, m.g)
-            - 0.2 * kulkarni_nomizu(bundle.E, m.g))
+    """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g in pair form,
+    over chunks of points (algebra.chunks)."""
+    n = bundle.R.size
+    Rm, R = bundle.Rm.reshape(n, NCOMP[2], NCOMP[2]), bundle.R.reshape(n, 1, 1)
+    E, g = bundle.E.reshape(n, DIM, DIM), m.g.reshape(n, DIM, DIM)
+    W = np.empty(Rm.shape)
+    for c in chunks(n):
+        W[c] = (Rm[c] - (R[c] / 84.0) * kulkarni_nomizu(g[c], g[c])
+                - 0.2 * kulkarni_nomizu(E[c], g[c]))
+    return W.reshape(bundle.Rm.shape)
 
 
 def weyl_variant_residual(bundle):

@@ -72,10 +72,9 @@ class MetricField:
     @cached_property
     def pair_ginv(self):
         """Lambda^2(g^-1) = g^ik g^jl - g^il g^jk in pair form: it raises one
-        pair of a pair-form tensor."""
-        i, j, k, l = al.PAIR
-        gi = self.ginv
-        return gi[..., i, k] * gi[..., j, l] - gi[..., i, l] * gi[..., j, k]
+        pair of a pair-form tensor; each point's matrix is contiguous."""
+        il, jk, ik, jl = al.pair_entries(self.ginv)
+        return ik * jl - il * jk
 
 
 # ---------------------------------------------------------------------------

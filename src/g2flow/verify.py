@@ -93,14 +93,6 @@ class StateTensors:
     def Ric_t_up(self):
         return slot_apply(self.Ric_t, self.m.ginv, 2)
 
-    @cached_property
-    def T_up(self):
-        return slot_apply(self.b.T, self.m.ginv, 2)
-
-    @cached_property
-    def E_up(self):
-        return slot_apply(self.b.E, self.m.ginv, 2)
-
     # --- first derivatives ---
     @cached_property
     def nabla_Ric(self):
@@ -140,32 +132,27 @@ class StateTensors:
 
     # --- curvature contractions ---
     @cached_property
-    def Rm_dense(self):
-        """Rm expanded to 7^4, for the contractions that cross its pairs."""
-        return al.pair_to_dense(self.b.Rm)
-
-    @cached_property
     def aux(self):
         return compute_aux_terms(self)
 
     @cached_property
     def Rm_Ric_up(self):
         """R_pijl R^pl."""
-        return np.einsum('...pijl,...pl->...ij', self.Rm_dense, self.Ric_up,
-                         optimize=True)
+        return al.pair_apply(self.b.Rm, self.Ric_up)
 
     @cached_property
     def Rm_That_up(self):
         """R_pijl That^pl."""
-        return np.einsum('...pijl,...pl->...ij', self.Rm_dense,
-                         slot_apply(self.b.That, self.m.ginv, 2),
-                         optimize=True)
+        That_up = slot_apply(self.b.That, self.m.ginv, 2)
+        return al.pair_apply(self.b.Rm, That_up)
 
     @cached_property
     def Rm_TT(self):
-        """R_ijmn T^in T^mj (the scalar-evolution quadratic)."""
-        return np.einsum('...ijmn,...in,...mj->...', self.Rm_dense,
-                         self.T_up, self.T_up, optimize=True)
+        """R_ijmn T^in T^mj = <R(T^#), (T^#)^T> (the scalar-evolution
+        quadratic)."""
+        T_up = slot_apply(self.b.T, self.m.ginv, 2)
+        return np.sum(al.pair_apply(self.b.Rm, T_up)
+                      * np.swapaxes(T_up, -1, -2), axis=(-2, -1))
 
     @cached_property
     def div_gap(self):
@@ -212,10 +199,9 @@ class StateTensors:
 
     @cached_property
     def WEE(self):
-        """W_pijl E^pl E^ij with the trace-free Weyl."""
-        return np.einsum('...pijl,...pl,...ij->...',
-                         al.pair_to_dense(self.W), self.E_up, self.E_up,
-                         optimize=True)
+        """W_pijl E^pl E^ij = <W(E^#), E^#> with the trace-free Weyl."""
+        E_up = slot_apply(self.b.E, self.m.ginv, 2)
+        return np.sum(al.pair_apply(self.W, E_up) * E_up, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +215,7 @@ def lichnerowicz(ts, h, h_up):
     return (trace_hessian(second_covariant(h, m, 2), m)
             - np.einsum('...ip,...pj->...ij', ts.Ric_mixed, h)
             - np.einsum('...jp,...pi->...ij', ts.Ric_mixed, h)
-            + 2.0 * np.einsum('...pijl,...pl->...ij', ts.Rm_dense, h_up,
-                              optimize=True))
+            + 2.0 * al.pair_apply(ts.b.Rm, h_up))
 
 
 def rhs_general_flow(ts):
@@ -333,9 +318,9 @@ def rhs_shifted_ricci_norm_evolution(ts):
     """Evolution of |Ric + (c/7) g|^2; nabla Ric_t = nabla Ric because
     nabla g vanishes to rounding."""
     lap = scalar_laplacian(ts.Ric_t_norm2, ts.m)
-    return (lap - 2.0 * ts.nabla_Ric_norm2
-            + 4.0 * np.einsum('...pijl,...pl,...ij->...', ts.Rm_dense,
-                              ts.Ric_t_up, ts.Ric_t_up, optimize=True)
+    rm_ric = np.sum(al.pair_apply(ts.b.Rm, ts.Ric_t_up) * ts.Ric_t_up,
+                    axis=(-2, -1))
+    return (lap - 2.0 * ts.nabla_Ric_norm2 + 4.0 * rm_ric
             + ts.aux.I + ts.aux.J)
 
 

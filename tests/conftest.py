@@ -44,6 +44,21 @@ def dense_kulkarni_nomizu(alpha, beta):
             - np.einsum('...jl,...ik->...ijkl', alpha, beta))
 
 
+def pair_to_dense(P):
+    """Expand a pair-form tensor into the dense 7^4 array: one gather of
+    pair entries by form_to_dense's table on rows and columns, each entry
+    times the product of the two signs (0 on a repeated index).  The
+    reference for the pair-form kernels, as dense_riemann is for
+    geometry.riemann."""
+    pos, sign, _ = al.dense_table(2)
+    rep = pos == al.NCOMP[2]
+    pos, sign = np.where(rep, 0, pos), np.where(rep, 0.0, sign)
+    out = np.take(P.reshape(P.shape[:-2] + (-1,)),
+                  (al.NCOMP[2] * pos[:, None] + pos).ravel(), axis=-1)
+    out *= np.outer(sign, sign).ravel()
+    return out.reshape(P.shape[:-2] + (7,) * 4)
+
+
 def dense_curvature_project(A):
     """Orthogonal projection of a dense 7^4 array onto algebraic curvature
     tensors: antisymmetry in both pairs, pair symmetry, and the first

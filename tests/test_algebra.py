@@ -4,6 +4,8 @@ import pytest
 from g2flow import algebra as al
 from g2flow.errors import DegreeError, NotPositive
 
+from conftest import pair_to_dense
+
 RNG = np.random.default_rng(42)
 
 
@@ -172,6 +174,26 @@ class TestFormToDense:
         want = self.scatter_reference(k, a)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+class TestPairOperator:
+    def test_matches_dense_expansion(self):
+        # M[(p, l), (i, j)] = P_pijl entry by entry, on batched symmetric
+        # pair matrices
+        P = RNG.normal(size=(3, 2, 21, 21))
+        P = P + np.swapaxes(P, -1, -2)
+        D = np.einsum('...pijl->...plij', pair_to_dense(P))
+        assert np.array_equal(al.pair_operator(P),
+                              D.reshape(P.shape[:-2] + (49, 49)))
+
+    def test_repeated_entries_are_positive_zero(self):
+        # an entry with p = i or j = l reads the appended +0.0, so no
+        # negative zero appears on a negative input
+        M = al.pair_operator(-np.ones((2, 21, 21))).reshape(2, *(7,) * 4)
+        p, l, i, j = np.indices((7,) * 4)
+        rep = (p == i) | (j == l)
+        assert np.all(M[:, rep] == 0.0) and not np.any(np.signbit(M[:, rep]))
+        assert np.all(np.abs(M[:, ~rep]) == 1.0)
 
 
 class TestBilinearForm:

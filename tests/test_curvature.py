@@ -9,7 +9,8 @@ from g2flow.cli import csv_columns, monitor_row
 from g2flow.errors import NonPositiveShiftedScalar
 from g2flow.grid import period_integrals
 
-from conftest import dense_c1_norm, flat_state, perturbed_state3
+from conftest import (dense_c1_norm, flat_state, pair_to_dense,
+                      perturbed_state3)
 
 RNG = np.random.default_rng(21)
 
@@ -25,7 +26,7 @@ def random_symmetric(traceless=False):
 class TestKulkarniNomizu:
     def test_flat_double_metric(self):
         g = np.eye(7)
-        got = al.pair_to_dense(cv.kulkarni_nomizu(g, g))
+        got = pair_to_dense(cv.kulkarni_nomizu(g, g))
         want = 2 * (np.einsum('il,jk->ijkl', g, g)
                     - np.einsum('ik,jl->ijkl', g, g))
         assert np.allclose(got, want)
@@ -37,17 +38,32 @@ class TestKulkarniNomizu:
 
     def test_curvature_symmetries(self):
         a, b = random_symmetric(), random_symmetric()
-        K = al.pair_to_dense(cv.kulkarni_nomizu(a, b))
+        K = pair_to_dense(cv.kulkarni_nomizu(a, b))
         assert np.allclose(K, -np.einsum('ijkl->jikl', K), atol=1e-13)
         assert np.allclose(K, -np.einsum('ijkl->ijlk', K), atol=1e-13)
         assert np.allclose(K, np.einsum('ijkl->klij', K), atol=1e-13)
+
+    def test_point_major_gathers_match_fancy_index(self, state16):
+        # pair_ginv and kulkarni_nomizu gather on the flat 49 slots: the
+        # same bits as the fancy index, each point's matrix contiguous
+        m, E = state16.metric, state16.bundle.E
+        i, j, k, l = al.PAIR
+        gi = m.ginv
+        want = gi[..., i, k] * gi[..., j, l] - gi[..., i, l] * gi[..., j, k]
+        assert m.pair_ginv.flags.c_contiguous
+        assert np.array_equal(m.pair_ginv, want)
+        want = (E[..., i, l] * m.g[..., j, k] + E[..., j, k] * m.g[..., i, l]
+                - E[..., i, k] * m.g[..., j, l]
+                - E[..., j, l] * m.g[..., i, k])
+        got = cv.kulkarni_nomizu(E, m.g)
+        assert got.flags.c_contiguous and np.array_equal(got, want)
 
     def test_traceless_contraction_pins_one_fifth(self):
         # g^il (E o g)_ijkl = 5 E in dimension 7, fixing the 1/5 in the
         # curvature decomposition
         E = random_symmetric(traceless=True)
         got = np.einsum('il,ijkl->jk', np.eye(7),
-                        al.pair_to_dense(cv.kulkarni_nomizu(E, np.eye(7))))
+                        pair_to_dense(cv.kulkarni_nomizu(E, np.eye(7))))
         assert np.allclose(got, 5.0 * E, atol=1e-12)
 
 
@@ -61,14 +77,14 @@ class TestWeyl:
         b = state16.bundle
         m = state16.metric
         W = cv.weyl(b, m)
-        tr = np.einsum('...il,...ijkl->...jk', m.ginv, al.pair_to_dense(W))
+        tr = np.einsum('...il,...ijkl->...jk', m.ginv, pair_to_dense(W))
         assert np.max(np.abs(tr)) < 1e-10
         R = b.R[..., None, None]
         recon = (R / 84.0) * cv.kulkarni_nomizu(m.g, m.g) \
             + 0.2 * cv.kulkarni_nomizu(b.E, m.g) + W
         assert np.max(np.abs(b.Rm - recon)) < 1e-14
         ric = np.einsum('...il,...ijkl->...jk', m.ginv,
-                        al.pair_to_dense(recon))
+                        pair_to_dense(recon))
         assert np.allclose(ric, b.Ric, atol=1e-12)
 
     def test_printed_variant_gap(self, state16):

@@ -12,8 +12,8 @@ from g2flow.errors import DegreeError
 from g2flow.initial_data import perturbed_phi_field
 
 from conftest import (dense_riemann, flat_state, l2_form_inner,
-                      perturbed_state, perturbed_state3, scenario_spec,
-                      smooth_field)
+                      pair_to_dense, perturbed_state, perturbed_state3,
+                      scenario_spec, smooth_field)
 
 
 def warped_metric_field(n, amp=0.15):
@@ -114,7 +114,7 @@ class TestRiemann:
         assert np.log2(errs[16] / errs[32]) > 3.5
 
     def test_stored_symmetries_exact(self, state16):
-        Rm = al.pair_to_dense(state16.bundle.Rm)
+        Rm = pair_to_dense(state16.bundle.Rm)
         assert np.allclose(Rm, -np.einsum('...ijkl->...jikl', Rm), atol=1e-15)
         assert np.allclose(Rm, -np.einsum('...ijkl->...ijlk', Rm), atol=1e-15)
         assert np.allclose(Rm, np.einsum('...ijkl->...klij', Rm), atol=1e-15)
@@ -129,8 +129,8 @@ class TestRiemann:
         m = (perturbed_state3() if three else state16).metric
         got, want = ge.riemann(m), dense_riemann(m)
         scale = np.max(np.abs(want.Rm))
-        for name, g, w in (('Rm', al.pair_to_dense(got.Rm),
-                            al.pair_to_dense(want.Rm)),
+        for name, g, w in (('Rm', pair_to_dense(got.Rm),
+                            pair_to_dense(want.Rm)),
                            ('Ric', got.Ric, want.Ric), ('E', got.E, want.E)):
             assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), name
         # R = -|T|^2 is small beside the curvature it is traced from
@@ -171,7 +171,7 @@ class TestRiemann:
     def test_trace_relations(self, state16):
         b = state16.bundle
         m = state16.metric
-        ric = np.einsum('...il,...ijkl->...jk', m.ginv, al.pair_to_dense(b.Rm))
+        ric = np.einsum('...il,...ijkl->...jk', m.ginv, pair_to_dense(b.Rm))
         assert np.allclose(ric, b.Ric, atol=1e-14)
         tr_e = np.einsum('...jk,...jk->...', m.ginv, b.E)
         assert np.max(np.abs(tr_e)) < 1e-10

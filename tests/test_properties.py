@@ -50,7 +50,7 @@ from g2flow.initial_data import (DEFAULT_MODES,  # noqa: E402
 
 from conftest import (GRID3, MODES3, dense_c1_norm,  # noqa: E402
                       dense_kulkarni_nomizu, dense_torsion, l2_form_inner,
-                      perturbed_state3, smooth_field)
+                      pair_to_dense, perturbed_state3, smooth_field)
 
 BATCH = 3
 REL = 1e-13
@@ -242,7 +242,7 @@ def test_weyl_c1_pair_form_matches_dense(three, n, periods, eps):
         spec, eps, MODES3 if three else DEFAULT_MODES))
     m = state.metric
     W = cv.weyl(state.bundle, m)
-    want = dense_c1_norm(al.pair_to_dense(W), m, 4)
+    want = dense_c1_norm(pair_to_dense(W), m, 4)
     got = cv.c1_norm(W, m)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
@@ -256,7 +256,7 @@ def test_kulkarni_nomizu_pair_form_matches_dense(a, b):
     # entries off the increasing pairs
     a, b = a + np.swapaxes(a, -1, -2), b + np.swapaxes(b, -1, -2)
     want = dense_kulkarni_nomizu(a, b)
-    got = al.pair_to_dense(cv.kulkarni_nomizu(a, b))
+    got = pair_to_dense(cv.kulkarni_nomizu(a, b))
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -281,7 +281,7 @@ def test_curvature_project_on_pair_rows(raw):
     A = 0.5 * (dense - np.einsum('...ijkl->...ijlk', dense))
     want = 0.5 * (A + np.einsum('...ijkl->...klij', A))
     assert np.max(np.abs(got - want[(...,) + al.PAIR])) <= 1e-14
-    D = al.pair_to_dense(got)
+    D = pair_to_dense(got)
     assert np.array_equal(D, -np.einsum('...ijkl->...jikl', D))
     assert np.array_equal(D, -np.einsum('...ijkl->...ijlk', D))
     assert np.array_equal(got, np.swapaxes(got, -1, -2))
@@ -298,7 +298,7 @@ def test_pair_to_dense_rm_symmetries(state16, state3, three):
     # both antisymmetries and the pair symmetry hold exactly, the first
     # Bianchi identity to rounding, and the pair entries read back
     Rm = (state3 if three else state16).bundle.Rm
-    D = al.pair_to_dense(Rm)
+    D = pair_to_dense(Rm)
     assert np.array_equal(D, -np.einsum('...ijkl->...jikl', D))
     assert np.array_equal(D, -np.einsum('...ijkl->...ijlk', D))
     assert np.array_equal(D, np.einsum('...ijkl->...klij', D))
@@ -312,7 +312,7 @@ def test_suggest_dt_pair_norm_matches_dense(state16, state3, three):
     # expansion raised, and the step suggest_dt takes from it
     curved = state3 if three else state16
     b, m = curved.bundle, curved.metric
-    want = ge.tensor_norm2(al.pair_to_dense(b.Rm), m, 4)
+    want = ge.tensor_norm2(pair_to_dense(b.Rm), m, 4)
     got = ge.pair_norm2(b.Rm, m)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
     policy = fl.StepPolicy()

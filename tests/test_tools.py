@@ -48,6 +48,23 @@ def test_run_diff_of_a_run_against_itself(tmp_path):
         changed.stdout
 
 
+def test_bench_ab_sign_test():
+    # exact two-sided p-values on hand-made (base, change) pairs; ties
+    # count for neither side
+    sys.path.insert(0, str(TOOLS))
+    try:
+        from bench_ab import sign_test
+    finally:
+        sys.path.remove(str(TOOLS))
+    nine = [(1.0, 0.9)] * 9 + [(1.0, 1.1)]
+    assert sign_test(nine) == pytest.approx(0.0215, abs=5e-5)
+    assert sign_test(nine[::-1] + [(2.0, 2.0)] * 3) == sign_test(nine)
+    assert sign_test([(1.0, 0.9)] * 10) == pytest.approx(0.00195, abs=5e-6)
+    assert sign_test([(1.0, 1.1)] * 10) == sign_test([(1.0, 0.9)] * 10)
+    assert sign_test([(1.0, 0.9), (1.0, 1.1)]) == 1.0
+    assert sign_test([(1.0, 1.0)]) == 1.0
+
+
 def test_bench_ab_smoke_self_pair(tmp_path):
     # HEAD against itself on perfbench's N=8 grids: one ABBA pair, both
     # runs correct, one ratio per end-to-end metric
@@ -76,3 +93,4 @@ def test_bench_ab_smoke_self_pair(tmp_path):
         assert s['pairs'] == 1 and len(s['ratios']) == 1
         assert s['median_ratio'] == s['ratios'][0] > 0.0
         assert s['change_lower'] in (0, 1)
+        assert 0.0 < s['sign_test_p'] <= 1.0

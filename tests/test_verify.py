@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from g2flow import algebra as al
 from g2flow import flow as fl
 from g2flow import grid as gr
 from g2flow import verify as vf
@@ -10,8 +13,8 @@ from g2flow.curvature import auto_shift
 from g2flow.errors import NonPositiveShiftedScalar
 from g2flow.initial_data import perturbed_phi_field
 
-from conftest import (EPS, GRID3, MODES3, flat_state, perturbed_state,
-                      scenario_spec)
+from conftest import (EPS, GRID3, MODES3, flat_state, pair_to_dense,
+                      perturbed_state, perturbed_state3, scenario_spec)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +84,80 @@ class TestAuxTerms:
                             grad_R)
         probe = full + 0.0 * grad_n2 * ts.f_field(2.0)
         assert np.allclose(full, probe)
+
+
+def routed_contractions(ts):
+    """Every contraction across the pairs, through algebra.pair_apply."""
+    S_up = al.slot_apply(ts.b.S, ts.m.ginv, 2)
+    return {'Rm_Ric_up': ts.Rm_Ric_up, 'Rm_That_up': ts.Rm_That_up,
+            'Rm_TT': ts.Rm_TT, 'WEE': ts.WEE,
+            'lichnerowicz': vf.lichnerowicz(ts, ts.b.S, S_up),
+            'shifted_rhs': vf.rhs_shifted_ricci_norm_evolution(ts)}
+
+
+def dense_pair_apply(P, X):
+    return np.einsum('...pijl,...pl->...ij', pair_to_dense(P), X,
+                     optimize=True)
+
+
+class TestPairContractions:
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_match_dense_einsums(self, state16, three, monkeypatch):
+        # the four cached contractions against the einsums over the dense
+        # 7^4 expansion; lichnerowicz and the shifted RHS against
+        # themselves with the dense einsum in place of the kernel
+        st = perturbed_state3() if three else state16
+        ts = vf.StateTensors(st, c=1.0)
+        got = routed_contractions(ts)
+        up = lambda X: al.slot_apply(X, ts.m.ginv, 2)  # noqa: E731
+        D, T_up, E_up = pair_to_dense(ts.b.Rm), up(ts.b.T), up(ts.b.E)
+        want = {
+            'Rm_Ric_up': np.einsum('...pijl,...pl->...ij', D, ts.Ric_up),
+            'Rm_That_up': np.einsum('...pijl,...pl->...ij', D,
+                                    up(ts.b.That)),
+            'Rm_TT': np.einsum('...ijmn,...in,...mj->...', D, T_up, T_up,
+                               optimize=True),
+            'WEE': np.einsum('...pijl,...pl,...ij->...', pair_to_dense(ts.W),
+                             E_up, E_up, optimize=True)}
+        monkeypatch.setattr(al, 'pair_apply', dense_pair_apply)
+        ref = routed_contractions(vf.StateTensors(st, c=1.0))
+        want.update(lichnerowicz=ref['lichnerowicz'],
+                    shifted_rhs=ref['shifted_rhs'])
+        for name, w in want.items():
+            assert np.max(np.abs(got[name] - w)) <= \
+                1e-13 * np.max(np.abs(w)), name
+
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_chunk_size_does_not_move_bits(self, state16, three,
+                                           monkeypatch):
+        # 5 divides neither 256 nor 512 points, so the last chunk is short
+        st = perturbed_state3() if three else state16
+        whole = routed_contractions(vf.StateTensors(st, c=1.0))
+        monkeypatch.setattr(al, 'CHUNK', 5)
+        got = routed_contractions(vf.StateTensors(st, c=1.0))
+        for name, w in whole.items():
+            assert np.array_equal(got[name], w), name
+
+    def test_peak_memory(self, state32):
+        # the operator lives one chunk at a time: with the dense 7^4
+        # expansions these peaked at 59.4 and 79.5 MB
+        ts = vf.StateTensors(state32, c=1.0)
+        ts.b
+        for name in ('Rm_Ric_up', 'WEE'):
+            tracemalloc.start()
+            try:
+                getattr(ts, name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12e6, name
+
+    def test_no_dense_curvature_in_src(self):
+        src = Path(vf.__file__).parent
+        for path in src.glob('*.py'):
+            text = path.read_text()
+            for word in ('pair_to_dense', 'Rm_dense', "'...pijl"):
+                assert word not in text, (path.name, word)
 
 
 class TestFixedStateCrosschecks:

@@ -12,8 +12,10 @@ first for the 1st, 3rd, ... seed and the change first for the 2nd, 4th,
 with both commit ids, the machine fingerprint, every raw result line and,
 per workload and end-to-end metric of BENCHMARK.json, the paired
 change/base ratios, their median, the number of pairs in which the change
-was lower and both sides' quartiles.  ``--base HEAD --change HEAD`` is a
-self-pair: its ratios show the spread that noise alone gives.
+was lower, the exact two-sided sign-test p-value of those pairs (ties
+dropped) and both sides' quartiles.  It draws no verdict.  ``--base HEAD
+--change HEAD`` is a self-pair: its ratios show the spread that noise alone
+gives.
 
 Exit status: 0 when every run was correct, 1 when a run failed or was
 incorrect (the record is written either way), 2 on a usage error.
@@ -22,6 +24,7 @@ incorrect (the record is written either way), 2 on a usage error.
 import argparse
 import io
 import json
+import math
 import os
 import re
 import statistics
@@ -76,6 +79,16 @@ def quartiles(xs):
     return statistics.quantiles(xs, n=4, method='inclusive')
 
 
+def sign_test(vals):
+    """Exact two-sided sign-test p-value of paired (base, change) values:
+    ties are dropped, and under the null each remaining pair is lower on
+    the change side with probability 1/2."""
+    lower = sum(c < b for b, c in vals)
+    n = lower + sum(c > b for b, c in vals)
+    tail = sum(math.comb(n, k) for k in range(min(lower, n - lower) + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
+
+
 def summarize(pairs, metric):
     """Paired statistics of one end-to-end metric over the pairs whose two
     runs were both correct."""
@@ -90,6 +103,7 @@ def summarize(pairs, metric):
     base_q, change_q = (quartiles(sorted(v)) for v in zip(*vals))
     return {'pairs': len(vals), 'ratios': ratios, 'median_ratio': med,
             'change_lower': sum(c < b for b, c in vals),
+            'sign_test_p': sign_test(vals),
             'base_quartiles': base_q, 'change_quartiles': change_q,
             'bound': metric['bound'], 'better': metric['better']}
 
@@ -164,7 +178,8 @@ def main(argv=None):
             if s['pairs']:
                 print(f"bench_ab: {wl} {name}: median ratio "
                       f"{s['median_ratio']:.4f}, change lower in "
-                      f"{s['change_lower']}/{s['pairs']}")
+                      f"{s['change_lower']}/{s['pairs']}, sign-test p "
+                      f"{s['sign_test_p']:.3g}")
     print(f'bench_ab: wrote {out}')
     return 0 if all(ok(r) for r in runs) else 1
 
