@@ -128,6 +128,35 @@ def second_covariant(T, m, rank):
     return covariant_derivative(covariant_derivative(T, m, rank), m, rank + 1)
 
 
+def hessian_traces(Y, m, inner=False):
+    """Traces of (nabla nabla X)_abij = d_a Y_bij - Gamma^p_ab Y_pij -
+    Gamma^p_ai Y_bpj - Gamma^p_aj Y_bip for a 2-tensor X, from Y = nabla X
+    (slots b, i, j): the rough Laplacian g^ab (nabla nabla X)_abij, and with
+    ``inner`` also A_aj = g^bi (nabla nabla X)_abij.  Each d_a Y is
+    contracted as it is built; the Christoffel terms run through the (7, 49)
+    matrix K_bip = g^ab Gamma^p_ai per point and its trace over b = i."""
+    sh = Y.shape[:-3]
+    Yf = Y.reshape(sh + (-1, DIM))                           # ((b, i), j)
+    Ys = np.swapaxes(Y, -3, -2).reshape(sh + (DIM, -1))      # (i, (b, p))
+    K = (m.ginv @ m.gamma_flat.reshape(sh + (DIM, -1))).reshape(Y.shape)
+    K = np.swapaxes(K, -3, -2).reshape(sh + (DIM, -1))       # (i, (b, p))
+    tr = np.trace(K.reshape(Y.shape), axis1=-3, axis2=-2)[..., None, :]
+    KY = K @ Yf
+    lap = -((tr @ Yf.reshape(sh + (DIM, -1))).reshape(KY.shape) + KY
+            + Ys @ np.swapaxes(K, -1, -2))
+    gi = m.ginv.reshape(sh + (1, -1))                        # g^bi, flat
+    if inner:
+        trY = np.swapaxes(gi @ Yf, -1, -2)                   # g^bi Y_bip
+        A = -(K @ Ys.reshape(Yf.shape) + KY
+              + (m.gamma_flat @ trY).reshape(KY.shape))
+    for a in m.spec.active_axes:
+        dY = partial_derivative(Y, m.spec, a).reshape(sh + (DIM, -1))
+        lap += (m.ginv[..., a:a + 1, :] @ dY).reshape(KY.shape)
+        if inner:
+            A[..., a:a + 1, :] += gi @ dY.reshape(Yf.shape)
+    return (lap, A) if inner else lap
+
+
 def scalar_laplacian(u, m):
     """g^{ab} (d_a d_b u - Gamma^p_ab d_p u) for a scalar field."""
     hess = second_covariant(u, m, 0)

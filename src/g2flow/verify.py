@@ -25,8 +25,8 @@ from . import geometry as ge
 from .algebra import slot_apply
 from .curvature import auto_shift, c1_norm, shifted_scalar, weyl
 from .flow import FlowState, step_fixed
-from .geometry import (covariant_derivative, partial_stack, scalar_laplacian,
-                       second_covariant, tensor_norm2)
+from .geometry import (covariant_derivative, hessian_traces, partial_stack,
+                       scalar_laplacian, second_covariant, tensor_norm2)
 from .grid import TWO_PI
 from .initial_data import perturbed_phi_field
 from .report import atomic_write_json
@@ -35,12 +35,6 @@ from .report import atomic_write_json
 # ---------------------------------------------------------------------------
 # shared per-state tensor cache
 # ---------------------------------------------------------------------------
-
-def trace_hessian(dd, m):
-    """g^ab dd_abij: the rough Laplacian of a 2-tensor from its second
-    covariant derivative."""
-    return np.einsum('...ab,...abij->...ij', m.ginv, dd, optimize=True)
-
 
 class StateTensors:
     """Derived tensor arrays at one flow state, computed once and shared by
@@ -108,19 +102,11 @@ class StateTensors:
 
     # --- second derivatives ---
     @cached_property
-    def dd_That(self):
-        return second_covariant(self.b.That, self.m, 2)
-
-    @cached_property
-    def lap_That(self):
-        return trace_hessian(self.dd_That, self.m)
-
-    @cached_property
-    def div_grad_That(self):
-        """A_ij = nabla_i nabla^p That_pj (inner derivative contracted with
-        the first tensor slot)."""
-        return np.einsum('...ns,...insj->...ij', self.m.ginv,
-                         self.dd_That, optimize=True)
+    def That_traces(self):
+        """(Delta That, A) with A_ij = nabla_i nabla^p That_pj (inner
+        derivative contracted with the first tensor slot)."""
+        return hessian_traces(covariant_derivative(self.b.That, self.m, 2),
+                              self.m, inner=True)
 
     @cached_property
     def hess_T2(self):
@@ -158,11 +144,11 @@ class StateTensors:
     def div_gap(self):
         """The divergence identity's two sides, nabla^i nabla^j That_ij
         - (R^jp That_pj - R_ijmp T^ip T^mj + nabla^j T_im nabla^i T^m_j)."""
-        # nabla^i nabla^j That_ij, outer derivative with the first slot and
-        # inner with the second; equals the transposed wiring exactly
-        # because That is symmetric by construction
-        div_div = np.einsum('...os,...nt,...onst->...', self.m.ginv,
-                            self.m.ginv, self.dd_That, optimize=True)
+        # nabla^i nabla^j That_ij read off A, the outer derivative with the
+        # second slot and the inner with the first; That is symmetric, so
+        # this agrees with the other wiring to rounding
+        div_div = np.einsum('...os,...os->...', self.m.ginv,
+                            self.That_traces[1])
         return div_div - (
             np.einsum('...jp,...jp->...', self.Ric_up, self.b.That)
             - self.Rm_TT + self.gradT_combo)
@@ -208,11 +194,10 @@ class StateTensors:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def lichnerowicz(ts, h, h_up):
+def lichnerowicz(ts, h, h_up, dh):
     """Lichnerowicz Laplacian of a symmetric 2-tensor h, given h_up, h with
-    both slots raised: Delta h - Ric h - h Ric + 2 Rm(h)."""
-    m = ts.m
-    return (trace_hessian(second_covariant(h, m, 2), m)
+    both slots raised, and dh = nabla h: Delta h - Ric h - h Ric + 2 Rm(h)."""
+    return (hessian_traces(dh, ts.m)
             - np.einsum('...ip,...pj->...ij', ts.Ric_mixed, h)
             - np.einsum('...jp,...pi->...ij', ts.Ric_mixed, h)
             + 2.0 * al.pair_apply(ts.b.Rm, h_up))
@@ -224,11 +209,11 @@ def rhs_general_flow(ts):
     of div eta)/2, and R by -Delta tr eta + div div eta - <Ric, eta>."""
     m = ts.m
     eta = -2.0 * ts.b.S
-    lich = lichnerowicz(ts, eta, slot_apply(eta, m.ginv, 2))
+    deta = covariant_derivative(eta, m, 2)
+    lich = lichnerowicz(ts, eta, slot_apply(eta, m.ginv, 2), deta)
     tr_eta = np.einsum('...ij,...ij->...', m.ginv, eta)
     hess_tr = second_covariant(tr_eta, m, 0)
-    div_eta = np.einsum('...am,...amj->...j', m.ginv,
-                        covariant_derivative(eta, m, 2), optimize=True)
+    div_eta = np.einsum('...am,...amj->...j', m.ginv, deta, optimize=True)
     ddiv = covariant_derivative(div_eta, m, 1)
     sym_ddiv = ddiv + np.einsum('...ij->...ji', ddiv)
     div_div = np.einsum('...aj,...aj->...', m.ginv, ddiv, optimize=True)
@@ -240,9 +225,9 @@ def rhs_general_flow(ts):
 def rhs_ricci_evolution(ts):
     """Ricci evolution under the Laplacian flow: Delta S minus curvature
     and torsion quadratics minus the Hessian terms."""
-    A = ts.div_grad_That
+    A = ts.That_traces[1]
     hess = ts.hess_T2
-    return (trace_hessian(second_covariant(ts.b.S, ts.m, 2), ts.m)
+    return (hessian_traces(covariant_derivative(ts.b.S, ts.m, 2), ts.m)
             - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, ts.b.Ric)
             - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, ts.b.That)
             - 2.0 * np.einsum('...jp,...pi->...ij', ts.Ric_mixed, ts.b.That)
@@ -256,14 +241,14 @@ def rhs_ricci_norm_evolution(ts):
     """Evolution of |Ric|^2 under the flow."""
     m = ts.m
     lap_ric2 = scalar_laplacian(ts.Ric_norm2, m)
-    A = ts.div_grad_That
+    lap_That, A = ts.That_traces
     return (lap_ric2
             - 2.0 * ts.nabla_Ric_norm2
             + 4.0 * np.einsum('...ij,...ij->...', ts.Rm_Ric_up, ts.Ric_up)
             + (4.0 / 3.0) * ts.b.T_norm2 * ts.Ric_norm2
             + 8.0 * np.einsum('...ij,...ij->...', ts.Rm_That_up, ts.Ric_up)
             + (2.0 / 3.0) * ts.b.R * ts.lap_T2
-            + 4.0 * np.einsum('...ij,...ij->...', ts.Ric_up, ts.lap_That)
+            + 4.0 * np.einsum('...ij,...ij->...', ts.Ric_up, lap_That)
             - (2.0 / 3.0) * np.einsum('...ij,...ij->...', ts.Ric_up, ts.hess_T2)
             - 8.0 * np.einsum('...ij,...ij->...', ts.Ric_up, A))
 
@@ -296,9 +281,9 @@ def compute_aux_terms(ts):
          + 8.0 * np.einsum('...ij,...ij->...', ts.Rm_That_up, ts.Ric_t_up)
          + (4.0 * c / 21.0) * Rt ** 2
          - (16.0 / 147.0) * c * c * Rt)
-    A = ts.div_grad_That
+    lap_That, A = ts.That_traces
     J = ((2.0 / 3.0) * Rt * ts.lap_T2
-         + 4.0 * np.einsum('...ij,...ij->...', ts.Ric_t_up, ts.lap_That)
+         + 4.0 * np.einsum('...ij,...ij->...', ts.Ric_t_up, lap_That)
          - (2.0 / 3.0) * np.einsum('...ij,...ij->...', ts.Ric_t_up, ts.hess_T2)
          - 8.0 * np.einsum('...ij,...ij->...', ts.Ric_t_up, A))
     H = (-(2.0 / 3.0) * Rt ** 2
@@ -372,7 +357,7 @@ def bochner_residual(ts):
     """Delta |Ric|^2 - 2 R^ij Delta R_ij - 2 |nabla Ric|^2; order h^4."""
     m = ts.m
     lap_ric2 = scalar_laplacian(ts.Ric_norm2, m)
-    lap_ric = trace_hessian(second_covariant(ts.b.Ric, m, 2), m)
+    lap_ric = hessian_traces(ts.nabla_Ric, m)
     mid = 2.0 * np.einsum('...ij,...ij->...', ts.Ric_up, lap_ric)
     return float(np.max(np.abs(lap_ric2 - mid - 2.0 * ts.nabla_Ric_norm2)))
 
@@ -407,7 +392,8 @@ def shifted_scalar_consistency_residual(ts):
 def lichnerowicz_metric_residual(ts):
     """Lichnerowicz Laplacian applied to g itself collapses to Delta g = 0
     (exact metric compatibility)."""
-    lich = lichnerowicz(ts, ts.m.g, ts.m.ginv)
+    m = ts.m
+    lich = lichnerowicz(ts, m.g, m.ginv, covariant_derivative(m.g, m, 2))
     return float(np.max(np.abs(lich)))
 
 

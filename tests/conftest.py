@@ -59,6 +59,18 @@ def pair_to_dense(P):
     return out.reshape(P.shape[:-2] + (7,) * 4)
 
 
+def dense_hessian_traces(X, m):
+    """The traces of the whole-grid second covariant derivative dd_abij of
+    a 2-tensor: the rough Laplacian g^ab dd_abij, A_ij = g^ns dd_insj and
+    div div X = g^os g^nt dd_onst.  The reference for
+    geometry.hessian_traces, which never builds dd."""
+    dd = ge.second_covariant(X, m, 2)
+    return (np.einsum('...ab,...abij->...ij', m.ginv, dd, optimize=True),
+            np.einsum('...ns,...insj->...ij', m.ginv, dd, optimize=True),
+            np.einsum('...os,...nt,...onst->...', m.ginv, m.ginv, dd,
+                      optimize=True))
+
+
 def dense_curvature_project(A):
     """Orthogonal projection of a dense 7^4 array onto algebraic curvature
     tensors: antisymmetry in both pairs, pair symmetry, and the first

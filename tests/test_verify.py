@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -7,14 +8,16 @@ import pytest
 
 from g2flow import algebra as al
 from g2flow import flow as fl
+from g2flow import geometry as ge
 from g2flow import grid as gr
 from g2flow import verify as vf
 from g2flow.curvature import auto_shift
 from g2flow.errors import NonPositiveShiftedScalar
 from g2flow.initial_data import perturbed_phi_field
 
-from conftest import (EPS, GRID3, MODES3, flat_state, pair_to_dense,
-                      perturbed_state, perturbed_state3, scenario_spec)
+from conftest import (EPS, GRID3, MODES3, dense_hessian_traces, flat_state,
+                      pair_to_dense, perturbed_state, perturbed_state3,
+                      scenario_spec)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +94,8 @@ def routed_contractions(ts):
     S_up = al.slot_apply(ts.b.S, ts.m.ginv, 2)
     return {'Rm_Ric_up': ts.Rm_Ric_up, 'Rm_That_up': ts.Rm_That_up,
             'Rm_TT': ts.Rm_TT, 'WEE': ts.WEE,
-            'lichnerowicz': vf.lichnerowicz(ts, ts.b.S, S_up),
+            'lichnerowicz': vf.lichnerowicz(
+                ts, ts.b.S, S_up, ge.covariant_derivative(ts.b.S, ts.m, 2)),
             'shifted_rhs': vf.rhs_shifted_ricci_norm_evolution(ts)}
 
 
@@ -157,6 +161,48 @@ class TestPairContractions:
         for path in src.glob('*.py'):
             text = path.read_text()
             for word in ('pair_to_dense', 'Rm_dense', "'...pijl"):
+                assert word not in text, (path.name, word)
+
+
+class TestHessianTraces:
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_match_dense_second_derivative(self, state16, three):
+        # the Laplacian, A and div div = g^os A_os against the traces of
+        # the dense second derivative; the traces of g vanish in exact
+        # arithmetic, so its scale is |g| = 1
+        ts = vf.StateTensors(perturbed_state3() if three else state16, c=1.0)
+        m = ts.m
+        for name, X in (('That', ts.b.That), ('S', ts.b.S),
+                        ('Ric', ts.b.Ric), ('g', m.g)):
+            Y = ge.covariant_derivative(X, m, 2)
+            lap, A = ge.hessian_traces(Y, m, inner=True)
+            assert np.array_equal(ge.hessian_traces(Y, m), lap), name
+            got = (lap, A, np.einsum('...os,...os->...', m.ginv, A))
+            for part, g, w in zip(('lap', 'A', 'div_div'), got,
+                                  dense_hessian_traces(X, m)):
+                scale = 1.0 if name == 'g' else np.max(np.abs(w))
+                assert np.max(np.abs(g - w)) <= 1e-13 * scale, (name, part)
+
+    def test_peak_memory(self, state32):
+        # the Laplacian and A of S from nabla S: through the whole-grid
+        # second derivative and its two einsums this peaked at 64.6 MB
+        m, S = state32.metric, state32.bundle.S
+        m.gamma_flat
+        tracemalloc.start()
+        try:
+            ge.hessian_traces(ge.covariant_derivative(S, m, 2), m, inner=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
+
+    def test_no_dense_hessian_in_src(self):
+        # second_covariant stays for scalars and 1-forms only
+        rank2 = re.compile(r'second_covariant\(.*,\s*2\)')
+        for path in Path(vf.__file__).parent.glob('*.py'):
+            text = path.read_text()
+            assert not rank2.search(text), path.name
+            for word in ("'...abij", "'...insj"):
                 assert word not in text, (path.name, word)
 
 
