@@ -162,10 +162,6 @@ def wedge_comps(p, q, a, b):
     """Wedge product on raw component arrays."""
     if p + q > DIM:
         raise DegreeError(f"wedge degree overflow: {p} + {q} > {DIM}")
-    if p == 0:
-        return a[..., 0, None] * b if b.ndim else a * b
-    if q == 0:
-        return a * b[..., 0, None]
     ia, ib, sg, scatter = wedge_table(p, q)
     terms = a[..., ia] * b[..., ib] * sg
     return terms @ scatter
@@ -413,23 +409,6 @@ class FormK:
     @classmethod
     def from_dense(cls, degree, dense):
         return cls(degree, dense_to_form(degree, np.asarray(dense, dtype=np.float64)))
-
-    def __add__(self, other):
-        self._check(other)
-        return FormK(self.degree, self.comps + other.comps)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FormK(self.degree, self.comps - other.comps)
-
-    def __mul__(self, c):
-        return FormK(self.degree, self.comps * float(c))
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if self.degree != other.degree:
-            raise DegreeError("degree mismatch")
 
     def __repr__(self):
         return f"FormK(degree={self.degree})"

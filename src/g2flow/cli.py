@@ -441,23 +441,18 @@ def monitor_summary(history):
 
 def cmd_run(cfg, resume_from=None):
     run_dir = cfg.output_dir
-    try:
-        start_state = start_aux = None
-        if resume_from is not None:
-            from .flow import restore
-            start_state, start_aux = restore(resume_from)
-        history, events, c, _ = run_flow(cfg, run_dir, start_state,
-                                         start_aux)
-        if cfg.checks_enable:
-            report = run_verification(cfg, run_dir)
-        else:
-            report = {'passed': True, 'groups': {}}
-            atomic_write_json(os.path.join(run_dir, 'verification.json'),
-                              report)
-    except RUNTIME_ERRORS as err:
-        _error_record(run_dir, err)
-        print(f"runtime error: {err}", file=sys.stderr)
-        return 3
+    start_state = start_aux = None
+    if resume_from is not None:
+        from .flow import restore
+        start_state, start_aux = restore(resume_from)
+    history, events, c, _ = run_flow(cfg, run_dir, start_state,
+                                     start_aux)
+    if cfg.checks_enable:
+        report = run_verification(cfg, run_dir)
+    else:
+        report = {'passed': True, 'groups': {}}
+        atomic_write_json(os.path.join(run_dir, 'verification.json'),
+                          report)
     write_manifest(cfg, run_dir, events, c,
                    extra={'monitors': monitor_summary(history),
                           'final': dict(history[-1]) if history else {}})
@@ -476,14 +471,13 @@ def cmd_verify(cfg):
         # snapshot, so its report would describe another state
         raise ConfigError(["initial.family: g2flow verify needs "
                            "initial.family flat or perturbed"])
+    if not cfg.checks_enable:
+        # a report of no groups would pass having checked nothing
+        raise ConfigError(["checks.enable: g2flow verify needs at least "
+                           "one check group"])
     run_dir = cfg.output_dir
     os.makedirs(run_dir, exist_ok=True)
-    try:
-        report = run_verification(cfg, run_dir)
-    except RUNTIME_ERRORS as err:
-        _error_record(run_dir, err)
-        print(f"runtime error: {err}", file=sys.stderr)
-        return 3
+    report = run_verification(cfg, run_dir)
     write_manifest(cfg, run_dir, ['verification run'],
                    report.get('pinching_shift_c', 0.0))
     return 0 if report['passed'] else 1
@@ -526,21 +520,24 @@ def main(argv=None):
     p_rep.add_argument('run_dir')
     args = parser.parse_args(argv)
 
+    if args.command == 'report':
+        return cmd_report(args.run_dir)
+    cfg = None
     try:
-        if args.command == 'run':
-            return cmd_run(_load_config(args.config))
+        cfg = _load_config(args.config)
         if args.command == 'verify':
-            return cmd_verify(_load_config(args.config))
-        if args.command == 'resume':
-            return cmd_run(_load_config(args.config),
-                           resume_from=args.snapshot)
-        if args.command == 'report':
-            return cmd_report(args.run_dir)
+            return cmd_verify(cfg)
+        return cmd_run(cfg, resume_from=getattr(args, 'snapshot', None))
     except ConfigError as err:
         for p in err.problems:
             print(f"config error: {p}", file=sys.stderr)
         return 2
-    return 2
+    except RUNTIME_ERRORS as err:
+        if cfg is None:
+            raise
+        _error_record(cfg.output_dir, err)
+        print(f"runtime error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == '__main__':

@@ -141,24 +141,6 @@ class FormField:
         vals = np.broadcast_to(form.comps, spec.shape + form.comps.shape).copy()
         return cls(form.degree, spec, vals)
 
-    def __add__(self, other):
-        self._check(other)
-        return FormField(self.degree, self.spec, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FormField(self.degree, self.spec, self.values - other.values)
-
-    def __mul__(self, c):
-        return FormField(self.degree, self.spec, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if self.degree != other.degree or self.spec is not other.spec and \
-                (self.spec.shape != other.spec.shape or self.spec.periods != other.spec.periods):
-            raise DegreeError("incompatible form fields")
-
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
 

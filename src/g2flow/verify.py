@@ -423,15 +423,6 @@ def crosscheck_residuals(state, c):
 # trajectory machinery and checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvolutionCheckResult:
-    """Outcome of one evolution-equation check."""
-    name: str
-    residuals: dict                 # spacing -> max-norm residual
-    measured_order: float = None
-    passed: bool = None
-
-
 def difference_order(residuals):
     """Order from three residuals at spacings s, s/2, s/4: the differences
     cancel any spacing-independent floor."""
@@ -492,9 +483,9 @@ def evaluate_residuals(prev, mid, nxt, spacing, c, gammas=(2.0,)):
 def run_evolution_checks(phi0, dt, c, gammas=(1.5, 2.0, 3.0), min_order=1.8):
     """All evolution checks at spacings dt, dt/2, dt/4 centered at t = dt.
 
-    Returns a list of EvolutionCheckResult with measured time orders from
-    the difference estimator.  A check passes when its order reaches
-    min_order or its finest residual is at the rounding floor.
+    Returns each check's verification.json record, keyed by name, with
+    the time order from the difference estimator.  A check passes when its
+    order reaches min_order or its finest residual is at the rounding floor.
     """
     residuals = {}
     for lvl in range(3):
@@ -502,13 +493,15 @@ def run_evolution_checks(phi0, dt, c, gammas=(1.5, 2.0, 3.0), min_order=1.8):
         res = evaluate_residuals(*centered_states(phi0, dt, s), s, c, gammas)
         for n, r in res.items():
             residuals.setdefault(n, {})[s] = r
-    out = []
+    out = {}
     for n, rs in residuals.items():
         order = difference_order(rs)
         floor = rs[min(rs)] <= RESIDUAL_FLOOR
-        out.append(EvolutionCheckResult(
-            name=n, residuals=rs, measured_order=order,
-            passed=floor or (order is not None and order >= min_order)))
+        out[n] = {
+            'residuals': {repr(s): v for s, v in sorted(rs.items())},
+            'measured_order': order,
+            'min_order': min_order,
+            'passed': floor or (order is not None and order >= min_order)}
     return out
 
 
@@ -693,15 +686,9 @@ def run_verification(cfg, run_dir, log=print):
 
     if 'evolution' in cfg.checks_enable:
         dt = cfg.verify_dt_multiplier * 0.5 * (h * h)
-        results = run_evolution_checks(
+        _record(report, 'evolution', run_evolution_checks(
             state_hi.phi, dt=dt, c=c, gammas=cfg.verify_gammas,
-            min_order=cfg.checks_min_time_order)
-        _record(report, 'evolution', {r.name: {
-            'residuals': {repr(s): v for s, v in sorted(r.residuals.items())},
-            'measured_order': r.measured_order,
-            'min_order': cfg.checks_min_time_order,
-            'passed': r.passed,
-        } for r in results})
+            min_order=cfg.checks_min_time_order))
 
     report['pinching_shift_c'] = c
     atomic_write_json(os.path.join(run_dir, 'verification.json'), report)

@@ -195,8 +195,8 @@ class TestCriterion6:
         results = vf.run_evolution_checks(
             state64.phi, dt=4.0 * 0.5 * h * h, c=c, gammas=(1.5, 2.0, 3.0),
             min_order=1.8)
-        orders = {r.name: r.measured_order for r in results}
-        time_ok = all(r.passed for r in results)
+        orders = {n: r['measured_order'] for n, r in results.items()}
+        time_ok = all(r['passed'] for r in results.values())
 
         ts = vf.StateTensors(state64, c=c)
         tol4 = {

@@ -76,6 +76,21 @@ class TestWedge:
         a = al.FormK(3, RNG.normal(size=35))
         assert np.max(np.abs(al.wedge(a, a).comps)) < 1e-13
 
+    def test_zero_form_wedge_is_scaling(self):
+        # a 0-form on either side goes through the general wedge table
+        c = -1.75
+        zero = al.FormK(0, [c])
+        for q in range(al.DIM + 1):
+            b = al.FormK(q, RNG.normal(size=al.NCOMP[q]))
+            for w in (al.wedge(zero, b), al.wedge(b, zero)):
+                assert w.degree == q
+                assert np.array_equal(w.comps, c * b.comps)
+            # batched over leading axes, as on a grid
+            cs = RNG.normal(size=(5, 1))
+            bs = RNG.normal(size=(5, al.NCOMP[q]))
+            assert np.array_equal(al.wedge_comps(0, q, cs, bs), cs * bs)
+            assert np.array_equal(al.wedge_comps(q, 0, bs, cs), cs * bs)
+
     def test_degree_overflow(self):
         a = al.FormK(4, RNG.normal(size=35))
         with pytest.raises(DegreeError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from g2flow import algebra as al
+from g2flow import cli
 from g2flow import flow as fl
 from g2flow import report as rp
 from g2flow.cli import main, monitor_summary, parse_config, run_flow
@@ -442,6 +443,14 @@ output.dir = {out}
         assert "g2flow verify needs" in capsys.readouterr().err
         assert not (tmp_path / 'out' / 'verification.json').exists()
 
+    def test_verify_without_checks_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "nochecks"
+        cfg = write_cfg(tmp_path, "nochecks.cfg", out=out)
+        assert main(['verify', cfg]) == 2
+        assert "checks.enable: g2flow verify needs at least one check " \
+            "group" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self):
         assert main(['run', '/definitely/not/here.cfg']) == 2
 
@@ -502,6 +511,23 @@ output.dir = {out}
         assert main(['run', cfg]) == 3
         rec = json.loads((out / 'error.json').read_text())
         assert rec['error_type'] == 'LinAlgError'
+
+    def test_verify_runtime_error_exit_code(self, tmp_path, monkeypatch,
+                                            capsys):
+        def fail(cfg, run_dir):
+            raise np.linalg.LinAlgError("singular matrix")
+        monkeypatch.setattr(cli, 'run_verification', fail)
+        out = tmp_path / "vlinalg"
+        cfg = tmp_path / "vlinalg.cfg"
+        cfg.write_text(BASE_CFG.format(family='perturbed', steps=1, snap=0,
+                                       out=out)
+                       + "checks.enable = crosschecks\n")
+        assert main(['verify', str(cfg)]) == 3
+        assert "runtime error: singular matrix" in capsys.readouterr().err
+        rec = json.loads((out / 'error.json').read_text())
+        assert rec == {'error_type': 'LinAlgError',
+                       'message': 'singular matrix'}
+        assert not (out / 'manifest.json').exists()
 
 
 class TestReportAndPlots:

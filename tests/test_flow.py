@@ -9,7 +9,8 @@ from g2flow import grid as gr
 from g2flow.errors import NotPositive, PositivityLost, SnapshotError, Stalled
 from g2flow.initial_data import flat_phi_field, perturbed_phi_field
 
-from conftest import GRID3, perturbed_state3, rewrite_header, scenario_spec
+from conftest import (GRID3, flat_state, perturbed_state3, rewrite_header,
+                      scenario_spec)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,53 @@ class TestStep:
         monkeypatch.setattr(fl, 'suggest_dt', lambda state, policy: np.nan)
         with pytest.raises(Stalled):
             fl.step(short_run[0])
+
+    @staticmethod
+    def leave_cone(monkeypatch, failures):
+        """Make RK4 leave the positive cone on its first ``failures``
+        calls and return the unchanged 3-form after; returns the dt of
+        every call."""
+        calls = []
+
+        def rk4(state, dt):
+            calls.append(dt)
+            if len(calls) <= failures:
+                raise NotPositive("left the positive cone", point=3)
+            return state.phi
+        monkeypatch.setattr(fl, '_rk4', rk4)
+        return calls
+
+    @pytest.mark.parametrize('k', [0, 1, 3, fl.MAX_RETRIES])
+    def test_positivity_failures_halve_dt(self, monkeypatch, k):
+        state = flat_state()
+        dt0 = fl.suggest_dt(state, fl.StepPolicy())
+        calls = self.leave_cone(monkeypatch, k)
+        new = fl.step(state)
+        assert new.dt == dt0 * 0.5 ** k
+        assert new.t == state.t + new.dt and new.step_index == 1
+        assert calls == [dt0 * 0.5 ** i for i in range(k + 1)]
+
+    def test_retry_budget_exhausted(self, monkeypatch):
+        state = flat_state()
+        dt0 = fl.suggest_dt(state, fl.StepPolicy())
+        self.leave_cone(monkeypatch, fl.MAX_RETRIES + 1)
+        with pytest.raises(PositivityLost) as err:
+            fl.step(state)
+        assert err.value.dt_history == tuple(
+            dt0 * 0.5 ** i for i in range(fl.MAX_RETRIES + 1))
+        assert err.value.point == 3 and err.value.t == state.t
+
+    def test_floor_crossed_while_halving_stalls(self, monkeypatch):
+        state = flat_state()
+        dt0 = fl.suggest_dt(state, fl.StepPolicy())
+        # dt0 and dt0/2 clear the floor; the second halving crosses it
+        policy = fl.StepPolicy(dt_floor=0.3 * dt0)
+        self.leave_cone(monkeypatch, fl.MAX_RETRIES + 1)
+        with pytest.raises(Stalled) as err:
+            fl.step(state, policy)
+        assert err.value.dt == dt0 / 4
+        assert err.value.dt_history == (dt0, dt0 / 2)
+        assert isinstance(err.value.__cause__, NotPositive)
 
     def test_three_axes_unequal_periods_conserved(self):
         st = perturbed_state3()

@@ -107,13 +107,6 @@ class TestFormField:
         pw = al.wedge(al.FormK(2, a.values[pt]), al.FormK(3, b.values[pt]))
         assert np.allclose(w.values[pt], pw.comps)
 
-    def test_arithmetic(self):
-        spec = scenario_spec(4)
-        a = gr.FormField(1, spec, smooth_field(spec, 7, seed=5))
-        two_a = a + a
-        assert np.allclose(two_a.values, (2.0 * a).values)
-        assert (a - a).max_abs() == 0.0
-
 
 class TestIntegrals:
     def test_scalar_integral_of_one(self):

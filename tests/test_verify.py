@@ -291,11 +291,11 @@ class TestTrajectories:
         h2 = spec.min_active_spacing() ** 2
         results = vf.run_evolution_checks(phi0, dt=1.5 * h2, c=c,
                                           gammas=(2.0,))
-        for r in results:
-            assert r.measured_order is not None
-            assert r.measured_order >= 1.8, \
-                f"{r.name}: order {r.measured_order:.2f}"
-            assert r.passed
+        for name, r in results.items():
+            assert r['measured_order'] is not None
+            assert r['measured_order'] >= 1.8, \
+                f"{name}: order {r['measured_order']:.2f}"
+            assert r['passed']
 
     def test_evolution_checks_spatial_order(self):
         # with dt pinned far below the parabolic scale, the residual is
