@@ -2,11 +2,11 @@
 fixed-state cross-checks and structure identities, and the driver that
 gates them and writes verification.json.
 
-Each evolution check compares a centered finite-difference time derivative
-over three states against the stated right-hand side evaluated at the middle
-state; every derivative in an RHS uses the same discrete operators as the
-flow, so residuals isolate the tensor algebra rather than mixing
-discretizations.
+Each evolution check compares centered finite-difference time derivatives,
+at three spacings on one fixed-step trajectory, against the stated
+right-hand side at the centre state; every derivative in an RHS uses the
+same discrete operators as the flow, so residuals isolate the tensor
+algebra rather than mixing discretizations.
 
 Measured orders use the three-spacing difference estimator
 log2((r1 - r2) / (r2 - r4)), which cancels the spacing-independent spatial
@@ -437,70 +437,70 @@ def difference_order(residuals):
     return math.log2(num / den)
 
 
-def centered_states(phi0, t_center, spacing):
-    """Integrate with fixed steps of ``spacing`` from t = 0 and return the
-    states at t_center - spacing, t_center, t_center + spacing."""
-    n_center = round(t_center / spacing)
-    if abs(n_center * spacing - t_center) > 1e-12 * max(t_center, 1.0):
-        raise ValueError("t_center must be a multiple of spacing")
-    prev = FlowState(0.0, phi0)
-    for _ in range(n_center - 1):
-        prev = step_fixed(prev, spacing)
-    mid = step_fixed(prev, spacing)
-    return prev, mid, step_fixed(mid, spacing)
+def _difference_reads(state, c, gammas):
+    """What the centered differences read at an off-centre state: Ric, R,
+    |Ric|^2, |Ric_t|^2 and f per gamma."""
+    ts = StateTensors(state, c=c)
+    return {'Ric': ts.b.Ric, 'R': ts.b.R, 'Ric_norm2': ts.Ric_norm2,
+            'Ric_t_norm2': ts.Ric_t_norm2,
+            **{('f', g): ts.f_field(g) for g in gammas}}
 
 
-def evaluate_residuals(prev, mid, nxt, spacing, c, gammas=(2.0,)):
-    """Max-norm residuals of every evolution equation on one state triple."""
-    ts = StateTensors(mid, c=c)
-    tp, tn = StateTensors(prev, c=c), StateTensors(nxt, c=c)
-    out = {}
+def centered_states(state0, dt, c, gammas=(2.0,)):
+    """One trajectory of fixed steps dt/4 from state0 to t0 + 2 dt: the
+    centre state at t0 + dt and, per spacing s in dt, dt/2, dt/4, the
+    _difference_reads at t0 + dt - s and t0 + dt + s.  Each off-centre
+    state is reduced to its reads and dropped as the trajectory passes."""
+    q, state = dt / 4.0, state0
+    reads = {0: _difference_reads(state0, c, gammas)}
+    for k in range(1, 9):
+        state = step_fixed(state, q)
+        if k == 4:
+            centre = state
+        elif abs(k - 4) in (1, 2, 4):
+            reads[k] = _difference_reads(state, c, gammas)
+    return centre, {j * q: (reads[4 - j], reads[4 + j]) for j in (4, 2, 1)}
 
-    def resid(name, lhs, rhs):
-        out[name] = float(np.max(np.abs(lhs - rhs)))
 
-    def fd(prev_val, next_val):
-        return (next_val - prev_val) / (2.0 * spacing)
-
-    fd_ric, fd_R = fd(tp.b.Ric, tn.b.Ric), fd(tp.b.R, tn.b.R)
+def evaluate_residuals(centre, sides, c, gammas=(2.0,)):
+    """Max-norm residuals of every evolution equation, {name: {s: r}}: the
+    right-hand sides are built once at the centre state and compared with
+    the centered difference at each spacing s of centered_states' sides."""
+    ts = StateTensors(centre, c=c)
     rhs_ric, rhs_R = rhs_general_flow(ts)
-    resid('general_flow_ricci', fd_ric, rhs_ric)
-    resid('general_flow_scalar', fd_R, rhs_R)
-    resid('ricci_evolution', fd_ric, rhs_ricci_evolution(ts))
-    resid('ricci_norm_evolution', fd(tp.Ric_norm2, tn.Ric_norm2),
-          rhs_ricci_norm_evolution(ts))
-    resid('scalar_evolution', fd_R, rhs_scalar_evolution(ts))
-    resid('shifted_ricci_norm_evolution', fd(tp.Ric_t_norm2, tn.Ric_t_norm2),
-          rhs_shifted_ricci_norm_evolution(ts))
-    resid('shifted_scalar_evolution', fd_R, rhs_shifted_scalar_evolution(ts))
-    for gamma in gammas:
-        resid(f'pinching_evolution_g{gamma:g}',
-              fd(tp.f_field(gamma), tn.f_field(gamma)),
-              rhs_pinching_evolution(ts, gamma))
-    return out
+    checks = [
+        ('general_flow_ricci', 'Ric', rhs_ric),
+        ('general_flow_scalar', 'R', rhs_R),
+        ('ricci_evolution', 'Ric', rhs_ricci_evolution(ts)),
+        ('ricci_norm_evolution', 'Ric_norm2', rhs_ricci_norm_evolution(ts)),
+        ('scalar_evolution', 'R', rhs_scalar_evolution(ts)),
+        ('shifted_ricci_norm_evolution', 'Ric_t_norm2',
+         rhs_shifted_ricci_norm_evolution(ts)),
+        ('shifted_scalar_evolution', 'R', rhs_shifted_scalar_evolution(ts))]
+    checks += [(f'pinching_evolution_g{g:g}', ('f', g),
+                rhs_pinching_evolution(ts, g)) for g in gammas]
+    return {name: {s: float(np.max(np.abs(
+                (after[key] - before[key]) / (2.0 * s) - rhs)))
+                   for s, (before, after) in sides.items()}
+            for name, key, rhs in checks}
 
 
-def run_evolution_checks(phi0, dt, c, gammas=(1.5, 2.0, 3.0), min_order=1.8):
-    """All evolution checks at spacings dt, dt/2, dt/4 centered at t = dt.
-
-    Returns each check's verification.json record, keyed by name, with
-    the time order from the difference estimator.  A check passes when its
-    order reaches min_order or its finest residual is at the rounding floor.
-    """
-    residuals = {}
-    for lvl in range(3):
-        s = dt / 2 ** lvl
-        res = evaluate_residuals(*centered_states(phi0, dt, s), s, c, gammas)
-        for n, r in res.items():
-            residuals.setdefault(n, {})[s] = r
+def run_evolution_checks(state0, dt, c, gammas=(1.5, 2.0, 3.0),
+                         min_order=1.8):
+    """Every evolution check at spacings dt, dt/2, dt/4 centered at t0 + dt
+    on one trajectory from state0, as verification.json records keyed by
+    name with the difference estimator's time order.  A check passes when
+    its order reaches min_order or its finest residual is at the rounding
+    floor."""
+    residuals = evaluate_residuals(*centered_states(state0, dt, c, gammas),
+                                   c, gammas)
     out = {}
     for n, rs in residuals.items():
         order = difference_order(rs)
         floor = rs[min(rs)] <= RESIDUAL_FLOOR
         out[n] = {
             'residuals': {repr(s): v for s, v in sorted(rs.items())},
-            'measured_order': order,
-            'min_order': min_order,
+            'measured_order': order, 'min_order': min_order,
             'passed': floor or (order is not None and order >= min_order)}
     return out
 
@@ -687,7 +687,7 @@ def run_verification(cfg, run_dir, log=print):
     if 'evolution' in cfg.checks_enable:
         dt = cfg.verify_dt_multiplier * 0.5 * (h * h)
         _record(report, 'evolution', run_evolution_checks(
-            state_hi.phi, dt=dt, c=c, gammas=cfg.verify_gammas,
+            state_hi, dt=dt, c=c, gammas=cfg.verify_gammas,
             min_order=cfg.checks_min_time_order))
 
     report['pinching_shift_c'] = c

@@ -348,6 +348,19 @@ output.dir = {out}
                                     groups.values()
                                     for rec in records.values())
 
+    @pytest.mark.parametrize('n, eps', [(8, 0.05), (16, 0.35)])
+    def test_evolution_default_spacing_exit_code(self, tmp_path, n, eps):
+        # the default verify.dt_multiplier on coarse grids: the trajectory
+        # steps dt/4 = h^2/2, so it keeps positivity and the checks pass
+        out = tmp_path / "evolution"
+        cfg = tmp_path / "evolution.cfg"
+        cfg.write_text(f"grid.n = {n}\ninitial.family = perturbed\n"
+                       f"initial.epsilon = {eps}\nchecks.enable = evolution\n"
+                       f"output.dir = {out}\n")
+        assert main(['verify', str(cfg)]) == 0
+        rep = json.loads((out / 'verification.json').read_text())
+        assert len(rep['groups']['evolution']) == 10 and rep['passed']
+
     def test_verify_uses_grid_shape(self, tmp_path):
         # grid.shape spells the same grid as grid.n with grid.active_axes;
         # structure also builds the halved grid

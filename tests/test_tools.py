@@ -94,3 +94,17 @@ def test_bench_ab_smoke_self_pair(tmp_path):
         assert s['median_ratio'] == s['ratios'][0] > 0.0
         assert s['change_lower'] in (0, 1)
         assert 0.0 < s['sign_test_p'] <= 1.0
+
+
+def test_bench_ab_refuses_missing_out_directory(tmp_path):
+    # refused before the first run: exit 2, a message and no run lines
+    missing = tmp_path / 'not' / 'made'
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / 'bench_ab.py'), '--label', 'x',
+         '--base', 'HEAD', '--change', 'HEAD', '--smoke', '--workloads',
+         'flow_integrate_3d', '--seeds', '0', '--out', str(missing)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 2
+    assert f'--out {missing} is not a directory' in proc.stderr
+    assert 'bench_ab: ' not in proc.stdout
+    assert not missing.exists()

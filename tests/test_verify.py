@@ -258,60 +258,12 @@ class TestOrderEstimator:
         assert vf.difference_order({0.1: 1.0, 0.05: 0.25}) is None
 
 
-class TestTrajectories:
-    def test_centered_states_spacing_constraint(self):
-        spec = scenario_spec(8)
-        phi0 = perturbed_phi_field(spec, 0.02)
-        with pytest.raises(ValueError):
-            vf.centered_states(phi0, t_center=0.1, spacing=0.03)
-
-    def test_centered_states_times(self):
-        spec = scenario_spec(8)
-        phi0 = perturbed_phi_field(spec, 0.02)
-        prev, mid, nxt = vf.centered_states(phi0, 0.02, 0.01)
-        assert mid.t == pytest.approx(0.02)
-        assert prev.t == pytest.approx(0.01)
-        assert nxt.t == pytest.approx(0.03)
-
-    def test_flat_trajectory_all_residuals_vanish(self):
-        from g2flow.initial_data import flat_phi_field
-        spec = scenario_spec(8)
-        phi0 = flat_phi_field(spec)
-        prev, mid, nxt = vf.centered_states(phi0, 0.02, 0.01)
-        res = vf.evaluate_residuals(prev, mid, nxt, 0.01, c=1.0,
-                                    gammas=(2.0,))
-        assert max(res.values()) < 1e-13
-
-    def test_evolution_checks_time_order(self):
-        # the acceptance gate reruns this at N = 64; at N = 32 every check
-        # already resolves second order in dt through the spatial floor
-        spec = scenario_spec(32)
-        phi0 = perturbed_phi_field(spec, 0.05)
-        c = auto_shift(fl.FlowState(0.0, phi0).bundle)
-        h2 = spec.min_active_spacing() ** 2
-        results = vf.run_evolution_checks(phi0, dt=1.5 * h2, c=c,
-                                          gammas=(2.0,))
-        for name, r in results.items():
-            assert r['measured_order'] is not None
-            assert r['measured_order'] >= 1.8, \
-                f"{name}: order {r['measured_order']:.2f}"
-            assert r['passed']
-
-    def test_evolution_checks_spatial_order(self):
-        # with dt pinned far below the parabolic scale, the residual is
-        # dominated by the h^4 spatial part over a grid doubling
-        dt = 1e-3
-        res = {}
-        for n in (32, 64):
-            spec = scenario_spec(n)
-            phi0 = perturbed_phi_field(spec, 0.05)
-            c = auto_shift(fl.FlowState(0.0, phi0).bundle)
-            prev, mid, nxt = vf.centered_states(phi0, dt, dt)
-            res[n] = vf.evaluate_residuals(prev, mid, nxt, dt, c,
-                                           gammas=(2.0,))
-        for name in res[32]:
-            order = np.log2(res[32][name] / res[64][name])
-            assert order >= 3.5, f"{name}: spatial order {order:.2f}"
+def fixed_steps(phi0, spacing, n=3):
+    """The states after 1..n fixed RK4 steps of ``spacing`` from phi0."""
+    states = [fl.FlowState(0.0, phi0)]
+    for _ in range(n):
+        states.append(fl.step_fixed(states[-1], spacing))
+    return states[1:]
 
 
 def pinching_constant(states, c):
@@ -319,12 +271,95 @@ def pinching_constant(states, c):
         *(vf.StateTensors(st, c=c) for st in states))
 
 
+class TestTrajectories:
+    def test_centered_states_times(self):
+        # eight steps of dt/4: the centre at dt, the sides at dt -/+ s
+        state0 = fl.FlowState(0.0, perturbed_phi_field(scenario_spec(8), 0.02))
+        centre, sides = vf.centered_states(state0, 0.04, 1.0, (2.0,))
+        assert centre.t == pytest.approx(0.04)
+        assert centre.step_index == 4
+        assert list(sides) == [0.04, 0.02, 0.01]
+        before, after = sides[0.01]
+        third = fixed_steps(state0.phi, 0.01)[2]                # t = 0.03
+        assert np.array_equal(before['R'], third.bundle.R)
+        assert set(after) == {'Ric', 'R', 'Ric_norm2', 'Ric_t_norm2',
+                              ('f', 2.0)}
+
+    def test_flat_trajectory_all_residuals_vanish(self):
+        from g2flow.initial_data import flat_phi_field
+        state0 = fl.FlowState(0.0, flat_phi_field(scenario_spec(8)))
+        res = vf.evaluate_residuals(
+            *vf.centered_states(state0, 0.04, 1.0, (2.0,)), 1.0, (2.0,))
+        assert max(max(rs.values()) for rs in res.values()) < 1e-13
+
+    def test_evolution_checks_time_order(self):
+        # the acceptance gate reruns this at N = 64; at N = 32 every check
+        # already resolves second order in dt through the spatial floor
+        state = perturbed_state(32)
+        c = auto_shift(state.bundle)
+        h2 = state.spec.min_active_spacing() ** 2
+        results = vf.run_evolution_checks(state, dt=1.5 * h2, c=c,
+                                          gammas=(2.0,))
+        for name, r in results.items():
+            assert r['measured_order'] is not None
+            assert r['measured_order'] >= 1.8, \
+                f"{name}: order {r['measured_order']:.2f}"
+            assert r['passed']
+
+    def test_evolution_checks_three_axes_unequal_periods(self):
+        # GRID3's periods and modes at 12^3 and the default spacing 2 h^2
+        spec = gr.GridSpec((12, 12, 12, 1, 1, 1, 1), GRID3.periods)
+        state = fl.FlowState(0.0, perturbed_phi_field(spec, EPS, MODES3))
+        c = auto_shift(state.bundle)
+        h = spec.min_active_spacing()
+        results = vf.run_evolution_checks(state, dt=2.0 * h * h, c=c)
+        assert len(results) == 10
+        for name, r in results.items():
+            assert r['passed'] and r['measured_order'] >= 1.8, \
+                f"{name}: order {r['measured_order']:.2f}"
+
+    def test_planted_rhs_error_fails(self, monkeypatch):
+        # a 1% error in one right-hand side fails its check at N = 32 and
+        # the default spacing, while the checks sharing its difference pass
+        rhs_scalar = vf.rhs_scalar_evolution
+        rhs_pinching = vf.rhs_pinching_evolution
+        monkeypatch.setattr(vf, 'rhs_scalar_evolution',
+                            lambda ts: 1.01 * rhs_scalar(ts))
+        monkeypatch.setattr(
+            vf, 'rhs_pinching_evolution',
+            lambda ts, g: (1.01 if g == 2.0 else 1.0) * rhs_pinching(ts, g))
+        state = perturbed_state(32)
+        c = auto_shift(state.bundle)
+        h = state.spec.min_active_spacing()
+        results = vf.run_evolution_checks(state, dt=2.0 * h * h, c=c,
+                                          gammas=(1.5, 2.0))
+        assert not results['scalar_evolution']['passed']
+        assert not results['pinching_evolution_g2']['passed']
+        for name in ('general_flow_scalar', 'shifted_scalar_evolution',
+                     'pinching_evolution_g1.5'):
+            assert results[name]['passed'], name
+
+    def test_evolution_checks_spatial_order(self):
+        # with the spacing pinned far below the parabolic scale, the
+        # residual is dominated by the h^4 spatial part over a grid doubling
+        s = 1e-3
+        res = {}
+        for n in (32, 64):
+            state = perturbed_state(n)
+            c = auto_shift(state.bundle)
+            res[n] = vf.evaluate_residuals(
+                *vf.centered_states(state, 4 * s, c, (2.0,)), c, (2.0,))
+        for name in res[32]:
+            order = np.log2(res[32][name][s] / res[64][name][s])
+            assert order >= 3.5, f"{name}: spatial order {order:.2f}"
+
+
 class TestMinimalPinchingConstant:
     def test_flat_needs_nothing(self):
         from g2flow.initial_data import flat_phi_field
         spec = scenario_spec(8)
         phi0 = flat_phi_field(spec)
-        prev, mid, nxt = vf.centered_states(phi0, 0.02, 0.01)
+        prev, mid, nxt = fixed_steps(phi0, 0.01)
         assert pinching_constant((prev, mid, nxt), c=1.0) == 0.0
 
     def test_perturbed_finite(self):
@@ -332,7 +367,7 @@ class TestMinimalPinchingConstant:
         phi0 = perturbed_phi_field(spec, 0.05)
         c = auto_shift(fl.FlowState(0.0, phi0).bundle)
         h2 = spec.min_active_spacing() ** 2
-        prev, mid, nxt = vf.centered_states(phi0, 2 * h2, h2)
+        prev, mid, nxt = fixed_steps(phi0, h2)
         cmin = pinching_constant((prev, mid, nxt), c)
         assert np.isfinite(cmin)
         assert cmin >= 0.0
@@ -345,7 +380,7 @@ class TestMinimalPinchingConstant:
         for eps in (0.05, 0.025):
             phi0 = perturbed_phi_field(spec, eps)
             c = auto_shift(fl.FlowState(0.0, phi0).bundle)
-            prev, mid, nxt = vf.centered_states(phi0, 2 * h2, h2)
+            prev, mid, nxt = fixed_steps(phi0, h2)
             vals[eps] = pinching_constant((prev, mid, nxt), c)
         if vals[0.05] > 0.0:
             assert vals[0.025] <= 2.0 * max(vals[0.05], 1e-6)
@@ -353,7 +388,7 @@ class TestMinimalPinchingConstant:
     def test_nonpositive_shift_raises(self):
         # min(R + c) <= 0 at the first state only is enough to raise
         phi0 = perturbed_phi_field(scenario_spec(8), 0.05)
-        prev, mid, nxt = vf.centered_states(phi0, 0.02, 0.01)
+        prev, mid, nxt = fixed_steps(phi0, 0.01)
         c = -float(np.min(prev.bundle.R))
         assert float(np.min(mid.bundle.R)) + c > 0.0
         with pytest.raises(NonPositiveShiftedScalar):

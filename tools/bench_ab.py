@@ -18,7 +18,8 @@ dropped) and both sides' quartiles.  It draws no verdict.  ``--base HEAD
 gives.
 
 Exit status: 0 when every run was correct, 1 when a run failed or was
-incorrect (the record is written either way), 2 on a usage error.
+incorrect (the record is written either way), 2 on a usage error, such as
+an --out that is not an existing directory (refused before any run).
 """
 
 import argparse
@@ -140,6 +141,8 @@ def main(argv=None):
                                      ('change', args.change))}
     except (ValueError, subprocess.CalledProcessError) as err:
         ap.error(f'bad seeds or revision: {err}')
+    if not Path(args.out).is_dir():
+        ap.error(f'--out {args.out} is not a directory')
 
     record = {'label': args.label, 'base': commits['base'],
               'change': commits['change'], 'seconds': bench['run_seconds'],
