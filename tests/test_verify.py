@@ -258,19 +258,6 @@ class TestOrderEstimator:
         assert vf.difference_order({0.1: 1.0, 0.05: 0.25}) is None
 
 
-def fixed_steps(phi0, spacing, n=3):
-    """The states after 1..n fixed RK4 steps of ``spacing`` from phi0."""
-    states = [fl.FlowState(0.0, phi0)]
-    for _ in range(n):
-        states.append(fl.step_fixed(states[-1], spacing))
-    return states[1:]
-
-
-def pinching_constant(states, c):
-    return vf.minimal_pinching_constant(
-        *(vf.StateTensors(st, c=c) for st in states))
-
-
 class TestTrajectories:
     def test_centered_states_times(self):
         # eight steps of dt/4: the centre at dt, the sides at dt -/+ s
@@ -352,6 +339,20 @@ class TestTrajectories:
         for name in res[32]:
             order = np.log2(res[32][name][s] / res[64][name][s])
             assert order >= 3.5, f"{name}: spatial order {order:.2f}"
+
+
+def fixed_steps(phi0, spacing):
+    """The states after one, two and three fixed RK4 steps of ``spacing``
+    from phi0 at t = 0."""
+    states = [fl.FlowState(0.0, phi0)]
+    for _ in range(3):
+        states.append(fl.step_fixed(states[-1], spacing))
+    return states[1:]
+
+
+def pinching_constant(states, c):
+    return vf.minimal_pinching_constant(
+        *(vf.StateTensors(st, c=c) for st in states))
 
 
 class TestMinimalPinchingConstant:
