@@ -145,16 +145,18 @@ def volume_pairing_table():
 # batched kernels (trailing component axis, arbitrary leading axes)
 # ---------------------------------------------------------------------------
 
-# points per chunk of the pointwise curvature kernels: their temporaries
-# then take a few MB per array whatever the grid size
-CHUNK = 128
+# bytes of the largest temporary of a wide pointwise kernel per block of
+# points: it then stays within a core's 2 MiB L2 cache whatever the grid
+BLOCK_BYTES = 1 << 20
 
 
-def chunks(n):
-    """Slices of CHUNK consecutive points covering range(n), the last one
-    possibly short.  Kernels run point by point through the same operations
-    in every chunk, so their results do not depend on CHUNK."""
-    size = CHUNK
+def chunks(n, width):
+    """Slices of max(1, BLOCK_BYTES // (8 width)) consecutive points
+    covering range(n), the last one possibly short, for a kernel whose
+    largest temporary holds ``width`` floats per point.  Kernels run point
+    by point through the same operations in every block, so their results
+    do not depend on BLOCK_BYTES."""
+    size = max(1, BLOCK_BYTES // (8 * width))
     return (slice(s, s + size) for s in range(0, n, size))
 
 
@@ -223,12 +225,12 @@ def pair_operator(P):
 
 def pair_apply(P, X):
     """P_pijl X^pl for pair-form tensors P and 2-tensors X at the same
-    points: X flattened times pair_operator(P), built one chunk of points
+    points: X flattened times pair_operator(P), built one block of points
     at a time, so no 7^4 array spans the grid."""
     n = P[..., 0, 0].size
     Pc, Xc = P.reshape(n, NCOMP[2], NCOMP[2]), X.reshape(n, 1, DIM * DIM)
     out = np.empty(Xc.shape)
-    for c in chunks(n):
+    for c in chunks(n, DIM ** 4):
         np.matmul(Xc[c], pair_operator(Pc[c]), out=out[c])
     return out.reshape(X.shape)
 
@@ -332,19 +334,33 @@ def metric_data_from_phi(phi3):
     factorization is the definiteness check, det Bt = prod diag(L)^2 and
     Bt^-1 = X^T X with X = L^-1.  s0 = sign(B[0, 0]) is the sign of det B
     on every definite B (an odd dimension), and a zero B[0, 0] fails the
-    factorization."""
+    factorization.  It runs over blocks of points (chunks); one that fails
+    is diagnosed again on the whole grid, so the index is the global one."""
     finite = np.all(np.isfinite(phi3), axis=-1)
     if not np.all(finite):
         bad = int(np.argmin(np.reshape(finite, -1)))
         raise NotPositive("3-form has non-finite components", point=bad)
-    B = bilinear_form_comps(phi3)
-    s0 = np.sign(B[..., 0, 0])
-    Bt = s0[..., None, None] * B
+    flat = phi3.reshape(-1, NCOMP[3])
+    n = flat.shape[0]
+    g, ginv = np.empty((n, DIM, DIM)), np.empty((n, DIM, DIM))
+    detg, vol, s0 = np.empty(n), np.empty(n), np.empty(n)
     try:
-        L = np.linalg.cholesky(Bt)
+        for c in chunks(n, NCOMP[2] ** 2):
+            B = bilinear_form_comps(flat[c])
+            s0[c] = np.sign(B[:, 0, 0])
+            Bt = s0[c, None, None] * B
+            L = np.linalg.cholesky(Bt)
+            detBt = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1) ** 2
+            X = _lower_inverse(L)
+            scale = detBt ** (-1.0 / 9.0)
+            g[c] = scale[:, None, None] * Bt
+            ginv[c] = (np.swapaxes(X, -1, -2) @ X) / scale[:, None, None]
+            detg[c] = detBt ** (2.0 / 9.0)
+            vol[c] = detBt ** (1.0 / 9.0)
     except np.linalg.LinAlgError:
         # the first point of least |det B| when one is singular, else the
         # point of least eigenvalue of sign(det B) B
+        B = bilinear_form_comps(phi3)
         detB = np.linalg.det(B)
         s = np.sign(detB)
         if np.any(s == 0.0):
@@ -354,14 +370,8 @@ def metric_data_from_phi(phi3):
         bad = int(np.argmin(ev.reshape(-1)))
         raise NotPositive("3-form is not positive (bilinear form indefinite)",
                           point=bad)
-    detBt = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1) ** 2
-    X = _lower_inverse(L)
-    scale = detBt ** (-1.0 / 9.0)
-    g = scale[..., None, None] * Bt
-    ginv = (np.swapaxes(X, -1, -2) @ X) / scale[..., None, None]
-    detg = detBt ** (2.0 / 9.0)
-    vol = detBt ** (1.0 / 9.0)
-    return g, ginv, detg, vol, s0
+    return tuple(a.reshape(phi3.shape[:-1] + a.shape[1:])
+                 for a in (g, ginv, detg, vol, s0))
 
 
 # ---------------------------------------------------------------------------

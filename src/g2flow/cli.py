@@ -242,13 +242,14 @@ def build_initial_state(cfg):
     return FlowState(0.0, phi), {}
 
 
-def monitor_row(ts, gammas, g0, running):
+def monitor_row(ts, gammas, w0, running):
     """The series.csv row of one accepted state, read through its
     StateTensors ``ts``; the dt cell is the step that produced the state,
     blank when none did, and min_C_g2 is left blank for the caller.  Where
     min(R + c) <= 0 the ratio and f cells are blank too, and
     running['pinching_paused'] is set.  ``running`` holds the reference
-    periods and the running Weyl-ratio maximum, updated in place."""
+    periods and the running Weyl-ratio maximum, updated in place; ``w0``
+    whitens g(0) for metric_distortion."""
     from .curvature import metric_distortion
     from .grid import period_integrals
     state, b = ts.state, ts.b
@@ -277,7 +278,7 @@ def monitor_row(ts, gammas, g0, running):
         for g in gammas:
             row[f'f_max_g{g:g}'] = float(np.max(ts.f_field(g)))
         row['f_min_g2'] = float(np.min(ts.f_field(2.0)))
-    row['distortion'] = metric_distortion(g0, state.metric.g)
+    row['distortion'] = metric_distortion(w0, state.metric.g)
     row['speed_integral'] = running.get('speed_integral', 0.0)
     return row
 
@@ -307,12 +308,13 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
                         max_dt=cfg.flow_max_dt)
     c = float(aux['c']) if 'c' in aux else pinching_shift(cfg, state)
 
-    # Distortion is measured against g at t = 0; when resuming, the
-    # starting metric is rebuilt from the configured initial family.
+    # Distortion is measured against g at t = 0, whitened once; when
+    # resuming, the starting metric is rebuilt from the configured family.
     if resumed and cfg.initial_family in ('flat', 'perturbed'):
         g0 = build_initial_state(cfg)[0].metric.g
     else:
         g0 = state.metric.g
+    w0 = np.linalg.inv(np.linalg.cholesky(g0))
 
     # reference periods of the flat class on this grid: the flow's exact
     # invariants, independent of the run's own starting step
@@ -334,7 +336,7 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     # run's restored row already exists in the original CSV
     ts = StateTensors(state, c)
     last = [ts]
-    history = [] if resumed else [monitor_row(ts, gammas, g0, running)]
+    history = [] if resumed else [monitor_row(ts, gammas, w0, running)]
     t_wall = time.time()
     try:
         while ts.state.step_index < cfg.flow_steps:
@@ -347,7 +349,7 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
             running['speed_integral'] += new.dt * sp
             ts = StateTensors(new, c)
             last.append(ts)
-            history.append(monitor_row(ts, gammas, g0, running))
+            history.append(monitor_row(ts, gammas, w0, running))
             if len(last) == 3:
                 try:
                     history[-2]['min_C_g2'] = minimal_pinching_constant(*last)

@@ -28,12 +28,12 @@ def kulkarni_nomizu(alpha, beta):
 
 def weyl(bundle, m):
     """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g in pair form,
-    over chunks of points (algebra.chunks)."""
+    over blocks of points (algebra.chunks)."""
     n = bundle.R.size
     Rm, R = bundle.Rm.reshape(n, NCOMP[2], NCOMP[2]), bundle.R.reshape(n, 1, 1)
     E, g = bundle.E.reshape(n, DIM, DIM), m.g.reshape(n, DIM, DIM)
     W = np.empty(Rm.shape)
-    for c in chunks(n):
+    for c in chunks(n, DIM * NCOMP[2] ** 2):
         W[c] = (Rm[c] - (R[c] / 84.0) * kulkarni_nomizu(g[c], g[c])
                 - 0.2 * kulkarni_nomizu(E[c], g[c]))
     return W.reshape(bundle.Rm.shape)
@@ -67,7 +67,7 @@ def c1_norm(W, m):
     field, |W|^2 from pair_norm2.  Gamma_a acts on each pair as the 2-form
     derivation D_a, so nabla_a W = d_a W - D_a W - (D_a W)^T, and
     |nabla W|^2 = 4 g^ab tr(nabla_a W Lam nabla_b W Lam), Lam = m.pair_ginv.
-    The derivative terms run over chunks of points (algebra.chunks).
+    The derivative terms run over blocks of points (algebra.chunks).
     """
     P = NCOMP[2]
     Wf = W.reshape(-1, P, P)
@@ -78,7 +78,7 @@ def c1_norm(W, m):
     dW = [(a, partial_derivative(W, m.spec, a).reshape(Wf.shape))
           for a in m.spec.active_axes]
     dn2 = np.empty(n)
-    for c in chunks(n):
+    for c in chunks(n, DIM * NCOMP[2] ** 2):
         D = (gam[c] @ pair_derivation_table()).reshape(-1, DIM, P, P)
         DW = D @ Wf[c, None, :, :]
         dWc = np.zeros(DW.shape)             # d_a W, zero on inactive axes
@@ -105,12 +105,11 @@ def shifted_scalar(bundle, c):
     return rt
 
 
-def metric_distortion(g0, g):
+def metric_distortion(w0, g):
     """max over the grid of max(lambda_max, 1/lambda_min) for the pencil
-    g(t) v = lambda g(0) v (Cholesky-whitened symmetric eigenproblem)."""
-    L = np.linalg.cholesky(g0)
-    Linv = np.linalg.inv(L)
-    M = Linv @ g @ np.swapaxes(Linv, -1, -2)
+    g(t) v = lambda g(0) v: the symmetric eigenproblem of w0 g w0^T with
+    the whitening w0 = L^-1 of the Cholesky factor L of g(0)."""
+    M = w0 @ g @ np.swapaxes(w0, -1, -2)
     ev = np.linalg.eigvalsh(M)
     lo, hi = float(np.min(ev[..., 0])), float(np.max(ev[..., -1]))
     return max(hi, 1.0 / lo)

@@ -79,9 +79,14 @@ class FlowState:
         return torsion_from_phi(self.phi, self.metric)
 
     @cached_property
+    def curvature(self):
+        """Curvature bundle without the torsion; ``bundle`` fills it in."""
+        return riemann(self.metric)
+
+    @cached_property
     def bundle(self):
         """Curvature bundle with the torsion-dependent members attached."""
-        return attach_torsion(riemann(self.metric), self.torsion)
+        return attach_torsion(self.curvature, self.torsion)
 
     def volume(self):
         """Total volume of the induced metric (the functional whose

@@ -240,7 +240,7 @@ def riemann(m):
     eP = al.form_to_dense(2, np.eye(i.size))
     Rm, dev = np.empty((n, i.size, i.size)), np.empty(n)
     Ric = np.empty(g.shape)
-    for c in al.chunks(n):
+    for c in al.chunks(n, i.size * DIM * DIM):
         r = rup[c]
         r += H[c, j] @ H[c, i]
         r -= H[c, i] @ H[c, j]
@@ -296,15 +296,21 @@ def psi_from_phi(phi, m):
     metric m, by the contraction identity phi_ijk phi_ab^k = g_ia g_jb -
     g_ib g_ja + psi_ijab on each increasing (i<j),(a<b) split: the rows
     phi_Jk of the interior gather, one slot raised by g^-1, contracted
-    over k.  Quadratic in phi, so psi(-phi) = psi(phi) as for the star."""
+    over k, in blocks of points (al.chunks).  Quadratic in phi, so
+    psi(-phi) = psi(phi) as for the star."""
     P, Q, i, j, a, b = _SPLIT
     idx, sgn = al.basis_interior_table(3)
-    rows = phi.values[..., idx] * sgn                # (.., k, J) phi_Jk
-    up = m.ginv @ rows                                # phi_J^k
-    g = m.g
-    out = (np.einsum('...kc,...kc->...c', rows[..., P], up[..., Q])
-           - g[..., i, a] * g[..., j, b] + g[..., i, b] * g[..., j, a])
-    return FormField(4, phi.spec, out)
+    n = m.vol.size
+    phis, gs = phi.values.reshape(n, -1), m.g.reshape(n, DIM, DIM)
+    ginv = m.ginv.reshape(gs.shape)
+    out = np.empty((n, al.NCOMP[4]))
+    for c in al.chunks(n, 2 * DIM * al.NCOMP[4]):
+        rows = phis[c][:, idx] * sgn                  # (.., k, J) phi_Jk
+        up = ginv[c] @ rows                            # phi_J^k
+        g = gs[c]
+        out[c] = (np.einsum('...kc,...kc->...c', rows[..., P], up[..., Q])
+                  - g[..., i, a] * g[..., j, b] + g[..., i, b] * g[..., j, a])
+    return FormField(4, phi.spec, out.reshape(m.vol.shape + out.shape[1:]))
 
 
 def raised_from_dual(dual, m):

@@ -42,13 +42,14 @@ class StateTensors:
     derivatives, and all raised variants come from the same inverse metric,
     so algebraically identical expressions evaluate to identical arrays.
     Everything built on R + c raises NonPositiveShiftedScalar when
-    min(R + c) <= 0."""
+    min(R + c) <= 0.  A ``bundle`` given replaces state.bundle, such as
+    the torsion-free state.curvature for reads that need no torsion."""
 
-    def __init__(self, state, c=1.0):
+    def __init__(self, state, c=1.0, bundle=None):
         self.state = state
         self.c = float(c)
         self.m = state.metric
-        self.b = state.bundle
+        self.b = state.bundle if bundle is None else bundle
         self._f = {}
 
     @cached_property
@@ -439,8 +440,8 @@ def difference_order(residuals):
 
 def _difference_reads(state, c, gammas):
     """What the centered differences read at an off-centre state: Ric, R,
-    |Ric|^2, |Ric_t|^2 and f per gamma."""
-    ts = StateTensors(state, c=c)
+    |Ric|^2, |Ric_t|^2 and f per gamma, from its curvature alone."""
+    ts = StateTensors(state, c=c, bundle=state.curvature)
     return {'Ric': ts.b.Ric, 'R': ts.b.R, 'Ric_norm2': ts.Ric_norm2,
             'Ric_t_norm2': ts.Ric_t_norm2,
             **{('f', g): ts.f_field(g) for g in gammas}}

@@ -17,6 +17,11 @@ GRID3 = gr.GridSpec((8, 8, 8, 1, 1, 1, 1),
 MODES3 = DEFAULT_MODES + (Mode((0, 0, 1, 0, 0, 0, 0), (2, 5), 0.5, 0.3),
                           Mode((1, 0, -1, 0, 0, 0, 0), (0, 6), 0.4, 1.3))
 
+# a block budget of 5 points for the widest kernels (Weyl, c1_norm), and
+# 6 to 35 points for the others: no block size is a power of 2, so the
+# 256 or 512 points of the test grids span many blocks, the last one short
+SMALL_BLOCK_BYTES = 8 * 5 * al.DIM * al.NCOMP[2] ** 2
+
 
 def scenario_spec(n, axes=(0, 1)):
     return gr.GridSpec.from_active(n, axes)

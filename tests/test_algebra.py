@@ -4,7 +4,7 @@ import pytest
 from g2flow import algebra as al
 from g2flow.errors import DegreeError, NotPositive
 
-from conftest import pair_to_dense
+from conftest import SMALL_BLOCK_BYTES, pair_to_dense
 
 RNG = np.random.default_rng(42)
 
@@ -284,6 +284,32 @@ class TestMetricFromPhi:
             al.metric_data_from_phi(phis)
         assert str(err.value) == message
         assert err.value.point == 7
+
+    def test_nonfinite_in_later_block_has_global_point(self, monkeypatch):
+        # 35-point blocks: flat index 47 sits in the second of three
+        monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
+        phis = np.broadcast_to(al.standard_phi().comps, (8, 10, 35)).copy()
+        phis[4, 7, 3] = np.inf
+        with pytest.raises(NotPositive, match="non-finite") as err:
+            al.metric_data_from_phi(phis)
+        assert err.value.point == 47
+
+    def test_indefinite_in_two_blocks_names_whole_grid_point(
+            self, monkeypatch):
+        # split 3-forms at flat indices 10 (first block) and 50 (second);
+        # the one at 50, scaled by 2, has the least eigenvalue, so a
+        # diagnosis of the first failing block alone would name 10
+        split = al.standard_phi().comps.copy()
+        split[al.POS[3][(2, 4, 5)]] *= -1.0
+        phis = np.broadcast_to(al.standard_phi().comps, (80, 35)).copy()
+        phis[10], phis[50] = split, 2.0 * split
+        errors = []
+        for budget in (1 << 40, SMALL_BLOCK_BYTES):
+            monkeypatch.setattr(al, 'BLOCK_BYTES', budget)
+            with pytest.raises(NotPositive, match="indefinite") as err:
+                al.metric_data_from_phi(phis)
+            errors.append(err.value.point)
+        assert errors == [50, 50]
 
     def test_metric_inverse_consistency(self):
         u = healthy_linear_map(np.random.default_rng(3))

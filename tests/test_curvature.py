@@ -9,8 +9,8 @@ from g2flow.cli import csv_columns, monitor_row
 from g2flow.errors import NonPositiveShiftedScalar
 from g2flow.grid import period_integrals
 
-from conftest import (dense_c1_norm, flat_state, pair_to_dense,
-                      perturbed_state3)
+from conftest import (SMALL_BLOCK_BYTES, dense_c1_norm, flat_state,
+                      pair_to_dense, perturbed_state3)
 
 RNG = np.random.default_rng(21)
 
@@ -122,11 +122,10 @@ class TestC1Norm:
     @pytest.mark.parametrize('three', (False, True))
     def test_chunk_size_does_not_move_bits(self, state16, three,
                                            monkeypatch):
-        # 5 divides neither 256 nor 512 points, so the last chunk is short
         st = perturbed_state3() if three else state16
         W = cv.weyl(st.bundle, st.metric)
         whole = cv.c1_norm(W, st.metric)
-        monkeypatch.setattr(al, 'CHUNK', 5)
+        monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
         assert np.array_equal(cv.c1_norm(W, st.metric), whole)
 
     def test_weyl_c1_stable_under_refinement(self, state32, state64):
@@ -176,12 +175,16 @@ class TestPinching:
         assert np.min(f) >= 0.0
 
 
+def whitening(g0):
+    return np.linalg.inv(np.linalg.cholesky(g0))
+
+
 class TestPinchingReport:
     def test_report_row(self, state16):
         c = cv.auto_shift(state16.bundle)
         running = {'period_ref': period_integrals(state16.phi)}
         row = monitor_row(vf.StateTensors(state16, c), (2.0,),
-                          state16.metric.g, running)
+                          whitening(state16.metric.g), running)
         assert row['f_max_g2'] >= row['f_min_g2'] >= 0.0
         assert row['W_c1_max'] >= 0.0
         assert row['distortion'] == pytest.approx(1.0, abs=1e-10)
@@ -231,12 +234,13 @@ class TestDistortionBound:
 class TestMetricDistortion:
     def test_identity(self, state16):
         g = state16.metric.g
-        assert cv.metric_distortion(g, g) == \
+        assert cv.metric_distortion(whitening(g), g) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_known_stretch(self, state16):
+        w = whitening(state16.metric.g)
         g = state16.metric.g
-        assert cv.metric_distortion(g, 4.0 * g) == \
+        assert cv.metric_distortion(w, 4.0 * g) == \
             pytest.approx(4.0, rel=1e-10)
-        assert cv.metric_distortion(g, 0.25 * g) == \
+        assert cv.metric_distortion(w, 0.25 * g) == \
             pytest.approx(4.0, rel=1e-10)

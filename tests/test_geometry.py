@@ -11,9 +11,9 @@ from g2flow import verify as vf
 from g2flow.errors import DegreeError
 from g2flow.initial_data import perturbed_phi_field
 
-from conftest import (dense_riemann, flat_state, l2_form_inner,
-                      pair_to_dense, perturbed_state, perturbed_state3,
-                      scenario_spec, smooth_field)
+from conftest import (SMALL_BLOCK_BYTES, dense_riemann, flat_state,
+                      l2_form_inner, pair_to_dense, perturbed_state,
+                      perturbed_state3, scenario_spec, smooth_field)
 
 
 def warped_metric_field(n, amp=0.15):
@@ -26,6 +26,23 @@ def warped_metric_field(n, amp=0.15):
                                    np.linalg.det(g),
                                    np.sqrt(np.linalg.det(g)),
                                    np.ones(spec.shape))
+
+
+class TestPointBlocks:
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_blocks_do_not_move_bits(self, state16, three, monkeypatch):
+        # the metric kernel and psi on one whole-grid block against blocks
+        # of 35 and 31 points, the last one short
+        phi = (perturbed_state3() if three else state16).phi
+        monkeypatch.setattr(al, 'BLOCK_BYTES', 1 << 40)
+        whole = al.metric_data_from_phi(phi.values)
+        m = ge.MetricField(phi.spec, *whole)
+        psi = ge.psi_from_phi(phi, m).values
+        monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
+        got = al.metric_data_from_phi(phi.values)
+        for a, b in zip(got, whole):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.array_equal(ge.psi_from_phi(phi, m).values, psi)
 
 
 class TestChristoffel:
@@ -141,10 +158,9 @@ class TestRiemann:
     @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
     def test_chunk_size_does_not_move_bits(self, state16, three,
                                            monkeypatch):
-        # 5 divides neither 256 nor 512 points, so the last chunk is short
         m = (perturbed_state3() if three else state16).metric
         whole = ge.riemann(m)
-        monkeypatch.setattr(al, 'CHUNK', 5)
+        monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
         got = ge.riemann(m)
         for name in ('Rm', 'Ric', 'R', 'E'):
             assert np.array_equal(getattr(got, name), getattr(whole, name))

@@ -65,6 +65,34 @@ def test_bench_ab_sign_test():
     assert sign_test([(1.0, 1.0)]) == 1.0
 
 
+def test_bench_ab_verdicts():
+    # synthetic (base, change) pairs against a 25% bound; the base's
+    # interquartile range is 0.02 of its median unless made wide
+    sys.path.insert(0, str(TOOLS))
+    try:
+        from bench_ab import verdict
+    finally:
+        sys.path.remove(str(TOOLS))
+    base = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+
+    def pairs(scales, bases=base):
+        return [(b, s * b) for b, s in zip(bases, scales)]
+
+    assert verdict(pairs([0.8] * 10), 0.25, 'lower') == 'gain'
+    # nine lower and one tie is 9/10; eight lower is not enough
+    assert verdict(pairs([0.8] * 9 + [1.0]), 0.25, 'lower') == 'gain'
+    assert verdict(pairs([0.8] * 8 + [1.1] * 2), 0.25, 'lower') == \
+        'no change'
+    # lower in every pair, but by less than the base's quartile spread
+    assert verdict(pairs([0.999] * 10), 0.25, 'lower') == 'no change'
+    assert verdict(pairs([1.3] * 10), 0.25, 'lower') == 'regression'
+    assert verdict(pairs([1.2] * 10), 0.25, 'lower') == 'no change'
+    wide = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]
+    assert verdict(pairs([1.05] * 10, wide), 0.25, 'lower') == 'unresolved'
+    assert verdict(pairs([1.2] * 10), 0.05, 'higher') == 'gain'
+    assert verdict(pairs([0.9] * 10), 0.05, 'higher') == 'regression'
+
+
 def test_bench_ab_smoke_self_pair(tmp_path):
     # HEAD against itself on perfbench's N=8 grids: one ABBA pair, both
     # runs correct, one ratio per end-to-end metric
@@ -94,6 +122,8 @@ def test_bench_ab_smoke_self_pair(tmp_path):
         assert s['median_ratio'] == s['ratios'][0] > 0.0
         assert s['change_lower'] in (0, 1)
         assert 0.0 < s['sign_test_p'] <= 1.0
+        assert s['verdict'] in ('gain', 'regression', 'unresolved',
+                                'no change')
 
 
 def test_bench_ab_refuses_missing_out_directory(tmp_path):

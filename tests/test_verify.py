@@ -15,9 +15,9 @@ from g2flow.curvature import auto_shift
 from g2flow.errors import NonPositiveShiftedScalar
 from g2flow.initial_data import perturbed_phi_field
 
-from conftest import (EPS, GRID3, MODES3, dense_hessian_traces, flat_state,
-                      pair_to_dense, perturbed_state, perturbed_state3,
-                      scenario_spec)
+from conftest import (EPS, GRID3, MODES3, SMALL_BLOCK_BYTES,
+                      dense_hessian_traces, flat_state, pair_to_dense,
+                      perturbed_state, perturbed_state3, scenario_spec)
 
 
 @pytest.fixture(scope="module")
@@ -134,10 +134,9 @@ class TestPairContractions:
     @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
     def test_chunk_size_does_not_move_bits(self, state16, three,
                                            monkeypatch):
-        # 5 divides neither 256 nor 512 points, so the last chunk is short
         st = perturbed_state3() if three else state16
         whole = routed_contractions(vf.StateTensors(st, c=1.0))
-        monkeypatch.setattr(al, 'CHUNK', 5)
+        monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
         got = routed_contractions(vf.StateTensors(st, c=1.0))
         for name, w in whole.items():
             assert np.array_equal(got[name], w), name
@@ -328,14 +327,18 @@ class TestTrajectories:
 
     def test_evolution_checks_spatial_order(self):
         # with the spacing pinned far below the parabolic scale, the
-        # residual is dominated by the h^4 spatial part over a grid doubling
+        # residual is dominated by the h^4 spatial part over a grid doubling;
+        # one spacing needs only the centre and the states at centre -/+ s
         s = 1e-3
         res = {}
         for n in (32, 64):
-            state = perturbed_state(n)
-            c = auto_shift(state.bundle)
-            res[n] = vf.evaluate_residuals(
-                *vf.centered_states(state, 4 * s, c, (2.0,)), c, (2.0,))
+            before = perturbed_state(n)
+            c = auto_shift(before.bundle)
+            centre = fl.step_fixed(before, s)
+            after = fl.step_fixed(centre, s)
+            sides = {s: tuple(vf._difference_reads(st, c, (2.0,))
+                              for st in (before, after))}
+            res[n] = vf.evaluate_residuals(centre, sides, c, (2.0,))
         for name in res[32]:
             order = np.log2(res[32][name][s] / res[64][name][s])
             assert order >= 3.5, f"{name}: spatial order {order:.2f}"

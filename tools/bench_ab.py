@@ -13,9 +13,9 @@ with both commit ids, the machine fingerprint, every raw result line and,
 per workload and end-to-end metric of BENCHMARK.json, the paired
 change/base ratios, their median, the number of pairs in which the change
 was lower, the exact two-sided sign-test p-value of those pairs (ties
-dropped) and both sides' quartiles.  It draws no verdict.  ``--base HEAD
---change HEAD`` is a self-pair: its ratios show the spread that noise alone
-gives.
+dropped), both sides' quartiles and a verdict (see ``verdict``).
+``--base HEAD --change HEAD`` is a self-pair: its ratios show the spread
+that noise alone gives.
 
 Exit status: 0 when every run was correct, 1 when a run failed or was
 incorrect (the record is written either way), 2 on a usage error, such as
@@ -90,6 +90,31 @@ def sign_test(vals):
     return min(1.0, 2.0 * tail / 2 ** n)
 
 
+def verdict(vals, bound, better):
+    """The verdict on paired (base, change) values of one metric:
+
+    - ``gain`` when the change is better in at least 9 of 10 pairs (ties
+      count for neither side) and its median is better than the base's by
+      more than the base's interquartile range;
+    - ``regression`` when the change's median is worse than the base's by
+      more than the bound, a fraction of the base's median;
+    - ``unresolved`` when the base's interquartile range is wider than the
+      bound allows;
+    - ``no change`` otherwise."""
+    sign = 1.0 if better == 'lower' else -1.0
+    base, change = (sorted(v) for v in zip(*vals))
+    b_med, c_med = statistics.median(base), statistics.median(change)
+    q1, _, q3 = quartiles(base)
+    wins = sum(sign * (c - b) < 0 for b, c in vals)
+    if 10 * wins >= 9 * len(vals) and sign * (b_med - c_med) > q3 - q1:
+        return 'gain'
+    if sign * (c_med - b_med) > bound * abs(b_med):
+        return 'regression'
+    if q3 - q1 > bound * abs(b_med):
+        return 'unresolved'
+    return 'no change'
+
+
 def summarize(pairs, metric):
     """Paired statistics of one end-to-end metric over the pairs whose two
     runs were both correct."""
@@ -106,7 +131,8 @@ def summarize(pairs, metric):
             'change_lower': sum(c < b for b, c in vals),
             'sign_test_p': sign_test(vals),
             'base_quartiles': base_q, 'change_quartiles': change_q,
-            'bound': metric['bound'], 'better': metric['better']}
+            'bound': metric['bound'], 'better': metric['better'],
+            'verdict': verdict(vals, metric['bound'], metric['better'])}
 
 
 def ok(run):
@@ -182,7 +208,7 @@ def main(argv=None):
                 print(f"bench_ab: {wl} {name}: median ratio "
                       f"{s['median_ratio']:.4f}, change lower in "
                       f"{s['change_lower']}/{s['pairs']}, sign-test p "
-                      f"{s['sign_test_p']:.3g}")
+                      f"{s['sign_test_p']:.3g}: {s['verdict']}")
     print(f'bench_ab: wrote {out}')
     return 0 if all(ok(r) for r in runs) else 1
 
