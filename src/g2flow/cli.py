@@ -131,6 +131,15 @@ class RunConfig:
         axes0 = tuple(a - 1 for a in self.grid_active_axes)
         return GridSpec.from_active(self.grid_n, axes0, self.grid_period)
 
+    def initial_phi(self, spec=None):
+        """The configured flat or perturbed 3-form on ``spec``, by default
+        the configured grid; flat is the perturbed family at epsilon 0."""
+        from .initial_data import perturbed_phi_field
+        eps = self.initial_epsilon if self.initial_family == 'perturbed' \
+            else 0.0
+        return perturbed_phi_field(spec or self.grid_spec(), eps,
+                                   self.modes())
+
     def modes(self):
         from .initial_data import DEFAULT_MODES, Mode
         if self.initial_modes in ('default', ''):
@@ -190,12 +199,17 @@ def parse_config(text):
             check_modes(cfg.grid_spec(), modes)
     except ValueError as err:
         problems.append(f"initial.modes: {err}")
-    # the structure orders of a perturbed field rerun it on the halved grid
+    # the structure orders of a perturbed field rerun it on the halved
+    # grid, and read log2 of the residual ratio as if the spacing doubled
     if 'structure' in cfg.checks_enable and \
-            cfg.initial_family == 'perturbed' and \
-            not resolvable(cfg.grid_spec().halved().shape):
-        problems.append("checks.enable: structure halves the grid, so each "
-                        "active axis needs at least 8 points")
+            cfg.initial_family == 'perturbed':
+        spec = cfg.grid_spec()
+        if not resolvable(spec.halved().shape):
+            problems.append("checks.enable: structure halves the grid, so "
+                            "each active axis needs at least 8 points")
+        elif any(spec.shape[a] % 2 for a in spec.active_axes):
+            problems.append("checks.enable: structure halves the grid, so "
+                            "each active axis needs an even number of points")
     if cfg.initial_family == 'from-snapshot':
         if not cfg.initial_snapshot:
             problems.append("initial.snapshot: required for from-snapshot")
@@ -231,15 +245,9 @@ def csv_columns(gammas):
 
 def build_initial_state(cfg):
     from .flow import FlowState, restore
-    from .initial_data import flat_phi_field, perturbed_phi_field
     if cfg.initial_family == 'from-snapshot':
         return restore(cfg.initial_snapshot)
-    spec = cfg.grid_spec()
-    if cfg.initial_family == 'flat':
-        phi = flat_phi_field(spec)
-    else:
-        phi = perturbed_phi_field(spec, cfg.initial_epsilon, cfg.modes())
-    return FlowState(0.0, phi), {}
+    return FlowState(0.0, cfg.initial_phi()), {}
 
 
 def monitor_row(ts, gammas, w0, running):
@@ -262,7 +270,7 @@ def monitor_row(ts, gammas, w0, running):
         'period_max_err': max(abs(periods[k] - ref[k]) for k in ref),
         'volume': state.volume(),
         'min_R': float(np.min(b.R)), 'max_R': float(np.max(b.R)),
-        'T2_max': float(np.max(b.T_norm2)),
+        'T2_max': float(np.max(state.T_norm2)),
         'E_max': float(np.sqrt(np.max(ts.E_norm2))),
         'W_c1_max': float(np.max(ts.W_c1_field)),
     })
@@ -293,6 +301,9 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     its restored step, which makes its output byte-comparable with the
     same rows of an unbroken run.
     """
+    # imported at call time, so a flow.step swapped in before the call is
+    # the one run: perfbench times each step that way, and a module-level
+    # import would leave its step_s empty
     from .flow import StepPolicy, snapshot, step, step_fixed
     from .geometry import tensor_norm2
 
@@ -345,7 +356,7 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
             else:
                 new = step(ts.state, policy)
             # metric speed 2 |S| accumulates the distortion-bound integral
-            sp = 2.0 * np.sqrt(np.max(tensor_norm2(ts.b.S, ts.m, 2)))
+            sp = 2.0 * np.sqrt(np.max(tensor_norm2(ts.state.S, ts.m, 2)))
             running['speed_integral'] += new.dt * sp
             ts = StateTensors(new, c)
             last.append(ts)
@@ -413,25 +424,23 @@ def _error_record(run_dir, err):
 
 
 def monitor_summary(history):
-    """Post-run monitors: the ratio-estimate fit, the distortion bound,
-    and the minimal-pinching-constant series statistics."""
+    """Post-run monitors: the ratio-estimate fit and the minimal-pinching-
+    constant series statistics over the rows the pinching monitors filled,
+    and the distortion bound, which does not involve c, over every row."""
     from .curvature import distortion_bound_check, traceless_ricci_ratio_fit
-    rows = [r for r in history if r.get('ratio_lhs') is not None]
-    if not rows:
+    if not history:
         return {'available': False}
-    c1 = rows[0]['ratio_lhs']          # max |E| / (R + c) at the first row
-    fit = traceless_ricci_ratio_fit(rows, c1)
-    dist = distortion_bound_check(rows)
+    rows = [r for r in history if r.get('ratio_lhs') is not None]
+    out = {'available': bool(rows)}
+    if rows:
+        c1 = rows[0]['ratio_lhs']      # max |E| / (R + c) at the first row
+        fit = traceless_ricci_ratio_fit(rows, c1)
+        out.update({'c1': c1, 'ratio_fit_C1': fit['C1'],
+                    'ratio_fit_C2': fit['C2'],
+                    'ratio_fit_min_margin': fit['min_margin']})
+    out['distortion_bound_ok'] = distortion_bound_check(history)['ok']
     mins = np.array([r['min_C_g2'] for r in history
                      if r.get('min_C_g2') is not None], dtype=float)
-    out = {
-        'available': True,
-        'c1': c1,
-        'ratio_fit_C1': fit['C1'],
-        'ratio_fit_C2': fit['C2'],
-        'ratio_fit_min_margin': fit['min_margin'],
-        'distortion_bound_ok': dist['ok'],
-    }
     if mins.size:
         med = float(np.median(mins))
         out['min_C_max'] = float(np.max(mins))

@@ -39,15 +39,14 @@ def weyl(bundle, m):
     return W.reshape(bundle.Rm.shape)
 
 
-def weyl_variant_residual(bundle):
+def weyl_variant_residual(bundle, m):
     """Max-norm gap between the trace-free Weyl and the printed-coefficient
     variant Rm - (1/5)(g_il R_jk + g_jk R_il - g_ik R_jl - g_jl R_ik)
     + (1/30)(g_il g_jk - g_ik g_jl); nonzero whenever the scalar curvature
     differs from 1."""
-    g = bundle.m.g
-    pair = kulkarni_nomizu(g, g) / 2.0
-    printed = bundle.Rm - 0.2 * kulkarni_nomizu(bundle.Ric, g) + pair / 30.0
-    return float(np.max(np.abs(weyl(bundle, bundle.m) - printed)))
+    pair = kulkarni_nomizu(m.g, m.g) / 2.0
+    printed = bundle.Rm - 0.2 * kulkarni_nomizu(bundle.Ric, m.g) + pair / 30.0
+    return float(np.max(np.abs(weyl(bundle, m) - printed)))
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import algebra as al
 from .errors import NotPositive, PositivityLost, SnapshotError, Stalled
-from .geometry import (MetricField, attach_torsion, hodge_star_field,
-                       pair_norm2, psi_from_phi, riemann, torsion_from_phi)
+from .geometry import (MetricField, hodge_star_field, pair_norm2,
+                       psi_from_phi, riemann, tensor_norm2, torsion_from_phi)
 from .grid import (MIN_POINTS, FormField, GridSpec, exterior_derivative,
                    integrate_scalar, resolvable)
 
@@ -46,10 +46,10 @@ class StepPolicy:
 class FlowState:
     """Flow snapshot: time, the closed 3-form, and lazily derived geometry.
 
-    The dual 4-form, metric, torsion and curvature are computed on first
-    access and cached; the 3-form array is frozen so caches can never go
-    stale.  ``dt`` is the step that produced the state (None for a state
-    that no step produced).
+    The dual 4-form, metric, curvature, torsion and the evolution formulas'
+    torsion terms are computed on first access and cached; the 3-form array
+    is frozen so caches can never go stale.  ``dt`` is the step that
+    produced the state (None for a state that no step produced).
     """
 
     def __init__(self, t, phi, step_index=0, dt=None):
@@ -74,19 +74,37 @@ class FlowState:
         return psi_from_phi(self.phi, self.metric)
 
     @cached_property
+    def bundle(self):
+        """Curvature bundle of the metric (geometry.riemann)."""
+        return riemann(self.metric)
+
+    @cached_property
     def torsion(self):
         """The raw torsion 2-tensor T (skew to discretization error)."""
         return torsion_from_phi(self.phi, self.metric)
 
     @cached_property
-    def curvature(self):
-        """Curvature bundle without the torsion; ``bundle`` fills it in."""
-        return riemann(self.metric)
+    def T(self):
+        """The exact skew part of the torsion; That, T_norm2 and S are built
+        from it, so S is symmetric to rounding."""
+        return 0.5 * (self.torsion - np.einsum('...ij->...ji', self.torsion))
 
     @cached_property
-    def bundle(self):
-        """Curvature bundle with the torsion-dependent members attached."""
-        return attach_torsion(self.curvature, self.torsion)
+    def That(self):
+        """The squared torsion That_ij = T_i^k T_kj."""
+        T_up = al.slot_apply(self.T, self.metric.ginv, 2, (1,))
+        return np.einsum('...ik,...kj->...ij', T_up, self.T, optimize=True)
+
+    @cached_property
+    def T_norm2(self):
+        return tensor_norm2(self.T, self.metric, 2)
+
+    @cached_property
+    def S(self):
+        """The flow tensor S = Ric + |T|^2 g / 3 + 2 That."""
+        return (self.bundle.Ric
+                + (self.T_norm2[..., None, None] / 3.0) * self.metric.g
+                + 2.0 * self.That)
 
     def volume(self):
         """Total volume of the induced metric (the functional whose
@@ -115,9 +133,8 @@ def suggest_dt(state, policy):
     h = state.spec.min_active_spacing()
     if h is None:
         return policy.max_dt
-    b = state.bundle
-    rm_norm = np.sqrt(pair_norm2(b.Rm, state.metric))
-    crowd = float(np.max(b.T_norm2 + rm_norm))
+    rm_norm = np.sqrt(pair_norm2(state.bundle.Rm, state.metric))
+    crowd = float(np.max(state.T_norm2 + rm_norm))
     dt = policy.safety * h * h / (1.0 + crowd)
     return min(dt, policy.max_dt)
 

@@ -26,7 +26,7 @@ from .grid import FormField, exterior_derivative, partial_derivative
 
 class MetricField:
     """Grid-sampled metric with inverse, determinant, volume density and
-    orientation, plus a lazily built Christoffel cache."""
+    orientation, plus the lazily built connection data."""
 
     def __init__(self, spec, g, ginv, det_g, vol, orientation):
         self.spec = spec
@@ -35,7 +35,6 @@ class MetricField:
         self.det_g = det_g
         self.vol = vol
         self.orientation = orientation
-        self._christoffel = None
 
     @classmethod
     def from_phi(cls, phi):
@@ -52,20 +51,18 @@ class MetricField:
     @property
     def christoffel(self):
         """Gamma^k_ij with index order [k, i, j], from central differences
-        of the metric; built on first use and cached."""
-        if self._christoffel is None:
-            dg = partial_stack(self.g, self.spec)           # (.., a, i, j)
-            A = (np.einsum('...ijl->...lij', dg)
-                 + np.einsum('...jil->...lij', dg)
-                 - dg)
-            self._christoffel = 0.5 * slot_apply(A, self.ginv, 3, (0,))
-        return self._christoffel
+        of the metric, built on each read; gamma_flat keeps the cached copy."""
+        dg = partial_stack(self.g, self.spec)               # (.., a, i, j)
+        A = (np.einsum('...ijl->...lij', dg)
+             + np.einsum('...jil->...lij', dg)
+             - dg)
+        return 0.5 * slot_apply(A, self.ginv, 3, (0,))
 
     @cached_property
     def gamma_flat(self):
-        """Christoffel symbols Gamma^p_ai as rows (a, i) and columns p, a
-        contiguous copy for the batched matrix products in covariant
-        derivatives and curvature."""
+        """Christoffel symbols Gamma^p_ai as rows (a, i) and columns p for
+        the batched matrix products in covariant derivatives and curvature:
+        a strided view of one christoffel array, cached."""
         flat = np.moveaxis(self.christoffel, -3, -1)     # (.., a, i, p)
         return flat.reshape(self.g.shape[:-2] + (DIM * DIM, DIM))
 
@@ -189,19 +186,13 @@ class CurvatureBundle:
     second pair and symmetric under pair exchange, stored in pair form
     (algebra.PAIR), a symmetric 21x21 matrix per point; the size of that
     projection (an order h^4 quantity) is kept in ``symmetry_defect`` as a
-    discretization diagnostic.  Torsion-dependent members (That, S,
-    T_norm2) are attached by ``attach_torsion``.
+    discretization diagnostic.
     """
-    m: MetricField
     Rm: np.ndarray
     Ric: np.ndarray
     R: np.ndarray
     E: np.ndarray
     symmetry_defect: float
-    That: np.ndarray = None
-    S: np.ndarray = None
-    T_norm2: np.ndarray = None
-    T: np.ndarray = None
 
 
 def _curvature_project(raw):
@@ -253,7 +244,7 @@ def riemann(m):
     Rm, Ric = Rm.reshape(shape + Rm.shape[1:]), Ric.reshape(m.g.shape)
     R = np.einsum('...jk,...jk->...', m.ginv, Ric, optimize=True)
     E = Ric - (R[..., None, None] / 7.0) * m.g
-    return CurvatureBundle(m=m, Rm=Rm, Ric=Ric, R=R, E=E,
+    return CurvatureBundle(Rm=Rm, Ric=Ric, R=R, E=E,
                            symmetry_defect=float(np.max(dev)))
 
 
@@ -329,7 +320,7 @@ def torsion_from_phi(phi, m):
     (1/24) nabla_i phi_jkl psi^{mjkl} with its second slot lowered.  The
     raised psi is read off its dual phi, so (e_l -| psi)^J = g_lm psi^{mJ}
     is one gather and one product with g.  For a closed structure T is
-    skew to discretization error; ``attach_torsion`` takes its exact skew
+    skew to discretization error; flow.FlowState.T takes its exact skew
     part for the evolution formulas."""
     psi_up = raised_from_dual(phi, m)
     idx, sgn = al.basis_interior_table(4)
@@ -338,57 +329,11 @@ def torsion_from_phi(phi, m):
     return 0.25 * (nphi @ np.swapaxes(ipsi_up, -1, -2))
 
 
-def intrinsic_torsion(phi, psi, m):
-    """Intrinsic torsion forms (tau0, tau1, tau2, tau3) of a 3-form field,
-    from the type decomposition of d phi and d psi.  For a closed field
-    only tau2 is populated beyond discretization error."""
-    spec = phi.spec
-    dphi = exterior_derivative(phi)
-    dpsi = exterior_derivative(psi)
-    phir = raised_from_dual(psi, m)                     # phi^I
-    # scalar torsion: coefficient of psi in d phi.  <d phi, psi> = 4 <*d
-    # phi, phi> and |psi|^2 = 168 exactly for a compatible pair, so the
-    # pairing runs through the cheap degree-3 inner product.
-    sdphi = hodge_star_field(dphi, m)
-    tau0 = 6.0 * np.sum(sdphi.values * phir, axis=-1) / 42.0
-
-    # vector torsion: <d phi, dx^a ^ phi> = 3 c tau1^a with the universal
-    # c = |alpha ^ phi|^2 / |alpha|^2 = 96 (4! times the four unit
-    # components of e^1 ^ phi); the pairing is evaluated through the
-    # wedge/interior adjointness to stay on cheap degree-3 inner products
-    idx, sgn = al.basis_interior_table(4)
-    w = dphi.values[..., idx] * sgn                      # (.., 7, 35) e_m -| dphi
-    inner_m = 24.0 * np.matmul(w, phir[..., None])[..., 0]
-    M = np.einsum('...am,...m->...a', m.ginv, inner_m)   # <dphi, dx^a ^ phi>
-    tau1_up = M / (3.0 * 96.0)
-    tau1 = FormField(1, spec, np.einsum('...ab,...b->...a', m.g, tau1_up))
-
-    rem = FormField(4, spec,
-                    dphi.values - tau0[..., None] * psi.values
-                    - 3.0 * tau1.wedge(phi).values)
-    tau3 = hodge_star_field(rem, m)
-
-    sdpsi = hodge_star_field(dpsi, m)                    # 2-form
-    wstar = hodge_star_field(FormField(5, spec,
-                                       al.wedge_comps(3, 2, phi.values,
-                                                      sdpsi.values)), m)
-    pi14 = (2.0 * sdpsi.values - wstar.values) / 3.0
-    tau2 = FormField(2, spec, -pi14)
-    return tau0, tau1, tau2, tau3
-
-
-def attach_torsion(bundle, T):
-    """Fill the torsion-dependent members of a curvature bundle: the exact
-    skew part T of the torsion, the squared torsion T_hat, |T|^2 and the
-    flow tensor S = Ric + |T|^2 g / 3 + 2 T_hat, all built from the skew
-    part so S is symmetric to rounding."""
-    m = bundle.m
-    Ts = 0.5 * (T - np.einsum('...ij->...ji', T))
-    T_up = slot_apply(Ts, m.ginv, 2, (1,))                # T_i^k
-    That = np.einsum('...ik,...kj->...ij', T_up, Ts, optimize=True)
-    Tn2 = tensor_norm2(Ts, m, 2)
-    bundle.That = That
-    bundle.T_norm2 = Tn2
-    bundle.T = Ts
-    bundle.S = bundle.Ric + (Tn2[..., None, None] / 3.0) * m.g + 2.0 * That
-    return bundle
+def tau2(phi, psi, m):
+    """The intrinsic torsion form tau2 of a closed 3-form field, which
+    carries all of its torsion (tau0 = tau1 = tau3 = 0, d psi = tau2 ^
+    phi): minus the Lambda^2_14 part (2 *d psi - *(phi ^ *d psi)) / 3 of
+    *d psi."""
+    sdpsi = hodge_star_field(exterior_derivative(psi), m)     # 2-form
+    wstar = hodge_star_field(phi.wedge(sdpsi), m)
+    return FormField(2, phi.spec, -(2.0 * sdpsi.values - wstar.values) / 3.0)

@@ -28,7 +28,6 @@ from .flow import FlowState, step_fixed
 from .geometry import (covariant_derivative, hessian_traces, partial_stack,
                        scalar_laplacian, second_covariant, tensor_norm2)
 from .grid import TWO_PI
-from .initial_data import perturbed_phi_field
 from .report import atomic_write_json
 
 
@@ -42,14 +41,14 @@ class StateTensors:
     derivatives, and all raised variants come from the same inverse metric,
     so algebraically identical expressions evaluate to identical arrays.
     Everything built on R + c raises NonPositiveShiftedScalar when
-    min(R + c) <= 0.  A ``bundle`` given replaces state.bundle, such as
-    the torsion-free state.curvature for reads that need no torsion."""
+    min(R + c) <= 0.  Torsion terms are read from the state, so a read
+    that needs no torsion builds none."""
 
-    def __init__(self, state, c=1.0, bundle=None):
+    def __init__(self, state, c=1.0):
         self.state = state
         self.c = float(c)
         self.m = state.metric
-        self.b = state.bundle if bundle is None else bundle
+        self.b = state.bundle
         self._f = {}
 
     @cached_property
@@ -106,12 +105,12 @@ class StateTensors:
     def That_traces(self):
         """(Delta That, A) with A_ij = nabla_i nabla^p That_pj (inner
         derivative contracted with the first tensor slot)."""
-        return hessian_traces(covariant_derivative(self.b.That, self.m, 2),
-                              self.m, inner=True)
+        dThat = covariant_derivative(self.state.That, self.m, 2)
+        return hessian_traces(dThat, self.m, inner=True)
 
     @cached_property
     def hess_T2(self):
-        return second_covariant(self.b.T_norm2, self.m, 0)
+        return second_covariant(self.state.T_norm2, self.m, 0)
 
     @cached_property
     def lap_T2(self):
@@ -130,14 +129,14 @@ class StateTensors:
     @cached_property
     def Rm_That_up(self):
         """R_pijl That^pl."""
-        That_up = slot_apply(self.b.That, self.m.ginv, 2)
+        That_up = slot_apply(self.state.That, self.m.ginv, 2)
         return al.pair_apply(self.b.Rm, That_up)
 
     @cached_property
     def Rm_TT(self):
         """R_ijmn T^in T^mj = <R(T^#), (T^#)^T> (the scalar-evolution
         quadratic)."""
-        T_up = slot_apply(self.b.T, self.m.ginv, 2)
+        T_up = slot_apply(self.state.T, self.m.ginv, 2)
         return np.sum(al.pair_apply(self.b.Rm, T_up)
                       * np.swapaxes(T_up, -1, -2), axis=(-2, -1))
 
@@ -151,13 +150,13 @@ class StateTensors:
         div_div = np.einsum('...os,...os->...', self.m.ginv,
                             self.That_traces[1])
         return div_div - (
-            np.einsum('...jp,...jp->...', self.Ric_up, self.b.That)
+            np.einsum('...jp,...jp->...', self.Ric_up, self.state.That)
             - self.Rm_TT + self.gradT_combo)
 
     @cached_property
     def gradT_combo(self):
         """nabla^j T_im nabla^i T^m_j."""
-        nt = covariant_derivative(self.b.T, self.m, 2)
+        nt = covariant_derivative(self.state.T, self.m, 2)
         return np.einsum('...ja,...ib,...mn,...aim,...bnj->...',
                          self.m.ginv, self.m.ginv, self.m.ginv,
                          nt, nt, optimize=True)
@@ -209,7 +208,7 @@ def rhs_general_flow(ts):
     -(Lichnerowicz Laplacian of eta + Hess tr eta - symmetrized derivative
     of div eta)/2, and R by -Delta tr eta + div div eta - <Ric, eta>."""
     m = ts.m
-    eta = -2.0 * ts.b.S
+    eta = -2.0 * ts.state.S
     deta = covariant_derivative(eta, m, 2)
     lich = lichnerowicz(ts, eta, slot_apply(eta, m.ginv, 2), deta)
     tr_eta = np.einsum('...ij,...ij->...', m.ginv, eta)
@@ -226,12 +225,12 @@ def rhs_general_flow(ts):
 def rhs_ricci_evolution(ts):
     """Ricci evolution under the Laplacian flow: Delta S minus curvature
     and torsion quadratics minus the Hessian terms."""
-    A = ts.That_traces[1]
+    A, That = ts.That_traces[1], ts.state.That
     hess = ts.hess_T2
-    return (hessian_traces(covariant_derivative(ts.b.S, ts.m, 2), ts.m)
+    return (hessian_traces(covariant_derivative(ts.state.S, ts.m, 2), ts.m)
             - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, ts.b.Ric)
-            - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, ts.b.That)
-            - 2.0 * np.einsum('...jp,...pi->...ij', ts.Ric_mixed, ts.b.That)
+            - 2.0 * np.einsum('...ip,...pj->...ij', ts.Ric_mixed, That)
+            - 2.0 * np.einsum('...jp,...pi->...ij', ts.Ric_mixed, That)
             + 2.0 * ts.Rm_Ric_up
             + 4.0 * ts.Rm_That_up
             - hess / 3.0
@@ -246,7 +245,7 @@ def rhs_ricci_norm_evolution(ts):
     return (lap_ric2
             - 2.0 * ts.nabla_Ric_norm2
             + 4.0 * np.einsum('...ij,...ij->...', ts.Rm_Ric_up, ts.Ric_up)
-            + (4.0 / 3.0) * ts.b.T_norm2 * ts.Ric_norm2
+            + (4.0 / 3.0) * ts.state.T_norm2 * ts.Ric_norm2
             + 8.0 * np.einsum('...ij,...ij->...', ts.Rm_That_up, ts.Ric_up)
             + (2.0 / 3.0) * ts.b.R * ts.lap_T2
             + 4.0 * np.einsum('...ij,...ij->...', ts.Ric_up, lap_That)
@@ -369,8 +368,8 @@ def ricci_trace_vs_scalar_residual(ts):
     traces with the Laplacian and substitutes R = -|T|^2)."""
     m = ts.m
     tr32 = np.einsum('...ij,...ij->...', m.ginv, rhs_ricci_evolution(ts))
-    metric_motion = 2.0 * np.einsum('...ij,...ij->...',
-                                    slot_apply(ts.b.S, m.ginv, 2), ts.b.Ric)
+    S_up = slot_apply(ts.state.S, m.ginv, 2)
+    metric_motion = 2.0 * np.einsum('...ij,...ij->...', S_up, ts.b.Ric)
     lhs = tr32 + metric_motion - rhs_scalar_evolution(ts) + 4.0 * ts.div_gap
     return float(np.max(np.abs(lhs)))
 
@@ -441,7 +440,7 @@ def difference_order(residuals):
 def _difference_reads(state, c, gammas):
     """What the centered differences read at an off-centre state: Ric, R,
     |Ric|^2, |Ric_t|^2 and f per gamma, from its curvature alone."""
-    ts = StateTensors(state, c=c, bundle=state.curvature)
+    ts = StateTensors(state, c=c)
     return {'Ric': ts.b.Ric, 'R': ts.b.R, 'Ric_norm2': ts.Ric_norm2,
             'Ric_t_norm2': ts.Ric_t_norm2,
             **{('f', g): ts.f_field(g) for g in gammas}}
@@ -625,7 +624,7 @@ def structure_residuals(state):
         b.R, -tensor_norm2(T, m, 2))
 
     # the Lie-algebra torsion tau2 is divergence-free: nabla^i tau2_ij = 0
-    tau2 = ge.intrinsic_torsion(phi, psi, m)[2]
+    tau2 = ge.tau2(phi, psi, m)
     div = al.interior_comps(2, m.ginv, ge.form_covariant_derivative(tau2, m))
     res['lie_algebra_torsion_divergence'] = float(np.max(np.abs(
         div.sum(axis=-2))))
@@ -646,12 +645,11 @@ def run_verification(cfg, run_dir, log=print):
     suite; returns the report dict (also written to verification.json)."""
     report = {'passed': True, 'groups': {}}
     eps = cfg.initial_epsilon if cfg.initial_family != 'flat' else 0.0
-
-    def mkstate(spec):
-        return FlowState(0.0, perturbed_phi_field(spec, eps, cfg.modes()))
-
-    state_hi = mkstate(cfg.grid_spec())
+    state_hi = FlowState(0.0, cfg.initial_phi())
     c = pinching_shift(cfg, state_hi)
+    # build the t = 0 torsion terms beside its curvature: built later, the
+    # same arrays land higher in the heap and raise peak RSS by about 5%
+    state_hi.S
     h = state_hi.spec.min_active_spacing()
     scale4 = max(eps, 1e-3) * h ** 4 * cfg.checks_tol_scale
 
@@ -661,7 +659,8 @@ def run_verification(cfg, run_dir, log=print):
             records = {name: {'residual': r, 'passed': r <= 1e-11}
                        for name, r in res_hi.items()}
         else:
-            res_lo = structure_residuals(mkstate(state_hi.spec.halved()))
+            res_lo = structure_residuals(
+                FlowState(0.0, cfg.initial_phi(state_hi.spec.halved())))
             records = {}
             for name, r_hi in res_hi.items():
                 r_lo = res_lo[name]

@@ -112,8 +112,8 @@ def dense_riemann(m):
     Ric = np.einsum('...il,...ijkl->...jk', m.ginv, Rm, optimize=True)
     R = np.einsum('...jk,...jk->...', m.ginv, Ric, optimize=True)
     E = Ric - (R[..., None, None] / 7.0) * m.g
-    return ge.CurvatureBundle(m=m, Rm=Rm[(...,) + al.PAIR], Ric=Ric, R=R,
-                              E=E, symmetry_defect=defect)
+    return ge.CurvatureBundle(Rm=Rm[(...,) + al.PAIR], Ric=Ric, R=R, E=E,
+                              symmetry_defect=defect)
 
 
 def l2_form_inner(a, b, m):

@@ -137,7 +137,7 @@ class TestCriterion2:
         b = st.bundle
         from g2flow.curvature import weyl
         W = weyl(b, st.metric)
-        worst = max(float(np.max(np.abs(b.T))), float(np.max(np.abs(b.R))),
+        worst = max(float(np.max(np.abs(st.T))), float(np.max(np.abs(b.R))),
                     float(np.max(np.abs(b.Rm))), float(np.max(np.abs(W))))
         elapsed = time.time() - t0
         ok = drift <= 1e-12 and worst <= 1e-12 and elapsed < 30.0

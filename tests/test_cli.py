@@ -198,6 +198,23 @@ class TestParseConfig:
         parse_config(text(n, groups='crosschecks,evolution'))
         parse_config(text(8))
 
+    @pytest.mark.parametrize('grid', ['grid.n = 17',
+                                      'grid.shape = 16,9,1,1,1,1,1'])
+    def test_structure_needs_even_axes(self, tmp_path, capsys, grid):
+        # the structure orders take log2 of the residual ratio, which
+        # assumes the halved grid has exactly twice the spacing; N // 2 of
+        # an odd N does not: refused before any work
+        text = (f"{grid}\ninitial.family = perturbed\nchecks.enable = "
+                f"structure\noutput.dir = {tmp_path / 'out'}\n")
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(text)
+        assert main(['verify', str(cfg)]) == 2
+        assert "checks.enable: structure halves the grid, so each active " \
+            "axis needs an even number of points" in capsys.readouterr().err
+        assert not (tmp_path / 'out').exists()
+        parse_config(text.replace('perturbed', 'flat'))
+        parse_config(text.replace('= structure', '= crosschecks,evolution'))
+
     def test_checks_groups(self):
         assert parse_config("checks.enable = all").checks_enable == \
             ('structure', 'evolution', 'crosschecks')
@@ -588,6 +605,29 @@ class TestCsvHelpers:
 class TestMonitorSummary:
     def test_empty(self):
         assert monitor_summary([]) == {'available': False}
+
+    def test_distortion_without_pinching_rows(self):
+        # the distortion bound does not involve c: rows whose pinching
+        # cells are blank still carry it
+        rows = [{'ratio_lhs': None, 'distortion': d, 'speed_integral': 0.1}
+                for d in (1.0, 2.0)]
+        assert monitor_summary(rows) == {'available': False,
+                                         'distortion_bound_ok': False}
+
+    def test_distortion_checked_when_pinching_pauses(self, tmp_path):
+        # a shift below -min R pauses the pinching monitors on every row;
+        # the distortion columns are filled and checked all the same
+        out = tmp_path / "run"
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(BASE_CFG.format(family='perturbed', steps=3, snap=0,
+                                       out=out) + "pinching.c = 1e-6\n")
+        assert main(['run', str(cfg)]) == 0
+        data = rp.read_csv(out / 'series.csv')
+        assert set(data['ratio_lhs']) == {None}
+        assert None not in data['distortion'] + data['speed_integral']
+        man = json.loads((out / 'manifest.json').read_text())
+        assert man['monitors'] == {'available': False,
+                                   'distortion_bound_ok': True}
 
     def test_gamma_two_columns_without_gamma_two(self, tmp_path):
         # f_min_g2 and the manifest's c1 do not depend on whether 2 is

@@ -95,7 +95,7 @@ class TestWeyl:
         pair = (np.einsum('...il,...jk->...ijkl', m.g, m.g)
                 - np.einsum('...ik,...jl->...ijkl', m.g, m.g))
         want = ((1.0 - b.R) / 30.0)[..., None, None, None, None] * pair
-        gap = cv.weyl_variant_residual(b)
+        gap = cv.weyl_variant_residual(b, m)
         assert gap > 0.0
         assert abs(gap - np.max(np.abs(want))) < 1e-12
 

@@ -76,8 +76,8 @@ class TestStep:
         assert vols[-1] > vols[0]
 
     def test_torsion_decays(self, short_run):
-        t0 = float(np.max(short_run[0].bundle.T_norm2))
-        t1 = float(np.max(short_run[-1].bundle.T_norm2))
+        t0 = float(np.max(short_run[0].T_norm2))
+        t1 = float(np.max(short_run[-1].T_norm2))
         assert t1 < 0.1 * t0
 
     def test_closedness_preserved(self, short_run):
@@ -182,6 +182,8 @@ class TestStep:
         s = short_run[1]
         assert s.metric is s.metric
         assert s.bundle is s.bundle
+        for name in ('T', 'That', 'T_norm2', 'S'):
+            assert getattr(s, name) is getattr(s, name)
         assert s.step_index == 1
 
 
@@ -200,12 +202,12 @@ def metric_evolution_crosscheck(state_prev, state_next):
                                     0.5 * (state_prev.phi.values
                                            + state_next.phi.values)))
     b = mid.bundle
-    rhs_mid = -2.0 * b.S
+    rhs_mid = -2.0 * mid.S
     resid = np.max(np.abs(fd - rhs_mid))
     scale = max(float(np.max(np.abs(rhs_mid))), 1e-30)
     m = mid.metric
-    trS = np.einsum('...ij,...ij->...', m.ginv, b.S)
-    exact_tr = np.max(np.abs(trS - (b.R + b.T_norm2 / 3.0)))
+    trS = np.einsum('...ij,...ij->...', m.ginv, mid.S)
+    exact_tr = np.max(np.abs(trS - (b.R + mid.T_norm2 / 3.0)))
     paper_tr = np.max(np.abs(trS - (2.0 / 3.0) * b.R))
     return {
         'residual_max': float(resid),

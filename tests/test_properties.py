@@ -317,7 +317,8 @@ def test_suggest_dt_pair_norm_matches_dense(state16, state3, three):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
     policy = fl.StepPolicy()
     h = curved.spec.min_active_spacing()
-    dt = policy.safety * h * h / (1.0 + np.max(b.T_norm2 + np.sqrt(want)))
+    dt = policy.safety * h * h / (1.0 + np.max(curved.T_norm2
+                                               + np.sqrt(want)))
     assert fl.suggest_dt(curved, policy) == pytest.approx(dt, rel=1e-14)
 
 
@@ -331,7 +332,8 @@ FIELDS = {
     'W_c1_field': lambda ts: ts.W_c1_field,
     'R': lambda ts: ts.b.R,
     'E_norm2': lambda ts: ts.E_norm2,
-    'crowd': lambda ts: ts.b.T_norm2 + np.sqrt(ge.pair_norm2(ts.b.Rm, ts.m)),
+    'crowd': lambda ts: (ts.state.T_norm2
+                         + np.sqrt(ge.pair_norm2(ts.b.Rm, ts.m))),
 }
 SCALARS = ('R', 'E_norm2', 'crowd')
 

@@ -91,11 +91,12 @@ class TestAuxTerms:
 
 def routed_contractions(ts):
     """Every contraction across the pairs, through algebra.pair_apply."""
-    S_up = al.slot_apply(ts.b.S, ts.m.ginv, 2)
+    S = ts.state.S
+    S_up = al.slot_apply(S, ts.m.ginv, 2)
     return {'Rm_Ric_up': ts.Rm_Ric_up, 'Rm_That_up': ts.Rm_That_up,
             'Rm_TT': ts.Rm_TT, 'WEE': ts.WEE,
             'lichnerowicz': vf.lichnerowicz(
-                ts, ts.b.S, S_up, ge.covariant_derivative(ts.b.S, ts.m, 2)),
+                ts, S, S_up, ge.covariant_derivative(S, ts.m, 2)),
             'shifted_rhs': vf.rhs_shifted_ricci_norm_evolution(ts)}
 
 
@@ -114,11 +115,11 @@ class TestPairContractions:
         ts = vf.StateTensors(st, c=1.0)
         got = routed_contractions(ts)
         up = lambda X: al.slot_apply(X, ts.m.ginv, 2)  # noqa: E731
-        D, T_up, E_up = pair_to_dense(ts.b.Rm), up(ts.b.T), up(ts.b.E)
+        D, T_up, E_up = pair_to_dense(ts.b.Rm), up(ts.state.T), up(ts.b.E)
         want = {
             'Rm_Ric_up': np.einsum('...pijl,...pl->...ij', D, ts.Ric_up),
             'Rm_That_up': np.einsum('...pijl,...pl->...ij', D,
-                                    up(ts.b.That)),
+                                    up(ts.state.That)),
             'Rm_TT': np.einsum('...ijmn,...in,...mj->...', D, T_up, T_up,
                                optimize=True),
             'WEE': np.einsum('...pijl,...pl,...ij->...', pair_to_dense(ts.W),
@@ -171,7 +172,7 @@ class TestHessianTraces:
         # arithmetic, so its scale is |g| = 1
         ts = vf.StateTensors(perturbed_state3() if three else state16, c=1.0)
         m = ts.m
-        for name, X in (('That', ts.b.That), ('S', ts.b.S),
+        for name, X in (('That', ts.state.That), ('S', ts.state.S),
                         ('Ric', ts.b.Ric), ('g', m.g)):
             Y = ge.covariant_derivative(X, m, 2)
             lap, A = ge.hessian_traces(Y, m, inner=True)
@@ -185,7 +186,7 @@ class TestHessianTraces:
     def test_peak_memory(self, state32):
         # the Laplacian and A of S from nabla S: through the whole-grid
         # second derivative and its two einsums this peaked at 64.6 MB
-        m, S = state32.metric, state32.bundle.S
+        m, S = state32.metric, state32.S
         m.gamma_flat
         tracemalloc.start()
         try:
@@ -270,6 +271,14 @@ class TestTrajectories:
         assert np.array_equal(before['R'], third.bundle.R)
         assert set(after) == {'Ric', 'R', 'Ric_norm2', 'Ric_t_norm2',
                               ('f', 2.0)}
+
+    def test_difference_reads_build_no_torsion(self):
+        # the centered differences read Ric, R and the norms built on
+        # them, which the curvature alone gives
+        state = fl.FlowState(0.0, perturbed_phi_field(scenario_spec(8), 0.02))
+        reads = vf._difference_reads(state, 1.0, (2.0,))
+        assert 'torsion' not in vars(state)
+        assert np.array_equal(reads['R'], state.bundle.R)
 
     def test_flat_trajectory_all_residuals_vanish(self):
         from g2flow.initial_data import flat_phi_field
