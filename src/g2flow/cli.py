@@ -61,8 +61,6 @@ def _groups(raw):
     return groups
 
 
-_BOOLS = {'true': True, '1': True, 'yes': True,
-          'false': False, '0': False, 'no': False}
 _GT0 = (lambda v: v > 0, "must be > 0.0")
 _GE0 = (lambda v: v >= 0, "must be >= 0")
 _GAMMAS = (lambda gs: all(g > 0 for g in gs), "gammas must be positive")
@@ -80,18 +78,17 @@ SCHEMA = (
      (lambda axes: all(1 <= a <= 7 for a in axes)
       and len(set(axes)) == len(axes), "need distinct axes in 1..7")),
     ('grid.period', _real, TWO_PI, (lambda v: v > 0, "must be positive")),
-    # full 7-tuples, overriding the three keys above
+    # full 7-tuples, each in place of keys above (see parse_config)
     ('grid.shape', _tuple(int), None,
      (lambda s: len(s) == 7 and resolvable(s),
       "need 7 axis sizes, each 1 or at least 4")),
     ('grid.periods', _tuple(_real), None,
      (lambda p: len(p) == 7 and min(p) > 0, "need 7 positive reals")),
     ('initial.family', str, 'flat',
-     (lambda f: f in ('flat', 'perturbed', 'from-snapshot'),
+     (lambda f: f in ('flat', 'perturbed'),
       "unknown family {!r}")),
     ('initial.epsilon', _real, 0.05, _GE0),
     ('initial.modes', str, 'default'),
-    ('initial.snapshot', str, ''),
     ('flow.steps', _int, 100, _GE0),
     ('flow.safety', _real, 0.5,
      _GT0, (lambda v: v <= 1.0, "must be in (0, 1]")),
@@ -108,8 +105,6 @@ SCHEMA = (
     ('verify.dt_multiplier', _real, 4.0, _GT0),
     ('verify.gammas', _tuple(_real), (1.5, 2.0, 3.0), _GAMMAS),
     ('output.dir', str, 'g2flow_out'),
-    ('output.plots', lambda raw: _BOOLS.get(raw.lower()), False,
-     (lambda v: v is not None, "expected true/false")),
     ('output.snapshot_every', _int, 0, _GE0),
 )
 
@@ -165,7 +160,7 @@ def parse_config(text):
     rows = {row[0]: row for row in SCHEMA}
     cfg = RunConfig(text)
     problems = []
-    seen = set()
+    seen, failed = set(), set()
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split('#', 1)[0].strip()
         if not line:
@@ -189,6 +184,7 @@ def parse_config(text):
                     raise ValueError(problem.format(value))
         except ValueError as err:
             problems.append(f"{key}: {err}")
+            failed.add(key)
             continue
         setattr(cfg, key.replace('.', '_'), value)
 
@@ -210,17 +206,16 @@ def parse_config(text):
         elif any(spec.shape[a] % 2 for a in spec.active_axes):
             problems.append("checks.enable: structure halves the grid, so "
                             "each active axis needs an even number of points")
-    if cfg.initial_family == 'from-snapshot':
-        if not cfg.initial_snapshot:
-            problems.append("initial.snapshot: required for from-snapshot")
-        elif not os.path.exists(cfg.initial_snapshot):
-            problems.append(
-                f"initial.snapshot: path {cfg.initial_snapshot!r} not found")
-        # the structure orders need the same field at N/2, which a
-        # snapshot cannot supply
-        if cfg.checks_enable:
-            problems.append("checks.enable: verification needs "
-                            "initial.family flat or perturbed")
+    # a grid is spelled by one set of keys: a second one would be ignored
+    if cfg.grid_shape is not None or cfg.grid_periods is not None:
+        given = seen - failed
+        for key, other in (('grid.n', 'grid.shape'),
+                           ('grid.active_axes', 'grid.shape'),
+                           ('grid.period', 'grid.periods')):
+            if {key, other} <= given:
+                problems.append(f"{key}: cannot be mixed with {other}")
+        if 'grid.shape' not in seen and cfg.grid_periods is not None:
+            problems.append("grid.periods: needs grid.shape")
     if cfg.flow_max_dt < cfg.flow_dt_floor:
         problems.append("flow.max_dt: must be >= flow.dt_floor")
     if problems:
@@ -244,9 +239,7 @@ def csv_columns(gammas):
 
 
 def build_initial_state(cfg):
-    from .flow import FlowState, restore
-    if cfg.initial_family == 'from-snapshot':
-        return restore(cfg.initial_snapshot)
+    from .flow import FlowState
     return FlowState(0.0, cfg.initial_phi()), {}
 
 
@@ -320,11 +313,8 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     c = float(aux['c']) if 'c' in aux else pinching_shift(cfg, state)
 
     # Distortion is measured against g at t = 0, whitened once; when
-    # resuming, the starting metric is rebuilt from the configured family.
-    if resumed and cfg.initial_family in ('flat', 'perturbed'):
-        g0 = build_initial_state(cfg)[0].metric.g
-    else:
-        g0 = state.metric.g
+    # resuming, the starting metric is rebuilt from the config.
+    g0 = (build_initial_state(cfg)[0] if resumed else state).metric.g
     w0 = np.linalg.inv(np.linalg.cholesky(g0))
 
     # reference periods of the flat class on this grid: the flow's exact
@@ -454,8 +444,13 @@ def cmd_run(cfg, resume_from=None):
     run_dir = cfg.output_dir
     start_state = start_aux = None
     if resume_from is not None:
+        from .errors import SnapshotError
         from .flow import restore
         start_state, start_aux = restore(resume_from)
+        # distortion compares the snapshot's metric with the config's g(0)
+        if start_state.spec != cfg.grid_spec():
+            raise SnapshotError(f"snapshot grid {start_state.spec} is not "
+                                f"the config's {cfg.grid_spec()}")
     history, events, c, _ = run_flow(cfg, run_dir, start_state,
                                      start_aux)
     if cfg.checks_enable:
@@ -467,9 +462,6 @@ def cmd_run(cfg, resume_from=None):
     write_manifest(cfg, run_dir, events, c,
                    extra={'monitors': monitor_summary(history),
                           'final': dict(history[-1]) if history else {}})
-    if cfg.output_plots:
-        data = read_csv(os.path.join(run_dir, 'series.csv'))
-        write_run_plots(run_dir, data)
     if not report['passed']:
         print("verification failed; see verification.json", file=sys.stderr)
         return 1
@@ -477,11 +469,6 @@ def cmd_run(cfg, resume_from=None):
 
 
 def cmd_verify(cfg):
-    if cfg.initial_family == 'from-snapshot':
-        # verification builds its field from the config, never from the
-        # snapshot, so its report would describe another state
-        raise ConfigError(["initial.family: g2flow verify needs "
-                           "initial.family flat or perturbed"])
     if not cfg.checks_enable:
         # a report of no groups would pass having checked nothing
         raise ConfigError(["checks.enable: g2flow verify needs at least "
@@ -499,8 +486,7 @@ def cmd_report(run_dir):
     if not os.path.exists(csv_path):
         print(f"no series.csv under {run_dir}", file=sys.stderr)
         return 2
-    data = read_csv(csv_path)
-    paths = write_run_plots(run_dir, data)
+    paths = write_run_plots(run_dir, read_csv(csv_path))
     print(f"wrote {len(paths)} charts under {run_dir}/plots")
     return 0
 
@@ -527,7 +513,7 @@ def main(argv=None):
     p_res = sub.add_parser('resume', help='resume a flow from a snapshot')
     p_res.add_argument('snapshot')
     p_res.add_argument('config')
-    p_rep = sub.add_parser('report', help='regenerate charts from a run dir')
+    p_rep = sub.add_parser('report', help='write charts from a run dir')
     p_rep.add_argument('run_dir')
     args = parser.parse_args(argv)
 

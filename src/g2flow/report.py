@@ -62,19 +62,14 @@ def read_csv(path):
 WIDTH, HEIGHT = 720, 360   # chart size in pixels
 
 
-def svg_line_chart(xs, series, title):
-    """Minimal multi-series line chart as an SVG string.
-
-    ``series`` maps a label to a list of y values (None entries skipped).
-    Intended for quick inspection of run time series; styling is fixed so
-    output is deterministic.
+def svg_line_chart(xs, ys, title):
+    """Minimal line chart of ``ys`` (None entries skipped) against ``xs``
+    as an SVG string, labelled ``title``.  Intended for quick inspection
+    of run time series; styling is fixed so output is deterministic.
     """
     margin = 60
-    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
-               "#8c564b", "#17becf")
-    pts = []
-    for ys in series.values():
-        pts.extend(y for y in ys if y is not None)
+    color = "#1f77b4"
+    pts = [y for y in ys if y is not None]
     if not pts or not xs:
         return ("<svg xmlns='http://www.w3.org/2000/svg' width='%d' "
                 "height='%d'><text x='20' y='30'>%s: no data</text></svg>"
@@ -113,16 +108,14 @@ def svg_line_chart(xs, series, title):
         out.append(f"<text x='{margin - 6}' y='{py(yv):.1f}' "
                    f"text-anchor='end' font-family='monospace' "
                    f"font-size='11'>{yv:.4g}</text>")
-    for n, (label, ys) in enumerate(series.items()):
-        color = palette[n % len(palette)]
-        coords = [(px(x), py(y)) for x, y in zip(xs, ys) if y is not None]
-        if coords:
-            path = " ".join(f"{cx:.2f},{cy:.2f}" for cx, cy in coords)
-            out.append(f"<polyline points='{path}' fill='none' "
-                       f"stroke='{color}' stroke-width='1.5'/>")
-        out.append(f"<text x='{WIDTH - margin + 4}' y='{margin + 14 * n + 10}' "
-                   f"font-family='monospace' font-size='11' "
-                   f"fill='{color}'>{label}</text>")
+    coords = [(px(x), py(y)) for x, y in zip(xs, ys) if y is not None]
+    if coords:
+        path = " ".join(f"{cx:.2f},{cy:.2f}" for cx, cy in coords)
+        out.append(f"<polyline points='{path}' fill='none' "
+                   f"stroke='{color}' stroke-width='1.5'/>")
+    out.append(f"<text x='{WIDTH - margin + 4}' y='{margin + 10}' "
+               f"font-family='monospace' font-size='11' "
+               f"fill='{color}'>{title}</text>")
     out.append("</svg>")
     return "\n".join(out)
 
@@ -137,7 +130,7 @@ def write_run_plots(run_dir, csv_data):
     for col in csv_data:
         if col in skip:
             continue
-        svg = svg_line_chart(xs, {col: csv_data[col]}, col)
+        svg = svg_line_chart(xs, csv_data[col], col)
         path = os.path.join(plot_dir, f"{col}.svg")
         atomic_write_text(path, svg)
         written.append(path)

@@ -120,25 +120,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("config_version = 2")
 
-    def test_snapshot_path_must_resolve(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config("initial.family = from-snapshot\n"
-                         "initial.snapshot = /nowhere/x.g2snap")
-        assert any("not found" in p for p in err.value.problems)
-
-    def test_snapshot_family_rejects_checks(self, tmp_path):
-        # verification builds its field (and the N/2 field of the structure
-        # orders) from the config, never from the snapshot
-        snap = tmp_path / "s.g2snap"
-        fl.snapshot(flat_state(), snap)
-        text = f"initial.family = from-snapshot\ninitial.snapshot = {snap}\n"
-        with pytest.raises(ConfigError) as err:
-            parse_config(text + "checks.enable = structure")
-        assert err.value.problems == [
-            "checks.enable: verification needs initial.family flat or "
-            "perturbed"]
-        assert parse_config(text).checks_enable == ()
-
     def test_mode_list_parsing(self):
         cfg = parse_config(
             "initial.modes = 1,0,0,0,0,0,0|2,3|1.0|0.5;"
@@ -169,6 +150,33 @@ class TestParseConfig:
     def test_grid_shape_override(self):
         cfg = parse_config("grid.shape = 8,1,8,1,1,1,1")
         assert cfg.grid_spec().active_axes == (0, 2)
+        # grid.period stays the uniform period of a grid.shape
+        spec = parse_config("grid.shape = 8,1,8,1,1,1,1\n"
+                            "grid.period = 3.0").grid_spec()
+        assert spec.periods == (3.0,) * 7
+
+    SHAPE = "grid.shape = 8,8,1,1,1,1,1\n"
+    PERIODS = "grid.periods = 1,2,3,4,5,6,7\n"
+
+    @pytest.mark.parametrize('text, problem', [
+        ("grid.n = 16\n" + SHAPE, "grid.n: cannot be mixed with grid.shape"),
+        ("grid.active_axes = 1,3\n" + SHAPE,
+         "grid.active_axes: cannot be mixed with grid.shape"),
+        (SHAPE + PERIODS + "grid.period = 1\n",
+         "grid.period: cannot be mixed with grid.periods"),
+        ("grid.n = 16\n" + PERIODS, "grid.periods: needs grid.shape"),
+        # a value that did not parse is reported once, as unparsable
+        ("grid.n = x\n" + SHAPE, "grid.n: cannot parse 'x'"),
+        ("grid.shape = 8,8\n" + PERIODS,
+         "grid.shape: need 7 axis sizes, each 1 or at least 4"),
+    ], ids=['n', 'active_axes', 'period', 'periods_alone', 'bad_n',
+            'bad_shape'])
+    def test_grid_keys_not_mixed(self, text, problem):
+        # grid.shape and grid.periods spell the grid in place of the
+        # uniform keys, which would otherwise be silently ignored
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [problem]
 
     @pytest.mark.parametrize('shape', ['8,1,3,1,1,1,1', '2,1,8,1,1,1,1',
                                        '8,0,8,1,1,1,1', '8,8,8'])
@@ -448,30 +456,29 @@ output.dir = {out}
         rec = json.loads((out / 'error.json').read_text())
         assert rec['error_type'] == 'NonPositiveShiftedScalar'
 
-    def test_verify_from_snapshot_exit_code(self, tmp_path, capsys):
-        snap = tmp_path / "s.g2snap"
-        fl.snapshot(flat_state(), snap)
-        cfg = tmp_path / "snap.cfg"
-        cfg.write_text(f"grid.n = 8\ninitial.family = from-snapshot\n"
-                       f"initial.snapshot = {snap}\nchecks.enable = all\n"
-                       f"output.dir = {tmp_path / 'out'}\n")
-        assert main(['verify', str(cfg)]) == 2
-        assert "checks.enable: verification needs" in capsys.readouterr().err
-        assert not (tmp_path / 'out' / 'verification.json').exists()
+    def test_failed_checks_exit_code(self, tmp_path, capsys):
+        # tolerances scaled to nothing: the run completes and exits 1
+        out = tmp_path / "fail"
+        cfg = tmp_path / "fail.cfg"
+        cfg.write_text(BASE_CFG.format(family='perturbed', steps=1, snap=0,
+                                       out=out)
+                       + "checks.enable = crosschecks\n"
+                       "checks.tol_scale = 1e-30\n")
+        assert main(['run', str(cfg)]) == 1
+        assert "verification failed" in capsys.readouterr().err
+        report = json.loads((out / 'verification.json').read_text())
+        assert not report['passed']
+        assert (out / 'series.csv').exists()
+        assert not (out / 'error.json').exists()
 
-    def test_verify_from_snapshot_without_checks_exit_code(self, tmp_path,
-                                                           capsys):
-        # with no group enabled the config passes, but g2flow verify would
-        # still report on a field rebuilt from the config
-        snap = tmp_path / "s.g2snap"
-        fl.snapshot(flat_state(), snap)
-        cfg = tmp_path / "snap.cfg"
-        cfg.write_text(f"grid.n = 8\ninitial.family = from-snapshot\n"
-                       f"initial.snapshot = {snap}\n"
-                       f"output.dir = {tmp_path / 'out'}\n")
-        assert main(['verify', str(cfg)]) == 2
-        assert "g2flow verify needs" in capsys.readouterr().err
-        assert not (tmp_path / 'out' / 'verification.json').exists()
+    def test_grid_keys_mixed_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "mixed"
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text("grid.n = 16\ngrid.periods = 1,2,3,4,5,6,7\n"
+                       f"output.dir = {out}\n")
+        assert main(['run', str(cfg)]) == 2
+        assert "grid.periods: needs grid.shape" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_without_checks_exit_code(self, tmp_path, capsys):
         out = tmp_path / "nochecks"
@@ -485,21 +492,32 @@ output.dir = {out}
         assert main(['run', '/definitely/not/here.cfg']) == 2
 
     def test_runtime_error_exit_code(self, tmp_path):
-        # from-snapshot pointing at a corrupt file passes config validation
-        # (the path exists) but fails at restore time
+        # a truncated snapshot fails at restore time
         snap = tmp_path / "corrupt.g2snap"
         snap.write_bytes(b"G2SNAP01" + b"\x00" * 64)
         out = tmp_path / "err"
-        cfg = tmp_path / "err.cfg"
-        cfg.write_text(f"""\
-initial.family = from-snapshot
-initial.snapshot = {snap}
-flow.steps = 2
-output.dir = {out}
-""")
-        assert main(['run', str(cfg)]) == 3
+        cfg = write_cfg(tmp_path, "err.cfg", out=out, steps=2)
+        assert main(['resume', str(snap), cfg]) == 3
         rec = json.loads((out / 'error.json').read_text())
         assert rec['error_type'] == 'SnapshotError'
+
+    @pytest.mark.parametrize('grid', ['grid.n = 16',
+                                      'grid.n = 8\ngrid.period = 3.0'],
+                             ids=['shape', 'period'])
+    def test_resume_on_other_grid_exit_code(self, tmp_path, grid):
+        # the snapshot is on grid.n = 8 with period 2 pi: another shape or
+        # period is refused before any step, with no series.csv
+        snap = tmp_path / "s.g2snap"
+        fl.snapshot(flat_state(), snap)
+        out = tmp_path / "other"
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(BASE_CFG.replace('grid.n = 8', grid).format(
+            family='flat', steps=2, snap=0, out=out))
+        assert main(['resume', str(snap), str(cfg)]) == 3
+        assert os.listdir(out) == ['error.json']
+        rec = json.loads((out / 'error.json').read_text())
+        assert rec['error_type'] == 'SnapshotError'
+        assert "snapshot grid" in rec['message']
 
     def test_resume_from_malformed_header_exit_code(self, tmp_path):
         snap = tmp_path / "deg9.g2snap"
@@ -576,14 +594,13 @@ class TestReportAndPlots:
         assert main(['report', str(tmp_path / 'nope')]) == 2
 
     def test_chart_handles_empty_series(self):
-        svg = rp.svg_line_chart([], {'x': []}, 'empty')
+        svg = rp.svg_line_chart([], [], 'empty')
         assert 'no data' in svg
 
     def test_chart_deterministic(self):
         xs = [0.0, 1.0, 2.0]
-        series = {'a': [1.0, None, 3.0]}
-        assert rp.svg_line_chart(xs, series, 't') == \
-            rp.svg_line_chart(xs, series, 't')
+        ys = [1.0, None, 3.0]
+        assert rp.svg_line_chart(xs, ys, 't') == rp.svg_line_chart(xs, ys, 't')
 
 
 class TestCsvHelpers:

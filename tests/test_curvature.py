@@ -220,6 +220,12 @@ class TestRatioFit:
         assert fit['C1'] == pytest.approx(
             max(0.2, 2 * fit['C2'] ** 2 + 1), rel=1e-12)
 
+    def test_nan_row_fails_to_bracket(self):
+        # a NaN ratio_lhs satisfies no bound, so no slope is ever found
+        with pytest.raises(ArithmeticError, match="failed to bracket"):
+            cv.traceless_ricci_ratio_fit(
+                self._rows([0.5, float('nan')], [1.0, 1.0]), c1=0.2)
+
 
 class TestDistortionBound:
     def test_distortion_bound(self):

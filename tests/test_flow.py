@@ -339,6 +339,16 @@ class TestSnapshot:
             fl.snapshot(short_run[0], path, aux={'c': number})
         assert list(tmp_path.iterdir()) == []
 
+    def test_corrupt_aux_rejected(self, short_run, tmp_path):
+        # one byte of the aux JSON rewritten: size and payload CRC still
+        # match, so only the JSON parse can refuse it
+        path = tmp_path / "aux.g2snap"
+        fl.snapshot(short_run[0], path, aux={'c': 1.25})
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'{"c"', b'["c"', 1))
+        with pytest.raises(SnapshotError, match="corrupt auxiliary block"):
+            fl.restore(path)
+
     def test_nonclosed_rejected(self, tmp_path):
         spec = scenario_spec(8)
         vals = flat_phi_field(spec).values.copy()

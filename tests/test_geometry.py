@@ -8,7 +8,7 @@ from g2flow import flow as fl
 from g2flow import geometry as ge
 from g2flow import grid as gr
 from g2flow import verify as vf
-from g2flow.errors import DegreeError
+from g2flow.errors import DegreeError, NotPositive
 from g2flow.initial_data import perturbed_phi_field
 
 from conftest import (SMALL_BLOCK_BYTES, dense_riemann, flat_state,
@@ -43,6 +43,17 @@ class TestPointBlocks:
         for a, b in zip(got, whole):
             assert a.shape == b.shape and np.array_equal(a, b)
         assert np.array_equal(ge.psi_from_phi(phi, m).values, psi)
+
+
+class TestMetricField:
+    def test_orientation_flip_rejected(self):
+        # -phi is positive for the opposite orientation: each point alone
+        # is fine, the field is not
+        phi = flat_state().phi
+        values = phi.values.copy()
+        values[0] *= -1.0
+        with pytest.raises(NotPositive, match="orientation flips"):
+            ge.MetricField.from_phi(gr.FormField(3, phi.spec, values))
 
 
 class TestChristoffel:
