@@ -22,8 +22,8 @@ from .report import (CsvWriter, atomic_write_json, read_csv,
                      write_run_plots)
 # structure/crosscheck_residuals are bound here as perfbench's span targets
 from .verify import (StateTensors, crosscheck_residuals,
-                     minimal_pinching_constant, pinching_shift,
-                     run_verification, structure_residuals)
+                     minimal_pinching_constant, pinching_record,
+                     pinching_shift, run_verification, structure_residuals)
 
 CHECK_GROUPS = ('structure', 'evolution', 'crosschecks')
 
@@ -292,74 +292,80 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     and last rows carry an empty cell there, as does any triple holding a
     state with min(R + c) <= 0.  A resumed run emits rows strictly after
     its restored step, which makes its output byte-comparable with the
-    same rows of an unbroken run.
+    same rows of an unbroken run; it refuses a snapshot of another initial
+    3-form.  It holds one state's tensors at a time (verify.pinching_record).
     """
     # imported at call time, so a flow.step swapped in before the call is
     # the one run: perfbench times each step that way, and a module-level
     # import would leave its step_s empty
+    from .errors import SnapshotError
     from .flow import StepPolicy, snapshot, step, step_fixed
     from .geometry import tensor_norm2
 
-    snap_dir = os.path.join(run_dir, 'snapshots')
-    os.makedirs(snap_dir, exist_ok=True)
-
-    state, aux = (start_state, dict(start_aux or {}))
-    if state is None:
-        state, aux = build_initial_state(cfg)
-    resumed = state.step_index > 0
+    aux = dict(start_aux or {})
+    if start_state is None:
+        start_state, aux = build_initial_state(cfg)
+    resumed = start_state.step_index > 0
     gammas = cfg.pinching_gammas
     policy = StepPolicy(safety=cfg.flow_safety, dt_floor=cfg.flow_dt_floor,
                         max_dt=cfg.flow_max_dt)
-    c = float(aux['c']) if 'c' in aux else pinching_shift(cfg, state)
+    c = float(aux['c']) if 'c' in aux else pinching_shift(cfg, start_state)
 
     # Distortion is measured against g at t = 0, whitened once; when
-    # resuming, the starting metric is rebuilt from the config.
-    g0 = (build_initial_state(cfg)[0] if resumed else state).metric.g
-    w0 = np.linalg.inv(np.linalg.cholesky(g0))
+    # resuming, the starting 3-form is rebuilt from the config, and must be
+    # the one the snapshot's run started from.
+    initial = build_initial_state(cfg)[0] if resumed else start_state
+    phi0_sha256 = hashlib.sha256(initial.phi.values.tobytes()).hexdigest()
+    if aux.get('phi0_sha256', phi0_sha256) != phi0_sha256:
+        raise SnapshotError("snapshot's initial 3-form is not the config's")
+    w0 = np.linalg.inv(np.linalg.cholesky(initial.metric.g))
+    del initial
+    snap_dir = os.path.join(run_dir, 'snapshots')
+    os.makedirs(snap_dir, exist_ok=True)
 
     # reference periods of the flat class on this grid: the flow's exact
     # invariants, independent of the run's own starting step
     from .grid import period_integrals
     from .initial_data import flat_phi_field
-    period_ref = period_integrals(flat_phi_field(state.spec))
+    period_ref = period_integrals(flat_phi_field(start_state.spec))
 
     running = {'w_ratio': float(aux.get('w_ratio', 0.0)),
                'speed_integral': float(aux.get('speed_integral', 0.0)),
                'period_ref': period_ref}
-    events = []
 
     def snapshot_to(name):
         snapshot(ts.state, os.path.join(snap_dir, name),
                  {'c': c, 'w_ratio': running['w_ratio'],
-                  'speed_integral': running['speed_integral']})
+                  'speed_integral': running['speed_integral'],
+                  'phi0_sha256': phi0_sha256})
 
-    # every row made, and the StateTensors of the last states; a resumed
-    # run's restored row already exists in the original CSV
-    ts = StateTensors(state, c)
-    last = [ts]
+    # every row made, and the pinching records of the last states; a
+    # resumed run's restored row already exists in the original CSV
+    ts, start_index = StateTensors(start_state, c), start_state.step_index
+    del start_state
     history = [] if resumed else [monitor_row(ts, gammas, w0, running)]
+    last = [pinching_record(ts, first=True)]
     t_wall = time.time()
     try:
         while ts.state.step_index < cfg.flow_steps:
-            if cfg.flow_fixed_dt:
-                new = step_fixed(ts.state, cfg.flow_fixed_dt)
-            else:
-                new = step(ts.state, policy)
+            # the state's monitor tensors (Weyl and more) go before the step
+            state, ts = ts.state, None
             # metric speed 2 |S| accumulates the distortion-bound integral
-            sp = 2.0 * np.sqrt(np.max(tensor_norm2(ts.state.S, ts.m, 2)))
-            running['speed_integral'] += new.dt * sp
-            ts = StateTensors(new, c)
-            last.append(ts)
+            sp = 2.0 * np.sqrt(np.max(tensor_norm2(state.S, state.metric, 2)))
+            if cfg.flow_fixed_dt:
+                state = step_fixed(state, cfg.flow_fixed_dt)
+            else:
+                state = step(state, policy)
+            running['speed_integral'] += state.dt * sp
+            ts = StateTensors(state, c)
             history.append(monitor_row(ts, gammas, w0, running))
+            last.append(pinching_record(ts))
             if len(last) == 3:
-                try:
-                    history[-2]['min_C_g2'] = minimal_pinching_constant(*last)
-                except NonPositiveShiftedScalar:
-                    pass
+                history[-2]['min_C_g2'] = minimal_pinching_constant(*last)
                 del last[0]
             if cfg.output_snapshot_every and \
-                    new.step_index % cfg.output_snapshot_every == 0:
-                snapshot_to(f'step{new.step_index:06d}.g2snap')
+                    state.step_index % cfg.output_snapshot_every == 0:
+                snapshot_to(f'step{state.step_index:06d}.g2snap')
     finally:
         writer = CsvWriter(os.path.join(run_dir, 'series.csv'),
                            csv_columns(gammas))
@@ -367,8 +373,8 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
             writer.add_row(row)
         writer.flush()
     snapshot_to('final.g2snap')
-    events.append(f'completed {ts.state.step_index - state.step_index} '
-                  f'steps in {time.time() - t_wall:.1f}s wall')
+    events = [f'completed {ts.state.step_index - start_index} '
+              f'steps in {time.time() - t_wall:.1f}s wall']
     if running.get('pinching_paused'):
         events.append('pinching monitors paused: min(R + c) <= 0 '
                       '(scalar curvature escaped below -c)')
@@ -442,17 +448,18 @@ def monitor_summary(history):
 
 def cmd_run(cfg, resume_from=None):
     run_dir = cfg.output_dir
-    start_state = start_aux = None
+    start = [None, None]
     if resume_from is not None:
         from .errors import SnapshotError
         from .flow import restore
-        start_state, start_aux = restore(resume_from)
+        start = list(restore(resume_from))
         # distortion compares the snapshot's metric with the config's g(0)
-        if start_state.spec != cfg.grid_spec():
-            raise SnapshotError(f"snapshot grid {start_state.spec} is not "
+        if start[0].spec != cfg.grid_spec():
+            raise SnapshotError(f"snapshot grid {start[0].spec} is not "
                                 f"the config's {cfg.grid_spec()}")
-    history, events, c, _ = run_flow(cfg, run_dir, start_state,
-                                     start_aux)
+    # popped, so that run_flow holds the start state's only reference
+    history, events, c, _ = run_flow(cfg, run_dir, start.pop(0),
+                                     start.pop())
     if cfg.checks_enable:
         report = run_verification(cfg, run_dir)
     else:

@@ -505,34 +505,47 @@ def run_evolution_checks(state0, dt, c, gammas=(1.5, 2.0, 3.0),
     return out
 
 
+def pinching_record(ts, first=False):
+    """What minimal_pinching_constant reads of StateTensors ``ts``: t,
+    f = f_field(2) and, unless ``first`` (a state no step led to, never
+    the middle of a triple), base and den; None when min(R + c) <= 0."""
+    from .errors import NonPositiveShiftedScalar
+    try:
+        rec = {'t': ts.state.t, 'f': ts.f_field(2.0)}
+    except NonPositiveShiftedScalar:
+        return None
+    if first:
+        return rec
+    f, m, rt = rec['f'], ts.m, ts.Rt
+    grad_f = partial_stack(f, m.spec)
+    inner = np.einsum('...ab,...a,...b->...', m.ginv, grad_f, ts.grad_R,
+                      optimize=True)
+    rec['base'] = scalar_laplacian(f, m) + (2.0 / rt) * inner \
+        - 2.0 * rt * f ** 2
+    w2 = ts.W_c1_field ** 2
+    rec['den'] = 4.0 * rt * f * (np.sqrt(f) + 1.0 + w2 / rt ** 2)
+    return rec
+
+
 def minimal_pinching_constant(prev, mid, nxt):
-    """Smallest C >= 0 making the gamma = 2 pinching inequality hold
-    pointwise on a triple of StateTensors sharing one shift c:
+    """Smallest C >= 0 making the gamma = 2 pinching inequality
 
       df/dt <= Delta f + (2/Rt)<grad f, grad Rt>
-               + 4 Rt f (-f/2 + C sqrt(f) + C + C |W|_C1^2 / Rt^2).
+               + 4 Rt f (-f/2 + C sqrt(f) + C + C |W|_C1^2 / Rt^2)
 
-    Raises NonPositiveShiftedScalar when min(R + c) <= 0 at any of the
-    three states.
+    hold pointwise, read as df/dt - base <= C den from the pinching_record
+    of three consecutive states sharing one shift c; None when any record
+    is None (min(R + c) <= 0 there).
     """
-    f_p, f_m, f_n = (ts.f_field(2.0) for ts in (prev, mid, nxt))
-    m = mid.m
-    spacing_r = mid.state.t - prev.state.t
-    spacing_s = nxt.state.t - mid.state.t
-    if abs(spacing_r - spacing_s) < 1e-13 * max(spacing_r, spacing_s):
-        dfdt = (f_n - f_p) / (spacing_r + spacing_s)
+    if None in (prev, mid, nxt):
+        return None
+    r, s = mid['t'] - prev['t'], nxt['t'] - mid['t']
+    if abs(r - s) < 1e-13 * max(r, s):
+        dfdt = (nxt['f'] - prev['f']) / (r + s)
     else:
-        r, s = spacing_r, spacing_s
-        dfdt = (-s / (r * (r + s))) * f_p + ((s - r) / (r * s)) * f_m \
-            + (r / (s * (r + s))) * f_n
-    grad_f = partial_stack(f_m, m.spec)
-    inner = np.einsum('...ab,...a,...b->...', m.ginv, grad_f, mid.grad_R,
-                      optimize=True)
-    base = scalar_laplacian(f_m, m) + (2.0 / mid.Rt) * inner \
-        - 2.0 * mid.Rt * f_m ** 2
-    w2 = mid.W_c1_field ** 2
-    num = dfdt - base
-    den = 4.0 * mid.Rt * f_m * (np.sqrt(f_m) + 1.0 + w2 / mid.Rt ** 2)
+        dfdt = (-s / (r * (r + s))) * prev['f'] \
+            + ((s - r) / (r * s)) * mid['f'] + (r / (s * (r + s))) * nxt['f']
+    num, den = dfdt - mid['base'], mid['den']
     mask = den > 0.0
     if not np.any(mask):
         return 0.0

@@ -116,6 +116,37 @@ def dense_riemann(m):
                               symmetry_defect=defect)
 
 
+def triple_pinching_constant(prev, mid, nxt):
+    """The minimal pinching constant read straight off a triple of
+    StateTensors sharing one shift c, as verify.minimal_pinching_constant
+    did before its per-state records: the reference for the record path.
+    Raises NonPositiveShiftedScalar when min(R + c) <= 0 at any of the
+    three states."""
+    f_p, f_m, f_n = (ts.f_field(2.0) for ts in (prev, mid, nxt))
+    m = mid.m
+    spacing_r = mid.state.t - prev.state.t
+    spacing_s = nxt.state.t - mid.state.t
+    if abs(spacing_r - spacing_s) < 1e-13 * max(spacing_r, spacing_s):
+        dfdt = (f_n - f_p) / (spacing_r + spacing_s)
+    else:
+        r, s = spacing_r, spacing_s
+        dfdt = (-s / (r * (r + s))) * f_p + ((s - r) / (r * s)) * f_m \
+            + (r / (s * (r + s))) * f_n
+    grad_f = ge.partial_stack(f_m, m.spec)
+    inner = np.einsum('...ab,...a,...b->...', m.ginv, grad_f, mid.grad_R,
+                      optimize=True)
+    base = ge.scalar_laplacian(f_m, m) + (2.0 / mid.Rt) * inner \
+        - 2.0 * mid.Rt * f_m ** 2
+    w2 = mid.W_c1_field ** 2
+    num = dfdt - base
+    den = 4.0 * mid.Rt * f_m * (np.sqrt(f_m) + 1.0 + w2 / mid.Rt ** 2)
+    mask = den > 0.0
+    if not np.any(mask):
+        return 0.0
+    ratio = np.where(mask & (num > 0.0), num / np.where(mask, den, 1.0), 0.0)
+    return float(np.max(ratio))
+
+
 def l2_form_inner(a, b, m):
     """Global L2 pairing of k-form fields in the k!-normalized (form)
     convention, the one in which d and the codifferential are mutually

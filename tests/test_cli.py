@@ -1,5 +1,8 @@
+import gc
+import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from g2flow import algebra as al
 from g2flow import cli
 from g2flow import flow as fl
 from g2flow import report as rp
+from g2flow import verify as vf
 from g2flow.cli import main, monitor_summary, parse_config, run_flow
 from g2flow.errors import ConfigError, PositivityLost
 
@@ -269,6 +273,76 @@ class TestRunCommand:
         part = (out2 / 'series.csv').read_text().splitlines()
         assert part[0] == full[0]
         # resumed rows are steps 5..8: rows 6.. of the unbroken file
+        assert part[1:] == full[6:]
+
+    @pytest.mark.parametrize('command', ['run', 'resume'])
+    def test_one_live_state_per_step(self, tmp_path, monkeypatch, command):
+        # from the second step on, the state stepped from is the only one
+        # alive of the states the run was handed or made; no StateTensors
+        # is alive at any step, so no monitor tensor outlives its row
+        out = tmp_path / "full"
+        argv = ['run', write_cfg(tmp_path, "f.cfg", out=out, steps=3)]
+        if command == 'resume':
+            assert main(argv) == 0
+            argv = ['resume', str(out / 'snapshots' / 'final.g2snap'),
+                    write_cfg(tmp_path, "g.cfg", out=tmp_path / "r", steps=6)]
+        inner, live, calls = fl.step, weakref.WeakSet(), []
+
+        def step(state, *args, **kwargs):
+            gc.collect()
+            if calls:
+                assert set(live) == {state}
+            assert not [x for x in gc.get_objects()
+                        if isinstance(x, vf.StateTensors)]
+            calls.append(state.step_index)
+            live.add(state)
+            new = inner(state, *args, **kwargs)
+            live.add(new)
+            return new
+        monkeypatch.setattr(fl, 'step', step)
+        assert main(argv) == 0
+        assert calls == ([0, 1, 2] if command == 'run' else [3, 4, 5])
+
+    @pytest.mark.parametrize('family, extra', [
+        ('flat', ''), ('perturbed', 'initial.epsilon = 0.1\n'),
+        ('perturbed', 'initial.modes = 1,0,0,0,0,0,0|2,3|1.0|0.4\n')],
+        ids=['family', 'epsilon', 'modes'])
+    def test_resume_from_other_initial_data_exit_code(self, tmp_path,
+                                                      monkeypatch, family,
+                                                      extra):
+        # a perturbed run's snapshot with a config of the same grid whose
+        # initial 3-form differs: refused before any step, no series.csv
+        full = tmp_path / "full"
+        assert main(['run', write_cfg(tmp_path, "f.cfg", out=full,
+                                      steps=2, snap=0)]) == 0
+        monkeypatch.setattr(fl, 'step', None)
+        out = tmp_path / "other"
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(BASE_CFG.format(family=family, steps=4, snap=0,
+                                       out=out) + extra)
+        snap = str(full / 'snapshots' / 'final.g2snap')
+        assert main(['resume', snap, str(cfg)]) == 3
+        assert os.listdir(out) == ['error.json']
+        rec = json.loads((out / 'error.json').read_text())
+        assert rec['error_type'] == 'SnapshotError'
+        assert "initial 3-form" in rec['message']
+
+    def test_resume_from_snapshot_without_phi0_key(self, tmp_path):
+        # the key holds the SHA-256 of the config's initial 3-form; a
+        # snapshot written before it existed resumes unchecked, as before
+        out1, out2 = tmp_path / "full", tmp_path / "resumed"
+        cfg1 = write_cfg(tmp_path, "f.cfg", out=out1)
+        assert main(['run', cfg1]) == 0
+        state, aux = fl.restore(out1 / 'snapshots' / 'step000004.g2snap')
+        phi0 = parse_config(open(cfg1).read()).initial_phi()
+        assert aux.pop('phi0_sha256') == \
+            hashlib.sha256(phi0.values.tobytes()).hexdigest()
+        old = tmp_path / "old.g2snap"
+        fl.snapshot(state, old, aux)
+        cfg2 = write_cfg(tmp_path, "g.cfg", out=out2)
+        assert main(['resume', str(old), cfg2]) == 0
+        full = (out1 / 'series.csv').read_text().splitlines()
+        part = (out2 / 'series.csv').read_text().splitlines()
         assert part[1:] == full[6:]
 
     def test_dt_column_is_the_step_taken(self, tmp_path):

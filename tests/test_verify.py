@@ -17,7 +17,8 @@ from g2flow.initial_data import perturbed_phi_field
 
 from conftest import (EPS, GRID3, MODES3, SMALL_BLOCK_BYTES,
                       dense_hessian_traces, flat_state, pair_to_dense,
-                      perturbed_state, perturbed_state3, scenario_spec)
+                      perturbed_state, perturbed_state3, scenario_spec,
+                      triple_pinching_constant)
 
 
 @pytest.fixture(scope="module")
@@ -363,8 +364,21 @@ def fixed_steps(phi0, spacing):
 
 
 def pinching_constant(states, c):
+    """minimal_pinching_constant of three consecutive states, read from
+    their pinching records as a run builds them."""
+    first, *rest = (vf.StateTensors(st, c=c) for st in states)
     return vf.minimal_pinching_constant(
-        *(vf.StateTensors(st, c=c) for st in states))
+        vf.pinching_record(first, first=True),
+        *(vf.pinching_record(ts) for ts in rest))
+
+
+def reference_constant(states, c):
+    """The same from the StateTensors triple; None where it raises."""
+    try:
+        return triple_pinching_constant(
+            *(vf.StateTensors(st, c=c) for st in states))
+    except NonPositiveShiftedScalar:
+        return None
 
 
 class TestMinimalPinchingConstant:
@@ -398,11 +412,51 @@ class TestMinimalPinchingConstant:
         if vals[0.05] > 0.0:
             assert vals[0.025] <= 2.0 * max(vals[0.05], 1e-6)
 
-    def test_nonpositive_shift_raises(self):
-        # min(R + c) <= 0 at the first state only is enough to raise
+    def test_nonpositive_shift_gives_none(self):
+        # min(R + c) <= 0 at the first state only is enough for no constant
         phi0 = perturbed_phi_field(scenario_spec(8), 0.05)
         prev, mid, nxt = fixed_steps(phi0, 0.01)
         c = -float(np.min(prev.bundle.R))
         assert float(np.min(mid.bundle.R)) + c > 0.0
+        assert vf.pinching_record(vf.StateTensors(prev, c=c)) is None
+        assert pinching_constant((prev, mid, nxt), c) is None
         with pytest.raises(NonPositiveShiftedScalar):
-            pinching_constant((prev, mid, nxt), c)
+            triple_pinching_constant(
+                *(vf.StateTensors(st, c=c) for st in (prev, mid, nxt)))
+
+
+class TestPinchingRecords:
+    """The per-state records give the StateTensors-triple constant exactly,
+    in each branch of minimal_pinching_constant."""
+
+    @staticmethod
+    def triple(spacings):
+        """Three states after fixed steps of ``spacings`` from a perturbed
+        N=16 start at epsilon 0.2, where the constant is positive."""
+        phi0 = perturbed_phi_field(scenario_spec(16), 0.2)
+        states = [fl.FlowState(0.0, phi0)]
+        for dt in spacings:
+            states.append(fl.step_fixed(states[-1], dt))
+        return states[1:], auto_shift(states[0].bundle)
+
+    @pytest.mark.parametrize('spacings', [(0.01, 0.01, 0.01),
+                                          (0.01, 0.01, 0.005)],
+                             ids=['equal', 'unequal'])
+    def test_perturbed_triple(self, spacings):
+        states, c = self.triple(spacings)
+        got = pinching_constant(states, c)
+        assert got > 0.0
+        assert got == reference_constant(states, c)
+
+    def test_flat_triple(self):
+        from g2flow.initial_data import flat_phi_field
+        states = fixed_steps(flat_phi_field(scenario_spec(8)), 0.01)
+        assert pinching_constant(states, 1.0) == 0.0
+        assert reference_constant(states, 1.0) == 0.0
+
+    def test_first_state_nonpositive(self):
+        phi0 = perturbed_phi_field(scenario_spec(16), 0.05)
+        states = fixed_steps(phi0, 0.001)
+        c = -float(np.min(states[0].bundle.R))
+        assert pinching_constant(states, c) is None
+        assert reference_constant(states, c) is None
