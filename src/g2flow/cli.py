@@ -344,7 +344,8 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
     ts, start_index = StateTensors(start_state, c), start_state.step_index
     del start_state
     history = [] if resumed else [monitor_row(ts, gammas, w0, running)]
-    last = [pinching_record(ts, first=True)]
+    last = [pinching_record(ts, end=True)] \
+        if start_index < cfg.flow_steps else []
     t_wall = time.time()
     try:
         while ts.state.step_index < cfg.flow_steps:
@@ -359,7 +360,8 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
             running['speed_integral'] += state.dt * sp
             ts = StateTensors(state, c)
             history.append(monitor_row(ts, gammas, w0, running))
-            last.append(pinching_record(ts))
+            last.append(pinching_record(
+                ts, end=state.step_index == cfg.flow_steps))
             if len(last) == 3:
                 history[-2]['min_C_g2'] = minimal_pinching_constant(*last)
                 del last[0]

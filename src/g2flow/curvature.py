@@ -14,7 +14,7 @@ import numpy as np
 from .algebra import DIM, NCOMP, basis_interior_table, chunks, pair_entries
 from .errors import NonPositiveShiftedScalar
 # perfbench/selftest.py checks that its tracer wraps this tensor_norm2 binding
-from .geometry import pair_norm2, tensor_norm2  # noqa: F401
+from .geometry import tensor_norm2  # noqa: F401
 from .grid import partial_derivative
 
 
@@ -63,30 +63,33 @@ def pair_derivation_table():
 
 def c1_norm(W, m):
     """Pointwise |W|_{C1} = sqrt(|W|^2 + |nabla W|^2) of a pair-form Weyl
-    field, |W|^2 from pair_norm2.  Gamma_a acts on each pair as the 2-form
-    derivation D_a, so nabla_a W = d_a W - D_a W - (D_a W)^T, and
-    |nabla W|^2 = 4 g^ab tr(nabla_a W Lam nabla_b W Lam), Lam = m.pair_ginv.
-    The derivative terms run over blocks of points (algebra.chunks).
-    """
+    field.  Gamma_a acts on each pair as the 2-form derivation D_a, so
+    nabla_a W = d_a W - D_a W - (D_a W)^T; with Lam = m.pair_ginv, |W|^2 =
+    4 tr(W Lam W Lam) and |nabla W|^2 = 4 g^ab tr(nabla_a W Lam nabla_b W
+    Lam), both over blocks of points (algebra.chunks)."""
     P = NCOMP[2]
     Wf = W.reshape(-1, P, P)
     n = Wf.shape[0]
-    gam = m.gamma_flat.reshape(n, DIM, DIM * DIM)
+    gam = m.gamma_flat.reshape(n, DIM * DIM, DIM)
     lam = m.pair_ginv.reshape(Wf.shape)
     gi = m.ginv.reshape(n, DIM, DIM)
     dW = [(a, partial_derivative(W, m.spec, a).reshape(Wf.shape))
           for a in m.spec.active_axes]
-    dn2 = np.empty(n)
+    out = np.empty(n)
     for c in chunks(n, DIM * NCOMP[2] ** 2):
-        D = (gam[c] @ pair_derivation_table()).reshape(-1, DIM, P, P)
+        WL = Wf[c] @ lam[c]
+        D = (gam[c].reshape(-1, DIM, DIM * DIM)
+             @ pair_derivation_table()).reshape(-1, DIM, P, P)
         DW = D @ Wf[c, None, :, :]
         dWc = np.zeros(DW.shape)             # d_a W, zero on inactive axes
         for a, d in dW:
             dWc[:, a] = d[c]
         nWL = (dWc - DW - np.swapaxes(DW, -1, -2)) @ lam[c, None, :, :]
         gnWL = (gi[c] @ nWL.reshape(-1, DIM, P * P)).reshape(nWL.shape)
-        dn2[c] = np.sum(nWL * np.swapaxes(gnWL, -1, -2), axis=(-3, -2, -1))
-    return np.sqrt(pair_norm2(W, m) + 4.0 * dn2.reshape(W.shape[:-2]))
+        out[c] = np.sqrt(
+            4.0 * np.sum(WL * np.swapaxes(WL, -1, -2), axis=(-2, -1))
+            + 4.0 * np.sum(nWL * np.swapaxes(gnWL, -1, -2), axis=(-3, -2, -1)))
+    return out.reshape(W.shape[:-2])
 
 
 def auto_shift(bundle):

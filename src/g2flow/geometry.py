@@ -68,10 +68,14 @@ class MetricField:
 
     @cached_property
     def pair_ginv(self):
-        """Lambda^2(g^-1) = g^ik g^jl - g^il g^jk in pair form: it raises one
-        pair of a pair-form tensor; each point's matrix is contiguous."""
-        il, jk, ik, jl = al.pair_entries(self.ginv)
-        return ik * jl - il * jk
+        """Lambda^2(g^-1) = g^ik g^jl - g^il g^jk in pair form, which raises
+        one pair of a pair-form tensor, built over al.chunks of points."""
+        gi = self.ginv.reshape(-1, DIM, DIM)
+        out = np.empty((gi.shape[0],) + (al.NCOMP[2],) * 2)
+        for c in al.chunks(gi.shape[0], 4 * al.NCOMP[2] ** 2):
+            il, jk, ik, jl = al.pair_entries(gi[c])
+            out[c] = ik * jl - il * jk
+        return out.reshape(self.ginv.shape[:-2] + out.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +115,16 @@ def form_covariant_derivative(a, m):
     increasing components, shape (.., 7, binomial(7, k)) with the
     derivative slot first: nabla_a w = d_a w - Gamma^p_ai e^i ^ (e_p -| w),
     the derivation Gamma_a induces on k-forms.  The interior gather, one
-    product with gamma_flat and the e^i ^ scatter share one table."""
+    product with gamma_flat and the e^i ^ scatter run per al.chunks block."""
     idx, sgn = al.basis_interior_table(a.degree)
     scatter = np.zeros((idx.size, al.NCOMP[a.degree]))
     scatter[np.arange(idx.size), idx.ravel()] = sgn.ravel()
-    gam_iw = m.gamma_flat @ (a.values[..., idx] * sgn)      # (.., (a, i), J)
-    corr = gam_iw.reshape(a.values.shape[:-1] + (DIM, idx.size)) @ scatter
-    return partial_stack(a.values, m.spec) - corr
+    n, out = m.vol.size, partial_stack(a.values, m.spec)
+    w, gam = a.values.reshape(n, -1), m.gamma_flat.reshape(n, -1, DIM)
+    for c in al.chunks(n, DIM * idx.size):
+        gam_iw = (gam[c] @ (w[c][:, idx] * sgn)).reshape(-1, DIM, idx.size)
+        out.reshape(n, DIM, -1)[c] -= gam_iw @ scatter
+    return out
 
 
 def second_covariant(T, m, rank):
@@ -130,28 +137,33 @@ def hessian_traces(Y, m, inner=False):
     Gamma^p_ai Y_bpj - Gamma^p_aj Y_bip for a 2-tensor X, from Y = nabla X
     (slots b, i, j): the rough Laplacian g^ab (nabla nabla X)_abij, and with
     ``inner`` also A_aj = g^bi (nabla nabla X)_abij.  Each d_a Y is
-    contracted as it is built; the Christoffel terms run through the (7, 49)
-    matrix K_bip = g^ab Gamma^p_ai per point and its trace over b = i."""
-    sh = Y.shape[:-3]
-    Yf = Y.reshape(sh + (-1, DIM))                           # ((b, i), j)
-    Ys = np.swapaxes(Y, -3, -2).reshape(sh + (DIM, -1))      # (i, (b, p))
-    K = (m.ginv @ m.gamma_flat.reshape(sh + (DIM, -1))).reshape(Y.shape)
-    K = np.swapaxes(K, -3, -2).reshape(sh + (DIM, -1))       # (i, (b, p))
-    tr = np.trace(K.reshape(Y.shape), axis1=-3, axis2=-2)[..., None, :]
-    KY = K @ Yf
-    lap = -((tr @ Yf.reshape(sh + (DIM, -1))).reshape(KY.shape) + KY
-            + Ys @ np.swapaxes(K, -1, -2))
-    gi = m.ginv.reshape(sh + (1, -1))                        # g^bi, flat
-    if inner:
-        trY = np.swapaxes(gi @ Yf, -1, -2)                   # g^bi Y_bip
-        A = -(K @ Ys.reshape(Yf.shape) + KY
-              + (m.gamma_flat @ trY).reshape(KY.shape))
-    for a in m.spec.active_axes:
-        dY = partial_derivative(Y, m.spec, a).reshape(sh + (DIM, -1))
-        lap += (m.ginv[..., a:a + 1, :] @ dY).reshape(KY.shape)
+    contracted as it is built; the Christoffel terms run per al.chunks block,
+    through K_bip = g^ab Gamma^p_ai ((7, 49) per point) and its trace b = i."""
+    n = m.vol.size
+    Y3, gam = Y.reshape(n, DIM, DIM, DIM), m.gamma_flat.reshape(n, -1, DIM)
+    gi, ginv = m.ginv.reshape(n, 1, -1), m.ginv.reshape(n, DIM, DIM)
+    out = np.empty((1 + inner, n, DIM, DIM))                # lap, A
+    for c in al.chunks(n, DIM ** 3):
+        Yf = Y3[c].reshape(gam[c].shape)                     # ((b, i), j)
+        Ys = np.swapaxes(Y3[c], 1, 2).reshape(-1, DIM, DIM ** 2)  # (i, (b, p))
+        K = (ginv[c] @ gam[c].reshape(Ys.shape)).reshape(Y3[c].shape)
+        tr = np.trace(K, axis1=1, axis2=2)[:, None, :]
+        K = np.swapaxes(K, 1, 2).reshape(Ys.shape)           # (i, (b, p))
+        KY = K @ Yf
+        out[0, c] = -((tr @ Yf.reshape(Ys.shape)).reshape(KY.shape) + KY
+                      + Ys @ np.swapaxes(K, -1, -2))
         if inner:
-            A[..., a:a + 1, :] += gi @ dY.reshape(Yf.shape)
-    return (lap, A) if inner else lap
+            trY = np.swapaxes(gi[c] @ Yf, -1, -2)            # g^bi Y_bip
+            out[1, c] = -(K @ Ys.reshape(Yf.shape) + KY
+                          + (gam[c] @ trY).reshape(KY.shape))
+    for a in m.spec.active_axes:
+        dY = partial_derivative(Y, m.spec, a).reshape(n, DIM, -1)
+        out[0] += (ginv[:, a:a + 1, :] @ dY).reshape(out.shape[1:])
+        if inner:
+            out[1, :, a:a + 1, :] += gi @ dY.reshape(n, -1, DIM)
+        del dY                      # freed before the next axis's partials
+    lap, *A = out.reshape(out.shape[:1] + Y.shape[:-1])
+    return (lap, *A) if inner else lap
 
 
 def scalar_laplacian(u, m):

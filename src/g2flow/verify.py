@@ -48,8 +48,11 @@ class StateTensors:
         self.state = state
         self.c = float(c)
         self.m = state.metric
-        self.b = state.bundle
         self._f = {}
+
+    @cached_property
+    def b(self):
+        return self.state.bundle
 
     @cached_property
     def Rt(self):
@@ -155,11 +158,12 @@ class StateTensors:
 
     @cached_property
     def gradT_combo(self):
-        """nabla^j T_im nabla^i T^m_j."""
+        """nabla^j T_im nabla^i T^m_j = nabla^a T_i^m nabla^i T_ma, from two
+        slot_apply products: at most three 7^3 arrays live at a time."""
         nt = covariant_derivative(self.state.T, self.m, 2)
-        return np.einsum('...ja,...ib,...mn,...aim,...bnj->...',
-                         self.m.ginv, self.m.ginv, self.m.ginv,
-                         nt, nt, optimize=True)
+        up = slot_apply(nt, self.m.ginv, 3, (2, 0))         # nabla^a T_i^m
+        nt = np.moveaxis(slot_apply(nt, self.m.ginv, 3, (0,)), -1, -3)
+        return np.sum(up * nt, axis=(-3, -2, -1))
 
     @cached_property
     def W(self):
@@ -449,10 +453,11 @@ def _difference_reads(state, c, gammas):
 def centered_states(state0, dt, c, gammas=(2.0,)):
     """One trajectory of fixed steps dt/4 from state0 to t0 + 2 dt: the
     centre state at t0 + dt and, per spacing s in dt, dt/2, dt/4, the
-    _difference_reads at t0 + dt - s and t0 + dt + s.  Each off-centre
-    state is reduced to its reads and dropped as the trajectory passes."""
+    _difference_reads at t0 + dt - s and t0 + dt + s.  Each other state
+    (state0 too, if passed its only reference) is dropped once passed."""
     q, state = dt / 4.0, state0
     reads = {0: _difference_reads(state0, c, gammas)}
+    del state0
     for k in range(1, 9):
         state = step_fixed(state, q)
         if k == 4:
@@ -491,9 +496,10 @@ def run_evolution_checks(state0, dt, c, gammas=(1.5, 2.0, 3.0),
     on one trajectory from state0, as verification.json records keyed by
     name with the difference estimator's time order.  A check passes when
     its order reaches min_order or its finest residual is at the rounding
-    floor."""
-    residuals = evaluate_residuals(*centered_states(state0, dt, c, gammas),
-                                   c, gammas)
+    floor.  Given state0's only reference, it drops it after one step."""
+    hold, state0 = [state0], None
+    residuals = evaluate_residuals(
+        *centered_states(hold.pop(), dt, c, gammas), c, gammas)
     out = {}
     for n, rs in residuals.items():
         order = difference_order(rs)
@@ -505,16 +511,16 @@ def run_evolution_checks(state0, dt, c, gammas=(1.5, 2.0, 3.0),
     return out
 
 
-def pinching_record(ts, first=False):
+def pinching_record(ts, end=False):
     """What minimal_pinching_constant reads of StateTensors ``ts``: t,
-    f = f_field(2) and, unless ``first`` (a state no step led to, never
-    the middle of a triple), base and den; None when min(R + c) <= 0."""
+    f = f_field(2) and, unless ``end`` (the first or last state of a run,
+    never the middle of a triple), base and den; None when min(R + c) <= 0."""
     from .errors import NonPositiveShiftedScalar
     try:
         rec = {'t': ts.state.t, 'f': ts.f_field(2.0)}
     except NonPositiveShiftedScalar:
         return None
-    if first:
+    if end:
         return rec
     f, m, rt = rec['f'], ts.m, ts.Rt
     grad_f = partial_stack(f, m.spec)
@@ -569,14 +575,17 @@ def pinching_shift(cfg, state):
     return cfg.pinching_c
 
 
-def ricci_identity_residual(alpha, m, rows):
+def ricci_identity_residual(alpha, m, Rm):
     """Max-norm residual over i<j of (nabla_i nabla_j - nabla_j nabla_i)
-    alpha_k + R_ijkl alpha^l on a 1-form, rows[.., (i<j), k, l] = R_ijkl."""
-    i, j = al.PAIR[0][:, 0], al.PAIR[1][:, 0]
-    dd = second_covariant(alpha, m, 1)
-    alpha_up = np.einsum('...lm,...m->...l', m.ginv, alpha)
-    term = np.einsum('...Pkl,...l->...Pk', rows, alpha_up, optimize=True)
-    return float(np.max(np.abs(dd[..., i, j, :] - dd[..., j, i, :] + term)))
+    alpha_k + R_ijkl alpha^l on a 1-form, Rm's rows expanded per al.chunks."""
+    i, j, n = al.PAIR[0][:, 0], al.PAIR[1][:, 0], m.vol.size
+    dd = second_covariant(alpha, m, 1).reshape(n, 7, 7, 7)
+    alpha_up = np.einsum('...lm,...m->...l', m.ginv, alpha).reshape(n, 7)
+    Rm, term = Rm.reshape(n, i.size, i.size), np.empty((n, i.size, 7))
+    for c in al.chunks(n, i.size * 49):
+        term[c] = np.einsum('...Pkl,...l->...Pk', al.form_to_dense(2, Rm[c]),
+                            alpha_up[c], optimize=True)
+    return float(np.max(np.abs(dd[:, i, j, :] - dd[:, j, i, :] + term)))
 
 
 def structure_residuals(state):
@@ -603,16 +612,19 @@ def structure_residuals(state):
             k = TWO_PI / spec.periods[a]
             alpha[..., comp] += np.sin(k * spec.coordinates(a) + 0.37 * comp
                                        + 0.11 * a)
-    rows = al.form_to_dense(2, b.Rm)                        # R_(i<j)mn
-    ricci_commutator = ricci_identity_residual(alpha, m, rows)
+    ricci_commutator = ricci_identity_residual(alpha, m, b.Rm)
 
     phi_up = slot_apply(al.form_to_dense(3, phi.values), m.ginv, 3, (1, 2))
     nT = covariant_derivative(T, m, 2)
     T_mixed = slot_apply(T, m.ginv, 2, (1,))                # T_i^m
     # Y_ijk = (R_ijmn / 4 + T_im T_jn / 2) phi_k^{mn}, R_ijmn = e^P_ij R_Pmn
-    Y = 0.25 * np.einsum('Pij,...Pmn,...kmn->...ijk',
-                         al.form_to_dense(2, np.eye(al.NCOMP[2])), rows,
-                         phi_up, optimize=True)
+    # from the rows R_(i<j)mn, expanded over al.chunks of points
+    n, eP = m.vol.size, al.form_to_dense(2, np.eye(al.NCOMP[2]))
+    Y, Rm = np.empty(nT.shape), b.Rm.reshape((n,) + b.Rm.shape[-2:])
+    for c in al.chunks(n, Rm[0].size * 7):
+        Y.reshape(n, 7, 7, 7)[c] = 0.25 * np.einsum(
+            'Pij,...Pmn,...kmn->...ijk', eP, al.form_to_dense(2, Rm[c]),
+            phi_up.reshape(n, 7, 7, 7)[c], optimize=True)
     Y += 0.5 * np.einsum('...im,...jn,...kmn->...ijk', T, T, phi_up,
                          optimize=True)
 
@@ -699,8 +711,9 @@ def run_verification(cfg, run_dir, log=print):
 
     if 'evolution' in cfg.checks_enable:
         dt = cfg.verify_dt_multiplier * 0.5 * (h * h)
+        hold, state_hi = [state_hi], None   # popped: the callee drops it
         _record(report, 'evolution', run_evolution_checks(
-            state_hi, dt=dt, c=c, gammas=cfg.verify_gammas,
+            hold.pop(), dt=dt, c=c, gammas=cfg.verify_gammas,
             min_order=cfg.checks_min_time_order))
 
     report['pinching_shift_c'] = c

@@ -10,6 +10,7 @@ import pytest
 from g2flow import algebra as al
 from g2flow import cli
 from g2flow import flow as fl
+from g2flow import geometry as ge
 from g2flow import report as rp
 from g2flow import verify as vf
 from g2flow.cli import main, monitor_summary, parse_config, run_flow
@@ -274,6 +275,24 @@ class TestRunCommand:
         assert part[0] == full[0]
         # resumed rows are steps 5..8: rows 6.. of the unbroken file
         assert part[1:] == full[6:]
+
+    def test_resume_at_end_builds_no_curvature(self, tmp_path,
+                                               monkeypatch):
+        # a snapshot already at flow.steps makes no row and no pinching
+        # record, so nothing reads the restored state's curvature
+        out = tmp_path / "full"
+        assert main(['run', write_cfg(tmp_path, "f.cfg", out=out,
+                                      steps=3)]) == 0
+
+        def riemann(m):
+            raise AssertionError("curvature built")
+
+        monkeypatch.setattr(ge, 'riemann', riemann)
+        monkeypatch.setattr(fl, 'riemann', riemann)
+        cfg = write_cfg(tmp_path, "g.cfg", out=tmp_path / "r", steps=3)
+        assert main(['resume', str(out / 'snapshots' / 'final.g2snap'),
+                     cfg]) == 0
+        assert len(rp.read_csv(tmp_path / "r" / 'series.csv')['step']) == 0
 
     @pytest.mark.parametrize('command', ['run', 'resume'])
     def test_one_live_state_per_step(self, tmp_path, monkeypatch, command):

@@ -44,6 +44,32 @@ class TestPointBlocks:
             assert a.shape == b.shape and np.array_equal(a, b)
         assert np.array_equal(ge.psi_from_phi(phi, m).values, psi)
 
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_derivative_blocks_do_not_move_bits(self, state16, three,
+                                                monkeypatch):
+        # the pointwise parts of the form derivative (k = 2, 3, 4) and of
+        # the Hessian traces, and Lambda^2(g^-1), in blocks of 8 to 45
+        # points against the default blocks
+        st = perturbed_state3() if three else state16
+        m = st.metric
+        forms = [gr.FormField(k, m.spec,
+                              smooth_field(m.spec, al.NCOMP[k], 20 + k))
+                 for k in (2, 3, 4)]
+        Y = ge.covariant_derivative(st.S, m, 2)
+
+        def run():
+            out = {f'nabla {w.degree}-form': ge.form_covariant_derivative(w, m)
+                   for w in forms}
+            out['lap'], out['A'] = ge.hessian_traces(Y, m, inner=True)
+            out['lap alone'] = ge.hessian_traces(Y, m)
+            out['pair_ginv'] = ge.MetricField.from_phi(st.phi).pair_ginv
+            return out
+
+        whole = run()
+        monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
+        for name, got in run().items():
+            assert np.array_equal(got, whole[name]), name
+
 
 class TestMetricField:
     def test_orientation_flip_rejected(self):
@@ -120,8 +146,7 @@ class TestCovariantDerivative:
             st = perturbed_state(n)
             b = st.bundle
             alpha = smooth_field(st.spec, 7, seed=9)
-            errs[n] = vf.ricci_identity_residual(
-                alpha, st.metric, al.form_to_dense(2, b.Rm))
+            errs[n] = vf.ricci_identity_residual(alpha, st.metric, b.Rm)
         assert np.log2(errs[16] / errs[32]) > 3.5
 
 
@@ -290,6 +315,19 @@ class TestTorsion:
         assert np.max(np.abs(state16.T + 0.5 * tau2d)) < 1e-5
         in14 = al.wedge_comps(4, 2, state16.psi.values, tau2.values)
         assert np.max(np.abs(in14)) < 1e-12
+
+    def test_peak_memory(self, state32):
+        # the form derivative's Christoffel product lives one block of
+        # points at a time: on the whole grid this peaked at 15.8 MB
+        m = state32.metric
+        m.gamma_flat
+        tracemalloc.start()
+        try:
+            ge.torsion_from_phi(state32.phi, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_identity_convergence_suite(self):
         """Spatial order >= 3.5 for the closed-structure identities over

@@ -1,12 +1,15 @@
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from g2flow import algebra as al
+from g2flow import cli
 from g2flow import flow as fl
 from g2flow import geometry as ge
 from g2flow import grid as gr
@@ -186,7 +189,8 @@ class TestHessianTraces:
 
     def test_peak_memory(self, state32):
         # the Laplacian and A of S from nabla S: through the whole-grid
-        # second derivative and its two einsums this peaked at 64.6 MB
+        # second derivative and its two einsums this peaked at 64.6 MB,
+        # with whole-grid Christoffel terms at 21.3 MB
         m, S = state32.metric, state32.S
         m.gamma_flat
         tracemalloc.start()
@@ -195,7 +199,7 @@ class TestHessianTraces:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 30e6
+        assert peak <= 16e6
 
     def test_no_dense_hessian_in_src(self):
         # second_covariant stays for scalars and 1-forms only
@@ -205,6 +209,28 @@ class TestHessianTraces:
             assert not rank2.search(text), path.name
             for word in ("'...abij", "'...insj"):
                 assert word not in text, (path.name, word)
+
+
+class TestGradTCombo:
+    def test_matches_einsum(self, ts16):
+        g = ts16.m.ginv
+        nt = ge.covariant_derivative(ts16.state.T, ts16.m, 2)
+        want = np.einsum('...ja,...ib,...mn,...aim,...bnj->...', g, g, g,
+                         nt, nt, optimize=True)
+        err = np.max(np.abs(ts16.gradT_combo - want))
+        assert err <= 1e-13 * np.max(np.abs(want))
+
+    def test_peak_memory(self, state32):
+        # the five-operand einsum peaked at 16.9 MB here
+        ts = vf.StateTensors(state32, c=1.0)
+        ts.b, ts.state.T, ts.m.gamma_flat
+        tracemalloc.start()
+        try:
+            ts.gradT_combo
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
 
 class TestFixedStateCrosschecks:
@@ -242,6 +268,27 @@ class TestStructureIdentities:
         for name in coarse:
             order = math.log2(coarse[name] / fine[name])
             assert order >= 3.0, f"{name}: order {order:.2f}"
+
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_chunk_size_does_not_move_bits(self, state16, three,
+                                           monkeypatch):
+        # each run on a fresh state, so every cached tensor is rebuilt
+        phi = (perturbed_state3() if three else state16).phi
+        whole = vf.structure_residuals(fl.FlowState(0.0, phi))
+        monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
+        assert vf.structure_residuals(fl.FlowState(0.0, phi)) == whole
+
+    def test_peak_memory(self, state32):
+        # with whole-grid dense curvature rows and form derivatives this
+        # peaked at 30.8 MB
+        state32.bundle, state32.torsion, state32.psi
+        tracemalloc.start()
+        try:
+            vf.structure_residuals(state32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 23e6
 
 
 class TestOrderEstimator:
@@ -368,7 +415,7 @@ def pinching_constant(states, c):
     their pinching records as a run builds them."""
     first, *rest = (vf.StateTensors(st, c=c) for st in states)
     return vf.minimal_pinching_constant(
-        vf.pinching_record(first, first=True),
+        vf.pinching_record(first, end=True),
         *(vf.pinching_record(ts) for ts in rest))
 
 
@@ -460,3 +507,43 @@ class TestPinchingRecords:
         c = -float(np.min(states[0].bundle.R))
         assert pinching_constant(states, c) is None
         assert reference_constant(states, c) is None
+
+
+class TestVerificationRun:
+    @staticmethod
+    def config(n, out, groups='all'):
+        return cli.parse_config(f"grid.n = {n}\ninitial.family = perturbed\n"
+                                f"checks.enable = {groups}\n"
+                                f"output.dir = {out}\n")
+
+    def test_t0_state_goes_after_first_step(self, tmp_path, monkeypatch):
+        # no frame holds the t = 0 state once the trajectory has stepped
+        # from it, so its curvature and torsion caches go with it
+        inner, t0 = vf.step_fixed, []
+
+        def step(state, dt):
+            gc.collect()
+            if t0:
+                assert t0[0]() is None
+            else:
+                t0.append(weakref.ref(state))
+            return inner(state, dt)
+
+        monkeypatch.setattr(vf, 'step_fixed', step)
+        vf.run_verification(self.config(8, tmp_path, 'evolution'),
+                            str(tmp_path))
+        assert len(t0) == 1
+
+    def test_peak_memory(self, tmp_path):
+        # every check group at N=32; with whole-grid Christoffel products,
+        # dense curvature rows and the t = 0 state held through the
+        # trajectory this peaked at 46.3 MB
+        cfg = self.config(32, tmp_path)
+        tracemalloc.start()
+        try:
+            report = vf.run_verification(cfg, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report['passed']
+        assert peak <= 36e6
