@@ -218,33 +218,41 @@ def _curvature_project(raw):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
+# Row j: the other index i of the six pairs P that contain j, in increasing
+# P, those pairs and the signs e^P_ij, so that Ric_jk = sum_P e^P_ij R_Pk^i
+_RIC_I = np.array([[i for i in range(DIM) if i != j] for j in range(DIM)])
+_RIC_P = np.array([[al.POS[2][tuple(sorted((i, j)))] for i in row]
+                   for j, row in enumerate(_RIC_I)])
+_RIC_S = np.where(_RIC_I < np.arange(DIM)[:, None], 1.0, -1.0)
+
+
 def riemann(m):
     """Curvature bundle of a metric field.  Rm is, on the 21 pairs i<j, the
     curvature d_i G_j - d_j G_i + [G_i, G_j] of the connection matrices
     (G_i)^l_k = Gamma^l_ik: its transposed rows R_ijk^l come from H_i =
     G_i^T in gamma_flat and are lowered by one product with g.  Only the
-    derivative rows, which need neighbours, are built on the whole grid;
-    the rest runs over al.chunks of points.  Index conventions are pinned
-    by the tests: the Ricci identity holds as (nabla_i nabla_j - nabla_j
-    nabla_i) alpha_k = -R_{ijk}^m alpha_m, and Ric_jk = g^{il} R_{ijkl}, so
-    the scalar curvature of a closed G2-structure comes out nonpositive."""
+    derivatives d_a H, which need neighbours, are whole-grid arrays, one
+    per active axis; the rows and all the rest run over al.chunks of
+    points.  Index conventions are pinned by the tests: the Ricci identity
+    holds as (nabla_i nabla_j - nabla_j nabla_i) alpha_k = -R_{ijk}^m
+    alpha_m, and Ric_jk = g^{il} R_{ijkl}, so the scalar curvature of a
+    closed G2-structure comes out nonpositive."""
     i, j = al.PAIR[0][:, 0], al.PAIR[1][:, 0]
     shape, n = m.g.shape[:-2], m.g[..., 0, 0].size
     H = m.gamma_flat.reshape(shape + (DIM,) * 3)
-    rup = np.zeros(shape + (i.size, DIM, DIM))          # (.., P, k, l)
-    for a in m.spec.active_axes:
-        dH = partial_derivative(H, m.spec, a)           # d_a H_b
-        rup[..., i == a, :, :] += dH[..., j[i == a], :, :]
-        rup[..., j == a, :, :] -= dH[..., i[j == a], :, :]
-    H, rup = H.reshape(n, DIM, DIM, DIM), rup.reshape(n, i.size, DIM, DIM)
+    # d_a H_b with the pairs that take it: + on (a, b), - on (b, a)
+    dH = [(partial_derivative(H, m.spec, a).reshape(n, DIM, DIM, DIM),
+           np.flatnonzero(i == a), np.flatnonzero(j == a))
+          for a in m.spec.active_axes]
+    H = H.reshape(n, DIM, DIM, DIM)
     g, gi = m.g.reshape(n, DIM, DIM), m.ginv.reshape(n, DIM, DIM)
-    # the defect and the trace read the rows R_(i<j)kl: Ric_jk = e^P_ij
-    # R_Pk^i, with e^P_ij = +-1 on the two orders of pair P
-    eP = al.form_to_dense(2, np.eye(i.size))
     Rm, dev = np.empty((n, i.size, i.size)), np.empty(n)
     Ric = np.empty(g.shape)
     for c in al.chunks(n, i.size * DIM * DIM):
-        r = rup[c]
+        r = np.zeros((len(H[c]), i.size, DIM, DIM))     # (.., P, k, l)
+        for d, fwd, back in dH:
+            r[:, fwd] += d[c, j[fwd]]
+            r[:, back] -= d[c, i[back]]
         r += H[c, j] @ H[c, i]
         r -= H[c, i] @ H[c, j]
         raw = slot_apply(r, g[c], 3, (2,))
@@ -252,7 +260,10 @@ def riemann(m):
         rows = al.form_to_dense(2, Rm[c])
         dev[c] = np.max(np.abs(rows - raw), axis=(-3, -2, -1))
         up = slot_apply(rows, gi[c], 3, (2,))
-        Ric[c] = np.einsum('Pij,...Pki->...jk', eP, up, optimize=True)
+        # (j, P, .., k) in the order of each j's pairs, summed in that order
+        Ric[c] = np.moveaxis(np.sum(
+            up[:, _RIC_P, :, _RIC_I] * _RIC_S[..., None, None], axis=1), 0, 1)
+    del dH                          # E and R reuse its memory
     Rm, Ric = Rm.reshape(shape + Rm.shape[1:]), Ric.reshape(m.g.shape)
     R = np.einsum('...jk,...jk->...', m.ginv, Ric, optimize=True)
     E = Ric - (R[..., None, None] / 7.0) * m.g

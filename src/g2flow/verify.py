@@ -295,12 +295,19 @@ def compute_aux_terms(ts):
          - (8.0 / 21.0) * c * c
          + 4.0 * ts.Rm_TT
          - 4.0 * ts.gradT_combo)
-    # |Rt nabla Ric_t - (grad Rt) Ric_t|^2, slots (a, i, j); nabla Ric_t
-    # equals nabla Ric exactly because nabla g vanishes to rounding
-    combo = Rt[..., None, None, None] * ts.nabla_Ric \
-        - np.einsum('...a,...ij->...aij', ts.grad_R, ts.Ric_t)
-    grad_combo = tensor_norm2(combo, ts.m, 3)
-    return AuxTerms(I=I, J=J, H=H, grad_combo=grad_combo)
+    # |Rt nabla Ric_t - (grad Rt) Ric_t|^2, slots (a, i, j), per al.chunks
+    # block; nabla Ric_t equals nabla Ric exactly because nabla g vanishes
+    # to rounding
+    n = Rt.size
+    rt, nric = Rt.reshape(n, 1, 1, 1), ts.nabla_Ric.reshape(n, 7, 7, 7)
+    dR, ric_t = ts.grad_R.reshape(n, 7), ts.Ric_t.reshape(n, 7, 7)
+    gi, grad_combo = ts.m.ginv.reshape(n, 7, 7), np.empty(n)
+    for blk in al.chunks(n, 4 * 7 ** 3):
+        combo = rt[blk] * nric[blk] - np.einsum('...a,...ij->...aij',
+                                                dR[blk], ric_t[blk])
+        grad_combo[blk] = np.sum(combo * slot_apply(combo, gi[blk], 3),
+                                 axis=(-3, -2, -1))
+    return AuxTerms(I=I, J=J, H=H, grad_combo=grad_combo.reshape(Rt.shape))
 
 
 def rhs_shifted_ricci_norm_evolution(ts):
@@ -595,56 +602,65 @@ def structure_residuals(state):
     formulas read, on increasing components."""
     m, T, b, phi, psi = (state.metric, state.torsion, state.bundle,
                          state.phi, state.psi)
-    spec = state.spec
+    spec, n = state.spec, m.vol.size
+    Tp, gi = T.reshape(n, 7, 7), m.ginv.reshape(n, 7, 7)
+    phis, psis = phi.values.reshape(n, -1), psi.values.reshape(n, -1)
 
     def gap(lhs, rhs):
         return float(np.max(np.abs(lhs - rhs)))
 
+    def block_gaps(gaps):
+        """Each gap's max over the al.chunks blocks c of gaps(c), a dict of
+        pointwise gaps; the widest temporary is a block of dense Rm rows."""
+        per = [gaps(c) for c in al.chunks(n, al.NCOMP[2] ** 2 * 7)]
+        return {name: float(np.max([p[name] for p in per])) for name in per[0]}
+
     # nabla_m psi = -T_m ^ phi (T_m the 1-form T_mi dx^i)
-    res = {'nabla_psi_formula': gap(
-        ge.form_covariant_derivative(psi, m),
-        -al.wedge_comps(1, 3, T, phi.values[..., None, :]))}
-
-    # the commutator identity on a smooth periodic 1-form and the rows of Rm
-    alpha = np.zeros(spec.shape + (7,))
-    for comp in range(7):
-        for a in spec.active_axes:
-            k = TWO_PI / spec.periods[a]
-            alpha[..., comp] += np.sin(k * spec.coordinates(a) + 0.37 * comp
-                                       + 0.11 * a)
-    ricci_commutator = ricci_identity_residual(alpha, m, b.Rm)
-
-    phi_up = slot_apply(al.form_to_dense(3, phi.values), m.ginv, 3, (1, 2))
-    nT = covariant_derivative(T, m, 2)
-    T_mixed = slot_apply(T, m.ginv, 2, (1,))                # T_i^m
-    # Y_ijk = (R_ijmn / 4 + T_im T_jn / 2) phi_k^{mn}, R_ijmn = e^P_ij R_Pmn
-    # from the rows R_(i<j)mn, expanded over al.chunks of points
-    n, eP = m.vol.size, al.form_to_dense(2, np.eye(al.NCOMP[2]))
-    Y, Rm = np.empty(nT.shape), b.Rm.reshape((n,) + b.Rm.shape[-2:])
-    for c in al.chunks(n, Rm[0].size * 7):
-        Y.reshape(n, 7, 7, 7)[c] = 0.25 * np.einsum(
-            'Pij,...Pmn,...kmn->...ijk', eP, al.form_to_dense(2, Rm[c]),
-            phi_up.reshape(n, 7, 7, 7)[c], optimize=True)
-    Y += 0.5 * np.einsum('...im,...jn,...kmn->...ijk', T, T, phi_up,
-                         optimize=True)
+    npsi = ge.form_covariant_derivative(psi, m).reshape(n, 7, -1)
+    res = block_gaps(lambda c: {'nabla_psi_formula': gap(
+        npsi[c], -al.wedge_comps(1, 3, Tp[c], phis[c, None, :]))})
+    del npsi
 
     # nabla_i phi = T_i^m (e_m -| psi)
     idx, sgn = al.basis_interior_table(4)
-    res['torsion_defines_nabla_phi'] = gap(
-        ge.form_covariant_derivative(phi, m),
-        T_mixed @ (psi.values[..., idx] * sgn))
-    # nabla_i T_jk - nabla_j T_ik = -(R_ijmn / 2 + T_im T_jn) phi_k^{mn}
-    res['bianchi_type_identity'] = gap(
-        nT - np.einsum('...ijk->...jik', nT), -2.0 * Y)
-    # the six-term formula nabla_i T_jk = -Y_ijk - Y_kji + Y_ikj
-    res['torsion_gradient_formula'] = gap(
-        nT, -Y - np.einsum('...ijk->...kji', Y)
-        + np.einsum('...ijk->...ikj', Y))
-    # R_jk = -(nabla_i T_jm) phi_k^{im} - T_j^i T_ik
-    res['ricci_from_torsion_vs_metric'] = gap(
-        -np.einsum('...ijm,...kim->...jk', nT, phi_up, optimize=True)
-        - np.einsum('...ja,...ak->...jk', T_mixed, T, optimize=True),
-        b.Ric)
+    nphi = ge.form_covariant_derivative(phi, m).reshape(n, 7, -1)
+    res.update(block_gaps(lambda c: {'torsion_defines_nabla_phi': gap(
+        nphi[c],
+        slot_apply(Tp[c], gi[c], 2, (1,)) @ (psis[c][:, idx] * sgn))}))
+    del nphi
+
+    nT = covariant_derivative(T, m, 2).reshape(n, 7, 7, 7)
+    Rm, Ric = b.Rm.reshape(n, al.NCOMP[2], -1), b.Ric.reshape(n, 7, 7)
+    eP = al.form_to_dense(2, np.eye(al.NCOMP[2]))
+
+    def torsion_gaps(c):
+        t, d = Tp[c], nT[c]
+        phi_up = slot_apply(al.form_to_dense(3, phis[c]), gi[c], 3, (1, 2))
+        # Y_ijk = (R_ijmn / 4 + T_im T_jn / 2) phi_k^{mn}, R_ijmn = e^P_ij
+        # R_Pmn from the rows R_(i<j)mn
+        Y = 0.25 * np.einsum('Pij,...Pmn,...kmn->...ijk', eP,
+                             al.form_to_dense(2, Rm[c]), phi_up,
+                             optimize=True)
+        Y += 0.5 * np.einsum('...im,...jn,...kmn->...ijk', t, t, phi_up,
+                             optimize=True)
+        return {
+            # nabla_i T_jk - nabla_j T_ik = -(R_ijmn / 2 + T_im T_jn)
+            # phi_k^{mn}
+            'bianchi_type_identity': gap(
+                d - np.einsum('...ijk->...jik', d), -2.0 * Y),
+            # the six-term formula nabla_i T_jk = -Y_ijk - Y_kji + Y_ikj
+            'torsion_gradient_formula': gap(
+                d, -Y - np.einsum('...ijk->...kji', Y)
+                + np.einsum('...ijk->...ikj', Y)),
+            # R_jk = -(nabla_i T_jm) phi_k^{im} - T_j^i T_ik
+            'ricci_from_torsion_vs_metric': gap(
+                -np.einsum('...ijm,...kim->...jk', d, phi_up, optimize=True)
+                - np.einsum('...ja,...ak->...jk',
+                            slot_apply(t, gi[c], 2, (1,)), t, optimize=True),
+                Ric[c])}
+
+    res.update(block_gaps(torsion_gaps))
+    del nT
     res['scalar_equals_minus_torsion_norm'] = gap(
         b.R, -tensor_norm2(T, m, 2))
 
@@ -653,7 +669,15 @@ def structure_residuals(state):
     div = al.interior_comps(2, m.ginv, ge.form_covariant_derivative(tau2, m))
     res['lie_algebra_torsion_divergence'] = float(np.max(np.abs(
         div.sum(axis=-2))))
-    res['ricci_commutator_identity'] = ricci_commutator
+
+    # the commutator identity on a smooth periodic 1-form and the rows of Rm
+    alpha = np.zeros(spec.shape + (7,))
+    for comp in range(7):
+        for a in spec.active_axes:
+            k = TWO_PI / spec.periods[a]
+            alpha[..., comp] += np.sin(k * spec.coordinates(a) + 0.37 * comp
+                                       + 0.11 * a)
+    res['ricci_commutator_identity'] = ricci_identity_residual(alpha, m, b.Rm)
     return res
 
 

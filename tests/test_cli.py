@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -63,6 +64,12 @@ REAL_VALUED = [
 # the default mode list moved onto axes 1 and 3
 MODES_AXES_13 = ("1,0,0,0,0,0,0|2,3|1.0|0.4;0,0,1,0,0,0,0|4,5|0.85|1.1;"
                  "1,0,1,0,0,0,0|6,7|0.6|0.7;1,0,-1,0,0,0,0|1,4|0.45|0.2")
+
+# conftest.MODES3: the default mode list and two modes along axis 3
+MODES_AXES_123 = ("1,0,0,0,0,0,0|2,3|1.0|0.4;0,1,0,0,0,0,0|4,5|0.85|1.1;"
+                  "1,1,0,0,0,0,0|6,7|0.6|0.7;1,-1,0,0,0,0,0|1,4|0.45|0.2;"
+                  "0,1,0,0,0,0,0|2,5|0.35|2.1;0,0,1,0,0,0,0|3,6|0.5|0.3;"
+                  "1,0,-1,0,0,0,0|1,7|0.4|1.3")
 
 
 class TestParseConfig:
@@ -251,6 +258,30 @@ class TestRunCommand:
         man = json.loads((out / 'manifest.json').read_text())
         assert man['monitors']['available']
         assert man['monitors']['ratio_fit_min_margin'] >= 0.0
+
+    def test_three_axis_monitored_run(self, tmp_path):
+        # 3 monitored steps on axes 1,2,3 at N=16: every cell is finite
+        # but the first row's dt and the first and last min_C_g2; the live
+        # arrays peaked at 126.0 MB
+        out = tmp_path / "run3"
+        cfg = parse_config("grid.n = 16\ngrid.active_axes = 1,2,3\n"
+                           "initial.family = perturbed\n"
+                           f"initial.modes = {MODES_AXES_123}\n"
+                           f"flow.steps = 3\noutput.dir = {out}\n")
+        tracemalloc.start()
+        try:
+            run_flow(cfg, str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = rp.read_csv(out / 'series.csv')
+        assert data['step'] == [0.0, 1.0, 2.0, 3.0]
+        blank = {(c, row) for c, col in data.items()
+                 for row, v in enumerate(col) if v is None}
+        assert blank == {('dt', 0), ('min_C_g2', 0), ('min_C_g2', 3)}
+        assert all(np.isfinite(v) for col in data.values() for v in col
+                   if v is not None)
+        assert peak <= 145e6
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,11 +49,13 @@ class TestDerivative:
         assert np.all(gr.partial_derivative(vals, spec, 3) == 0.0)
 
     @pytest.mark.parametrize('spec, ncomp', [
-        (GRID3, 35), (scenario_spec(32), 441), (scenario_spec(3), 5),
-        (scenario_spec(2), 5)])
+        (GRID3, 35), (scenario_spec(32), 441), (scenario_spec(5), 5),
+        (scenario_spec(4), 5), (scenario_spec(3), 5), (scenario_spec(2), 5)])
     def test_stencil_bytes_match_roll_formula(self, spec, ncomp):
-        # the padded-slice stencil evaluates the same expression on the
-        # same operands as the four-np.roll formula, so bytes agree
+        # the slice-pair stencil evaluates the same expression on the same
+        # operands as the four-np.roll formula, so bytes agree; on 5 points
+        # the s = 2 interior is one plane, on 4 it is empty, and on 2 and 3
+        # the shifts wrap past each other
         vals = np.random.default_rng(4).standard_normal(spec.shape + (ncomp,))
         for ax in spec.active_axes:
             h = spec.spacing[ax]
@@ -60,6 +64,19 @@ class TestDerivative:
             want = (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * h)
             got = gr.partial_derivative(vals, spec, ax)
             assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory(self):
+        # the result and one difference: the padded copy and three
+        # whole-field differences peaked at 11.3 MB here
+        spec = scenario_spec(32)
+        vals = np.random.default_rng(5).standard_normal(spec.shape + (441,))
+        tracemalloc.start()
+        try:
+            gr.partial_derivative(vals, spec, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_d_squared_rounding_only(self):
         spec = scenario_spec(16)

@@ -75,6 +75,39 @@ class TestAuxTerms:
         vf.crosscheck_residuals(state16, 1.0)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_blocks_do_not_move_bits(self, state16, three, monkeypatch):
+        # the gradient combination per block against its whole-grid
+        # expression, and every term in small blocks against the default
+        st = perturbed_state3() if three else state16
+        ts = vf.StateTensors(st, c=1.0)
+        whole = vf.compute_aux_terms(ts)
+        combo = ts.Rt[..., None, None, None] * ts.nabla_Ric \
+            - np.einsum('...a,...ij->...aij', ts.grad_R, ts.Ric_t)
+        assert np.array_equal(whole.grad_combo,
+                              ge.tensor_norm2(combo, ts.m, 3))
+        monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
+        got = vf.compute_aux_terms(vf.StateTensors(st, c=1.0))
+        for name in ('I', 'J', 'H', 'grad_combo'):
+            assert np.array_equal(getattr(got, name), getattr(whole, name)), \
+                name
+
+    def test_peak_memory(self, state32):
+        # the gradient combination per block: its whole-grid 7^3 arrays
+        # peaked at 11.3 MB here
+        ts = vf.StateTensors(state32, c=1.0)
+        for name in ('Rt', 'Ric_t', 'Ric_t_norm2', 'Ric_t_up', 'Rm_That_up',
+                     'That_traces', 'hess_T2', 'lap_T2', 'Rm_TT',
+                     'gradT_combo', 'nabla_Ric', 'grad_R'):
+            getattr(ts, name)
+        tracemalloc.start()
+        try:
+            vf.compute_aux_terms(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
+
     def test_shift_positivity_enforced(self, state16):
         ts = vf.StateTensors(state16, c=1e-4)
         with pytest.raises(NonPositiveShiftedScalar):
@@ -280,7 +313,8 @@ class TestStructureIdentities:
 
     def test_peak_memory(self, state32):
         # with whole-grid dense curvature rows and form derivatives this
-        # peaked at 30.8 MB
+        # peaked at 30.8 MB, with a whole-grid T ^ phi wedge, Y and phi^
+        # at 20.2 MB
         state32.bundle, state32.torsion, state32.psi
         tracemalloc.start()
         try:
@@ -288,7 +322,7 @@ class TestStructureIdentities:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 23e6
+        assert peak <= 12e6
 
 
 class TestOrderEstimator:
@@ -537,7 +571,8 @@ class TestVerificationRun:
     def test_peak_memory(self, tmp_path):
         # every check group at N=32; with whole-grid Christoffel products,
         # dense curvature rows and the t = 0 state held through the
-        # trajectory this peaked at 46.3 MB
+        # trajectory this peaked at 46.3 MB, with whole-grid curvature
+        # rows in riemann and aux terms at 31.7 MB
         cfg = self.config(32, tmp_path)
         tracemalloc.start()
         try:
@@ -546,4 +581,4 @@ class TestVerificationRun:
         finally:
             tracemalloc.stop()
         assert report['passed']
-        assert peak <= 36e6
+        assert peak <= 31e6
