@@ -156,6 +156,7 @@ def parse_config(text):
     """Parse ``key = value`` lines ('#' comments) over the SCHEMA keys.
     Unknown and duplicate keys, type errors and constraint violations are
     all reported together."""
+    from .flow import stable_dt
     from .initial_data import check_modes
     rows = {row[0]: row for row in SCHEMA}
     cfg = RunConfig(text)
@@ -218,6 +219,17 @@ def parse_config(text):
             problems.append("grid.periods: needs grid.shape")
     if cfg.flow_max_dt < cfg.flow_dt_floor:
         problems.append("flow.max_dt: must be >= flow.dt_floor")
+    # a fixed RK4 step, or verify's trajectory step dt/4, past the step
+    # rule's stability cap would grow the grid's worst exact mode
+    spec = cfg.grid_spec()
+    h, limit = spec.min_active_spacing() or 0.0, stable_dt(spec)
+    quarter = (cfg.verify_dt_multiplier * 0.5 * h * h / 4.0
+               if 'evolution' in cfg.checks_enable else 0.0)
+    for key, q in (('flow.fixed_dt', cfg.flow_fixed_dt or 0.0),
+                   ('verify.dt_multiplier', quarter)):
+        if q > limit:
+            problems.append(f"{key}: the RK4 step {q:.4g} is past the "
+                            f"stable step {limit:.4g} of this grid")
     if problems:
         raise ConfigError(problems)
     return cfg

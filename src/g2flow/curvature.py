@@ -15,7 +15,7 @@ from .algebra import DIM, NCOMP, basis_interior_table, chunks, pair_entries
 from .errors import NonPositiveShiftedScalar
 # perfbench/selftest.py checks that its tracer wraps this tensor_norm2 binding
 from .geometry import tensor_norm2  # noqa: F401
-from .grid import partial_derivative
+from .grid import partial_block
 
 
 def kulkarni_nomizu(alpha, beta):
@@ -28,14 +28,18 @@ def kulkarni_nomizu(alpha, beta):
 
 def weyl(bundle, m):
     """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g in pair form,
-    over blocks of points (algebra.chunks)."""
+    over blocks of points (algebra.chunks); g's pair entries serve both
+    products, and g o g = x + x - y - y (x = g_il g_jk, y = g_ik g_jl)."""
     n = bundle.R.size
     Rm, R = bundle.Rm.reshape(n, NCOMP[2], NCOMP[2]), bundle.R.reshape(n, 1, 1)
     E, g = bundle.E.reshape(n, DIM, DIM), m.g.reshape(n, DIM, DIM)
     W = np.empty(Rm.shape)
-    for c in chunks(n, DIM * NCOMP[2] ** 2):
-        W[c] = (Rm[c] - (R[c] / 84.0) * kulkarni_nomizu(g[c], g[c])
-                - 0.2 * kulkarni_nomizu(E[c], g[c]))
+    for c in chunks(n, 4 * NCOMP[2] ** 2):
+        gil, gjk, gik, gjl = pair_entries(g[c])
+        Eil, Ejk, Eik, Ejl = pair_entries(E[c])
+        x, y = gil * gjk, gik * gjl
+        W[c] = (Rm[c] - (R[c] / 84.0) * (x + x - y - y)
+                - 0.2 * (Eil * gjk + Ejk * gil - Eik * gjl - Ejl * gik))
     return W.reshape(bundle.Rm.shape)
 
 
@@ -66,25 +70,26 @@ def c1_norm(W, m):
     field.  Gamma_a acts on each pair as the 2-form derivation D_a, so
     nabla_a W = d_a W - D_a W - (D_a W)^T; with Lam = m.pair_ginv, |W|^2 =
     4 tr(W Lam W Lam) and |nabla W|^2 = 4 g^ab tr(nabla_a W Lam nabla_b W
-    Lam), both over blocks of points (algebra.chunks)."""
+    Lam), both over blocks of points (algebra.chunks), each block taking
+    its own d_a W (grid.partial_block)."""
     P = NCOMP[2]
     Wf = W.reshape(-1, P, P)
     n = Wf.shape[0]
-    gam = m.gamma_flat.reshape(n, DIM * DIM, DIM)
+    gam = m.gamma_flat.reshape(n, DIM, DIM * DIM)
     lam = m.pair_ginv.reshape(Wf.shape)
     gi = m.ginv.reshape(n, DIM, DIM)
-    dW = [(a, partial_derivative(W, m.spec, a).reshape(Wf.shape))
-          for a in m.spec.active_axes]
     out = np.empty(n)
     for c in chunks(n, DIM * NCOMP[2] ** 2):
         WL = Wf[c] @ lam[c]
-        D = (gam[c].reshape(-1, DIM, DIM * DIM)
-             @ pair_derivation_table()).reshape(-1, DIM, P, P)
-        DW = D @ Wf[c, None, :, :]
-        dWc = np.zeros(DW.shape)             # d_a W, zero on inactive axes
-        for a, d in dW:
-            dWc[:, a] = d[c]
-        nWL = (dWc - DW - np.swapaxes(DW, -1, -2)) @ lam[c, None, :, :]
+        DW = ((gam[c] @ pair_derivation_table()).reshape(-1, DIM, P, P)
+              @ Wf[c, None, :, :])
+        nW = np.zeros(DW.shape)              # d_a W, zero on inactive axes
+        for a in m.spec.active_axes:
+            nW[:, a] = partial_block(W, m.spec, a, c)
+        nW -= DW
+        nW -= np.swapaxes(DW, -1, -2)
+        nWL = nW @ lam[c, None, :, :]
+        del DW, nW
         gnWL = (gi[c] @ nWL.reshape(-1, DIM, P * P)).reshape(nWL.shape)
         out[c] = np.sqrt(
             4.0 * np.sum(WL * np.swapaxes(WL, -1, -2), axis=(-2, -1))

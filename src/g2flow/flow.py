@@ -26,12 +26,21 @@ from .grid import (MIN_POINTS, FormField, GridSpec, exterior_derivative,
 MAX_RETRIES = 8
 # largest ||d phi|| a restored 3-form may show
 CLOSED_TOL = 1e-9
+# RK4 is stable on [-2.785, 0]; dt rho_0 <= 2.5 damps the worst exact mode
+# by 0.65 a step (0.73 on curved data, whose radius measured 3% above rho_0)
+STABLE_DT_RHO = 2.5
+
+
+def stable_dt(spec):
+    """The step rule's cap STABLE_DT_RHO / rho_0 (inf with no active axis)."""
+    rho = spec.stencil_bound()
+    return STABLE_DT_RHO / rho if rho else np.inf
 
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Step-size control: dt = safety * h_min^2 / (1 + max(|T|^2 + |Rm|)),
-    clipped to [dt_floor, max_dt]; positivity failures halve and retry."""
+    """Step-size control: dt = min(safety h_min^2, stable_dt) / (1 + max(|T|^2
+    + |Rm|)), clipped to [dt_floor, max_dt]; positivity failures halve."""
     safety: float = 0.5
     dt_floor: float = 1e-9
     max_dt: float = 1.0
@@ -129,13 +138,13 @@ def rhs(phi, m=None, psi=None):
 
 
 def suggest_dt(state, policy):
-    """Parabolic step from the current curvature and torsion scales."""
+    """Parabolic step from the curvature and torsion scales, RK4-stable."""
     h = state.spec.min_active_spacing()
     if h is None:
         return policy.max_dt
     rm_norm = np.sqrt(pair_norm2(state.bundle.Rm, state.metric))
     crowd = float(np.max(state.T_norm2 + rm_norm))
-    dt = policy.safety * h * h / (1.0 + crowd)
+    dt = min(policy.safety * h * h, stable_dt(state.spec)) / (1.0 + crowd)
     return min(dt, policy.max_dt)
 
 

@@ -17,7 +17,8 @@ import numpy as np
 from . import algebra as al
 from .algebra import DIM, slot_apply
 from .errors import DegreeError, NotPositive
-from .grid import FormField, exterior_derivative, partial_derivative
+from .grid import (FormField, exterior_derivative, partial_block,
+                   partial_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -50,19 +51,22 @@ class MetricField:
 
     @property
     def christoffel(self):
-        """Gamma^k_ij with index order [k, i, j], from central differences
-        of the metric, built on each read; gamma_flat keeps the cached copy."""
+        """Gamma^k_ij with index order [k, i, j], built on each read as a
+        view of a C-contiguous [i, j, k] array: the first-kind symbols with
+        l last, d_i g_jl + d_j g_il - d_l g_ij, times g^-1 on the right."""
         dg = partial_stack(self.g, self.spec)               # (.., a, i, j)
-        A = (np.einsum('...ijl->...lij', dg)
-             + np.einsum('...jil->...lij', dg)
-             - dg)
-        return 0.5 * slot_apply(A, self.ginv, 3, (0,))
+        A = dg + np.swapaxes(dg, -3, -2)
+        A -= np.moveaxis(dg, -3, -1)
+        del dg
+        up = slot_apply(A, self.ginv, 3, (2,))
+        up *= 0.5
+        return np.moveaxis(up, -1, -3)
 
     @cached_property
     def gamma_flat(self):
         """Christoffel symbols Gamma^p_ai as rows (a, i) and columns p for
         the batched matrix products in covariant derivatives and curvature:
-        a strided view of one christoffel array, cached."""
+        a C-contiguous reshape of one christoffel array, cached."""
         flat = np.moveaxis(self.christoffel, -3, -1)     # (.., a, i, p)
         return flat.reshape(self.g.shape[:-2] + (DIM * DIM, DIM))
 
@@ -230,31 +234,30 @@ def riemann(m):
     """Curvature bundle of a metric field.  Rm is, on the 21 pairs i<j, the
     curvature d_i G_j - d_j G_i + [G_i, G_j] of the connection matrices
     (G_i)^l_k = Gamma^l_ik: its transposed rows R_ijk^l come from H_i =
-    G_i^T in gamma_flat and are lowered by one product with g.  Only the
-    derivatives d_a H, which need neighbours, are whole-grid arrays, one
-    per active axis; the rows and all the rest run over al.chunks of
-    points.  Index conventions are pinned by the tests: the Ricci identity
-    holds as (nabla_i nabla_j - nabla_j nabla_i) alpha_k = -R_{ijk}^m
-    alpha_m, and Ric_jk = g^{il} R_{ijkl}, so the scalar curvature of a
-    closed G2-structure comes out nonpositive."""
+    G_i^T in gamma_flat and are lowered by one product with g.  All of it
+    runs over al.chunks of points, the derivatives d_a H too, which each
+    block takes at its own points (grid.partial_block).  Index conventions
+    are pinned by the tests: the Ricci identity holds as (nabla_i nabla_j -
+    nabla_j nabla_i) alpha_k = -R_{ijk}^m alpha_m, and Ric_jk = g^{il}
+    R_{ijkl}, so the scalar curvature of a closed G2-structure comes out
+    nonpositive."""
     i, j = al.PAIR[0][:, 0], al.PAIR[1][:, 0]
     shape, n = m.g.shape[:-2], m.g[..., 0, 0].size
     H = m.gamma_flat.reshape(shape + (DIM,) * 3)
-    # d_a H_b with the pairs that take it: + on (a, b), - on (b, a)
-    dH = [(partial_derivative(H, m.spec, a).reshape(n, DIM, DIM, DIM),
-           np.flatnonzero(i == a), np.flatnonzero(j == a))
-          for a in m.spec.active_axes]
-    H = H.reshape(n, DIM, DIM, DIM)
+    Hf = H.reshape(n, DIM, DIM, DIM)
     g, gi = m.g.reshape(n, DIM, DIM), m.ginv.reshape(n, DIM, DIM)
     Rm, dev = np.empty((n, i.size, i.size)), np.empty(n)
     Ric = np.empty(g.shape)
     for c in al.chunks(n, i.size * DIM * DIM):
-        r = np.zeros((len(H[c]), i.size, DIM, DIM))     # (.., P, k, l)
-        for d, fwd, back in dH:
-            r[:, fwd] += d[c, j[fwd]]
-            r[:, back] -= d[c, i[back]]
-        r += H[c, j] @ H[c, i]
-        r -= H[c, i] @ H[c, j]
+        r = np.zeros((len(Hf[c]), i.size, DIM, DIM))    # (.., P, k, l)
+        # d_a H_b enters + on the pairs (a, b) and - on the pairs (b, a)
+        for a in m.spec.active_axes:
+            d, fwd, back = partial_block(H, m.spec, a, c), i == a, j == a
+            r[:, fwd] += d[:, j[fwd]]
+            r[:, back] -= d[:, i[back]]
+        Hj, Hi = Hf[c, j], Hf[c, i]
+        r += Hj @ Hi
+        r -= Hi @ Hj
         raw = slot_apply(r, g[c], 3, (2,))
         Rm[c] = _curvature_project(raw)
         rows = al.form_to_dense(2, Rm[c])
@@ -263,7 +266,6 @@ def riemann(m):
         # (j, P, .., k) in the order of each j's pairs, summed in that order
         Ric[c] = np.moveaxis(np.sum(
             up[:, _RIC_P, :, _RIC_I] * _RIC_S[..., None, None], axis=1), 0, 1)
-    del dH                          # E and R reuse its memory
     Rm, Ric = Rm.reshape(shape + Rm.shape[1:]), Ric.reshape(m.g.shape)
     R = np.einsum('...jk,...jk->...', m.ginv, Ric, optimize=True)
     E = Ric - (R[..., None, None] / 7.0) * m.g

@@ -6,6 +6,7 @@ differences built from periodic shifts; along distinct axes they commute
 exactly, which is what makes the discrete d o d vanish to rounding.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,16 @@ class GridSpec:
             return None
         return min(self.spacing[a] for a in self.active_axes)
 
+    def stencil_bound(self):
+        """rho_0 = sum_a max_j s(2 pi j / N_a)^2 / h_a^2, s(t) = (8 sin t -
+        sin 2t) / 6: the spectral radius of the flat flow linearised on
+        exact forms, under the 4th-order stencil, for each axis size (in
+        plain floats: parsing a config allocates no array)."""
+        return sum(max(((8.0 * math.sin(t) - math.sin(2.0 * t)) / 6.0) ** 2
+                       for t in (TWO_PI * j / n for j in range(n)))
+                   / self.spacing[a] ** 2
+                   for a, n in enumerate(self.shape) if n > 1)
+
     def coordinates(self, axis):
         """Sample coordinates along one axis, broadcastable to grid shape."""
         n = self.shape[axis]
@@ -125,6 +136,24 @@ def partial_derivative(values, spec, axis):
     out -= d2
     out /= 12.0 * spec.spacing[axis]
     return out
+
+
+def partial_block(values, spec, axis, c):
+    """partial_derivative(values, spec, axis) at the flat points of slice c,
+    shape (points, *slots), in the same bytes: the same arithmetic on the
+    rows of the periodic +-1, +-2 neighbours, gathered from (points, row);
+    along an inactive axis every neighbour is the point itself."""
+    rows, n = values.reshape(spec.npoints, -1), spec.shape[axis]
+    stride = int(np.prod(spec.shape[axis + 1:]))
+    p = np.arange(*c.indices(spec.npoints))
+    x = p // stride % n
+    f1, b1, f2, b2 = (rows[p + ((x + s) % n - x) * stride]
+                      for s in (1, -1, 2, -2))
+    out = f1 - b1
+    out *= 8.0
+    out -= f2 - b2
+    out /= 12.0 * spec.spacing[axis]
+    return out.reshape((p.size,) + values.shape[DIM:])
 
 
 class FormField:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,14 @@ from g2flow import curvature as cv
 from g2flow import geometry as ge
 from g2flow import verify as vf
 from g2flow.cli import csv_columns, monitor_row
+from g2flow import flow as fl
+from g2flow import grid as gr
 from g2flow.errors import NonPositiveShiftedScalar
 from g2flow.grid import period_integrals
+from g2flow.initial_data import perturbed_phi_field
 
-from conftest import (SMALL_BLOCK_BYTES, dense_c1_norm, flat_state,
-                      pair_to_dense, perturbed_state3)
+from conftest import (EPS, MODES3, SMALL_BLOCK_BYTES, dense_c1_norm,
+                      flat_state, pair_to_dense, perturbed_state3)
 
 RNG = np.random.default_rng(21)
 
@@ -87,6 +92,20 @@ class TestWeyl:
                         pair_to_dense(recon))
         assert np.allclose(ric, b.Ric, atol=1e-12)
 
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_blocks_match_whole_grid_formula(self, state16, three,
+                                             monkeypatch):
+        # g's pair entries serve both products in each block: the bytes of
+        # the whole-grid kulkarni_nomizu formula at any block size
+        st = perturbed_state3() if three else state16
+        b, m = st.bundle, st.metric
+        want = (b.Rm - (b.R[..., None, None] / 84.0)
+                * cv.kulkarni_nomizu(m.g, m.g)
+                - 0.2 * cv.kulkarni_nomizu(b.E, m.g))
+        for budget in (1 << 40, SMALL_BLOCK_BYTES):
+            monkeypatch.setattr(al, 'BLOCK_BYTES', budget)
+            assert cv.weyl(b, m).tobytes() == want.tobytes()
+
     def test_printed_variant_gap(self, state16):
         # the literal printed coefficients omit the scalar factor on the
         # final term, so the two variants differ by |1 - R|/30 * (gg pair)
@@ -129,6 +148,29 @@ class TestC1Norm:
         # a fresh metric, so that pair_ginv is built in small blocks too
         m = ge.MetricField.from_phi(st.phi)
         assert np.array_equal(cv.c1_norm(W, m), whole)
+
+    @staticmethod
+    def c1_peak(st):
+        m = st.metric
+        W = cv.weyl(st.bundle, m)
+        m.pair_ginv
+        tracemalloc.start()
+        try:
+            cv.c1_norm(W, m)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory(self, state32):
+        # d_a W per block: with it whole-grid, one array per active axis,
+        # this peaked at 14.8 MB
+        assert self.c1_peak(state32) <= 7e6
+
+    def test_peak_memory_three_axes(self):
+        # 16^3 points: 58.0 MB with d_a W whole-grid, 5.0 MB per block
+        spec = gr.GridSpec.from_active(16, (0, 1, 2))
+        assert self.c1_peak(fl.FlowState(
+            0.0, perturbed_phi_field(spec, EPS, MODES3))) <= 8e6
 
     def test_weyl_c1_stable_under_refinement(self, state32, state64):
         vals = {}

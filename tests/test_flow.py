@@ -7,7 +7,7 @@ from g2flow import algebra as al
 from g2flow import flow as fl
 from g2flow import grid as gr
 from g2flow.errors import NotPositive, PositivityLost, SnapshotError, Stalled
-from g2flow.initial_data import flat_phi_field, perturbed_phi_field
+from g2flow.initial_data import Mode, flat_phi_field, perturbed_phi_field
 
 from conftest import (GRID3, flat_state, perturbed_state3, rewrite_header,
                       scenario_spec)
@@ -160,6 +160,28 @@ class TestStep:
         scale = max(abs(v) for v in p0.values())
         for key in p0:
             assert abs(p1[key] - p0[key]) <= 1e-10 * scale
+
+    @pytest.mark.parametrize('n, axes', [(32, 3), (8, 4)])
+    def test_worst_exact_mode_damped(self, n, axes):
+        # flat data plus 1e-6 of the stencil's worst exact mode along every
+        # active axis, 20 RK4 steps at the step rule's dt.  Without the
+        # stability cap, dt rho_0 was 2.82 (|R| = 1.06) here on 3 axes and
+        # 3.76 (|R| = 3.8) on 4, and the seed grew 1.8x and 4,000x.  Half
+        # of it lies in the linearised flow's kernel and stays at any dt.
+        # The data stay flat to 1e-6, so the rule's dt moves by 0.2% over
+        # the run; it is read once to keep the run short
+        spec = gr.GridSpec.from_active(n, range(axes))
+        t = 2 * np.pi * np.arange(n) / n
+        j = int(np.argmax((8 * np.sin(t) - np.sin(2 * t)) ** 2))
+        mode = Mode((j,) * axes + (0,) * (7 - axes), (0, 6))
+        st = fl.FlowState(0.0, perturbed_phi_field(spec, 1e-6, (mode,)))
+        flat = flat_phi_field(spec).values
+        seed = np.max(np.abs(st.phi.values - flat))
+        dt = fl.suggest_dt(st, fl.StepPolicy())
+        assert dt * spec.stencil_bound() <= fl.STABLE_DT_RHO
+        for _ in range(20):
+            st = fl.step_fixed(st, dt)
+        assert np.max(np.abs(st.phi.values - flat)) < 0.6 * seed
 
     def test_step_builds_four_metrics(self, monkeypatch):
         # stage k1 reads the state's cached metric, so only stages k2-k4

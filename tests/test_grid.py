@@ -8,7 +8,7 @@ from g2flow import grid as gr
 from g2flow.errors import DegreeError
 from g2flow.initial_data import flat_phi_field
 
-from conftest import GRID3, scenario_spec, smooth_field
+from conftest import GRID3, SMALL_BLOCK_BYTES, scenario_spec, smooth_field
 
 
 class TestGridSpec:
@@ -30,6 +30,21 @@ class TestGridSpec:
             gr.GridSpec((0, 8, 1, 1, 1, 1, 1))
         with pytest.raises(ValueError):
             gr.GridSpec((8, 1, 1, 1, 1, 1, 1), (0.0,) * 7)
+
+    @pytest.mark.parametrize('spec', [GRID3, scenario_spec(4),
+                                      scenario_spec(5), scenario_spec(32)])
+    def test_stencil_bound_is_largest_eigenvalue(self, spec):
+        # rho_0 is the sum over axes of the largest eigenvalue of D^T D,
+        # D the periodic stencil's matrix along the axis
+        rho = 0.0
+        for a in spec.active_axes:
+            n = spec.shape[a]
+            line = gr.GridSpec(tuple(n if b == a else 1 for b in range(7)),
+                               spec.periods)
+            eye = np.eye(n).reshape(line.shape + (n,))
+            D = gr.partial_derivative(eye, line, a).reshape(n, n)
+            rho += np.max(np.linalg.eigvalsh(D.T @ D))
+        assert spec.stencil_bound() == pytest.approx(rho, rel=1e-12)
 
     def test_cell_volume_counts_inactive_periods(self):
         spec = gr.GridSpec.from_active(4, (0,))
@@ -77,6 +92,21 @@ class TestDerivative:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
+
+    @pytest.mark.parametrize('spec', [GRID3] + [
+        scenario_spec(n) for n in (2, 3, 4, 5, 8)])
+    def test_block_bytes_match_whole_grid(self, spec, monkeypatch):
+        # each block's own stencil gathers the neighbours' rows: the bytes
+        # of the whole-grid derivative on every axis, inactive ones too,
+        # in the 5-point blocks of the widest kernels
+        vals = np.random.default_rng(6).standard_normal(spec.shape + (5, 3))
+        monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
+        for ax in range(al.DIM):
+            want = gr.partial_derivative(vals, spec, ax)
+            want = want.reshape((spec.npoints,) + want.shape[al.DIM:])
+            for c in al.chunks(spec.npoints, al.DIM * al.NCOMP[2] ** 2):
+                got = gr.partial_block(vals, spec, ax, c)
+                assert got.tobytes() == want[c].tobytes()
 
     def test_d_squared_rounding_only(self):
         spec = scenario_spec(16)

@@ -317,8 +317,8 @@ def test_suggest_dt_pair_norm_matches_dense(state16, state3, three):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
     policy = fl.StepPolicy()
     h = curved.spec.min_active_spacing()
-    dt = policy.safety * h * h / (1.0 + np.max(curved.T_norm2
-                                               + np.sqrt(want)))
+    dt = min(policy.safety * h * h, fl.stable_dt(curved.spec)) / (
+        1.0 + np.max(curved.T_norm2 + np.sqrt(want)))
     assert fl.suggest_dt(curved, policy) == pytest.approx(dt, rel=1e-14)
 
 
