@@ -220,16 +220,22 @@ def parse_config(text):
     if cfg.flow_max_dt < cfg.flow_dt_floor:
         problems.append("flow.max_dt: must be >= flow.dt_floor")
     # a fixed RK4 step, or verify's trajectory step dt/4, past the step
-    # rule's stability cap would grow the grid's worst exact mode
+    # rule's stability cap would grow the grid's worst exact mode; the
+    # message names the key's largest stable value, rounded down
     spec = cfg.grid_spec()
     h, limit = spec.min_active_spacing() or 0.0, stable_dt(spec)
     quarter = (cfg.verify_dt_multiplier * 0.5 * h * h / 4.0
                if 'evolution' in cfg.checks_enable else 0.0)
-    for key, q in (('flow.fixed_dt', cfg.flow_fixed_dt or 0.0),
-                   ('verify.dt_multiplier', quarter)):
+    for key, q, step_per_unit in (
+            ('flow.fixed_dt', cfg.flow_fixed_dt or 0.0, 1.0),
+            ('verify.dt_multiplier', quarter, h * h / 8.0)):
         if q > limit:
+            largest = limit / step_per_unit
+            scale = 10.0 ** (3 - math.floor(math.log10(largest)))  # 4 digits
             problems.append(f"{key}: the RK4 step {q:.4g} is past the "
-                            f"stable step {limit:.4g} of this grid")
+                            f"stable step {limit:.4g} of this grid; the "
+                            f"largest stable {key} is "
+                            f"{math.floor(largest * scale) / scale:g}")
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -26,20 +26,26 @@ def kulkarni_nomizu(alpha, beta):
     return ail * bjk + ajk * bil - aik * bjl - ajl * bik
 
 
+def weyl_block(Rm, R, E, g):
+    """weyl at a block of points, from its rows Rm (.., 21, 21), R (.., 1,
+    1), E and g (.., 7, 7): g's pair entries serve both products, and g o g
+    = x + x - y - y (x = g_il g_jk, y = g_ik g_jl)."""
+    gil, gjk, gik, gjl = pair_entries(g)
+    Eil, Ejk, Eik, Ejl = pair_entries(E)
+    x, y = gil * gjk, gik * gjl
+    return (Rm - (R / 84.0) * (x + x - y - y)
+            - 0.2 * (Eil * gjk + Ejk * gil - Eik * gjl - Ejl * gik))
+
+
 def weyl(bundle, m):
     """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g in pair form,
-    over blocks of points (algebra.chunks); g's pair entries serve both
-    products, and g o g = x + x - y - y (x = g_il g_jk, y = g_ik g_jl)."""
+    over blocks of points (algebra.chunks), each by weyl_block."""
     n = bundle.R.size
     Rm, R = bundle.Rm.reshape(n, NCOMP[2], NCOMP[2]), bundle.R.reshape(n, 1, 1)
     E, g = bundle.E.reshape(n, DIM, DIM), m.g.reshape(n, DIM, DIM)
     W = np.empty(Rm.shape)
     for c in chunks(n, 4 * NCOMP[2] ** 2):
-        gil, gjk, gik, gjl = pair_entries(g[c])
-        Eil, Ejk, Eik, Ejl = pair_entries(E[c])
-        x, y = gil * gjk, gik * gjl
-        W[c] = (Rm[c] - (R[c] / 84.0) * (x + x - y - y)
-                - 0.2 * (Eil * gjk + Ejk * gil - Eik * gjl - Ejl * gik))
+        W[c] = weyl_block(Rm[c], R[c], E[c], g[c])
     return W.reshape(bundle.Rm.shape)
 
 

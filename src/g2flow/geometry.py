@@ -101,16 +101,35 @@ def covariant_derivative(T, m, rank):
     """Levi-Civita covariant derivative of a (0, rank)-tensor field.
 
     Returns a (0, rank+1)-tensor with the derivative slot first:
-    out[a, i1..ik] = d_a T - sum_m Gamma^p_{a i_m} T[.. p ..].
+    out[a, i1..ik] = d_a T - sum_m Gamma^p_{a i_m} T[.. p ..], built per
+    al.chunks block of points by covariant_block.
     """
-    out = partial_stack(T, m.spec)
-    sh = T.shape
-    nb = T.ndim - rank
+    n, sh = m.vol.size, T.shape[DIM:]
+    out = np.empty(T.shape[:DIM] + (DIM,) + sh)
+    flat = out.reshape((n, DIM) + sh)
+    # live per block: the block's derivative, one Christoffel term and
+    # the product it is read from
+    for c in al.chunks(n, 3 * DIM ** (rank + 1)):
+        flat[c] = covariant_block(T, m, rank, c)
+    return out
+
+
+def covariant_block(T, m, rank, c):
+    """covariant_derivative(T, m, rank) at the flat points of slice c, shape
+    (points, 7, *slots): each d_a T taken at the block's own points
+    (grid.partial_block), zero along inactive axes, then the Christoffel
+    terms subtracted slot by slot."""
+    sh = T.shape[DIM:]
+    Tc = T.reshape((-1,) + sh)[c]
+    out = np.zeros((len(Tc), DIM) + sh)
+    for a in m.spec.active_axes:
+        out[:, a] = partial_block(T, m.spec, a, c)
+    gam = m.gamma_flat.reshape(-1, DIM * DIM, DIM)[c]
     for s in range(rank):
         # Gamma^p_{a i} T[.. p ..]: slot s becomes the pair (a, i), a to front
-        corr = slot_apply(T, m.gamma_flat, rank, (s,))
-        corr = corr.reshape(sh[:nb + s] + (DIM, DIM) + sh[nb + s + 1:])
-        out -= np.moveaxis(corr, nb + s, nb)
+        corr = slot_apply(Tc, gam, rank, (s,))
+        corr = corr.reshape((-1,) + sh[:s] + (DIM, DIM) + sh[s + 1:])
+        out -= np.moveaxis(corr, 1 + s, 1)
     return out
 
 
@@ -140,10 +159,11 @@ def hessian_traces(Y, m, inner=False):
     """Traces of (nabla nabla X)_abij = d_a Y_bij - Gamma^p_ab Y_pij -
     Gamma^p_ai Y_bpj - Gamma^p_aj Y_bip for a 2-tensor X, from Y = nabla X
     (slots b, i, j): the rough Laplacian g^ab (nabla nabla X)_abij, and with
-    ``inner`` also A_aj = g^bi (nabla nabla X)_abij.  Each d_a Y is
-    contracted as it is built; the Christoffel terms run per al.chunks block,
-    through K_bip = g^ab Gamma^p_ai ((7, 49) per point) and its trace b = i."""
-    n = m.vol.size
+    ``inner`` also A_aj = g^bi (nabla nabla X)_abij.  All of it runs per
+    al.chunks block: the Christoffel terms, through K_bip = g^ab Gamma^p_ai
+    ((7, 49) per point) and its trace b = i, then each d_a Y, taken at the
+    block's own points (grid.partial_block) and contracted as it is built."""
+    n, spec = m.vol.size, m.spec
     Y3, gam = Y.reshape(n, DIM, DIM, DIM), m.gamma_flat.reshape(n, -1, DIM)
     gi, ginv = m.ginv.reshape(n, 1, -1), m.ginv.reshape(n, DIM, DIM)
     out = np.empty((1 + inner, n, DIM, DIM))                # lap, A
@@ -154,18 +174,19 @@ def hessian_traces(Y, m, inner=False):
         tr = np.trace(K, axis1=1, axis2=2)[:, None, :]
         K = np.swapaxes(K, 1, 2).reshape(Ys.shape)           # (i, (b, p))
         KY = K @ Yf
-        out[0, c] = -((tr @ Yf.reshape(Ys.shape)).reshape(KY.shape) + KY
-                      + Ys @ np.swapaxes(K, -1, -2))
+        lap = out[0, c]
+        lap[...] = -((tr @ Yf.reshape(Ys.shape)).reshape(KY.shape) + KY
+                     + Ys @ np.swapaxes(K, -1, -2))
         if inner:
             trY = np.swapaxes(gi[c] @ Yf, -1, -2)            # g^bi Y_bip
             out[1, c] = -(K @ Ys.reshape(Yf.shape) + KY
                           + (gam[c] @ trY).reshape(KY.shape))
-    for a in m.spec.active_axes:
-        dY = partial_derivative(Y, m.spec, a).reshape(n, DIM, -1)
-        out[0] += (ginv[:, a:a + 1, :] @ dY).reshape(out.shape[1:])
-        if inner:
-            out[1, :, a:a + 1, :] += gi @ dY.reshape(n, -1, DIM)
-        del dY                      # freed before the next axis's partials
+        del Ys, K, KY               # freed before the block's partials
+        for a in spec.active_axes:
+            dY = partial_block(Y, spec, a, c).reshape(-1, DIM, DIM ** 2)
+            lap += (ginv[c, a:a + 1, :] @ dY).reshape(lap.shape)
+            if inner:
+                out[1, c, a:a + 1, :] += gi[c] @ dY.reshape(-1, DIM ** 2, DIM)
     lap, *A = out.reshape(out.shape[:1] + Y.shape[:-1])
     return (lap, *A) if inner else lap
 
@@ -178,9 +199,13 @@ def scalar_laplacian(u, m):
 
 def tensor_norm2(T, m, rank):
     """Pointwise squared norm of a (0, rank)-tensor: full contraction with
-    the inverse metric on every slot."""
-    axes = tuple(range(-rank, 0))
-    return np.sum(T * slot_apply(T, m.ginv, rank), axis=axes)
+    the inverse metric on every slot, per al.chunks block of points."""
+    sh = T.shape[T.ndim - rank:]
+    Tf, gi = T.reshape((-1,) + sh), m.ginv.reshape(-1, DIM, DIM)
+    out, axes = np.empty(len(Tf)), tuple(range(1, rank + 1))
+    for c in al.chunks(len(Tf), 2 * DIM ** rank):
+        out[c] = np.sum(Tf[c] * slot_apply(Tf[c], gi[c], rank), axis=axes)
+    return out.reshape(T.shape[:T.ndim - rank])
 
 
 def pair_norm2(P, m):

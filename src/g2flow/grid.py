@@ -141,17 +141,23 @@ def partial_derivative(values, spec, axis):
 def partial_block(values, spec, axis, c):
     """partial_derivative(values, spec, axis) at the flat points of slice c,
     shape (points, *slots), in the same bytes: the same arithmetic on the
-    rows of the periodic +-1, +-2 neighbours, gathered from (points, row);
-    along an inactive axis every neighbour is the point itself."""
+    rows of the periodic +-1, +-2 neighbours, gathered from (points, row)
+    one at a time, so each spacing's difference is formed in place and at
+    most three block arrays are live; along an inactive axis every
+    neighbour is the point itself."""
     rows, n = values.reshape(spec.npoints, -1), spec.shape[axis]
     stride = int(np.prod(spec.shape[axis + 1:]))
     p = np.arange(*c.indices(spec.npoints))
     x = p // stride % n
-    f1, b1, f2, b2 = (rows[p + ((x + s) % n - x) * stride]
-                      for s in (1, -1, 2, -2))
-    out = f1 - b1
+
+    def neighbour(s):
+        return rows[p + ((x + s) % n - x) * stride]
+    out = neighbour(1)
+    out -= neighbour(-1)
     out *= 8.0
-    out -= f2 - b2
+    d2 = neighbour(2)
+    d2 -= neighbour(-2)
+    out -= d2
     out /= 12.0 * spec.spacing[axis]
     return out.reshape((p.size,) + values.shape[DIM:])
 

@@ -23,10 +23,12 @@ import numpy as np
 from . import algebra as al
 from . import geometry as ge
 from .algebra import slot_apply
-from .curvature import auto_shift, c1_norm, shifted_scalar, weyl
+from .curvature import (auto_shift, c1_norm, shifted_scalar, weyl,
+                         weyl_block)
 from .flow import FlowState, step_fixed
-from .geometry import (covariant_derivative, hessian_traces, partial_stack,
-                       scalar_laplacian, second_covariant, tensor_norm2)
+from .geometry import (covariant_block, covariant_derivative, hessian_traces,
+                       partial_stack, scalar_laplacian, second_covariant,
+                       tensor_norm2)
 from .grid import TWO_PI
 from .report import atomic_write_json
 
@@ -159,11 +161,16 @@ class StateTensors:
     @cached_property
     def gradT_combo(self):
         """nabla^j T_im nabla^i T^m_j = nabla^a T_i^m nabla^i T_ma, from two
-        slot_apply products: at most three 7^3 arrays live at a time."""
-        nt = covariant_derivative(self.state.T, self.m, 2)
-        up = slot_apply(nt, self.m.ginv, 3, (2, 0))         # nabla^a T_i^m
-        nt = np.moveaxis(slot_apply(nt, self.m.ginv, 3, (0,)), -1, -3)
-        return np.sum(up * nt, axis=(-3, -2, -1))
+        slot_apply products per al.chunks block, each on its block of
+        nabla T (geometry.covariant_block)."""
+        n = self.m.vol.size
+        gi, out = self.m.ginv.reshape(n, 7, 7), np.empty(n)
+        for c in al.chunks(n, 5 * 7 ** 3):
+            nt = covariant_block(self.state.T, self.m, 2, c)
+            up = slot_apply(nt, gi[c], 3, (2, 0))            # nabla^a T_i^m
+            nt = np.moveaxis(slot_apply(nt, gi[c], 3, (0,)), -1, -3)
+            out[c] = np.sum(up * nt, axis=(-3, -2, -1))
+        return out.reshape(self.m.vol.shape)
 
     @cached_property
     def W(self):
@@ -189,9 +196,20 @@ class StateTensors:
 
     @cached_property
     def WEE(self):
-        """W_pijl E^pl E^ij = <W(E^#), E^#> with the trace-free Weyl."""
-        E_up = slot_apply(self.b.E, self.m.ginv, 2)
-        return np.sum(al.pair_apply(self.W, E_up) * E_up, axis=(-2, -1))
+        """W_pijl E^pl E^ij = <W(E^#), E^#> with the trace-free Weyl, each
+        al.chunks block's W contracted as soon as weyl_block builds it, so
+        no whole-grid W is held (the monitor's W is, for c1_norm's
+        stencil)."""
+        b, n = self.b, self.m.vol.size
+        Rm, R = b.Rm.reshape(n, 21, 21), b.R.reshape(n, 1, 1)
+        E, g = b.E.reshape(n, 7, 7), self.m.g.reshape(n, 7, 7)
+        E_up = slot_apply(b.E, self.m.ginv, 2).reshape(n, 7, 7)
+        out = np.empty(n)
+        for c in al.chunks(n, 7 ** 4):
+            W = weyl_block(Rm[c], R[c], E[c], g[c])
+            out[c] = np.sum(al.pair_apply(W, E_up[c]) * E_up[c],
+                            axis=(-2, -1))
+        return out.reshape(b.R.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 import weakref
 
@@ -559,6 +560,30 @@ output.dir = {out}
                            f"output.dir = {tmp_path / str(code)}\n")
             assert main([command, str(cfg)]) == code
         assert f"{key}: the RK4 step" in capsys.readouterr().err
+
+    def test_three_axis_verify_names_stable_multiplier(self, tmp_path,
+                                                       capsys):
+        # 3 equal axes at N=8: the default multiplier puts dt/4 past the
+        # cap, so verify exits 2 and names 8 stable_dt / h^2 rounded down,
+        # which the same config then takes
+        grid = "grid.n = 8\ngrid.active_axes = 1,2,3\n"
+        spec = parse_config(grid).grid_spec()
+        h = spec.min_active_spacing()
+        largest = 8.0 * fl.stable_dt(spec) / h ** 2
+        cfg = tmp_path / "refused.cfg"
+        cfg.write_text(f"{grid}initial.family = perturbed\n"
+                       "checks.enable = evolution\n"
+                       f"output.dir = {tmp_path / 'refused'}\n")
+        assert main(['verify', str(cfg)]) == 2
+        match = re.search(r"verify\.dt_multiplier: the RK4 step \S+ is past "
+                          r"the stable step \S+ of this grid; the largest "
+                          r"stable verify\.dt_multiplier is (\S+)\n",
+                          capsys.readouterr().err)
+        named = float(match.group(1))
+        assert 0.999 * largest <= named <= largest
+        cfg.write_text(cfg.read_text().replace("refused", "named")
+                       + f"verify.dt_multiplier = {match.group(1)}\n")
+        assert main(['verify', str(cfg)]) == 0
 
     def test_inactive_mode_axis_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "axes.cfg"

@@ -12,9 +12,9 @@ from g2flow import flow as fl
 from g2flow import grid as gr
 from g2flow.errors import NonPositiveShiftedScalar
 from g2flow.grid import period_integrals
-from g2flow.initial_data import perturbed_phi_field
+from g2flow.initial_data import flat_phi_field, perturbed_phi_field
 
-from conftest import (EPS, MODES3, SMALL_BLOCK_BYTES, dense_c1_norm,
+from conftest import (EPS, GRID3, MODES3, SMALL_BLOCK_BYTES, dense_c1_norm,
                       flat_state, pair_to_dense, perturbed_state3)
 
 RNG = np.random.default_rng(21)
@@ -105,6 +105,28 @@ class TestWeyl:
         for budget in (1 << 40, SMALL_BLOCK_BYTES):
             monkeypatch.setattr(al, 'BLOCK_BYTES', budget)
             assert cv.weyl(b, m).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize('spec', (
+        gr.GridSpec.from_active(16, (0, 1)), GRID3), ids=('2axis', '3axis'))
+    def test_conformally_flat_oracle(self, spec):
+        # phi = e^{3u} phi_0 has the metric e^{2u} delta, whose Weyl tensor
+        # vanishes: the discrete W and |W|_C1 are rounding (measured 3e-16
+        # to 8e-16 and 4e-15 to 6e-15) while E is of order 1; u uses each
+        # axis's own wavenumber, so the unequal periods of GRID3 are exact
+        x = [spec.coordinates(a) * (2 * np.pi / spec.periods[a])
+             for a in spec.active_axes]
+        u = sum(0.2 / (j + 1) * np.sin(xj + 0.4 * j + 0.3)
+                for j, xj in enumerate(x)) + 0.1 * np.cos(x[0] - x[1])
+        phi = gr.FormField(3, spec, np.exp(3 * u)[..., None]
+                           * flat_phi_field(spec).values)
+        m = ge.MetricField.from_phi(phi)
+        assert np.allclose(m.g, np.exp(2 * u)[..., None, None] * np.eye(7),
+                           rtol=0.0, atol=1e-14)
+        b = ge.riemann(m)
+        W = cv.weyl(b, m)
+        assert np.max(np.abs(b.E)) > 1.0
+        assert np.max(np.abs(W)) <= 1e-14
+        assert np.max(cv.c1_norm(W, m)) <= 1e-13
 
     def test_printed_variant_gap(self, state16):
         # the literal printed coefficients omit the scalar factor on the

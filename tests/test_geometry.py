@@ -71,6 +71,63 @@ class TestPointBlocks:
         for name, got in run().items():
             assert np.array_equal(got, whole[name]), name
 
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_tensor_blocks_do_not_move_bits(self, state16, three,
+                                            monkeypatch):
+        # covariant derivatives of ranks 0-3, the Hessian traces and the
+        # rank-3 norm on one whole-grid block against blocks of 5 to 35
+        # points; the derivatives against the whole-grid formula too
+        st = perturbed_state3() if three else state16
+        m = st.metric
+        X3 = ge.covariant_derivative(st.S, m, 2)
+        fields = (st.T_norm2, smooth_field(m.spec, 7, 31), st.S, X3)
+
+        def run():
+            out = {f'nabla rank {r}': ge.covariant_derivative(X, m, r)
+                   for r, X in enumerate(fields)}
+            out['lap'], out['A'] = ge.hessian_traces(X3, m, inner=True)
+            out['lap alone'] = ge.hessian_traces(X3, m)
+            out['norm rank 3'] = ge.tensor_norm2(X3, m, 3)
+            return out
+
+        monkeypatch.setattr(al, 'BLOCK_BYTES', 1 << 40)
+        whole = run()
+        monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
+        for name, got in run().items():
+            assert np.array_equal(got, whole[name]), name
+        for rank, X in enumerate(fields):
+            want = ge.partial_stack(X, m.spec)
+            for s in range(rank):
+                corr = al.slot_apply(X, m.gamma_flat, rank, (s,))
+                corr = corr.reshape(X.shape[:7 + s] + (7, 7)
+                                    + X.shape[8 + s:])
+                want -= np.moveaxis(corr, 7 + s, 7)
+            assert whole[f'nabla rank {rank}'].tobytes() == want.tobytes(), \
+                rank
+
+    def test_peak_memory(self, state32):
+        # at N=32, with the derivative's input built: the whole-grid
+        # Christoffel terms and partials peaked at 8.4 MB (rank 2) and
+        # 61.8 MB (rank 3), the whole-grid d_a Y of the Hessian traces at
+        # 8.2 MB and the rank-3 norm's slot_apply products at 8.4 MB
+        m, S = state32.metric, state32.S
+        Y = ge.covariant_derivative(S, m, 2)
+        for name, call, bound in (
+                ('nabla rank 2', lambda: ge.covariant_derivative(S, m, 2),
+                 5e6),
+                ('nabla rank 3', lambda: ge.covariant_derivative(Y, m, 3),
+                 24e6),
+                ('Hessian traces', lambda: ge.hessian_traces(Y, m, inner=True),
+                 6e6),
+                ('norm rank 3', lambda: ge.tensor_norm2(Y, m, 3), 3e6)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (name, peak)
+
 
 class TestMetricField:
     def test_orientation_flip_rejected(self):

@@ -254,7 +254,8 @@ class TestGradTCombo:
         assert err <= 1e-13 * np.max(np.abs(want))
 
     def test_peak_memory(self, state32):
-        # the five-operand einsum peaked at 16.9 MB here
+        # the five-operand einsum peaked at 16.9 MB here, whole-grid
+        # slot_apply products on a whole-grid nabla T at 8.5 MB
         ts = vf.StateTensors(state32, c=1.0)
         ts.b, ts.state.T, ts.m.gamma_flat
         tracemalloc.start()
@@ -263,7 +264,29 @@ class TestGradTCombo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10e6
+        assert peak <= 3e6
+
+
+class TestWholeGridExpressions:
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_blocks_do_not_move_bits(self, state16, three, monkeypatch):
+        # gradT_combo and WEE per block, in blocks of 5 to 35 points and in
+        # the default ones, against their whole-grid expressions
+        st = perturbed_state3() if three else state16
+        ts = vf.StateTensors(st, c=1.0)
+        g = ts.m.ginv
+        nt = ge.covariant_derivative(st.T, ts.m, 2)
+        up = al.slot_apply(nt, g, 3, (2, 0))
+        down = np.moveaxis(al.slot_apply(nt, g, 3, (0,)), -1, -3)
+        E_up = al.slot_apply(ts.b.E, g, 2)
+        want = {'gradT_combo': np.sum(up * down, axis=(-3, -2, -1)),
+                'WEE': np.sum(al.pair_apply(ts.W, E_up) * E_up,
+                              axis=(-2, -1))}
+        for budget in (al.BLOCK_BYTES, SMALL_BLOCK_BYTES):
+            monkeypatch.setattr(al, 'BLOCK_BYTES', budget)
+            fresh = vf.StateTensors(st, c=1.0)
+            for name, w in want.items():
+                assert np.array_equal(getattr(fresh, name), w), (name, budget)
 
 
 class TestFixedStateCrosschecks:

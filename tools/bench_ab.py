@@ -160,6 +160,9 @@ def main(argv=None):
                                                        args.label):
         ap.error(f'workloads must be among {sorted(known)}, and the label '
                  'letters, digits, ".", "_" or "-"')
+    # checked before git resolves anything, so outside a checkout too
+    if not Path(args.out).is_dir():
+        ap.error(f'--out {args.out} is not a directory')
     try:
         seeds = [int(s) for s in args.seeds.split(',')]
         commits = {side: git('rev-parse', '--verify', rev + '^{commit}')
@@ -167,8 +170,6 @@ def main(argv=None):
                                      ('change', args.change))}
     except (ValueError, subprocess.CalledProcessError) as err:
         ap.error(f'bad seeds or revision: {err}')
-    if not Path(args.out).is_dir():
-        ap.error(f'--out {args.out} is not a directory')
 
     record = {'label': args.label, 'base': commits['base'],
               'change': commits['change'], 'seconds': bench['run_seconds'],
