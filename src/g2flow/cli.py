@@ -63,7 +63,6 @@ def _groups(raw):
 
 _GT0 = (lambda v: v > 0, "must be > 0.0")
 _GE0 = (lambda v: v >= 0, "must be >= 0")
-_GAMMAS = (lambda gs: all(g > 0 for g in gs), "gammas must be positive")
 
 # The config schema, one row per key: (key, parser, default, *checks), each
 # check a (predicate, problem) pair whose problem is formatted with the
@@ -92,18 +91,14 @@ SCHEMA = (
     ('flow.steps', _int, 100, _GE0),
     ('flow.safety', _real, 0.5,
      _GT0, (lambda v: v <= 1.0, "must be in (0, 1]")),
-    ('flow.dt_floor', _real, 1e-9, _GT0),
-    ('flow.max_dt', _real, 1.0, _GT0),
     ('flow.fixed_dt', lambda raw: _real(raw) if raw else None, None,
      (lambda v: v is None or v > 0, "must be positive")),
     ('pinching.c', lambda raw: raw if raw == 'auto' else _real(raw), 'auto',
      (lambda c: c == 'auto' or c > 0, "must be positive or 'auto'")),
-    ('pinching.gammas', _tuple(_real), (2.0,), _GAMMAS),
+    ('pinching.gammas', _tuple(_real), (2.0,),
+     (lambda gs: all(g > 0 for g in gs), "gammas must be positive")),
     ('checks.enable', _groups, ()),
-    ('checks.tol_scale', _real, 1.0, _GT0),
-    ('checks.min_time_order', _real, 1.8, _GT0),
     ('verify.dt_multiplier', _real, 4.0, _GT0),
-    ('verify.gammas', _tuple(_real), (1.5, 2.0, 3.0), _GAMMAS),
     ('output.dir', str, 'g2flow_out'),
     ('output.snapshot_every', _int, 0, _GE0),
 )
@@ -217,8 +212,6 @@ def parse_config(text):
                 problems.append(f"{key}: cannot be mixed with {other}")
         if 'grid.shape' not in seen and cfg.grid_periods is not None:
             problems.append("grid.periods: needs grid.shape")
-    if cfg.flow_max_dt < cfg.flow_dt_floor:
-        problems.append("flow.max_dt: must be >= flow.dt_floor")
     # a fixed RK4 step, or verify's trajectory step dt/4, past the step
     # rule's stability cap would grow the grid's worst exact mode; the
     # message names the key's largest stable value, rounded down
@@ -325,8 +318,7 @@ def run_flow(cfg, run_dir, start_state=None, start_aux=None):
         start_state, aux = build_initial_state(cfg)
     resumed = start_state.step_index > 0
     gammas = cfg.pinching_gammas
-    policy = StepPolicy(safety=cfg.flow_safety, dt_floor=cfg.flow_dt_floor,
-                        max_dt=cfg.flow_max_dt)
+    policy = StepPolicy(safety=cfg.flow_safety)
     c = float(aux['c']) if 'c' in aux else pinching_shift(cfg, start_state)
 
     # Distortion is measured against g at t = 0, whitened once; when

@@ -193,8 +193,7 @@ class TestCriterion6:
         c = auto_shift(state64.bundle)
         h = state64.spec.min_active_spacing()
         results = vf.run_evolution_checks(
-            state64, dt=4.0 * 0.5 * h * h, c=c, gammas=(1.5, 2.0, 3.0),
-            min_order=1.8)
+            state64, dt=4.0 * 0.5 * h * h, c=c, gammas=(1.5, 2.0, 3.0))
         orders = {n: r['measured_order'] for n, r in results.items()}
         time_ok = all(r['passed'] for r in results.values())
 

@@ -51,15 +51,10 @@ REAL_VALUED = [
     ('grid.periods', '1,1,1,1,1,1,{}', "cannot parse"),
     ('initial.epsilon', '{}', FINITE),
     ('flow.safety', '{}', FINITE),
-    ('flow.dt_floor', '{}', FINITE),
-    ('flow.max_dt', '{}', FINITE),
     ('flow.fixed_dt', '{}', FINITE),
     ('pinching.c', '{}', FINITE),
     ('pinching.gammas', '1.5,{}', "cannot parse"),
-    ('checks.tol_scale', '{}', FINITE),
-    ('checks.min_time_order', '{}', FINITE),
     ('verify.dt_multiplier', '{}', FINITE),
-    ('verify.gammas', '{}', "cannot parse"),
 ]
 
 # the default mode list moved onto axes 1 and 3
@@ -112,6 +107,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(f"{key} = {value.format(bad)}\n")
         assert err.value.problems == [f"{key}: {problem.format(bad)}"]
+
+    def test_readme_config_block(self):
+        # README's example config parses and names every key, so the docs
+        # cannot list a key that is gone or miss one that is added
+        readme = os.path.join(os.path.dirname(__file__), '..', 'README.md')
+        with open(readme) as f:
+            block = re.search(r'```ini\n(.*?)```', f.read(), re.S).group(1)
+        parse_config(block)
+        missing = [key for key, *_ in cli.SCHEMA if not re.search(
+            rf'(?<![\w.]){re.escape(key)}(?![\w.])', block)]
+        assert not missing
 
     def test_pinching_shift_is_auto_or_number(self):
         assert parse_config("pinching.c = 0.5").pinching_c == 0.5
@@ -536,12 +542,15 @@ output.dir = {out}
         cfg.write_text("grid.n = -3\nunknown.key = 1\n")
         assert main(['run', str(cfg)]) == 2
 
-    def test_max_dt_below_floor_exit_code(self, tmp_path, capsys):
-        cfg = tmp_path / "dt.cfg"
-        cfg.write_text(f"flow.max_dt = 1e-12\noutput.dir = {tmp_path}\n")
+    @pytest.mark.parametrize('key', [
+        'flow.dt_floor', 'flow.max_dt', 'checks.tol_scale',
+        'checks.min_time_order', 'verify.gammas'])
+    def test_removed_key_exit_code(self, tmp_path, capsys, key):
+        # the step bounds, verify's gates and its gammas are constants
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = 1\noutput.dir = {tmp_path / 'out'}\n")
         assert main(['run', str(cfg)]) == 2
-        assert "flow.max_dt: must be >= flow.dt_floor" in \
-            capsys.readouterr().err
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize('command, key, scale, extra', [
         ('run', 'flow.fixed_dt', 1.0, ''),
@@ -624,14 +633,16 @@ output.dir = {out}
         rec = json.loads((out / 'error.json').read_text())
         assert rec['error_type'] == 'NonPositiveShiftedScalar'
 
-    def test_failed_checks_exit_code(self, tmp_path, capsys):
-        # tolerances scaled to nothing: the run completes and exits 1
+    def test_failed_checks_exit_code(self, tmp_path, capsys, monkeypatch):
+        # every cross-check tolerance zeroed: the run completes and exits 1
+        monkeypatch.setattr(vf, 'CROSSCHECKS', tuple(
+            (name, residual, 0.0, exact)
+            for name, residual, _, exact in vf.CROSSCHECKS))
         out = tmp_path / "fail"
         cfg = tmp_path / "fail.cfg"
         cfg.write_text(BASE_CFG.format(family='perturbed', steps=1, snap=0,
                                        out=out)
-                       + "checks.enable = crosschecks\n"
-                       "checks.tol_scale = 1e-30\n")
+                       + "checks.enable = crosschecks\n")
         assert main(['run', str(cfg)]) == 1
         assert "verification failed" in capsys.readouterr().err
         report = json.loads((out / 'verification.json').read_text())

@@ -161,12 +161,12 @@ class TestStep:
         for key in p0:
             assert abs(p1[key] - p0[key]) <= 1e-10 * scale
 
-    @pytest.mark.parametrize('n, axes', [(32, 3), (8, 4)])
+    @pytest.mark.parametrize('n, axes', [(24, 3), (8, 4)])
     def test_worst_exact_mode_damped(self, n, axes):
         # flat data plus 1e-6 of the stencil's worst exact mode along every
         # active axis, 20 RK4 steps at the step rule's dt.  Without the
         # stability cap, dt rho_0 was 2.82 (|R| = 1.06) here on 3 axes and
-        # 3.76 (|R| = 3.8) on 4, and the seed grew 1.8x and 4,000x.  Half
+        # 3.76 (|R| = 3.8) on 4, and the seed grew 1.87x and 4,000x.  Half
         # of it lies in the linearised flow's kernel and stays at any dt.
         # The data stay flat to 1e-6, so the rule's dt moves by 0.2% over
         # the run; it is read once to keep the run short
