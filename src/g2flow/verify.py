@@ -94,12 +94,15 @@ class StateTensors:
 
     # --- first derivatives ---
     @cached_property
-    def nabla_Ric(self):
-        return covariant_derivative(self.b.Ric, self.m, 2)
-
-    @cached_property
     def nabla_Ric_norm2(self):
-        return tensor_norm2(self.nabla_Ric, self.m, 3)
+        """|nabla Ric|^2 per al.chunks block, each on its block of nabla Ric
+        (geometry.covariant_block), so no whole-grid nabla Ric is held."""
+        n = self.m.vol.size
+        gi, out = self.m.ginv.reshape(n, 7, 7), np.empty(n)
+        for c in al.chunks(n, 5 * 7 ** 3):
+            nr = covariant_block(self.b.Ric, self.m, 2, c)
+            out[c] = np.sum(nr * slot_apply(nr, gi[c], 3), axis=(-3, -2, -1))
+        return out.reshape(self.m.vol.shape)
 
     @cached_property
     def grad_R(self):
@@ -235,7 +238,12 @@ def rhs_general_flow(ts):
     lich = lichnerowicz(ts, eta, slot_apply(eta, m.ginv, 2), deta)
     tr_eta = np.einsum('...ij,...ij->...', m.ginv, eta)
     hess_tr = second_covariant(tr_eta, m, 0)
-    div_eta = np.einsum('...am,...amj->...j', m.ginv, deta, optimize=True)
+    # g^am nabla_a eta_mj per al.chunks block: on the whole grid this
+    # einsum allocates a 7^3 temporary per point
+    gi, de = m.ginv.reshape(-1, 7, 7), deta.reshape(-1, 7, 7, 7)
+    div_eta = np.concatenate([
+        np.einsum('...am,...amj->...j', gi[c], de[c], optimize=True)
+        for c in al.chunks(len(gi), 7 ** 3)]).reshape(eta.shape[:-1])
     ddiv = covariant_derivative(div_eta, m, 1)
     sym_ddiv = ddiv + np.einsum('...ij->...ji', ddiv)
     div_div = np.einsum('...aj,...aj->...', m.ginv, ddiv, optimize=True)
@@ -315,15 +323,16 @@ def compute_aux_terms(ts):
          + 4.0 * ts.Rm_TT
          - 4.0 * ts.gradT_combo)
     # |Rt nabla Ric_t - (grad Rt) Ric_t|^2, slots (a, i, j), per al.chunks
-    # block; nabla Ric_t equals nabla Ric exactly because nabla g vanishes
-    # to rounding
+    # block of nabla Ric (geometry.covariant_block); nabla Ric_t equals
+    # nabla Ric exactly because nabla g vanishes to rounding
     n = Rt.size
-    rt, nric = Rt.reshape(n, 1, 1, 1), ts.nabla_Ric.reshape(n, 7, 7, 7)
-    dR, ric_t = ts.grad_R.reshape(n, 7), ts.Ric_t.reshape(n, 7, 7)
+    rt, dR = Rt.reshape(n, 1, 1, 1), ts.grad_R.reshape(n, 7)
+    ric_t = ts.Ric_t.reshape(n, 7, 7)
     gi, grad_combo = ts.m.ginv.reshape(n, 7, 7), np.empty(n)
-    for blk in al.chunks(n, 4 * 7 ** 3):
-        combo = rt[blk] * nric[blk] - np.einsum('...a,...ij->...aij',
-                                                dR[blk], ric_t[blk])
+    for blk in al.chunks(n, 5 * 7 ** 3):
+        nric = covariant_block(ts.b.Ric, ts.m, 2, blk)
+        combo = rt[blk] * nric - np.einsum('...a,...ij->...aij',
+                                           dR[blk], ric_t[blk])
         grad_combo[blk] = np.sum(combo * slot_apply(combo, gi[blk], 3),
                                  axis=(-3, -2, -1))
     return AuxTerms(I=I, J=J, H=H, grad_combo=grad_combo.reshape(Rt.shape))
@@ -387,7 +396,9 @@ def bochner_residual(ts):
     """Delta |Ric|^2 - 2 R^ij Delta R_ij - 2 |nabla Ric|^2; order h^4."""
     m = ts.m
     lap_ric2 = scalar_laplacian(ts.Ric_norm2, m)
-    lap_ric = hessian_traces(ts.nabla_Ric, m)
+    # a whole-grid nabla Ric for the neighbours hessian_traces reads,
+    # dropped once it returns
+    lap_ric = hessian_traces(covariant_derivative(ts.b.Ric, m, 2), m)
     mid = 2.0 * np.einsum('...ij,...ij->...', ts.Ric_up, lap_ric)
     return float(np.max(np.abs(lap_ric2 - mid - 2.0 * ts.nabla_Ric_norm2)))
 
@@ -479,24 +490,31 @@ def _difference_reads(state, c, gammas):
 def centered_states(state0, dt, c, gammas=(2.0,)):
     """One trajectory of fixed steps dt/4 from state0 to t0 + 2 dt: the
     centre state at t0 + dt and, per spacing s in dt, dt/2, dt/4, the
-    _difference_reads at t0 + dt - s and t0 + dt + s.  Each other state
-    (state0 too, if passed its only reference) is dropped once passed."""
+    differences {key: after - before} of the _difference_reads at
+    t0 + dt + s and t0 + dt - s.  A "before" read is held only until its
+    "after" one is read, and each other state (state0 too, if passed its
+    only reference) is dropped once passed."""
     q, state = dt / 4.0, state0
-    reads = {0: _difference_reads(state0, c, gammas)}
+    before, diffs = {4: _difference_reads(state0, c, gammas)}, {}
     del state0
     for k in range(1, 9):
         state = step_fixed(state, q)
-        if k == 4:
+        if k in (2, 3):
+            before[4 - k] = _difference_reads(state, c, gammas)
+        elif k == 4:
             centre = state
-        elif abs(k - 4) in (1, 2, 4):
-            reads[k] = _difference_reads(state, c, gammas)
-    return centre, {j * q: (reads[4 - j], reads[4 + j]) for j in (4, 2, 1)}
+        elif k in (5, 6, 8):
+            diffs[k - 4] = {key: after - before[k - 4][key] for key, after
+                            in _difference_reads(state, c, gammas).items()}
+            del before[k - 4]
+    return centre, {j * q: diffs[j] for j in (4, 2, 1)}
 
 
 def evaluate_residuals(centre, sides, c, gammas=(2.0,)):
     """Max-norm residuals of every evolution equation, {name: {s: r}}: the
     right-hand sides are built once at the centre state and compared with
-    the centered difference at each spacing s of centered_states' sides."""
+    the centered difference at each spacing s, from centered_states'
+    differences {s: {key: after - before}}."""
     ts = StateTensors(centre, c=c)
     rhs_ric, rhs_R = rhs_general_flow(ts)
     checks = [
@@ -510,9 +528,8 @@ def evaluate_residuals(centre, sides, c, gammas=(2.0,)):
         ('shifted_scalar_evolution', 'R', rhs_shifted_scalar_evolution(ts))]
     checks += [(f'pinching_evolution_g{g:g}', ('f', g),
                 rhs_pinching_evolution(ts, g)) for g in gammas]
-    return {name: {s: float(np.max(np.abs(
-                (after[key] - before[key]) / (2.0 * s) - rhs)))
-                   for s, (before, after) in sides.items()}
+    return {name: {s: float(np.max(np.abs(diff[key] / (2.0 * s) - rhs)))
+                   for s, diff in sides.items()}
             for name, key, rhs in checks}
 
 

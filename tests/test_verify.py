@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import re
@@ -82,7 +83,8 @@ class TestAuxTerms:
         st = perturbed_state3() if three else state16
         ts = vf.StateTensors(st, c=1.0)
         whole = vf.compute_aux_terms(ts)
-        combo = ts.Rt[..., None, None, None] * ts.nabla_Ric \
+        nric = ge.covariant_derivative(ts.b.Ric, ts.m, 2)
+        combo = ts.Rt[..., None, None, None] * nric \
             - np.einsum('...a,...ij->...aij', ts.grad_R, ts.Ric_t)
         assert np.array_equal(whole.grad_combo,
                               ge.tensor_norm2(combo, ts.m, 3))
@@ -93,12 +95,12 @@ class TestAuxTerms:
                 name
 
     def test_peak_memory(self, state32):
-        # the gradient combination per block: its whole-grid 7^3 arrays
-        # peaked at 11.3 MB here
+        # the gradient combination per block, each on its block of nabla
+        # Ric: its whole-grid 7^3 arrays peaked at 11.3 MB here
         ts = vf.StateTensors(state32, c=1.0)
         for name in ('Rt', 'Ric_t', 'Ric_t_norm2', 'Ric_t_up', 'Rm_That_up',
                      'That_traces', 'hess_T2', 'lap_T2', 'Rm_TT',
-                     'gradT_combo', 'nabla_Ric', 'grad_R'):
+                     'gradT_combo', 'grad_R'):
             getattr(ts, name)
         tracemalloc.start()
         try:
@@ -267,26 +269,94 @@ class TestGradTCombo:
         assert peak <= 3e6
 
 
+def whole_grid_general_flow(ts):
+    """rhs_general_flow with the divergence of eta as one whole-grid
+    einsum."""
+    m = ts.m
+    eta = -2.0 * ts.state.S
+    deta = ge.covariant_derivative(eta, m, 2)
+    lich = vf.lichnerowicz(ts, eta, al.slot_apply(eta, m.ginv, 2), deta)
+    tr_eta = np.einsum('...ij,...ij->...', m.ginv, eta)
+    hess_tr = ge.second_covariant(tr_eta, m, 0)
+    div_eta = np.einsum('...am,...amj->...j', m.ginv, deta, optimize=True)
+    ddiv = ge.covariant_derivative(div_eta, m, 1)
+    sym_ddiv = ddiv + np.einsum('...ij->...ji', ddiv)
+    div_div = np.einsum('...aj,...aj->...', m.ginv, ddiv, optimize=True)
+    ric_pair = np.einsum('...ij,...ij->...', ts.Ric_up, eta)
+    lap_tr = np.einsum('...ab,...ab->...', m.ginv, hess_tr, optimize=True)
+    return (-0.5 * (lich + hess_tr - sym_ddiv),
+            -lap_tr + div_div - ric_pair)
+
+
+def blocked_expressions(ts):
+    """The StateTensors terms and right-hand sides built per al.chunks
+    block that have a whole-grid expression."""
+    ric, scalar = vf.rhs_general_flow(ts)
+    return {'gradT_combo': ts.gradT_combo, 'WEE': ts.WEE,
+            'nabla_Ric_norm2': ts.nabla_Ric_norm2,
+            'grad_combo': ts.aux.grad_combo,
+            'general_flow_ricci': ric, 'general_flow_scalar': scalar}
+
+
 class TestWholeGridExpressions:
     @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
     def test_blocks_do_not_move_bits(self, state16, three, monkeypatch):
-        # gradT_combo and WEE per block, in blocks of 5 to 35 points and in
-        # the default ones, against their whole-grid expressions
+        # gradT_combo, WEE, |nabla Ric|^2, the gradient combination and the
+        # general-flow RHS (its divergence of eta) per block, in blocks of
+        # 5 to 35 points and in the default ones, against their whole-grid
+        # expressions
         st = perturbed_state3() if three else state16
         ts = vf.StateTensors(st, c=1.0)
-        g = ts.m.ginv
-        nt = ge.covariant_derivative(st.T, ts.m, 2)
+        m, g = ts.m, ts.m.ginv
+        nt = ge.covariant_derivative(st.T, m, 2)
         up = al.slot_apply(nt, g, 3, (2, 0))
         down = np.moveaxis(al.slot_apply(nt, g, 3, (0,)), -1, -3)
         E_up = al.slot_apply(ts.b.E, g, 2)
+        nric = ge.covariant_derivative(ts.b.Ric, m, 2)
+        combo = ts.Rt[..., None, None, None] * nric \
+            - np.einsum('...a,...ij->...aij', ts.grad_R, ts.Ric_t)
+        ric, scalar = whole_grid_general_flow(ts)
         want = {'gradT_combo': np.sum(up * down, axis=(-3, -2, -1)),
                 'WEE': np.sum(al.pair_apply(ts.W, E_up) * E_up,
-                              axis=(-2, -1))}
+                              axis=(-2, -1)),
+                'nabla_Ric_norm2': ge.tensor_norm2(nric, m, 3),
+                'grad_combo': ge.tensor_norm2(combo, m, 3),
+                'general_flow_ricci': ric, 'general_flow_scalar': scalar}
         for budget in (al.BLOCK_BYTES, SMALL_BLOCK_BYTES):
             monkeypatch.setattr(al, 'BLOCK_BYTES', budget)
-            fresh = vf.StateTensors(st, c=1.0)
+            got = blocked_expressions(vf.StateTensors(st, c=1.0))
             for name, w in want.items():
-                assert np.array_equal(getattr(fresh, name), w), (name, budget)
+                assert np.array_equal(got[name], w), (name, budget)
+
+    def test_no_whole_grid_rank3_cache(self, state32, monkeypatch):
+        # after the right-hand sides, no cached tensor holds 7^3 floats per
+        # point: nabla Ric and the other first derivatives of 2-tensors are
+        # built per block, or dropped once read
+        made = []
+
+        class Recorded(vf.StateTensors):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def arrays(v):
+            if isinstance(v, np.ndarray):
+                yield v
+            elif isinstance(v, (tuple, list)):
+                for x in v:
+                    yield from arrays(x)
+            elif isinstance(v, dict) or dataclasses.is_dataclass(v):
+                for x in (v if isinstance(v, dict) else vars(v)).values():
+                    yield from arrays(x)
+
+        monkeypatch.setattr(vf, 'StateTensors', Recorded)
+        vf.evaluate_residuals(state32, {}, 1.0, (1.5, 2.0, 3.0))
+        (ts,) = made
+        cached = {k: v for k, v in vars(ts).items() if k not in ('state', 'm')}
+        assert {'aux', 'That_traces', 'nabla_Ric_norm2'} <= set(cached)
+        for name, v in cached.items():
+            for a in arrays(v):
+                assert not (a.ndim == 10 and a.shape[-3:] == (7, 7, 7)), name
 
 
 class TestFixedStateCrosschecks:
@@ -371,11 +441,12 @@ class TestTrajectories:
         assert centre.t == pytest.approx(0.04)
         assert centre.step_index == 4
         assert list(sides) == [0.04, 0.02, 0.01]
-        before, after = sides[0.01]
-        third = fixed_steps(state0.phi, 0.01)[2]                # t = 0.03
-        assert np.array_equal(before['R'], third.bundle.R)
-        assert set(after) == {'Ric', 'R', 'Ric_norm2', 'Ric_t_norm2',
-                              ('f', 2.0)}
+        before = fixed_steps(state0.phi, 0.01)[2]               # t = 0.03
+        after = fl.step_fixed(fl.step_fixed(before, 0.01), 0.01)  # t = 0.05
+        assert np.array_equal(sides[0.01]['R'],
+                              after.bundle.R - before.bundle.R)
+        assert set(sides[0.01]) == {'Ric', 'R', 'Ric_norm2', 'Ric_t_norm2',
+                                    ('f', 2.0)}
 
     def test_difference_reads_build_no_torsion(self):
         # the centered differences read Ric, R and the norms built on
@@ -450,8 +521,9 @@ class TestTrajectories:
             c = auto_shift(before.bundle)
             centre = fl.step_fixed(before, s)
             after = fl.step_fixed(centre, s)
-            sides = {s: tuple(vf._difference_reads(st, c, (2.0,))
-                              for st in (before, after))}
+            lo, hi = (vf._difference_reads(st, c, (2.0,))
+                      for st in (before, after))
+            sides = {s: {key: hi[key] - lo[key] for key in hi}}
             res[n] = vf.evaluate_residuals(centre, sides, c, (2.0,))
         for name in res[32]:
             order = np.log2(res[32][name][s] / res[64][name][s])
