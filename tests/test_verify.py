@@ -288,16 +288,6 @@ def whole_grid_general_flow(ts):
             -lap_tr + div_div - ric_pair)
 
 
-def blocked_expressions(ts):
-    """The StateTensors terms and right-hand sides built per al.chunks
-    block that have a whole-grid expression."""
-    ric, scalar = vf.rhs_general_flow(ts)
-    return {'gradT_combo': ts.gradT_combo, 'WEE': ts.WEE,
-            'nabla_Ric_norm2': ts.nabla_Ric_norm2,
-            'grad_combo': ts.aux.grad_combo,
-            'general_flow_ricci': ric, 'general_flow_scalar': scalar}
-
-
 class TestWholeGridExpressions:
     @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
     def test_blocks_do_not_move_bits(self, state16, three, monkeypatch):
@@ -324,7 +314,12 @@ class TestWholeGridExpressions:
                 'general_flow_ricci': ric, 'general_flow_scalar': scalar}
         for budget in (al.BLOCK_BYTES, SMALL_BLOCK_BYTES):
             monkeypatch.setattr(al, 'BLOCK_BYTES', budget)
-            got = blocked_expressions(vf.StateTensors(st, c=1.0))
+            fresh = vf.StateTensors(st, c=1.0)
+            ric, scalar = vf.rhs_general_flow(fresh)
+            got = {'gradT_combo': fresh.gradT_combo, 'WEE': fresh.WEE,
+                   'nabla_Ric_norm2': fresh.nabla_Ric_norm2,
+                   'grad_combo': fresh.aux.grad_combo,
+                   'general_flow_ricci': ric, 'general_flow_scalar': scalar}
             for name, w in want.items():
                 assert np.array_equal(got[name], w), (name, budget)
 
