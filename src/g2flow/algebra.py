@@ -35,6 +35,12 @@ NCOMP = {k: len(INC[k]) for k in range(DIM + 1)}  # 1,7,21,35,35,21,7,1
 # T[(...,) + PAIR] = T[(i<j), (k<l)], rows and columns in INC[2] order.
 _I, _J = (np.array(c) for c in zip(*INC[2]))
 PAIR = (_I[:, None], _J[:, None], _I[None, :], _J[None, :])
+# A symmetric pair-form matrix on its 231 entries P <= Q, row by row:
+# TRI_PACK picks them from the 441 flat entries, and TRI_UNPACK reads each
+# flat entry (P, Q) back off the packed entry (min(P, Q), max(P, Q))
+_FLAT = np.arange(NCOMP[2] ** 2).reshape(NCOMP[2], NCOMP[2])
+TRI_PACK = _FLAT[np.triu_indices(NCOMP[2])]
+TRI_UNPACK = np.searchsorted(TRI_PACK, np.minimum(_FLAT, _FLAT.T)).ravel()
 
 
 def perm_sign(seq):

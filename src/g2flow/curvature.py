@@ -11,10 +11,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DIM, NCOMP, basis_interior_table, chunks, pair_entries
+from .algebra import (DIM, NCOMP, TRI_PACK, TRI_UNPACK, basis_interior_table,
+                      chunks, pair_entries)
 from .errors import NonPositiveShiftedScalar
 # perfbench/selftest.py checks that its tracer wraps this tensor_norm2 binding
-from .geometry import tensor_norm2  # noqa: F401
+from .geometry import pair_ginv, tensor_norm2  # noqa: F401
 from .grid import partial_block
 
 
@@ -39,23 +40,26 @@ def weyl_block(Rm, R, E, g):
 
 def weyl(bundle, m):
     """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g in pair form,
-    over blocks of points (algebra.chunks), each by weyl_block."""
+    stored on its 231 entries P <= Q (algebra.TRI_PACK), over blocks of
+    points (algebra.chunks), each by weyl_block."""
     n = bundle.R.size
     Rm, R = bundle.Rm.reshape(n, NCOMP[2], NCOMP[2]), bundle.R.reshape(n, 1, 1)
     E, g = bundle.E.reshape(n, DIM, DIM), m.g.reshape(n, DIM, DIM)
-    W = np.empty(Rm.shape)
+    W = np.empty((n, TRI_PACK.size))
     for c in chunks(n, 4 * NCOMP[2] ** 2):
-        W[c] = weyl_block(Rm[c], R[c], E[c], g[c])
-    return W.reshape(bundle.Rm.shape)
+        W[c] = weyl_block(Rm[c], R[c], E[c], g[c]).reshape(
+            -1, NCOMP[2] ** 2)[:, TRI_PACK]
+    return W.reshape(bundle.R.shape + W.shape[1:])
 
 
 def weyl_variant_residual(bundle, m):
     """Max-norm gap between the trace-free Weyl and the printed-coefficient
     variant Rm - (1/5)(g_il R_jk + g_jk R_il - g_ik R_jl - g_jl R_ik)
-    + (1/30)(g_il g_jk - g_ik g_jl); nonzero whenever the scalar curvature
-    differs from 1."""
+    + (1/30)(g_il g_jk - g_ik g_jl) on the packed entries; nonzero whenever
+    the scalar curvature differs from 1."""
     pair = kulkarni_nomizu(m.g, m.g) / 2.0
     printed = bundle.Rm - 0.2 * kulkarni_nomizu(bundle.Ric, m.g) + pair / 30.0
+    printed = printed.reshape(printed.shape[:-2] + (-1,))[..., TRI_PACK]
     return float(np.max(np.abs(weyl(bundle, m) - printed)))
 
 
@@ -72,35 +76,36 @@ def pair_derivation_table():
 
 
 def c1_norm(W, m):
-    """Pointwise |W|_{C1} = sqrt(|W|^2 + |nabla W|^2) of a pair-form Weyl
-    field.  Gamma_a acts on each pair as the 2-form derivation D_a, so
-    nabla_a W = d_a W - D_a W - (D_a W)^T; with Lam = m.pair_ginv, |W|^2 =
-    4 tr(W Lam W Lam) and |nabla W|^2 = 4 g^ab tr(nabla_a W Lam nabla_b W
-    Lam), both over blocks of points (algebra.chunks), each block taking
-    its own d_a W (grid.partial_block)."""
-    P = NCOMP[2]
-    Wf = W.reshape(-1, P, P)
-    n = Wf.shape[0]
-    gam = m.gamma_flat.reshape(n, DIM, DIM * DIM)
-    lam = m.pair_ginv.reshape(Wf.shape)
-    gi = m.ginv.reshape(n, DIM, DIM)
-    out = np.empty(n)
-    for c in chunks(n, DIM * NCOMP[2] ** 2):
-        WL = Wf[c] @ lam[c]
+    """Pointwise |W|_{C1} = sqrt(|W|^2 + |nabla W|^2) of a packed Weyl field
+    (weyl), unpacked per block of points (algebra.chunks), each block taking
+    its own d_a W (grid.partial_block) and freeing its temporaries.  Gamma_a
+    acts on each pair as the 2-form derivation D_a, so nabla_a W = d_a W -
+    D_a W - (D_a W)^T; with the block's Lam = pair_ginv, |W|^2 = 4 tr(W Lam
+    W Lam) and |nabla W|^2 = 4 g^ab tr(nabla_a W Lam nabla_b W Lam)."""
+    P, Wf = NCOMP[2], W.reshape(-1, TRI_PACK.size)
+    gam = m.gamma_flat.reshape(-1, DIM, DIM * DIM)
+    gi, out = m.ginv.reshape(-1, DIM, DIM), np.empty(len(Wf))
+    for c in chunks(len(Wf), DIM * NCOMP[2] ** 2):
+        lam, Wc = pair_ginv(gi[c]), Wf[c][:, TRI_UNPACK].reshape(-1, P, P)
+        WL = Wc @ lam
+        w2 = 4.0 * np.sum(WL * np.swapaxes(WL, -1, -2), axis=(-2, -1))
+        del WL
         DW = ((gam[c] @ pair_derivation_table()).reshape(-1, DIM, P, P)
-              @ Wf[c, None, :, :])
+              @ Wc[:, None, :, :])
         nW = np.zeros(DW.shape)              # d_a W, zero on inactive axes
         for a in m.spec.active_axes:
-            nW[:, a] = partial_block(W, m.spec, a, c)
+            nW[:, a] = partial_block(W, m.spec, a, c)[:, TRI_UNPACK].reshape(
+                -1, P, P)
         nW -= DW
         nW -= np.swapaxes(DW, -1, -2)
-        nWL = nW @ lam[c, None, :, :]
-        del DW, nW
+        del DW
+        nWL = nW @ lam[:, None, :, :]
+        del nW
         gnWL = (gi[c] @ nWL.reshape(-1, DIM, P * P)).reshape(nWL.shape)
-        out[c] = np.sqrt(
-            4.0 * np.sum(WL * np.swapaxes(WL, -1, -2), axis=(-2, -1))
-            + 4.0 * np.sum(nWL * np.swapaxes(gnWL, -1, -2), axis=(-3, -2, -1)))
-    return out.reshape(W.shape[:-2])
+        out[c] = np.sqrt(w2 + 4.0 * np.sum(nWL * np.swapaxes(gnWL, -1, -2),
+                                           axis=(-3, -2, -1)))
+        del nWL, gnWL
+    return out.reshape(W.shape[:-1])
 
 
 def auto_shift(bundle):

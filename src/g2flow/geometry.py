@@ -51,35 +51,36 @@ class MetricField:
 
     @property
     def christoffel(self):
-        """Gamma^k_ij with index order [k, i, j], built on each read as a
-        view of a C-contiguous [i, j, k] array: the first-kind symbols with
-        l last, d_i g_jl + d_j g_il - d_l g_ij, times g^-1 on the right."""
-        dg = partial_stack(self.g, self.spec)               # (.., a, i, j)
-        A = dg + np.swapaxes(dg, -3, -2)
-        A -= np.moveaxis(dg, -3, -1)
-        del dg
-        up = slot_apply(A, self.ginv, 3, (2,))
-        up *= 0.5
-        return np.moveaxis(up, -1, -3)
+        """Gamma^k_ij with index order [k, i, j]: a view of gamma_flat."""
+        H = self.gamma_flat.reshape(self.g.shape[:-2] + (DIM,) * 3)
+        return np.moveaxis(H, -1, -3)
 
     @cached_property
     def gamma_flat(self):
         """Christoffel symbols Gamma^p_ai as rows (a, i) and columns p for
-        the batched matrix products in covariant derivatives and curvature:
-        a C-contiguous reshape of one christoffel array, cached."""
-        flat = np.moveaxis(self.christoffel, -3, -1)     # (.., a, i, p)
-        return flat.reshape(self.g.shape[:-2] + (DIM * DIM, DIM))
+        the batched matrix products in covariant derivatives and curvature,
+        cached: per al.chunks block, the first-kind symbols d_a g_ip + d_i
+        g_ap - d_p g_ai, from the block's own d_a g (grid.partial_block),
+        times g^-1 on the right, halved."""
+        n, gi = self.vol.size, self.ginv.reshape(-1, DIM, DIM)
+        out = np.empty((n, DIM * DIM, DIM))
+        for c in al.chunks(n, DIM ** 3):
+            dg = np.zeros((len(gi[c]),) + (DIM,) * 3)       # (.., a, i, j)
+            for a in self.spec.active_axes:
+                dg[:, a] = partial_block(self.g, self.spec, a, c)
+            A = dg + np.swapaxes(dg, -3, -2)
+            A -= np.moveaxis(dg, -3, -1)
+            up = slot_apply(A, gi[c], 3, (2,))
+            up *= 0.5
+            out[c] = up.reshape(-1, DIM * DIM, DIM)
+        return out.reshape(self.g.shape[:-2] + out.shape[1:])
 
-    @cached_property
-    def pair_ginv(self):
-        """Lambda^2(g^-1) = g^ik g^jl - g^il g^jk in pair form, which raises
-        one pair of a pair-form tensor, built over al.chunks of points."""
-        gi = self.ginv.reshape(-1, DIM, DIM)
-        out = np.empty((gi.shape[0],) + (al.NCOMP[2],) * 2)
-        for c in al.chunks(gi.shape[0], 4 * al.NCOMP[2] ** 2):
-            il, jk, ik, jl = al.pair_entries(gi[c])
-            out[c] = ik * jl - il * jk
-        return out.reshape(self.ginv.shape[:-2] + out.shape[1:])
+
+def pair_ginv(gi):
+    """Lambda^2(g^-1) = g^ik g^jl - g^il g^jk in pair form at a block of
+    points gi (.., 7, 7), which raises one pair of a pair-form tensor."""
+    il, jk, ik, jl = al.pair_entries(gi)
+    return ik * jl - il * jk
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +211,13 @@ def tensor_norm2(T, m, rank):
 
 def pair_norm2(P, m):
     """Pointwise squared norm of a pair-form tensor, every slot raised:
-    |P|^2 = 4 tr(P Lam P Lam), Lam = m.pair_ginv."""
-    PL = P @ m.pair_ginv
-    return 4.0 * np.sum(PL * np.swapaxes(PL, -1, -2), axis=(-2, -1))
+    |P|^2 = 4 tr(P Lam P Lam), Lam = pair_ginv per al.chunks block."""
+    Pf = P.reshape((-1,) + P.shape[-2:])
+    gi, out = m.ginv.reshape(-1, DIM, DIM), np.empty(len(Pf))
+    for c in al.chunks(len(Pf), 6 * al.NCOMP[2] ** 2):
+        PL = Pf[c] @ pair_ginv(gi[c])
+        out[c] = 4.0 * np.sum(PL * np.swapaxes(PL, -1, -2), axis=(-2, -1))
+    return out.reshape(P.shape[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +289,17 @@ def riemann(m):
         r += Hj @ Hi
         r -= Hi @ Hj
         raw = slot_apply(r, g[c], 3, (2,))
+        del r, Hj, Hi
         Rm[c] = _curvature_project(raw)
         rows = al.form_to_dense(2, Rm[c])
-        dev[c] = np.max(np.abs(rows - raw), axis=(-3, -2, -1))
+        raw -= rows
+        dev[c] = np.max(np.abs(raw, out=raw), axis=(-3, -2, -1))
         up = slot_apply(rows, gi[c], 3, (2,))
+        del raw, rows
         # (j, P, .., k) in the order of each j's pairs, summed in that order
         Ric[c] = np.moveaxis(np.sum(
             up[:, _RIC_P, :, _RIC_I] * _RIC_S[..., None, None], axis=1), 0, 1)
+        del up
     Rm, Ric = Rm.reshape(shape + Rm.shape[1:]), Ric.reshape(m.g.shape)
     R = np.einsum('...jk,...jk->...', m.ginv, Ric, optimize=True)
     E = Ric - (R[..., None, None] / 7.0) * m.g

@@ -177,7 +177,7 @@ class StateTensors:
 
     @cached_property
     def W(self):
-        """Trace-free Weyl tensor in pair form."""
+        """Trace-free Weyl tensor on its 231 packed pair entries."""
         return weyl(self.b, self.m)
 
     @cached_property
@@ -201,7 +201,7 @@ class StateTensors:
     def WEE(self):
         """W_pijl E^pl E^ij = <W(E^#), E^#> with the trace-free Weyl, each
         al.chunks block's W contracted as soon as weyl_block builds it, so
-        no whole-grid W is held (the monitor's W is, for c1_norm's
+        no whole-grid W is held (the monitor's packed W is, for c1_norm's
         stencil)."""
         b, n = self.b, self.m.vol.size
         Rm, R = b.Rm.reshape(n, 21, 21), b.R.reshape(n, 1, 1)

@@ -64,6 +64,17 @@ def pair_to_dense(P):
     return out.reshape(P.shape[:-2] + (7,) * 4)
 
 
+def pair_pack(P):
+    """The 231 entries P <= Q of pair-form matrices (.., 21, 21), the
+    storage of curvature.weyl."""
+    return P.reshape(P.shape[:-2] + (-1,))[..., al.TRI_PACK]
+
+
+def pair_unpack(t):
+    """The symmetric pair-form matrices (.., 21, 21) of packed entries t."""
+    return t[..., al.TRI_UNPACK].reshape(t.shape[:-1] + (21, 21))
+
+
 def dense_hessian_traces(X, m):
     """The traces of the whole-grid second covariant derivative dd_abij of
     a 2-tensor: the rough Laplacian g^ab dd_abij, A_ij = g^ns dd_insj and

@@ -5,6 +5,7 @@ import pytest
 
 from g2flow import algebra as al
 from g2flow import flow as fl
+from g2flow import geometry as ge
 from g2flow import grid as gr
 from g2flow.errors import NotPositive, PositivityLost, SnapshotError, Stalled
 from g2flow.initial_data import Mode, flat_phi_field, perturbed_phi_field
@@ -47,6 +48,28 @@ class TestRhs:
         r1 = fl.rhs(perturbed_phi_field(spec, 0.04)).max_abs()
         r2 = fl.rhs(perturbed_phi_field(spec, 0.02)).max_abs()
         assert abs(r1 / (2.0 * r2) - 1.0) < 0.10
+
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_volume_rate_is_dstar_norm(self, three):
+        # Hitchin's volume functional has the first variation delta vol =
+        # (1/3) <delta phi, phi> vol in the form inner product, which is
+        # 1/3! of the component one (<phi, phi> = 42).  Along rhs = d d* phi,
+        # d being exactly adjoint to d* on the grid, dVol_h/dt is then
+        # ||d* phi||_h^2 / 3 in the form norm of 2-forms, or a sixth of the
+        # component norm: to rounding, not only to O(h^4)
+        st = perturbed_state3() if three else fl.FlowState(
+            0.0, perturbed_phi_field(scenario_spec(32), 0.05))
+        m, phi = st.metric, st.phi
+        assert np.allclose(al.form_inner_comps(3, phi.values, phi.values,
+                                               m.ginv), 42.0)
+        dstar = -ge.hodge_star_field(gr.exterior_derivative(st.psi), m).values
+        rate = gr.integrate_scalar(al.form_inner_comps(
+            3, fl.rhs(phi, m, st.psi).values, phi.values, m.ginv)
+            * m.vol, phi.spec) / 18.0
+        norm2 = gr.integrate_scalar(al.form_inner_comps(
+            2, dstar, dstar, m.ginv) * m.vol, phi.spec)
+        assert norm2 > 1e-3
+        assert rate == pytest.approx(norm2 / 6.0, rel=1e-13, abs=0.0)
 
     def test_positivity_failure_reported(self):
         spec = scenario_spec(4)

@@ -49,8 +49,8 @@ class TestPointBlocks:
     def test_derivative_blocks_do_not_move_bits(self, state16, three,
                                                 monkeypatch):
         # the pointwise parts of the form derivative (k = 2, 3, 4) and of
-        # the Hessian traces, and Lambda^2(g^-1), in blocks of 8 to 45
-        # points against the default blocks
+        # the Hessian traces in blocks of 8 to 45 points against the
+        # default blocks
         st = perturbed_state3() if three else state16
         m = st.metric
         forms = [gr.FormField(k, m.spec,
@@ -63,13 +63,36 @@ class TestPointBlocks:
                    for w in forms}
             out['lap'], out['A'] = ge.hessian_traces(Y, m, inner=True)
             out['lap alone'] = ge.hessian_traces(Y, m)
-            out['pair_ginv'] = ge.MetricField.from_phi(st.phi).pair_ginv
             return out
 
         whole = run()
         monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
         for name, got in run().items():
             assert np.array_equal(got, whole[name]), name
+
+    @pytest.mark.parametrize('budget', ('default', 'small'))
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_christoffel_and_pair_norm_blocks_match_whole_grid(
+            self, state16, three, budget, monkeypatch):
+        # gamma_flat, built per block from each block's own d_a g, and
+        # pair_norm2, with Lambda^2(g^-1) built per block, in the bytes of
+        # their whole-grid formulas
+        st = perturbed_state3() if three else state16
+        if budget == 'small':
+            monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
+        m = ge.MetricField.from_phi(st.phi)
+        dg = ge.partial_stack(m.g, m.spec)
+        A = dg + np.swapaxes(dg, -3, -2)
+        A -= np.moveaxis(dg, -3, -1)
+        up = al.slot_apply(A, m.ginv, 3, (2,))
+        up *= 0.5
+        assert m.gamma_flat.tobytes() == up.tobytes()
+        i, j, k, l = al.PAIR
+        gi = m.ginv
+        lam = gi[..., i, k] * gi[..., j, l] - gi[..., i, l] * gi[..., j, k]
+        PL = st.bundle.Rm @ lam
+        want = 4.0 * np.sum(PL * np.swapaxes(PL, -1, -2), axis=(-2, -1))
+        assert ge.pair_norm2(st.bundle.Rm, m).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
     def test_tensor_blocks_do_not_move_bits(self, state16, three,

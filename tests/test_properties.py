@@ -50,7 +50,8 @@ from g2flow.initial_data import (DEFAULT_MODES,  # noqa: E402
 
 from conftest import (GRID3, MODES3, dense_c1_norm,  # noqa: E402
                       dense_kulkarni_nomizu, dense_torsion, l2_form_inner,
-                      pair_to_dense, perturbed_state3, smooth_field)
+                      pair_to_dense, pair_unpack, perturbed_state3,
+                      smooth_field)
 
 BATCH = 3
 REL = 1e-13
@@ -242,7 +243,7 @@ def test_weyl_c1_pair_form_matches_dense(three, n, periods, eps):
         spec, eps, MODES3 if three else DEFAULT_MODES))
     m = state.metric
     W = cv.weyl(state.bundle, m)
-    want = dense_c1_norm(pair_to_dense(W), m, 4)
+    want = dense_c1_norm(pair_to_dense(pair_unpack(W)), m, 4)
     got = cv.c1_norm(W, m)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 

@@ -11,6 +11,7 @@ import pytest
 
 from g2flow import algebra as al
 from g2flow import cli
+from g2flow import curvature as cv
 from g2flow import flow as fl
 from g2flow import geometry as ge
 from g2flow import grid as gr
@@ -21,8 +22,8 @@ from g2flow.initial_data import perturbed_phi_field
 
 from conftest import (EPS, GRID3, MODES3, SMALL_BLOCK_BYTES,
                       dense_hessian_traces, flat_state, pair_to_dense,
-                      perturbed_state, perturbed_state3, scenario_spec,
-                      triple_pinching_constant)
+                      pair_unpack, perturbed_state, perturbed_state3,
+                      scenario_spec, triple_pinching_constant)
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +162,8 @@ class TestPairContractions:
                                     up(ts.state.That)),
             'Rm_TT': np.einsum('...ijmn,...in,...mj->...', D, T_up, T_up,
                                optimize=True),
-            'WEE': np.einsum('...pijl,...pl,...ij->...', pair_to_dense(ts.W),
+            'WEE': np.einsum('...pijl,...pl,...ij->...',
+                             pair_to_dense(pair_unpack(ts.W)),
                              E_up, E_up, optimize=True)}
         monkeypatch.setattr(al, 'pair_apply', dense_pair_apply)
         ref = routed_contractions(vf.StateTensors(st, c=1.0))
@@ -307,8 +309,9 @@ class TestWholeGridExpressions:
             - np.einsum('...a,...ij->...aij', ts.grad_R, ts.Ric_t)
         ric, scalar = whole_grid_general_flow(ts)
         want = {'gradT_combo': np.sum(up * down, axis=(-3, -2, -1)),
-                'WEE': np.sum(al.pair_apply(ts.W, E_up) * E_up,
-                              axis=(-2, -1)),
+                'WEE': np.sum(al.pair_apply(cv.weyl_block(
+                    ts.b.Rm, ts.b.R[..., None, None], ts.b.E, m.g), E_up)
+                    * E_up, axis=(-2, -1)),
                 'nabla_Ric_norm2': ge.tensor_norm2(nric, m, 3),
                 'grad_combo': ge.tensor_norm2(combo, m, 3),
                 'general_flow_ricci': ric, 'general_flow_scalar': scalar}
