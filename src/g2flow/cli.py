@@ -446,7 +446,7 @@ def monitor_summary(history):
         out.update({'c1': c1, 'ratio_fit_C1': fit['C1'],
                     'ratio_fit_C2': fit['C2'],
                     'ratio_fit_min_margin': fit['min_margin']})
-    out['distortion_bound_ok'] = distortion_bound_check(history)['ok']
+    out['distortion_bound_ok'] = distortion_bound_check(history)
     mins = np.array([r['min_C_g2'] for r in history
                      if r.get('min_C_g2') is not None], dtype=float)
     if mins.size:

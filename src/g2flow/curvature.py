@@ -168,16 +168,14 @@ def traceless_ricci_ratio_fit(history, c1):
                 lo = mid
         c2 = hi
     C1 = max(c1, 2.0 * c2 * c2 + 1.0)
-    margins = C1 + c2 * drv - lhs
     return {'C1': float(C1), 'C2': float(c2),
-            'margins': margins, 'min_margin': float(np.min(margins))}
+            'min_margin': float(np.min(C1 + c2 * drv - lhs))}
 
 
 def distortion_bound_check(history):
     """e^{-N} g(0) <= g(t) <= e^{N} g(0): the recorded eigenvalue
     distortion may not exceed exp of the accumulated metric-speed
-    integral N(t) = int max 2|S| dt."""
+    integral N(t) = int max 2|S| dt; whether every row keeps it."""
     dist = _column(history, 'distortion')
     bound = np.exp(_column(history, 'speed_integral'))
-    return {'distortion': dist, 'bound': bound,
-            'ok': bool(np.all(dist <= bound * (1.0 + 1e-10)))}
+    return bool(np.all(dist <= bound * (1.0 + 1e-10)))

@@ -94,15 +94,24 @@ class StateTensors:
 
     # --- first derivatives ---
     @cached_property
-    def nabla_Ric_norm2(self):
-        """|nabla Ric|^2 per al.chunks block, each on its block of nabla Ric
-        (geometry.covariant_block), so no whole-grid nabla Ric is held."""
+    def nabla_Ric_norms(self):
+        """|nabla Ric|^2 and the pinching gradient combination |Rt nabla
+        Ric_t - (grad Rt) Ric_t|^2 (slots a, i, j), both from one block of
+        nabla Ric per al.chunks block (geometry.covariant_block), so no
+        whole-grid nabla Ric is held; nabla Ric_t equals nabla Ric exactly
+        because nabla g vanishes to rounding."""
         n = self.m.vol.size
-        gi, out = self.m.ginv.reshape(n, 7, 7), np.empty(n)
+        rt, dR = self.Rt.reshape(n, 1, 1, 1), self.grad_R.reshape(n, 7)
+        ric_t, gi = self.Ric_t.reshape(n, 7, 7), self.m.ginv.reshape(n, 7, 7)
+        out = np.empty((2, n))
         for c in al.chunks(n, 5 * 7 ** 3):
             nr = covariant_block(self.b.Ric, self.m, 2, c)
-            out[c] = np.sum(nr * slot_apply(nr, gi[c], 3), axis=(-3, -2, -1))
-        return out.reshape(self.m.vol.shape)
+            out[0, c] = np.sum(nr * slot_apply(nr, gi[c], 3),
+                               axis=(-3, -2, -1))
+            nr = rt[c] * nr - np.einsum('...a,...ij->...aij', dR[c], ric_t[c])
+            out[1, c] = np.sum(nr * slot_apply(nr, gi[c], 3),
+                               axis=(-3, -2, -1))
+        return tuple(out.reshape((2,) + self.m.vol.shape))
 
     @cached_property
     def grad_R(self):
@@ -190,6 +199,19 @@ class StateTensors:
             self._f[gamma] = self.E_norm2 / self.Rt ** gamma
         return self._f[gamma]
 
+    def transport(self, gamma):
+        """Delta f + (2 (gamma - 1) / Rt) <grad f, grad R>, f = f_field(gamma):
+        grad f is taken once (a scalar's covariant derivative is its
+        gradient) and Delta f differentiates it once more, as
+        scalar_laplacian does."""
+        f, m = self.f_field(gamma), self.m
+        df = covariant_derivative(f, m, 0)
+        lap = np.einsum('...ab,...ab->...', m.ginv,
+                        covariant_derivative(df, m, 1), optimize=True)
+        inner = np.einsum('...ab,...a,...b->...', m.ginv, df, self.grad_R,
+                          optimize=True)
+        return lap + (2.0 * (gamma - 1.0) / self.Rt) * inner
+
     @cached_property
     def E3(self):
         """E_ij E^j_l E^li."""
@@ -274,7 +296,7 @@ def rhs_ricci_norm_evolution(ts):
     lap_ric2 = scalar_laplacian(ts.Ric_norm2, m)
     lap_That, A = ts.That_traces
     return (lap_ric2
-            - 2.0 * ts.nabla_Ric_norm2
+            - 2.0 * ts.nabla_Ric_norms[0]
             + 4.0 * np.einsum('...ij,...ij->...', ts.Rm_Ric_up, ts.Ric_up)
             + (4.0 / 3.0) * ts.state.T_norm2 * ts.Ric_norm2
             + 8.0 * np.einsum('...ij,...ij->...', ts.Rm_That_up, ts.Ric_up)
@@ -322,20 +344,7 @@ def compute_aux_terms(ts):
          - (8.0 / 21.0) * c * c
          + 4.0 * ts.Rm_TT
          - 4.0 * ts.gradT_combo)
-    # |Rt nabla Ric_t - (grad Rt) Ric_t|^2, slots (a, i, j), per al.chunks
-    # block of nabla Ric (geometry.covariant_block); nabla Ric_t equals
-    # nabla Ric exactly because nabla g vanishes to rounding
-    n = Rt.size
-    rt, dR = Rt.reshape(n, 1, 1, 1), ts.grad_R.reshape(n, 7)
-    ric_t = ts.Ric_t.reshape(n, 7, 7)
-    gi, grad_combo = ts.m.ginv.reshape(n, 7, 7), np.empty(n)
-    for blk in al.chunks(n, 5 * 7 ** 3):
-        nric = covariant_block(ts.b.Ric, ts.m, 2, blk)
-        combo = rt[blk] * nric - np.einsum('...a,...ij->...aij',
-                                           dR[blk], ric_t[blk])
-        grad_combo[blk] = np.sum(combo * slot_apply(combo, gi[blk], 3),
-                                 axis=(-3, -2, -1))
-    return AuxTerms(I=I, J=J, H=H, grad_combo=grad_combo.reshape(Rt.shape))
+    return AuxTerms(I=I, J=J, H=H, grad_combo=ts.nabla_Ric_norms[1])
 
 
 def rhs_shifted_ricci_norm_evolution(ts):
@@ -344,7 +353,7 @@ def rhs_shifted_ricci_norm_evolution(ts):
     lap = scalar_laplacian(ts.Ric_t_norm2, ts.m)
     rm_ric = np.sum(al.pair_apply(ts.b.Rm, ts.Ric_t_up) * ts.Ric_t_up,
                     axis=(-2, -1))
-    return (lap - 2.0 * ts.nabla_Ric_norm2 + 4.0 * rm_ric
+    return (lap - 2.0 * ts.nabla_Ric_norms[0] + 4.0 * rm_ric
             + ts.aux.I + ts.aux.J)
 
 
@@ -355,26 +364,18 @@ def rhs_shifted_scalar_evolution(ts):
 
 def rhs_pinching_evolution(ts, gamma):
     """Full evolution equation of f = |E|^2 / (R + c)^gamma."""
-    aux = ts.aux
-    m = ts.m
-    c = ts.c
-    Rt = ts.Rt
-    f = ts.f_field(gamma)
-    E2 = ts.E_norm2
-    grad_f = partial_stack(f, m.spec)
+    aux, c, Rt = ts.aux, ts.c, ts.Rt
+    f, E2 = ts.f_field(gamma), ts.E_norm2
     grad_Rt = ts.grad_R                      # nabla(R + c) = nabla R
-    inner_f_Rt = np.einsum('...ab,...a,...b->...', m.ginv, grad_f, grad_Rt,
-                           optimize=True)
-    grad_Rt_n2 = np.einsum('...ab,...a,...b->...', m.ginv, grad_Rt, grad_Rt,
-                           optimize=True)
+    grad_Rt_n2 = np.einsum('...ab,...a,...b->...', ts.m.ginv, grad_Rt,
+                           grad_Rt, optimize=True)
     bracket = (-gamma * E2 ** 2
                + 2.0 * Rt * ts.WEE
                - 0.8 * Rt * ts.E3
                + (5.0 / 21.0 - gamma / 7.0) * Rt ** 2 * E2
                + (c / 21.0) * Rt * E2
                - (2.0 * c / 49.0) * Rt ** 3)
-    return (scalar_laplacian(f, m)
-            + (2.0 * (gamma - 1.0) / Rt) * inner_f_Rt
+    return (ts.transport(gamma)
             - (2.0 / Rt ** (gamma + 2.0)) * aux.grad_combo
             - ((2.0 - gamma) * (gamma - 1.0) / Rt ** 2) * grad_Rt_n2 * f
             + (2.0 / Rt ** (gamma + 1.0)) * bracket
@@ -400,7 +401,8 @@ def bochner_residual(ts):
     # dropped once it returns
     lap_ric = hessian_traces(covariant_derivative(ts.b.Ric, m, 2), m)
     mid = 2.0 * np.einsum('...ij,...ij->...', ts.Ric_up, lap_ric)
-    return float(np.max(np.abs(lap_ric2 - mid - 2.0 * ts.nabla_Ric_norm2)))
+    return float(np.max(np.abs(lap_ric2 - mid
+                                - 2.0 * ts.nabla_Ric_norms[0])))
 
 
 def ricci_trace_vs_scalar_residual(ts):
@@ -565,12 +567,8 @@ def pinching_record(ts, end=False):
         return None
     if end:
         return rec
-    f, m, rt = rec['f'], ts.m, ts.Rt
-    grad_f = partial_stack(f, m.spec)
-    inner = np.einsum('...ab,...a,...b->...', m.ginv, grad_f, ts.grad_R,
-                      optimize=True)
-    rec['base'] = scalar_laplacian(f, m) + (2.0 / rt) * inner \
-        - 2.0 * rt * f ** 2
+    f, rt = rec['f'], ts.Rt
+    rec['base'] = ts.transport(2.0) - 2.0 * rt * f ** 2
     w2 = ts.W_c1_field ** 2
     rec['den'] = 4.0 * rt * f * (np.sqrt(f) + 1.0 + w2 / rt ** 2)
     return rec
@@ -666,12 +664,11 @@ def structure_residuals(state):
         slot_apply(Tp[c], gi[c], 2, (1,)) @ (psis[c][:, idx] * sgn))}))
     del nphi
 
-    nT = covariant_derivative(T, m, 2).reshape(n, 7, 7, 7)
     Rm, Ric = b.Rm.reshape(n, al.NCOMP[2], -1), b.Ric.reshape(n, 7, 7)
     eP = al.form_to_dense(2, np.eye(al.NCOMP[2]))
 
     def torsion_gaps(c):
-        t, d = Tp[c], nT[c]
+        t, d = Tp[c], covariant_block(T, m, 2, c)
         phi_up = slot_apply(al.form_to_dense(3, phis[c]), gi[c], 3, (1, 2))
         # Y_ijk = (R_ijmn / 4 + T_im T_jn / 2) phi_k^{mn}, R_ijmn = e^P_ij
         # R_Pmn from the rows R_(i<j)mn
@@ -697,7 +694,6 @@ def structure_residuals(state):
                 Ric[c])}
 
     res.update(block_gaps(torsion_gaps))
-    del nT
     res['scalar_equals_minus_torsion_norm'] = gap(
         b.R, -tensor_norm2(T, m, 2))
 
@@ -733,9 +729,6 @@ def run_verification(cfg, run_dir, log=print):
     eps = cfg.initial_epsilon if cfg.initial_family != 'flat' else 0.0
     state_hi = FlowState(0.0, cfg.initial_phi())
     c = pinching_shift(cfg, state_hi)
-    # build the t = 0 torsion terms beside its curvature: built later, the
-    # same arrays land higher in the heap and raise peak RSS by about 5%
-    state_hi.S
     h = state_hi.spec.min_active_spacing()
     scale4 = max(eps, 1e-3) * h ** 4
 

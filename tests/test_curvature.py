@@ -309,10 +309,9 @@ class TestDistortionBound:
     def test_distortion_bound(self):
         rows = [{'distortion': 1.0, 'speed_integral': 0.0},
                 {'distortion': 1.05, 'speed_integral': 0.1}]
-        out = cv.distortion_bound_check(rows)
-        assert out['ok']
+        assert cv.distortion_bound_check(rows) is True
         rows[1]['distortion'] = 1.2
-        assert not cv.distortion_bound_check(rows)['ok']
+        assert cv.distortion_bound_check(rows) is False
 
 
 class TestMetricDistortion:

@@ -79,21 +79,26 @@ class TestAuxTerms:
 
     @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
     def test_blocks_do_not_move_bits(self, state16, three, monkeypatch):
-        # the gradient combination per block against its whole-grid
-        # expression, and every term in small blocks against the default
+        # both outputs of the shared nabla Ric block loop, |nabla Ric|^2 and
+        # the gradient combination, against their whole-grid expressions,
+        # and every term in small blocks against the default
         st = perturbed_state3() if three else state16
         ts = vf.StateTensors(st, c=1.0)
         whole = vf.compute_aux_terms(ts)
         nric = ge.covariant_derivative(ts.b.Ric, ts.m, 2)
         combo = ts.Rt[..., None, None, None] * nric \
             - np.einsum('...a,...ij->...aij', ts.grad_R, ts.Ric_t)
+        norm2 = ts.nabla_Ric_norms[0]
+        assert np.array_equal(norm2, ge.tensor_norm2(nric, ts.m, 3))
         assert np.array_equal(whole.grad_combo,
                               ge.tensor_norm2(combo, ts.m, 3))
         monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
-        got = vf.compute_aux_terms(vf.StateTensors(st, c=1.0))
+        fresh = vf.StateTensors(st, c=1.0)
+        got = vf.compute_aux_terms(fresh)
         for name in ('I', 'J', 'H', 'grad_combo'):
             assert np.array_equal(getattr(got, name), getattr(whole, name)), \
                 name
+        assert np.array_equal(fresh.nabla_Ric_norms[0], norm2)
 
     def test_peak_memory(self, state32):
         # the gradient combination per block, each on its block of nabla
@@ -320,8 +325,8 @@ class TestWholeGridExpressions:
             fresh = vf.StateTensors(st, c=1.0)
             ric, scalar = vf.rhs_general_flow(fresh)
             got = {'gradT_combo': fresh.gradT_combo, 'WEE': fresh.WEE,
-                   'nabla_Ric_norm2': fresh.nabla_Ric_norm2,
-                   'grad_combo': fresh.aux.grad_combo,
+                   'nabla_Ric_norm2': fresh.nabla_Ric_norms[0],
+                   'grad_combo': fresh.nabla_Ric_norms[1],
                    'general_flow_ricci': ric, 'general_flow_scalar': scalar}
             for name, w in want.items():
                 assert np.array_equal(got[name], w), (name, budget)
@@ -351,7 +356,7 @@ class TestWholeGridExpressions:
         vf.evaluate_residuals(state32, {}, 1.0, (1.5, 2.0, 3.0))
         (ts,) = made
         cached = {k: v for k, v in vars(ts).items() if k not in ('state', 'm')}
-        assert {'aux', 'That_traces', 'nabla_Ric_norm2'} <= set(cached)
+        assert {'aux', 'That_traces', 'nabla_Ric_norms'} <= set(cached)
         for name, v in cached.items():
             for a in arrays(v):
                 assert not (a.ndim == 10 and a.shape[-3:] == (7, 7, 7)), name
@@ -634,6 +639,24 @@ class TestPinchingRecords:
         c = -float(np.min(states[0].bundle.R))
         assert pinching_constant(states, c) is None
         assert reference_constant(states, c) is None
+
+
+class TestTransport:
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_matches_laplacian_and_partials(self, state16, three):
+        # the transport term takes grad f once, through grid.partial_block,
+        # and still gives the bytes of scalar_laplacian plus the inner
+        # product with partial_stack's grid.partial_derivative
+        ts = vf.StateTensors(perturbed_state3() if three else state16, c=1.0)
+        m = ts.m
+        for gamma in (1.5, 2.0, 3.0):
+            f = ts.f_field(gamma)
+            inner = np.einsum('...ab,...a,...b->...', m.ginv,
+                              ge.partial_stack(f, m.spec), ts.grad_R,
+                              optimize=True)
+            want = ge.scalar_laplacian(f, m) \
+                + (2.0 * (gamma - 1.0) / ts.Rt) * inner
+            assert np.array_equal(ts.transport(gamma), want), gamma
 
 
 class TestVerificationRun:
