@@ -194,47 +194,61 @@ def form_to_dense(k, a):
     return out.reshape(a.shape[:-1] + (DIM,) * k)
 
 
-def pair_entries(a):
-    """The entries (a_il, a_jk, a_ik, a_jl), each (.., 21, 21), of 7x7
-    matrices a on the pairs of PAIR: one np.take on the flat 49 slots, so
-    point-major in memory, where a[..., i, l] puts the pair axes first."""
+def pair_entries(a, packed=False):
+    """The entries (a_il, a_jk, a_ik, a_jl), each (.., 21, 21), or (..,
+    231) on TRI_PACK if ``packed``, of 7x7 matrices a on the pairs of PAIR:
+    one np.take on the flat 49 slots, so point-major in memory."""
     i, j, k, l = PAIR
     slots = np.stack([DIM * i + l, DIM * j + k, DIM * i + k, DIM * j + l])
+    if packed:
+        slots = slots.reshape(4, -1)[:, TRI_PACK]
     flat = a.reshape(a.shape[:-2] + (DIM * DIM,))
-    return np.moveaxis(np.take(flat, slots, axis=-1), -3, 0)
+    return np.moveaxis(np.take(flat, slots, axis=-1), -slots.ndim, 0)
+
+
+def tri_unpack(t):
+    """The symmetric pair-form matrices (.., 21, 21) of packed t (.., 231),
+    by np.take, so each point's matrix is contiguous."""
+    return np.take(t, TRI_UNPACK, axis=-1).reshape(t.shape[:-1] + (21, 21))
 
 
 @lru_cache(maxsize=None)
-def pair_operator_table():
+def pair_operator_table(size=NCOMP[2] ** 2):
     """pair_operator's gather, read off dense_table(2): for each entry
     ((p, l), (i, j)) the flat pair entry [(p, i), (j, l)] and its sign, or
-    the appended entry 441 with sign +1 where p = i or j = l."""
+    the appended entry ``size`` with sign +1 where p = i or j = l; composed
+    with TRI_UNPACK for the 231 packed entries."""
     P = NCOMP[2]
     pos, sign = (t.reshape(DIM, DIM) for t in dense_table(2)[:2])
     row, col = pos[:, None, :, None], pos.T[None, :, None, :]   # (p, l, i, j)
     rep = (row == P) | (col == P)
     sgn = np.where(rep, 1.0, sign[:, None, :, None] * sign.T[None, :, None, :])
-    return np.where(rep, P * P, P * row + col).ravel(), sgn.ravel()
+    src = np.where(rep, P * P, P * row + col).ravel()
+    if size == TRI_PACK.size:
+        src = np.append(TRI_UNPACK, size)[src]
+    return src, sgn.ravel()
 
 
 def pair_operator(P):
     """The 49x49 operators M[(p, l), (i, j)] = P_pijl of pair-form tensors
-    P (.., 21, 21): one gather by pair_operator_table and a sign multiply.
-    A repeated-index entry reads an appended +0.0, so it is +0.0."""
-    src, sgn = pair_operator_table()
-    flat = P.reshape(P.shape[:-2] + (-1,))
-    M = np.take(np.concatenate((flat, np.zeros(flat.shape[:-1] + (1,))), -1),
+    P, (.., 21, 21) or packed (.., 231), chosen by the trailing size: one
+    gather by pair_operator_table and a sign multiply.  A repeated-index
+    entry reads an appended +0.0, so it is +0.0."""
+    lead = P.shape[:-1] if P.shape[-1] == TRI_PACK.size else P.shape[:-2]
+    flat = P.reshape(lead + (-1,))
+    src, sgn = pair_operator_table(flat.shape[-1])
+    M = np.take(np.concatenate((flat, np.zeros(lead + (1,))), -1),
                 src, axis=-1)
     M *= sgn
-    return M.reshape(P.shape[:-2] + (DIM * DIM,) * 2)
+    return M.reshape(lead + (DIM * DIM,) * 2)
 
 
 def pair_apply(P, X):
-    """P_pijl X^pl for pair-form tensors P and 2-tensors X at the same
-    points: X flattened times pair_operator(P), built one block of points
-    at a time, so no 7^4 array spans the grid."""
-    n = P[..., 0, 0].size
-    Pc, Xc = P.reshape(n, NCOMP[2], NCOMP[2]), X.reshape(n, 1, DIM * DIM)
+    """P_pijl X^pl for pair-form tensors P, dense or packed, and 2-tensors
+    X at the same points: X flattened times pair_operator(P), built one
+    block of points at a time, so no 7^4 array spans the grid."""
+    n = X[..., 0, 0].size
+    Pc, Xc = P.reshape((n,) + P.shape[X.ndim - 2:]), X.reshape(n, 1, DIM ** 2)
     out = np.empty(Xc.shape)
     for c in chunks(n, DIM ** 4):
         np.matmul(Xc[c], pair_operator(Pc[c]), out=out[c])

@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (DIM, NCOMP, TRI_PACK, TRI_UNPACK, basis_interior_table,
-                      chunks, pair_entries)
+from .algebra import (DIM, NCOMP, TRI_PACK, basis_interior_table, chunks,
+                      pair_entries, tri_unpack)
 from .errors import NonPositiveShiftedScalar
 # perfbench/selftest.py checks that its tracer wraps this tensor_norm2 binding
 from .geometry import pair_ginv, tensor_norm2  # noqa: F401
@@ -28,11 +28,12 @@ def kulkarni_nomizu(alpha, beta):
 
 
 def weyl_block(Rm, R, E, g):
-    """weyl at a block of points, from its rows Rm (.., 21, 21), R (.., 1,
-    1), E and g (.., 7, 7): g's pair entries serve both products, and g o g
-    = x + x - y - y (x = g_il g_jk, y = g_ik g_jl)."""
-    gil, gjk, gik, gjl = pair_entries(g)
-    Eil, Ejk, Eik, Ejl = pair_entries(E)
+    """weyl at a block of points, on the entries of Rm (.., 21, 21), R (..,
+    1, 1), or packed Rm (.., 231), R (.., 1); E and g are (.., 7, 7): g's
+    pair entries serve both products, and g o g = x + x - y - y."""
+    packed = Rm.shape[-1] == TRI_PACK.size
+    gil, gjk, gik, gjl = pair_entries(g, packed)
+    Eil, Ejk, Eik, Ejl = pair_entries(E, packed)
     x, y = gil * gjk, gik * gjl
     return (Rm - (R / 84.0) * (x + x - y - y)
             - 0.2 * (Eil * gjk + Ejk * gil - Eik * gjl - Ejl * gik))
@@ -40,16 +41,15 @@ def weyl_block(Rm, R, E, g):
 
 def weyl(bundle, m):
     """Trace-free Weyl tensor Rm - (R/84) g o g - (1/5) E o g in pair form,
-    stored on its 231 entries P <= Q (algebra.TRI_PACK), over blocks of
-    points (algebra.chunks), each by weyl_block."""
+    computed on the 231 packed entries P <= Q (algebra.TRI_PACK) of Rm,
+    over blocks of points (algebra.chunks), each by weyl_block."""
     n = bundle.R.size
-    Rm, R = bundle.Rm.reshape(n, NCOMP[2], NCOMP[2]), bundle.R.reshape(n, 1, 1)
+    Rm, R = bundle.Rm.reshape(n, TRI_PACK.size), bundle.R.reshape(n, 1)
     E, g = bundle.E.reshape(n, DIM, DIM), m.g.reshape(n, DIM, DIM)
-    W = np.empty((n, TRI_PACK.size))
-    for c in chunks(n, 4 * NCOMP[2] ** 2):
-        W[c] = weyl_block(Rm[c], R[c], E[c], g[c]).reshape(
-            -1, NCOMP[2] ** 2)[:, TRI_PACK]
-    return W.reshape(bundle.R.shape + W.shape[1:])
+    W = np.empty(Rm.shape)
+    for c in chunks(n, 4 * TRI_PACK.size):
+        W[c] = weyl_block(Rm[c], R[c], E[c], g[c])
+    return W.reshape(bundle.Rm.shape)
 
 
 def weyl_variant_residual(bundle, m):
@@ -57,9 +57,9 @@ def weyl_variant_residual(bundle, m):
     variant Rm - (1/5)(g_il R_jk + g_jk R_il - g_ik R_jl - g_jl R_ik)
     + (1/30)(g_il g_jk - g_ik g_jl) on the packed entries; nonzero whenever
     the scalar curvature differs from 1."""
-    pair = kulkarni_nomizu(m.g, m.g) / 2.0
-    printed = bundle.Rm - 0.2 * kulkarni_nomizu(bundle.Ric, m.g) + pair / 30.0
-    printed = printed.reshape(printed.shape[:-2] + (-1,))[..., TRI_PACK]
+    pair, ric = (kulkarni_nomizu(a, m.g).reshape(
+        bundle.R.shape + (-1,))[..., TRI_PACK] for a in (m.g, bundle.Ric))
+    printed = bundle.Rm - 0.2 * ric + (pair / 2.0) / 30.0
     return float(np.max(np.abs(weyl(bundle, m) - printed)))
 
 
@@ -86,7 +86,7 @@ def c1_norm(W, m):
     gam = m.gamma_flat.reshape(-1, DIM, DIM * DIM)
     gi, out = m.ginv.reshape(-1, DIM, DIM), np.empty(len(Wf))
     for c in chunks(len(Wf), DIM * NCOMP[2] ** 2):
-        lam, Wc = pair_ginv(gi[c]), Wf[c][:, TRI_UNPACK].reshape(-1, P, P)
+        lam, Wc = pair_ginv(gi[c]), tri_unpack(Wf[c])
         WL = Wc @ lam
         w2 = 4.0 * np.sum(WL * np.swapaxes(WL, -1, -2), axis=(-2, -1))
         del WL
@@ -94,8 +94,7 @@ def c1_norm(W, m):
               @ Wc[:, None, :, :])
         nW = np.zeros(DW.shape)              # d_a W, zero on inactive axes
         for a in m.spec.active_axes:
-            nW[:, a] = partial_block(W, m.spec, a, c)[:, TRI_UNPACK].reshape(
-                -1, P, P)
+            nW[:, a] = tri_unpack(partial_block(W, m.spec, a, c))
         nW -= DW
         nW -= np.swapaxes(DW, -1, -2)
         del DW

@@ -78,9 +78,10 @@ class MetricField:
 
 def pair_ginv(gi):
     """Lambda^2(g^-1) = g^ik g^jl - g^il g^jk in pair form at a block of
-    points gi (.., 7, 7), which raises one pair of a pair-form tensor."""
-    il, jk, ik, jl = al.pair_entries(gi)
-    return ik * jl - il * jk
+    points gi (.., 7, 7), which raises one pair of a pair-form tensor: its
+    231 packed entries unpacked, exact as g^-1 is exactly symmetric."""
+    il, jk, ik, jl = al.pair_entries(gi, packed=True)
+    return al.tri_unpack(ik * jl - il * jk)
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +139,29 @@ def form_covariant_derivative(a, m):
     """Levi-Civita covariant derivative of a k-form field (k >= 1) on its
     increasing components, shape (.., 7, binomial(7, k)) with the
     derivative slot first: nabla_a w = d_a w - Gamma^p_ai e^i ^ (e_p -| w),
-    the derivation Gamma_a induces on k-forms.  The interior gather, one
-    product with gamma_flat and the e^i ^ scatter run per al.chunks block."""
+    the derivation Gamma_a induces on k-forms, built per al.chunks block
+    of points by form_covariant_block."""
+    n, k = m.vol.size, a.degree
+    out = np.empty(a.values.shape[:DIM] + (DIM, al.NCOMP[k]))
+    for c in al.chunks(n, DIM ** 2 * al.NCOMP[k - 1]):
+        out.reshape(n, DIM, -1)[c] = form_covariant_block(a, m, c)
+    return out
+
+
+def form_covariant_block(a, m, c):
+    """form_covariant_derivative(a, m) at the flat points of slice c, shape
+    (points, 7, binomial(7, k)): each d_b w taken at the block's own points
+    (grid.partial_block), zero along inactive axes, minus the interior
+    gather times gamma_flat, scattered by e^i ^."""
     idx, sgn = al.basis_interior_table(a.degree)
     scatter = np.zeros((idx.size, al.NCOMP[a.degree]))
     scatter[np.arange(idx.size), idx.ravel()] = sgn.ravel()
-    n, out = m.vol.size, partial_stack(a.values, m.spec)
-    w, gam = a.values.reshape(n, -1), m.gamma_flat.reshape(n, -1, DIM)
-    for c in al.chunks(n, DIM * idx.size):
-        gam_iw = (gam[c] @ (w[c][:, idx] * sgn)).reshape(-1, DIM, idx.size)
-        out.reshape(n, DIM, -1)[c] -= gam_iw @ scatter
+    w = a.values.reshape(-1, al.NCOMP[a.degree])[c]
+    out = np.zeros((len(w), DIM, w.shape[1]))
+    for b in m.spec.active_axes:
+        out[:, b] = partial_block(a.values, m.spec, b, c)
+    gam = m.gamma_flat.reshape(-1, DIM * DIM, DIM)[c]
+    out -= (gam @ (w[:, idx] * sgn)).reshape(-1, DIM, idx.size) @ scatter
     return out
 
 
@@ -210,14 +224,15 @@ def tensor_norm2(T, m, rank):
 
 
 def pair_norm2(P, m):
-    """Pointwise squared norm of a pair-form tensor, every slot raised:
-    |P|^2 = 4 tr(P Lam P Lam), Lam = pair_ginv per al.chunks block."""
-    Pf = P.reshape((-1,) + P.shape[-2:])
+    """Pointwise squared norm of a packed pair-form tensor (.., 231), every
+    slot raised: |P|^2 = 4 tr(P Lam P Lam), P unpacked and Lam = pair_ginv
+    built per al.chunks block."""
+    Pf = P.reshape(-1, al.TRI_PACK.size)
     gi, out = m.ginv.reshape(-1, DIM, DIM), np.empty(len(Pf))
     for c in al.chunks(len(Pf), 6 * al.NCOMP[2] ** 2):
-        PL = Pf[c] @ pair_ginv(gi[c])
+        PL = al.tri_unpack(Pf[c]) @ pair_ginv(gi[c])
         out[c] = 4.0 * np.sum(PL * np.swapaxes(PL, -1, -2), axis=(-2, -1))
-    return out.reshape(P.shape[:-2])
+    return out.reshape(P.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +244,10 @@ class CurvatureBundle:
     """Curvature data of a metric field.
 
     Rm is the raw finite-difference curvature made antisymmetric in its
-    second pair and symmetric under pair exchange, stored in pair form
-    (algebra.PAIR), a symmetric 21x21 matrix per point; the size of that
-    projection (an order h^4 quantity) is kept in ``symmetry_defect`` as a
+    second pair and symmetric under pair exchange, in pair form
+    (algebra.PAIR): an exactly symmetric 21x21 matrix per point, stored on
+    its 231 entries P <= Q (algebra.TRI_PACK); the size of that projection
+    (an order h^4 quantity) is kept in ``symmetry_defect`` as a
     discretization diagnostic.
     """
     Rm: np.ndarray
@@ -276,7 +292,7 @@ def riemann(m):
     H = m.gamma_flat.reshape(shape + (DIM,) * 3)
     Hf = H.reshape(n, DIM, DIM, DIM)
     g, gi = m.g.reshape(n, DIM, DIM), m.ginv.reshape(n, DIM, DIM)
-    Rm, dev = np.empty((n, i.size, i.size)), np.empty(n)
+    Rm, dev = np.empty((n, al.TRI_PACK.size)), np.empty(n)
     Ric = np.empty(g.shape)
     for c in al.chunks(n, i.size * DIM * DIM):
         r = np.zeros((len(Hf[c]), i.size, DIM, DIM))    # (.., P, k, l)
@@ -290,12 +306,13 @@ def riemann(m):
         r -= Hi @ Hj
         raw = slot_apply(r, g[c], 3, (2,))
         del r, Hj, Hi
-        Rm[c] = _curvature_project(raw)
-        rows = al.form_to_dense(2, Rm[c])
+        proj = _curvature_project(raw)
+        Rm[c] = proj.reshape(-1, i.size ** 2)[:, al.TRI_PACK]
+        rows = al.form_to_dense(2, proj)
         raw -= rows
         dev[c] = np.max(np.abs(raw, out=raw), axis=(-3, -2, -1))
         up = slot_apply(rows, gi[c], 3, (2,))
-        del raw, rows
+        del raw, rows, proj
         # (j, P, .., k) in the order of each j's pairs, summed in that order
         Ric[c] = np.moveaxis(np.sum(
             up[:, _RIC_P, :, _RIC_I] * _RIC_S[..., None, None], axis=1), 0, 1)
@@ -378,14 +395,18 @@ def torsion_from_phi(phi, m):
     a 3-form field, summed over increasing J: the raw contraction T_i^m =
     (1/24) nabla_i phi_jkl psi^{mjkl} with its second slot lowered.  The
     raised psi is read off its dual phi, so (e_l -| psi)^J = g_lm psi^{mJ}
-    is one gather and one product with g.  For a closed structure T is
+    is one gather and one product with g, per al.chunks block beside the
+    block's nabla phi (form_covariant_block).  For a closed structure T is
     skew to discretization error; flow.FlowState.T takes its exact skew
     part for the evolution formulas."""
-    psi_up = raised_from_dual(phi, m)
-    idx, sgn = al.basis_interior_table(4)
-    ipsi_up = m.g @ (psi_up[..., idx] * sgn)        # (.., l, J)
-    nphi = form_covariant_derivative(phi, m)
-    return 0.25 * (nphi @ np.swapaxes(ipsi_up, -1, -2))
+    n, (idx, sgn) = m.vol.size, al.basis_interior_table(4)
+    psi_up = raised_from_dual(phi, m).reshape(n, -1)
+    g, out = m.g.reshape(n, DIM, DIM), np.empty((n, DIM, DIM))
+    for c in al.chunks(n, DIM ** 2 * al.NCOMP[2]):
+        ipsi_up = g[c] @ (psi_up[c][:, idx] * sgn)   # (.., l, J)
+        out[c] = 0.25 * (form_covariant_block(phi, m, c)
+                         @ np.swapaxes(ipsi_up, -1, -2))
+    return out.reshape(m.g.shape)
 
 
 def tau2(phi, psi, m):

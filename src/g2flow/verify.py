@@ -226,12 +226,12 @@ class StateTensors:
         no whole-grid W is held (the monitor's packed W is, for c1_norm's
         stencil)."""
         b, n = self.b, self.m.vol.size
-        Rm, R = b.Rm.reshape(n, 21, 21), b.R.reshape(n, 1, 1)
+        Rm, R = b.Rm.reshape(n, -1), b.R.reshape(n, 1, 1)
         E, g = b.E.reshape(n, 7, 7), self.m.g.reshape(n, 7, 7)
         E_up = slot_apply(b.E, self.m.ginv, 2).reshape(n, 7, 7)
         out = np.empty(n)
         for c in al.chunks(n, 7 ** 4):
-            W = weyl_block(Rm[c], R[c], E[c], g[c])
+            W = weyl_block(al.tri_unpack(Rm[c]), R[c], E[c], g[c])
             out[c] = np.sum(al.pair_apply(W, E_up[c]) * E_up[c],
                             axis=(-2, -1))
         return out.reshape(b.R.shape)
@@ -619,13 +619,14 @@ def pinching_shift(cfg, state):
 
 def ricci_identity_residual(alpha, m, Rm):
     """Max-norm residual over i<j of (nabla_i nabla_j - nabla_j nabla_i)
-    alpha_k + R_ijkl alpha^l on a 1-form, Rm's rows expanded per al.chunks."""
+    alpha_k + R_ijkl alpha^l on a 1-form, Rm's rows unpacked per al.chunks."""
     i, j, n = al.PAIR[0][:, 0], al.PAIR[1][:, 0], m.vol.size
     dd = second_covariant(alpha, m, 1).reshape(n, 7, 7, 7)
     alpha_up = np.einsum('...lm,...m->...l', m.ginv, alpha).reshape(n, 7)
-    Rm, term = Rm.reshape(n, i.size, i.size), np.empty((n, i.size, 7))
+    Rm, term = Rm.reshape(n, -1), np.empty((n, i.size, 7))
     for c in al.chunks(n, i.size * 49):
-        term[c] = np.einsum('...Pkl,...l->...Pk', al.form_to_dense(2, Rm[c]),
+        term[c] = np.einsum('...Pkl,...l->...Pk',
+                            al.form_to_dense(2, al.tri_unpack(Rm[c])),
                             alpha_up[c], optimize=True)
     return float(np.max(np.abs(dd[:, i, j, :] - dd[:, j, i, :] + term)))
 
@@ -644,40 +645,28 @@ def structure_residuals(state):
     def gap(lhs, rhs):
         return float(np.max(np.abs(lhs - rhs)))
 
-    def block_gaps(gaps):
-        """Each gap's max over the al.chunks blocks c of gaps(c), a dict of
-        pointwise gaps; the widest temporary is a block of dense Rm rows."""
-        per = [gaps(c) for c in al.chunks(n, al.NCOMP[2] ** 2 * 7)]
-        return {name: float(np.max([p[name] for p in per])) for name in per[0]}
-
-    # nabla_m psi = -T_m ^ phi (T_m the 1-form T_mi dx^i)
-    npsi = ge.form_covariant_derivative(psi, m).reshape(n, 7, -1)
-    res = block_gaps(lambda c: {'nabla_psi_formula': gap(
-        npsi[c], -al.wedge_comps(1, 3, Tp[c], phis[c, None, :]))})
-    del npsi
-
-    # nabla_i phi = T_i^m (e_m -| psi)
-    idx, sgn = al.basis_interior_table(4)
-    nphi = ge.form_covariant_derivative(phi, m).reshape(n, 7, -1)
-    res.update(block_gaps(lambda c: {'torsion_defines_nabla_phi': gap(
-        nphi[c],
-        slot_apply(Tp[c], gi[c], 2, (1,)) @ (psis[c][:, idx] * sgn))}))
-    del nphi
-
-    Rm, Ric = b.Rm.reshape(n, al.NCOMP[2], -1), b.Ric.reshape(n, 7, 7)
+    Rm, Ric = b.Rm.reshape(n, -1), b.Ric.reshape(n, 7, 7)
     eP = al.form_to_dense(2, np.eye(al.NCOMP[2]))
+    idx, sgn = al.basis_interior_table(4)
 
-    def torsion_gaps(c):
+    def gaps(c):
         t, d = Tp[c], covariant_block(T, m, 2, c)
         phi_up = slot_apply(al.form_to_dense(3, phis[c]), gi[c], 3, (1, 2))
         # Y_ijk = (R_ijmn / 4 + T_im T_jn / 2) phi_k^{mn}, R_ijmn = e^P_ij
         # R_Pmn from the rows R_(i<j)mn
         Y = 0.25 * np.einsum('Pij,...Pmn,...kmn->...ijk', eP,
-                             al.form_to_dense(2, Rm[c]), phi_up,
-                             optimize=True)
+                             al.form_to_dense(2, al.tri_unpack(Rm[c])),
+                             phi_up, optimize=True)
         Y += 0.5 * np.einsum('...im,...jn,...kmn->...ijk', t, t, phi_up,
                              optimize=True)
         return {
+            # nabla_m psi = -T_m ^ phi (T_m the 1-form T_mi dx^i)
+            'nabla_psi_formula': gap(ge.form_covariant_block(psi, m, c),
+                                     -al.wedge_comps(1, 3, t, phis[c, None])),
+            # nabla_i phi = T_i^m (e_m -| psi)
+            'torsion_defines_nabla_phi': gap(
+                ge.form_covariant_block(phi, m, c),
+                slot_apply(t, gi[c], 2, (1,)) @ (psis[c][:, idx] * sgn)),
             # nabla_i T_jk - nabla_j T_ik = -(R_ijmn / 2 + T_im T_jn)
             # phi_k^{mn}
             'bianchi_type_identity': gap(
@@ -693,7 +682,10 @@ def structure_residuals(state):
                             slot_apply(t, gi[c], 2, (1,)), t, optimize=True),
                 Ric[c])}
 
-    res.update(block_gaps(torsion_gaps))
+    # each gap's max over the al.chunks blocks; the widest temporary is a
+    # block of dense Rm rows
+    per = [gaps(c) for c in al.chunks(n, al.NCOMP[2] ** 2 * 7)]
+    res = {name: float(np.max([p[name] for p in per])) for name in per[0]}
     res['scalar_equals_minus_torsion_norm'] = gap(
         b.R, -tensor_norm2(T, m, 2))
 

@@ -4,7 +4,8 @@ import pytest
 from g2flow import algebra as al
 from g2flow.errors import DegreeError, NotPositive
 
-from conftest import SMALL_BLOCK_BYTES, pair_to_dense
+from conftest import (SMALL_BLOCK_BYTES, pair_to_dense, pair_unpack,
+                      perturbed_state3)
 
 RNG = np.random.default_rng(42)
 
@@ -200,6 +201,16 @@ class TestPairOperator:
         D = np.einsum('...pijl->...plij', pair_to_dense(P))
         assert np.array_equal(al.pair_operator(P),
                               D.reshape(P.shape[:-2] + (49, 49)))
+
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_packed_entries_match_unpacked(self, state16, three):
+        # the gather composed with TRI_UNPACK reads a packed Rm in the bytes
+        # of the unpacked matrix, so pair_apply's contractions do too
+        b = (perturbed_state3() if three else state16).bundle
+        assert al.pair_operator(b.Rm).tobytes() == al.pair_operator(
+            pair_unpack(b.Rm)).tobytes()
+        assert al.pair_apply(b.Rm, b.Ric).tobytes() == al.pair_apply(
+            pair_unpack(b.Rm), b.Ric).tobytes()
 
     def test_repeated_entries_are_positive_zero(self):
         # an entry with p = i or j = l reads the appended +0.0, so no

@@ -88,7 +88,7 @@ class TestWeyl:
         R = b.R[..., None, None]
         recon = (R / 84.0) * cv.kulkarni_nomizu(m.g, m.g) \
             + 0.2 * cv.kulkarni_nomizu(b.E, m.g) + W
-        assert np.max(np.abs(b.Rm - recon)) < 1e-14
+        assert np.max(np.abs(pair_unpack(b.Rm) - recon)) < 1e-14
         ric = np.einsum('...il,...ijkl->...jk', m.ginv,
                         pair_to_dense(recon))
         assert np.allclose(ric, b.Ric, atol=1e-12)
@@ -103,11 +103,15 @@ class TestWeyl:
         # lower entry off its mirror and is exactly symmetric
         st = perturbed_state3() if three else state16
         b, m = st.bundle, st.metric
-        want = (b.Rm - (b.R[..., None, None] / 84.0)
+        Rm = pair_unpack(b.Rm)
+        want = (Rm - (b.R[..., None, None] / 84.0)
                 * cv.kulkarni_nomizu(m.g, m.g)
                 - 0.2 * cv.kulkarni_nomizu(b.E, m.g))
         assert want.tobytes() == cv.weyl_block(
-            b.Rm, b.R[..., None, None], b.E, m.g).tobytes()
+            Rm, b.R[..., None, None], b.E, m.g).tobytes()
+        # on the packed Rm, weyl_block computes only the upper triangle
+        assert pair_pack(want).tobytes() == cv.weyl_block(
+            b.Rm, b.R[..., None], b.E, m.g).tobytes()
         upper = np.triu(want) + np.swapaxes(np.triu(want, 1), -1, -2)
         for budget in (1 << 40, al.BLOCK_BYTES, SMALL_BLOCK_BYTES):
             monkeypatch.setattr(al, 'BLOCK_BYTES', budget)

@@ -12,8 +12,8 @@ from g2flow.errors import DegreeError, NotPositive
 from g2flow.initial_data import perturbed_phi_field
 
 from conftest import (EPS, MODES3, SMALL_BLOCK_BYTES, dense_riemann,
-                      flat_state, l2_form_inner, pair_to_dense,
-                      perturbed_state, perturbed_state3, scenario_spec,
+                      flat_state, l2_form_inner, pair_pack, pair_to_dense,
+                      pair_unpack, perturbed_state, perturbed_state3, scenario_spec,
                       smooth_field)
 
 
@@ -90,9 +90,36 @@ class TestPointBlocks:
         i, j, k, l = al.PAIR
         gi = m.ginv
         lam = gi[..., i, k] * gi[..., j, l] - gi[..., i, l] * gi[..., j, k]
-        PL = st.bundle.Rm @ lam
+        PL = pair_unpack(st.bundle.Rm) @ lam
         want = 4.0 * np.sum(PL * np.swapaxes(PL, -1, -2), axis=(-2, -1))
         assert ge.pair_norm2(st.bundle.Rm, m).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_form_and_torsion_blocks_match_whole_grid(self, state16, three,
+                                                      monkeypatch):
+        # nabla phi and nabla psi from form_covariant_block, and the
+        # torsion built beside nabla phi per block, in the bytes of their
+        # whole-grid formulas at every block budget
+        st = perturbed_state3() if three else state16
+        m = st.metric
+        want = {}
+        for w in (st.phi, st.psi):
+            idx, sgn = al.basis_interior_table(w.degree)
+            scatter = np.zeros((idx.size, al.NCOMP[w.degree]))
+            scatter[np.arange(idx.size), idx.ravel()] = sgn.ravel()
+            nw = ge.partial_stack(w.values, m.spec)
+            nw -= (m.gamma_flat @ (w.values[..., idx] * sgn)).reshape(
+                nw.shape[:-1] + (idx.size,)) @ scatter
+            want[w.degree] = nw
+        idx, sgn = al.basis_interior_table(4)
+        ipsi_up = m.g @ (ge.raised_from_dual(st.phi, m)[..., idx] * sgn)
+        T = 0.25 * (want[3] @ np.swapaxes(ipsi_up, -1, -2))
+        for budget in (1 << 40, al.BLOCK_BYTES, SMALL_BLOCK_BYTES):
+            monkeypatch.setattr(al, 'BLOCK_BYTES', budget)
+            for w in (st.phi, st.psi):
+                got = ge.form_covariant_derivative(w, m)
+                assert got.tobytes() == want[w.degree].tobytes(), budget
+            assert ge.torsion_from_phi(st.phi, m).tobytes() == T.tobytes()
 
     @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
     def test_tensor_blocks_do_not_move_bits(self, state16, three,
@@ -256,8 +283,24 @@ class TestRiemann:
             errs[n] = np.max(np.abs(b.R + 2 * (upp + up ** 2)))
         assert np.log2(errs[16] / errs[32]) > 3.5
 
-    def test_stored_symmetries_exact(self, state16):
-        Rm = pair_to_dense(state16.bundle.Rm)
+    def test_stored_symmetries_exact(self, state16, monkeypatch):
+        # each block's projection is exactly symmetric, so the stored upper
+        # triangle loses nothing; unpacked, Rm has the curvature symmetries
+        blocks, project = [], ge._curvature_project
+
+        def spy(raw):
+            blocks.append(project(raw))
+            return blocks[-1]
+        monkeypatch.setattr(ge, '_curvature_project', spy)
+        for m in (perturbed_state3().metric, state16.metric):
+            blocks.clear()
+            packed = ge.riemann(m).Rm
+            proj = np.concatenate(blocks)
+            assert np.array_equal(proj, np.swapaxes(proj, -1, -2))
+            assert packed.shape == m.vol.shape + (231,)
+            assert packed.reshape(-1, 231).tobytes() == \
+                pair_pack(proj).tobytes()
+        Rm = pair_to_dense(pair_unpack(packed))
         assert np.allclose(Rm, -np.einsum('...ijkl->...jikl', Rm), atol=1e-15)
         assert np.allclose(Rm, -np.einsum('...ijkl->...ijlk', Rm), atol=1e-15)
         assert np.allclose(Rm, np.einsum('...ijkl->...klij', Rm), atol=1e-15)
@@ -272,7 +315,7 @@ class TestRiemann:
         m = (perturbed_state3() if three else state16).metric
         got, want = ge.riemann(m), dense_riemann(m)
         scale = np.max(np.abs(want.Rm))
-        for name, g, w in (('Rm', pair_to_dense(got.Rm),
+        for name, g, w in (('Rm', pair_to_dense(pair_unpack(got.Rm)),
                             pair_to_dense(want.Rm)),
                            ('Ric', got.Ric, want.Ric), ('E', got.E, want.E)):
             assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), name
@@ -323,7 +366,8 @@ class TestRiemann:
     def test_trace_relations(self, state16):
         b = state16.bundle
         m = state16.metric
-        ric = np.einsum('...il,...ijkl->...jk', m.ginv, pair_to_dense(b.Rm))
+        ric = np.einsum('...il,...ijkl->...jk', m.ginv,
+                        pair_to_dense(pair_unpack(b.Rm)))
         assert np.allclose(ric, b.Ric, atol=1e-14)
         tr_e = np.einsum('...jk,...jk->...', m.ginv, b.E)
         assert np.max(np.abs(tr_e)) < 1e-10

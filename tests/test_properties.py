@@ -298,7 +298,7 @@ CURVED = pytest.mark.parametrize('three', (False, True),
 def test_pair_to_dense_rm_symmetries(state16, state3, three):
     # both antisymmetries and the pair symmetry hold exactly, the first
     # Bianchi identity to rounding, and the pair entries read back
-    Rm = (state3 if three else state16).bundle.Rm
+    Rm = pair_unpack((state3 if three else state16).bundle.Rm)
     D = pair_to_dense(Rm)
     assert np.array_equal(D, -np.einsum('...ijkl->...jikl', D))
     assert np.array_equal(D, -np.einsum('...ijkl->...ijlk', D))
@@ -313,7 +313,7 @@ def test_suggest_dt_pair_norm_matches_dense(state16, state3, three):
     # expansion raised, and the step suggest_dt takes from it
     curved = state3 if three else state16
     b, m = curved.bundle, curved.metric
-    want = ge.tensor_norm2(pair_to_dense(b.Rm), m, 4)
+    want = ge.tensor_norm2(pair_to_dense(pair_unpack(b.Rm)), m, 4)
     got = ge.pair_norm2(b.Rm, m)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
     policy = fl.StepPolicy()

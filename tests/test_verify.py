@@ -146,6 +146,8 @@ def routed_contractions(ts):
 
 
 def dense_pair_apply(P, X):
+    if P.shape[-1] == al.TRI_PACK.size:
+        P = pair_unpack(P)
     return np.einsum('...pijl,...pl->...ij', pair_to_dense(P), X,
                      optimize=True)
 
@@ -160,7 +162,8 @@ class TestPairContractions:
         ts = vf.StateTensors(st, c=1.0)
         got = routed_contractions(ts)
         up = lambda X: al.slot_apply(X, ts.m.ginv, 2)  # noqa: E731
-        D, T_up, E_up = pair_to_dense(ts.b.Rm), up(ts.state.T), up(ts.b.E)
+        D, T_up = pair_to_dense(pair_unpack(ts.b.Rm)), up(ts.state.T)
+        E_up = up(ts.b.E)
         want = {
             'Rm_Ric_up': np.einsum('...pijl,...pl->...ij', D, ts.Ric_up),
             'Rm_That_up': np.einsum('...pijl,...pl->...ij', D,
@@ -315,7 +318,8 @@ class TestWholeGridExpressions:
         ric, scalar = whole_grid_general_flow(ts)
         want = {'gradT_combo': np.sum(up * down, axis=(-3, -2, -1)),
                 'WEE': np.sum(al.pair_apply(cv.weyl_block(
-                    ts.b.Rm, ts.b.R[..., None, None], ts.b.E, m.g), E_up)
+                    pair_unpack(ts.b.Rm), ts.b.R[..., None, None], ts.b.E,
+                    m.g), E_up)
                     * E_up, axis=(-2, -1)),
                 'nabla_Ric_norm2': ge.tensor_norm2(nric, m, 3),
                 'grad_combo': ge.tensor_norm2(combo, m, 3),
