@@ -207,8 +207,7 @@ def pair_entries(a, packed=False):
 
 
 def tri_unpack(t):
-    """The symmetric pair-form matrices (.., 21, 21) of packed t (.., 231),
-    by np.take, so each point's matrix is contiguous."""
+    """The pair-form matrices (.., 21, 21) of packed t (.., 231): np.take."""
     return np.take(t, TRI_UNPACK, axis=-1).reshape(t.shape[:-1] + (21, 21))
 
 

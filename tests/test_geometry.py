@@ -13,8 +13,8 @@ from g2flow.initial_data import perturbed_phi_field
 
 from conftest import (EPS, MODES3, SMALL_BLOCK_BYTES, dense_riemann,
                       flat_state, l2_form_inner, pair_pack, pair_to_dense,
-                      pair_unpack, perturbed_state, perturbed_state3, scenario_spec,
-                      smooth_field)
+                      pair_unpack, perturbed_state, perturbed_state3,
+                      scenario_spec, smooth_field)
 
 
 def warped_metric_field(n, amp=0.15):
