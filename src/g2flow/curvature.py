@@ -21,19 +21,19 @@ from .grid import partial_block
 
 def kulkarni_nomizu(alpha, beta):
     """(a o b)_ijkl = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik for
-    symmetric 2-tensors (batched over leading axes), in pair form."""
+    symmetric 2-tensors (batched over leading axes), on the 231 packed pair
+    entries."""
     ail, ajk, aik, ajl = pair_entries(alpha)
     bil, bjk, bik, bjl = pair_entries(beta)
     return ail * bjk + ajk * bil - aik * bjl - ajl * bik
 
 
 def weyl_block(Rm, R, E, g):
-    """weyl at a block of points, on the entries of Rm (.., 21, 21), R (..,
-    1, 1), or packed Rm (.., 231), R (.., 1); E and g are (.., 7, 7): g's
-    pair entries serve both products, and g o g = x + x - y - y."""
-    packed = Rm.shape[-1] == TRI_PACK.size
-    gil, gjk, gik, gjl = pair_entries(g, packed)
-    Eil, Ejk, Eik, Ejl = pair_entries(E, packed)
+    """weyl at a block of points, on the packed entries of Rm (.., 231),
+    with R (.., 1) and E, g (.., 7, 7): g's pair entries serve both
+    products, and g o g = x + x - y - y."""
+    gil, gjk, gik, gjl = pair_entries(g)
+    Eil, Ejk, Eik, Ejl = pair_entries(E)
     x, y = gil * gjk, gik * gjl
     return (Rm - (R / 84.0) * (x + x - y - y)
             - 0.2 * (Eil * gjk + Ejk * gil - Eik * gjl - Ejl * gik))
@@ -57,8 +57,7 @@ def weyl_variant_residual(bundle, m):
     variant Rm - (1/5)(g_il R_jk + g_jk R_il - g_ik R_jl - g_jl R_ik)
     + (1/30)(g_il g_jk - g_ik g_jl) on the packed entries; nonzero whenever
     the scalar curvature differs from 1."""
-    pair, ric = (kulkarni_nomizu(a, m.g).reshape(
-        bundle.R.shape + (-1,))[..., TRI_PACK] for a in (m.g, bundle.Ric))
+    pair, ric = (kulkarni_nomizu(a, m.g) for a in (m.g, bundle.Ric))
     printed = bundle.Rm - 0.2 * ric + (pair / 2.0) / 30.0
     return float(np.max(np.abs(weyl(bundle, m) - printed)))
 

@@ -4,7 +4,7 @@ and the full torsion of a (not necessarily closed) positive 3-form field.
 
 Tensor fields are dense numpy arrays with the 7 grid axes leading and the
 tensor slots trailing; forms and their derivatives keep increasing
-components, and the curvature is computed and stored in 21x21 pair form.
+components, and the curvature is stored on its 231 packed pair entries.
 All second derivatives are nested first-order covariant derivatives, so
 contraction bookkeeping downstream relies on one discretization.
 """
@@ -80,7 +80,7 @@ def pair_ginv(gi):
     """Lambda^2(g^-1) = g^ik g^jl - g^il g^jk in pair form at a block of
     points gi (.., 7, 7), which raises one pair of a pair-form tensor: its
     231 packed entries unpacked, exact as g^-1 is exactly symmetric."""
-    il, jk, ik, jl = al.pair_entries(gi, packed=True)
+    il, jk, ik, jl = al.pair_entries(gi)
     return al.tri_unpack(ik * jl - il * jk)
 
 

@@ -25,6 +25,7 @@ from . import geometry as ge
 from .algebra import slot_apply
 from .curvature import (auto_shift, c1_norm, shifted_scalar, weyl,
                          weyl_block)
+from .errors import NonPositiveShiftedScalar
 from .flow import FlowState, step_fixed
 from .geometry import (covariant_block, covariant_derivative, hessian_traces,
                        partial_stack, scalar_laplacian, second_covariant,
@@ -222,16 +223,16 @@ class StateTensors:
     @cached_property
     def WEE(self):
         """W_pijl E^pl E^ij = <W(E^#), E^#> with the trace-free Weyl, each
-        al.chunks block's W contracted as soon as weyl_block builds it, so
-        no whole-grid W is held (the monitor's packed W is, for c1_norm's
-        stencil)."""
+        al.chunks block's packed W, the monitor's bytes, contracted as soon
+        as weyl_block builds it, so no whole-grid W is held (the monitor's
+        is, for c1_norm's stencil)."""
         b, n = self.b, self.m.vol.size
-        Rm, R = b.Rm.reshape(n, -1), b.R.reshape(n, 1, 1)
+        Rm, R = b.Rm.reshape(n, -1), b.R.reshape(n, 1)
         E, g = b.E.reshape(n, 7, 7), self.m.g.reshape(n, 7, 7)
         E_up = slot_apply(b.E, self.m.ginv, 2).reshape(n, 7, 7)
         out = np.empty(n)
         for c in al.chunks(n, 7 ** 4):
-            W = weyl_block(al.tri_unpack(Rm[c]), R[c], E[c], g[c])
+            W = weyl_block(Rm[c], R[c], E[c], g[c])
             out[c] = np.sum(al.pair_apply(W, E_up[c]) * E_up[c],
                             axis=(-2, -1))
         return out.reshape(b.R.shape)
@@ -560,7 +561,6 @@ def pinching_record(ts, end=False):
     """What minimal_pinching_constant reads of StateTensors ``ts``: t,
     f = f_field(2) and, unless ``end`` (the first or last state of a run,
     never the middle of a triple), base and den; None when min(R + c) <= 0."""
-    from .errors import NonPositiveShiftedScalar
     try:
         rec = {'t': ts.state.t, 'f': ts.f_field(2.0)}
     except NonPositiveShiftedScalar:

@@ -4,8 +4,8 @@ import pytest
 from g2flow import algebra as al
 from g2flow.errors import DegreeError, NotPositive
 
-from conftest import (SMALL_BLOCK_BYTES, pair_to_dense, pair_unpack,
-                      perturbed_state3)
+from conftest import (SMALL_BLOCK_BYTES, pair_pack, pair_to_dense,
+                      pair_unpack, perturbed_state3)
 
 RNG = np.random.default_rng(42)
 
@@ -193,29 +193,36 @@ class TestFormToDense:
 
 
 class TestPairOperator:
+    @staticmethod
+    def dense_operator(P):
+        """M[(p, l), (i, j)] = P_pijl off the dense expansion of the
+        symmetric pair matrices P (.., 21, 21)."""
+        D = np.einsum('...pijl->...plij', pair_to_dense(P))
+        return D.reshape(P.shape[:-2] + (49, 49))
+
     def test_matches_dense_expansion(self):
-        # M[(p, l), (i, j)] = P_pijl entry by entry, on batched symmetric
-        # pair matrices
+        # M[(p, l), (i, j)] = P_pijl entry by entry, on the packed entries
+        # of batched symmetric pair matrices
         P = RNG.normal(size=(3, 2, 21, 21))
         P = P + np.swapaxes(P, -1, -2)
-        D = np.einsum('...pijl->...plij', pair_to_dense(P))
-        assert np.array_equal(al.pair_operator(P),
-                              D.reshape(P.shape[:-2] + (49, 49)))
+        assert np.array_equal(al.pair_operator(pair_pack(P)),
+                              self.dense_operator(P))
 
     @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
     def test_packed_entries_match_unpacked(self, state16, three):
-        # the gather composed with TRI_UNPACK reads a packed Rm in the bytes
-        # of the unpacked matrix, so pair_apply's contractions do too
+        # the gather composed with TRI_UNPACK reads a packed Rm as the
+        # dense expansion of its unpacked matrix, and pair_apply's
+        # contractions are the flattened 2-tensor times that operator
         b = (perturbed_state3() if three else state16).bundle
-        assert al.pair_operator(b.Rm).tobytes() == al.pair_operator(
-            pair_unpack(b.Rm)).tobytes()
-        assert al.pair_apply(b.Rm, b.Ric).tobytes() == al.pair_apply(
-            pair_unpack(b.Rm), b.Ric).tobytes()
+        D = self.dense_operator(pair_unpack(b.Rm))
+        assert np.array_equal(al.pair_operator(b.Rm), D)
+        want = b.Ric.reshape(b.R.shape + (1, 49)) @ D
+        assert al.pair_apply(b.Rm, b.Ric).tobytes() == want.tobytes()
 
     def test_repeated_entries_are_positive_zero(self):
         # an entry with p = i or j = l reads the appended +0.0, so no
         # negative zero appears on a negative input
-        M = al.pair_operator(-np.ones((2, 21, 21))).reshape(2, *(7,) * 4)
+        M = al.pair_operator(-np.ones((2, 231))).reshape(2, *(7,) * 4)
         p, l, i, j = np.indices((7,) * 4)
         rep = (p == i) | (j == l)
         assert np.all(M[:, rep] == 0.0) and not np.any(np.signbit(M[:, rep]))

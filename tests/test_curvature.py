@@ -15,8 +15,7 @@ from g2flow.grid import period_integrals
 from g2flow.initial_data import flat_phi_field, perturbed_phi_field
 
 from conftest import (EPS, GRID3, MODES3, SMALL_BLOCK_BYTES, dense_c1_norm,
-                      flat_state, pair_pack, pair_to_dense, pair_unpack,
-                      perturbed_state3)
+                      flat_state, pair_to_dense, pair_unpack, perturbed_state3)
 
 RNG = np.random.default_rng(21)
 
@@ -32,7 +31,7 @@ def random_symmetric(traceless=False):
 class TestKulkarniNomizu:
     def test_flat_double_metric(self):
         g = np.eye(7)
-        got = pair_to_dense(cv.kulkarni_nomizu(g, g))
+        got = pair_to_dense(pair_unpack(cv.kulkarni_nomizu(g, g)))
         want = 2 * (np.einsum('il,jk->ijkl', g, g)
                     - np.einsum('ik,jl->ijkl', g, g))
         assert np.allclose(got, want)
@@ -44,14 +43,17 @@ class TestKulkarniNomizu:
 
     def test_curvature_symmetries(self):
         a, b = random_symmetric(), random_symmetric()
-        K = pair_to_dense(cv.kulkarni_nomizu(a, b))
+        K = pair_to_dense(pair_unpack(cv.kulkarni_nomizu(a, b)))
         assert np.allclose(K, -np.einsum('ijkl->jikl', K), atol=1e-13)
         assert np.allclose(K, -np.einsum('ijkl->ijlk', K), atol=1e-13)
         assert np.allclose(K, np.einsum('ijkl->klij', K), atol=1e-13)
 
     def test_point_major_gathers_match_fancy_index(self, state16):
         # pair_ginv and kulkarni_nomizu gather on the flat 49 slots: the
-        # same bits as the fancy index, each point's matrix contiguous
+        # same bits as the fancy index, each point's matrix contiguous; the
+        # product is kept on its packed entries, so it reads unpacked the
+        # upper triangle of the fancy-index formula mirrored (E and g are
+        # symmetric only to about an ulp)
         m, E = state16.metric, state16.bundle.E
         i, j, k, l = al.PAIR
         gi = m.ginv
@@ -62,14 +64,17 @@ class TestKulkarniNomizu:
                 - E[..., i, k] * m.g[..., j, l]
                 - E[..., j, l] * m.g[..., i, k])
         got = cv.kulkarni_nomizu(E, m.g)
-        assert got.flags.c_contiguous and np.array_equal(got, want)
+        upper = np.triu(want) + np.swapaxes(np.triu(want, 1), -1, -2)
+        assert got.flags.c_contiguous
+        assert np.array_equal(pair_unpack(got), upper)
 
     def test_traceless_contraction_pins_one_fifth(self):
         # g^il (E o g)_ijkl = 5 E in dimension 7, fixing the 1/5 in the
         # curvature decomposition
         E = random_symmetric(traceless=True)
         got = np.einsum('il,ijkl->jk', np.eye(7),
-                        pair_to_dense(cv.kulkarni_nomizu(E, np.eye(7))))
+                        pair_to_dense(pair_unpack(
+                            cv.kulkarni_nomizu(E, np.eye(7)))))
         assert np.allclose(got, 5.0 * E, atol=1e-12)
 
 
@@ -86,8 +91,8 @@ class TestWeyl:
         tr = np.einsum('...il,...ijkl->...jk', m.ginv, pair_to_dense(W))
         assert np.max(np.abs(tr)) < 1e-10
         R = b.R[..., None, None]
-        recon = (R / 84.0) * cv.kulkarni_nomizu(m.g, m.g) \
-            + 0.2 * cv.kulkarni_nomizu(b.E, m.g) + W
+        recon = (R / 84.0) * pair_unpack(cv.kulkarni_nomizu(m.g, m.g)) \
+            + 0.2 * pair_unpack(cv.kulkarni_nomizu(b.E, m.g)) + W
         assert np.max(np.abs(pair_unpack(b.Rm) - recon)) < 1e-14
         ric = np.einsum('...il,...ijkl->...jk', m.ginv,
                         pair_to_dense(recon))
@@ -97,27 +102,22 @@ class TestWeyl:
     def test_blocks_match_whole_grid_formula(self, state16, three,
                                              monkeypatch):
         # g's pair entries serve both products in each block: the bytes of
-        # the whole-grid kulkarni_nomizu formula at any block size, on the
-        # upper triangle that weyl keeps.  g, Ric and E are symmetric only
-        # to about an ulp, so the dense block is too; unpacked, W reads each
+        # the whole-grid kulkarni_nomizu formula on the packed entries at
+        # any block size.  g, Ric and E are symmetric only to about an ulp,
+        # but W keeps only the entries P <= Q, so unpacked it reads each
         # lower entry off its mirror and is exactly symmetric
         st = perturbed_state3() if three else state16
         b, m = st.bundle, st.metric
-        Rm = pair_unpack(b.Rm)
-        want = (Rm - (b.R[..., None, None] / 84.0)
-                * cv.kulkarni_nomizu(m.g, m.g)
+        want = (b.Rm - (b.R[..., None] / 84.0) * cv.kulkarni_nomizu(m.g, m.g)
                 - 0.2 * cv.kulkarni_nomizu(b.E, m.g))
         assert want.tobytes() == cv.weyl_block(
-            Rm, b.R[..., None, None], b.E, m.g).tobytes()
-        # on the packed Rm, weyl_block computes only the upper triangle
-        assert pair_pack(want).tobytes() == cv.weyl_block(
             b.Rm, b.R[..., None], b.E, m.g).tobytes()
-        upper = np.triu(want) + np.swapaxes(np.triu(want, 1), -1, -2)
         for budget in (1 << 40, al.BLOCK_BYTES, SMALL_BLOCK_BYTES):
             monkeypatch.setattr(al, 'BLOCK_BYTES', budget)
             W = cv.weyl(b, m)
-            assert W.tobytes() == pair_pack(want).tobytes()
-            assert pair_unpack(W).tobytes() == upper.tobytes()
+            assert W.tobytes() == want.tobytes()
+            U = pair_unpack(W)
+            assert U.tobytes() == np.swapaxes(U, -1, -2).copy().tobytes()
 
     @pytest.mark.parametrize('spec', (
         gr.GridSpec.from_active(16, (0, 1)), GRID3), ids=('2axis', '3axis'))
@@ -170,7 +170,7 @@ class TestC1Norm:
         # stencil, whose square is below rounding at N=64 (5e-13
         # relative at N=32)
         m = state64.metric
-        fld = cv.c1_norm(pair_pack(cv.kulkarni_nomizu(m.g, m.g)), m)
+        fld = cv.c1_norm(cv.kulkarni_nomizu(m.g, m.g), m)
         assert np.max(np.abs(fld - np.sqrt(336.0))) <= 1e-12 * np.sqrt(336.0)
 
     @pytest.mark.parametrize('three', (False, True))

@@ -257,7 +257,7 @@ def test_kulkarni_nomizu_pair_form_matches_dense(a, b):
     # entries off the increasing pairs
     a, b = a + np.swapaxes(a, -1, -2), b + np.swapaxes(b, -1, -2)
     want = dense_kulkarni_nomizu(a, b)
-    got = pair_to_dense(cv.kulkarni_nomizu(a, b))
+    got = pair_to_dense(pair_unpack(cv.kulkarni_nomizu(a, b)))
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

@@ -146,10 +146,8 @@ def routed_contractions(ts):
 
 
 def dense_pair_apply(P, X):
-    if P.shape[-1] == al.TRI_PACK.size:
-        P = pair_unpack(P)
-    return np.einsum('...pijl,...pl->...ij', pair_to_dense(P), X,
-                     optimize=True)
+    return np.einsum('...pijl,...pl->...ij', pair_to_dense(pair_unpack(P)),
+                     X, optimize=True)
 
 
 class TestPairContractions:
@@ -180,6 +178,15 @@ class TestPairContractions:
         for name, w in want.items():
             assert np.max(np.abs(got[name] - w)) <= \
                 1e-13 * np.max(np.abs(w)), name
+
+    @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
+    def test_wee_reads_monitor_weyl(self, state16, three):
+        # verify's W(E, E) contracts the monitor's packed W, bit for bit,
+        # though it builds W block by block and holds none of it
+        ts = vf.StateTensors(perturbed_state3() if three else state16, c=1.0)
+        E_up = al.slot_apply(ts.b.E, ts.m.ginv, 2)
+        want = np.sum(al.pair_apply(ts.W, E_up) * E_up, axis=(-2, -1))
+        assert ts.WEE.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize('three', (False, True), ids=('2axis', '3axis'))
     def test_chunk_size_does_not_move_bits(self, state16, three,
@@ -318,8 +325,7 @@ class TestWholeGridExpressions:
         ric, scalar = whole_grid_general_flow(ts)
         want = {'gradT_combo': np.sum(up * down, axis=(-3, -2, -1)),
                 'WEE': np.sum(al.pair_apply(cv.weyl_block(
-                    pair_unpack(ts.b.Rm), ts.b.R[..., None, None], ts.b.E,
-                    m.g), E_up)
+                    ts.b.Rm, ts.b.R[..., None], ts.b.E, m.g), E_up)
                     * E_up, axis=(-2, -1)),
                 'nabla_Ric_norm2': ge.tensor_norm2(nric, m, 3),
                 'grad_combo': ge.tensor_norm2(combo, m, 3),
