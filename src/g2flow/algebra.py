@@ -7,13 +7,9 @@ accepts arrays with arbitrary leading (batch) axes and a trailing component
 axis; the grid modules reuse the same kernels on whole fields.
 
 Index conventions: tensor indices run 0..6 internally, 1..7 in
-documentation.  The inner product of k-forms follows the k-tensor
-convention (full contraction over all k slots, so |phi|^2 = 42 for the
-standard 3-form).
+documentation.
 """
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -54,12 +50,6 @@ def perm_sign(seq):
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
-
-
-def sort_with_sign(seq):
-    """Return (sorted tuple, permutation sign); sign 0 on repeats."""
-    s = perm_sign(seq)
-    return tuple(sorted(seq)), s
 
 
 @lru_cache(maxsize=None)
@@ -287,12 +277,6 @@ def move_indices_dense(k, comps, mat):
     return dense_to_form(k, slot_apply(form_to_dense(k, comps), mat, k))
 
 
-def form_inner_comps(k, a, b, ginv):
-    """Tensor inner product of two k-forms (includes the k! multiplicity)."""
-    br = move_indices_dense(k, b, ginv)
-    return math.factorial(k) * np.sum(a * br, axis=-1)
-
-
 def star_comps(k, a, g, ginv, vol, orientation):
     """Hodge star on raw components.
 
@@ -387,210 +371,12 @@ def metric_data_from_phi(phi3):
                  for a in (g, ginv, detg, vol, s0))
 
 
-# ---------------------------------------------------------------------------
-# pointwise public types and operations
-# ---------------------------------------------------------------------------
-
-class FormK:
-    """Antisymmetric k-tensor at a point, stored by increasing multi-index.
-
-    Component access accepts any index tuple and returns the signed value,
-    e.g. f[(1, 0, 2)] == -f[(0, 1, 2)].
-    """
-
-    __slots__ = ("degree", "comps")
-
-    def __init__(self, degree, comps=None):
-        if not 0 <= degree <= DIM:
-            raise DegreeError(f"degree must be in 0..{DIM}, got {degree}")
-        if comps is None:
-            comps = np.zeros(NCOMP[degree])
-        comps = np.asarray(comps, dtype=np.float64)
-        if comps.shape != (NCOMP[degree],):
-            raise ValueError(f"expected {NCOMP[degree]} components for "
-                             f"degree {degree}, got shape {comps.shape}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", comps)
-        self.comps.setflags(write=False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormK is immutable")
-
-    def __getitem__(self, idx):
-        if self.degree == 0:
-            return float(self.comps[0])
-        if isinstance(idx, int):
-            idx = (idx,)
-        key, s = sort_with_sign(tuple(idx))
-        if s == 0:
-            return 0.0
-        return s * float(self.comps[POS[self.degree][key]])
-
-    def to_dense(self):
-        return form_to_dense(self.degree, self.comps)
-
-    @classmethod
-    def from_dense(cls, degree, dense):
-        return cls(degree, dense_to_form(degree, np.asarray(dense, dtype=np.float64)))
-
-    def __repr__(self):
-        return f"FormK(degree={self.degree})"
-
-
-@dataclass(frozen=True)
-class MetricPoint:
-    """Metric data induced by a positive 3-form at a point.
-
-    ``orientation`` is +1 when the induced volume form is positively
-    oriented against dx^1...dx^7 and -1 otherwise; vol_coeff stays
-    positive either way.
-    """
-    g: np.ndarray
-    g_inv: np.ndarray
-    det_g: float
-    vol_coeff: float
-    orientation: float = 1.0
-
-
-@dataclass(frozen=True)
-class Decomposition2:
-    """Splitting of a 2-form into the 7- and 14-dimensional types."""
-    pi7: FormK
-    pi14: FormK
-
-
-@dataclass(frozen=True)
-class Decomposition3:
-    """Splitting of a 3-form into the 1-, 7- and 27-dimensional types."""
-    pi1: FormK
-    pi7: FormK
-    pi27: FormK
-
-
 def standard_phi():
-    """The flat-model positive 3-form: e123 + e145 + e167 + e246 - e257
-    - e347 - e356."""
+    """The 35 components of the flat-model positive 3-form: e123 + e145 +
+    e167 + e246 - e257 - e347 - e356."""
     comps = np.zeros(NCOMP[3])
     for I, s in (((0, 1, 2), 1), ((0, 3, 4), 1), ((0, 5, 6), 1),
                  ((1, 3, 5), 1), ((1, 4, 6), -1), ((2, 3, 6), -1),
                  ((2, 4, 5), -1)):
         comps[POS[3][I]] = s
-    return FormK(3, comps)
-
-
-def standard_psi():
-    """Hodge dual of the standard 3-form in the flat metric."""
-    phi = standard_phi()
-    m = metric_from_phi(phi)
-    return hodge_star(phi, m)
-
-
-def wedge(a, b):
-    """Exterior product of two forms at a point."""
-    return FormK(a.degree + b.degree,
-                 wedge_comps(a.degree, b.degree, a.comps, b.comps))
-
-
-def interior(v, a):
-    """Interior product v -| a; contracts v into the first slot of a."""
-    v = np.asarray(v, dtype=np.float64)
-    return FormK(a.degree - 1, interior_comps(a.degree, v, a.comps))
-
-
-def bilinear_form_B(phi):
-    """Symmetric 7x7 coefficient array of the volume-valued bilinear form
-    of a 3-form.  For the standard 3-form this is the identity matrix."""
-    return bilinear_form_comps(phi.comps)
-
-
-def metric_from_phi(phi):
-    """Metric, inverse, determinant, volume coefficient and orientation
-    induced by a positive 3-form.  Raises NotPositive otherwise."""
-    g, ginv, detg, vol, orient = metric_data_from_phi(phi.comps[None, :])
-    return MetricPoint(g=g[0], g_inv=ginv[0], det_g=float(detg[0]),
-                       vol_coeff=float(vol[0]), orientation=float(orient[0]))
-
-
-def hodge_star(a, m):
-    """Hodge star of a form with respect to a MetricPoint."""
-    out = star_comps(a.degree, a.comps[None, :], m.g[None, ...],
-                     m.g_inv[None, ...], np.asarray([m.vol_coeff]),
-                     np.asarray([m.orientation]))
-    return FormK(DIM - a.degree, out[0])
-
-
-def form_inner(a, b, m):
-    """Tensor inner product of two k-forms (full index contraction)."""
-    if a.degree != b.degree:
-        raise DegreeError("degree mismatch in inner product")
-    return float(form_inner_comps(a.degree, a.comps[None, :],
-                                  b.comps[None, :], m.g_inv[None, ...])[0])
-
-
-def decompose_2form(beta, phi, psi, m):
-    """Type components of a 2-form: pi7 = (beta + *(phi^beta))/3 and
-    pi14 = (2 beta - *(phi^beta))/3."""
-    w = hodge_star(wedge(phi, beta), m)
-    pi7 = FormK(2, (beta.comps + w.comps) / 3.0)
-    pi14 = FormK(2, (2.0 * beta.comps - w.comps) / 3.0)
-    return Decomposition2(pi7=pi7, pi14=pi14)
-
-
-def decompose_3form(eta, phi, psi, m):
-    """Type components of a 3-form via orthogonal projection.
-
-    The 1-part is the projection onto the span of phi; the 7-part is
-    X -| psi with X recovered through the 24 g(X, Y) contraction identity;
-    the 27-part is the remainder.
-    """
-    n_phi = form_inner(phi, phi, m)
-    pi1 = FormK(3, (form_inner(eta, phi, m) / n_phi) * phi.comps)
-    idx, sgn = basis_interior_table(4)
-    ipsi = psi.comps[idx] * sgn                       # (7, 35) rows e_a -| psi
-    M = np.array([form_inner_comps(3, eta.comps[None, :], ipsi[a][None, :],
-                                   m.g_inv[None, ...])[0] for a in range(DIM)])
-    X = m.g_inv @ M / 24.0
-    pi7 = interior(X, psi)
-    pi27 = FormK(3, eta.comps - pi1.comps - pi7.comps)
-    return Decomposition3(pi1=pi1, pi7=pi7, pi27=pi27)
-
-
-def contraction_residuals(phi):
-    """Max-norm residuals of the four contraction identities tying a
-    positive 3-form, its dual 4-form and the induced metric:
-
-      phi_ijk phi_abc g^kc           = g_ia g_jb - g_ib g_ja + psi_ijab
-      phi_ijk phi_abc g^jb g^kc      = 6 g_ia
-      psi_ijkl psi_abcd g^jb g^kc g^ld = 24 g_ia
-      phi_ijq psi_abkl g^ia g^jb     = 4 phi_qkl
-
-    Returns a dict with keys 'phiphi_psi', 'phiphi_6g', 'psipsi_24g',
-    'phipsi_4phi'.
-    """
-    m = metric_from_phi(phi)
-    psi = hodge_star(phi, m)
-    P = phi.to_dense()
-    Q = psi.to_dense()
-    gi = m.g_inv
-    g = m.g
-    lhs1 = np.einsum('ijk,abc,kc->ijab', P, P, gi, optimize=True)
-    rhs1 = (np.einsum('ia,jb->ijab', g, g)
-            - np.einsum('ib,ja->ijab', g, g) + Q)
-    lhs2 = np.einsum('ijk,abc,jb,kc->ia', P, P, gi, gi, optimize=True)
-    lhs3 = np.einsum('ijkl,abcd,jb,kc,ld->ia', Q, Q, gi, gi, gi,
-                     optimize=True)
-    lhs4 = np.einsum('ijq,abkl,ia,jb->qkl', P, Q, gi, gi, optimize=True)
-    return {
-        'phiphi_psi': float(np.max(np.abs(lhs1 - rhs1))),
-        'phiphi_6g': float(np.max(np.abs(lhs2 - 6.0 * g))),
-        'psipsi_24g': float(np.max(np.abs(lhs3 - 24.0 * g))),
-        'phipsi_4phi': float(np.max(np.abs(lhs4 - 4.0 * P))),
-    }
-
-
-def pullback_3form(u, phi):
-    """Pullback of a 3-form by the linear map u: (u* phi)_abc =
-    u^i_a u^j_b u^k_c phi_ijk."""
-    P = phi.to_dense()
-    out = np.einsum('ia,jb,kc,ijk->abc', u, u, u, P, optimize=True)
-    return FormK.from_dense(3, out)
+    return comps

@@ -179,12 +179,6 @@ class FormField:
         self.values = values
         self.values.setflags(write=False)
 
-    @classmethod
-    def constant(cls, form, spec):
-        """Broadcast a pointwise FormK over the whole grid."""
-        vals = np.broadcast_to(form.comps, spec.shape + form.comps.shape).copy()
-        return cls(form.degree, spec, vals)
-
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
 

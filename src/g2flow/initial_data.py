@@ -74,7 +74,9 @@ def potential_2form(spec, modes=DEFAULT_MODES):
 
 def flat_phi_field(spec):
     """Constant standard structure: the torsion-free fixed point."""
-    return FormField.constant(standard_phi(), spec)
+    phi = standard_phi()
+    vals = np.broadcast_to(phi, spec.shape + phi.shape)
+    return FormField(3, spec, vals.copy())
 
 
 def perturbed_phi_field(spec, epsilon=0.05, modes=DEFAULT_MODES):

@@ -1,12 +1,19 @@
-import numpy as np
-import pytest
+import math
+import os
 
-from g2flow import algebra as al
-from g2flow import flow as fl
-from g2flow import geometry as ge
-from g2flow import grid as gr
-from g2flow.initial_data import (DEFAULT_MODES, Mode, flat_phi_field,
-                                 perturbed_phi_field)
+# one BLAS thread, set before numpy is first imported: OpenBLAS's second
+# thread slows the suite on a 2-core machine
+os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from g2flow import algebra as al  # noqa: E402
+from g2flow import flow as fl  # noqa: E402
+from g2flow import geometry as ge  # noqa: E402
+from g2flow import grid as gr  # noqa: E402
+from g2flow.initial_data import (DEFAULT_MODES, Mode,  # noqa: E402
+                                 flat_phi_field, perturbed_phi_field)
 
 EPS = 0.05
 
@@ -158,14 +165,58 @@ def triple_pinching_constant(prev, mid, nxt):
     return float(np.max(ratio))
 
 
+def form_inner_comps(k, a, b, ginv):
+    """Pointwise inner product of k-form components in the k-tensor
+    convention: full contraction over all k slots, so |phi|^2 = 42 for
+    the standard 3-form."""
+    br = al.move_indices_dense(k, b, ginv)
+    return math.factorial(k) * np.sum(a * br, axis=-1)
+
+
 def l2_form_inner(a, b, m):
     """Global L2 pairing of k-form fields in the k!-normalized (form)
     convention, the one in which d and the codifferential are mutually
     adjoint; the k-tensor convention differs by the multiplicity k!."""
-    import math
-    v = al.form_inner_comps(a.degree, a.values, b.values, m.ginv) \
+    v = form_inner_comps(a.degree, a.values, b.values, m.ginv) \
         / float(math.factorial(a.degree))
     return gr.integrate_scalar(v * m.vol, a.spec)
+
+
+def contraction_residuals(phis):
+    """Max-norm residuals, per point of a batch of positive 3-forms
+    (.., 35), of the four contraction identities tying a 3-form, its dual
+    4-form and the induced metric:
+
+      phi_ijk phi_abc g^kc             = g_ia g_jb - g_ib g_ja + psi_ijab
+      phi_ijk phi_abc g^jb g^kc        = 6 g_ia
+      psi_ijkl psi_abcd g^jb g^kc g^ld = 24 g_ia
+      phi_ijq psi_abkl g^ia g^jb       = 4 phi_qkl
+
+    Returns two dicts keyed 'phiphi_psi', 'phiphi_6g', 'psipsi_24g' and
+    'phipsi_4phi': the absolute residuals, and those relative to the max
+    of the right-hand side."""
+    g, ginv, _, vol, orient = al.metric_data_from_phi(phis)
+    P = al.form_to_dense(3, phis)
+    Q = al.form_to_dense(4, al.star_comps(3, phis, g, ginv, vol, orient))
+    sides = {
+        'phiphi_psi': (
+            np.einsum('...ijk,...abc,...kc->...ijab', P, P, ginv,
+                      optimize=True),
+            np.einsum('...ia,...jb->...ijab', g, g)
+            - np.einsum('...ib,...ja->...ijab', g, g) + Q),
+        'phiphi_6g': (np.einsum('...ijk,...abc,...jb,...kc->...ia', P, P,
+                                ginv, ginv, optimize=True), 6.0 * g),
+        'psipsi_24g': (np.einsum('...ijkl,...abcd,...jb,...kc,...ld->...ia',
+                                 Q, Q, ginv, ginv, ginv, optimize=True),
+                       24.0 * g),
+        'phipsi_4phi': (np.einsum('...ijq,...abkl,...ia,...jb->...qkl', P, Q,
+                                  ginv, ginv, optimize=True), 4.0 * P)}
+    absolute, relative = {}, {}
+    for name, (lhs, rhs) in sides.items():
+        axes = tuple(range(phis.ndim - 1, rhs.ndim))
+        absolute[name] = np.max(np.abs(lhs - rhs), axis=axes)
+        relative[name] = absolute[name] / np.max(np.abs(rhs), axis=axes)
+    return absolute, relative
 
 
 def dense_c1_norm(T, m, rank):

@@ -1,13 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
 from g2flow import algebra as al
 from g2flow.errors import DegreeError, NotPositive
+from g2flow.initial_data import flat_phi_field
 
-from conftest import (SMALL_BLOCK_BYTES, pair_pack, pair_to_dense,
-                      pair_unpack, perturbed_state3)
+from conftest import (SMALL_BLOCK_BYTES, contraction_residuals,
+                      form_inner_comps, pair_pack, pair_to_dense, pair_unpack,
+                      perturbed_state3, scenario_spec)
 
 RNG = np.random.default_rng(42)
+
+# the standard structure, its metric data in star_comps's argument order
+# (g, g^-1, vol, orientation) and its dual 4-form
+PHI = al.standard_phi()
+G, GI, _, VOL, S0 = al.metric_data_from_phi(PHI)
+FLAT = (G, GI, VOL, S0)
+PSI = al.star_comps(3, PHI, *FLAT)
 
 
 def healthy_linear_map(rng, flip=False):
@@ -20,72 +31,77 @@ def healthy_linear_map(rng, flip=False):
     return u
 
 
-def random_metric_point(rng):
+def pullback(u, phi):
+    """(u* phi)_abc = u^i_a u^j_b u^k_c phi_ijk, batched over u."""
+    return al.dense_to_form(3, np.einsum(
+        '...ia,...jb,...kc,ijk->...abc', u, u, u, al.form_to_dense(3, phi),
+        optimize=True))
+
+
+def random_metric(rng):
+    """(g, g^-1, vol, orientation) of a random positive-definite g."""
     a = rng.normal(size=(7, 7))
     g = a @ a.T + 7 * np.eye(7)
-    return al.MetricPoint(g=g, g_inv=np.linalg.inv(g),
-                          det_g=float(np.linalg.det(g)),
-                          vol_coeff=float(np.sqrt(np.linalg.det(g))),
-                          orientation=1.0)
+    return g, np.linalg.inv(g), np.sqrt(np.linalg.det(g)), 1.0
 
 
 class TestStandardPhi:
     def test_defining_components(self):
         phi = al.standard_phi()
-        assert phi[(0, 1, 2)] == 1.0
-        assert phi[(1, 4, 6)] == -1.0
+        assert phi[al.POS[3][(0, 1, 2)]] == 1.0
+        assert phi[al.POS[3][(1, 4, 6)]] == -1.0
 
     def test_seven_monomials(self):
-        phi = al.standard_phi()
-        assert int(np.sum(phi.comps != 0)) == 7
+        assert int(np.sum(al.standard_phi() != 0)) == 7
 
     def test_antisymmetry_accessor(self):
-        phi = al.standard_phi()
-        assert phi[(1, 0, 2)] == -1.0
-        assert phi[(0, 0, 2)] == 0.0
+        # the dense expansion carries each index order's sign, and 0 on a
+        # repeated index
+        P = al.form_to_dense(3, al.standard_phi())
+        assert P[1, 0, 2] == -1.0
+        assert P[0, 0, 2] == 0.0
 
     def test_immutability(self):
-        phi = al.standard_phi()
+        # a field's values are read-only, and it takes no new attribute
+        phi = flat_phi_field(scenario_spec(4))
         with pytest.raises(AttributeError):
-            phi.degree = 4
+            phi.extra = 0.0
         with pytest.raises(ValueError):
-            phi.comps[0] = 2.0
+            phi.values[..., 0] = 2.0
 
 
 class TestWedge:
     def test_basis_product(self):
-        e1 = al.FormK(1, np.eye(7)[0])
-        e2 = al.FormK(1, np.eye(7)[1])
-        w = al.wedge(e1, e2)
-        assert w[(0, 1)] == 1.0
-        assert np.sum(w.comps != 0) == 1
+        w = al.wedge_comps(1, 1, np.eye(7)[0], np.eye(7)[1])
+        assert w[al.POS[2][(0, 1)]] == 1.0
+        assert np.sum(w != 0) == 1
 
     def test_phi_wedge_psi_is_seven_volumes(self):
-        phi = al.standard_phi()
-        psi = al.standard_psi()
-        assert al.wedge(phi, psi).comps[0] == pytest.approx(7.0, abs=1e-13)
+        assert al.wedge_comps(3, 4, PHI, PSI)[0] == pytest.approx(7.0,
+                                                                 abs=1e-13)
 
     def test_graded_commutativity(self):
         for p, q in ((1, 2), (2, 2), (2, 3), (3, 3), (1, 4)):
-            a = al.FormK(p, RNG.normal(size=al.NCOMP[p]))
-            b = al.FormK(q, RNG.normal(size=al.NCOMP[q]))
-            lhs = al.wedge(a, b).comps
-            rhs = (-1.0) ** (p * q) * al.wedge(b, a).comps
+            a = RNG.normal(size=al.NCOMP[p])
+            b = RNG.normal(size=al.NCOMP[q])
+            lhs = al.wedge_comps(p, q, a, b)
+            rhs = (-1.0) ** (p * q) * al.wedge_comps(q, p, b, a)
             assert np.allclose(lhs, rhs, atol=1e-13)
 
     def test_odd_degree_self_wedge_vanishes(self):
-        a = al.FormK(3, RNG.normal(size=35))
-        assert np.max(np.abs(al.wedge(a, a).comps)) < 1e-13
+        a = RNG.normal(size=35)
+        assert np.max(np.abs(al.wedge_comps(3, 3, a, a))) < 1e-13
 
     def test_zero_form_wedge_is_scaling(self):
         # a 0-form on either side goes through the general wedge table
         c = -1.75
-        zero = al.FormK(0, [c])
+        zero = np.array([c])
         for q in range(al.DIM + 1):
-            b = al.FormK(q, RNG.normal(size=al.NCOMP[q]))
-            for w in (al.wedge(zero, b), al.wedge(b, zero)):
-                assert w.degree == q
-                assert np.array_equal(w.comps, c * b.comps)
+            b = RNG.normal(size=al.NCOMP[q])
+            for w in (al.wedge_comps(0, q, zero, b),
+                      al.wedge_comps(q, 0, b, zero)):
+                assert w.shape == (al.NCOMP[q],)
+                assert np.array_equal(w, c * b)
             # batched over leading axes, as on a grid
             cs = RNG.normal(size=(5, 1))
             bs = RNG.normal(size=(5, al.NCOMP[q]))
@@ -93,32 +109,31 @@ class TestWedge:
             assert np.array_equal(al.wedge_comps(q, 0, bs, cs), cs * bs)
 
     def test_degree_overflow(self):
-        a = al.FormK(4, RNG.normal(size=35))
+        a = RNG.normal(size=35)
         with pytest.raises(DegreeError):
-            al.wedge(a, a)
+            al.wedge_comps(4, 4, a, a)
 
 
 class TestInterior:
     def test_e1_hook_phi(self):
-        phi = al.standard_phi()
-        got = al.interior(np.eye(7)[0], phi)
+        got = al.interior_comps(3, np.eye(7)[0], PHI)
         want = np.zeros(21)
         for pair in ((1, 2), (3, 4), (5, 6)):
             want[al.POS[2][pair]] = 1.0
-        assert np.allclose(got.comps, want)
+        assert np.allclose(got, want)
 
     def test_hook_of_missing_index(self):
-        e1 = al.FormK(1, np.eye(7)[0])
-        assert al.interior(np.eye(7)[6], e1).comps[0] == 0.0
+        assert al.interior_comps(1, np.eye(7)[6], np.eye(7)[0])[0] == 0.0
 
     def test_double_hook_vanishes(self):
         v = RNG.normal(size=7)
-        a = al.FormK(3, RNG.normal(size=35))
-        assert np.max(np.abs(al.interior(v, al.interior(v, a)).comps)) < 1e-13
+        a = RNG.normal(size=35)
+        twice = al.interior_comps(2, v, al.interior_comps(3, v, a))
+        assert np.max(np.abs(twice)) < 1e-13
 
     def test_degree_zero_rejected(self):
         with pytest.raises(DegreeError):
-            al.interior(np.eye(7)[0], al.FormK(0, [1.0]))
+            al.interior_comps(0, np.eye(7)[0], np.array([1.0]))
 
 
 class TestIndexTables:
@@ -148,9 +163,8 @@ class TestIndexTables:
             for n_out, J in enumerate(al.INC[k - 1]):
                 if m in J:
                     continue
-                I, s = al.sort_with_sign((m,) + J)
-                idx[m, n_out] = al.POS[k][I]
-                sgn[m, n_out] = s
+                idx[m, n_out] = al.POS[k][tuple(sorted((m,) + J))]
+                sgn[m, n_out] = al.perm_sign((m,) + J)
         got = al.basis_interior_table(k)
         assert self.same(got[0], idx) and self.same(got[1], sgn)
 
@@ -231,44 +245,42 @@ class TestPairOperator:
 
 class TestBilinearForm:
     def test_standard_gives_identity(self):
-        B = al.bilinear_form_B(al.standard_phi())
+        B = al.bilinear_form_comps(al.standard_phi())
         assert np.allclose(B, np.eye(7), atol=1e-14)
 
     def test_symmetry(self):
         for _ in range(5):
-            phi = al.FormK(3, RNG.normal(size=35))
-            B = al.bilinear_form_B(phi)
+            B = al.bilinear_form_comps(RNG.normal(size=35))
             assert np.allclose(B, B.T, atol=1e-12)
 
     def test_degenerate_has_low_rank(self):
         comps = np.zeros(35)
         comps[al.POS[3][(0, 1, 2)]] = 1.0
-        B = al.bilinear_form_B(al.FormK(3, comps))
+        B = al.bilinear_form_comps(comps)
         assert np.linalg.matrix_rank(B) < 7
 
 
 class TestMetricFromPhi:
     def test_standard_maps_to_identity(self):
-        m = al.metric_from_phi(al.standard_phi())
-        assert np.allclose(m.g, np.eye(7), atol=1e-14)
-        assert m.vol_coeff == pytest.approx(1.0, abs=1e-14)
-        assert m.orientation == 1.0
+        g, _, _, vol, orientation = al.metric_data_from_phi(al.standard_phi())
+        assert np.allclose(g, np.eye(7), atol=1e-14)
+        assert vol == pytest.approx(1.0, abs=1e-14)
+        assert orientation == 1.0
 
     def test_scaling_exponent(self):
         # pullback by lambda * id multiplies the metric by lambda^2
         lam = 1.7
-        pb = al.pullback_3form(lam * np.eye(7), al.standard_phi())
-        m = al.metric_from_phi(pb)
-        assert np.allclose(m.g, lam ** 2 * np.eye(7), atol=1e-12)
+        g = al.metric_data_from_phi(pullback(lam * np.eye(7), PHI))[0]
+        assert np.allclose(g, lam ** 2 * np.eye(7), atol=1e-12)
 
     def test_degenerate_rejected(self):
         comps = np.zeros(35)
         comps[al.POS[3][(0, 1, 2)]] = 1.0
         with pytest.raises(NotPositive):
-            al.metric_from_phi(al.FormK(3, comps))
+            al.metric_data_from_phi(comps)
 
     def test_nonfinite_rejected_with_point(self):
-        phis = np.broadcast_to(al.standard_phi().comps, (4, 3, 35)).copy()
+        phis = np.broadcast_to(al.standard_phi(), (4, 3, 35)).copy()
         phis[2, 1, 7] = np.nan
         with pytest.raises(NotPositive, match="non-finite") as err:
             al.metric_data_from_phi(phis)
@@ -285,18 +297,18 @@ class TestMetricFromPhi:
         # of signature (4, 3); pulled back by a map taking e1 to the null
         # vector e1 + e3 it keeps det B = -1 with B[0, 0] = 0; without its
         # terms on axis 1, e1 -| phi = 0 and B is singular, B[0, 0] = 0
-        comps = al.standard_phi().comps.copy()
+        comps = al.standard_phi()
         comps[al.POS[3][(2, 4, 5)]] *= -1.0
         if case == 'split_null_first_axis':
             u = np.eye(7)
             u[2, 0] = 1.0
-            comps = al.pullback_3form(u, al.FormK(3, comps)).comps
+            comps = pullback(u, comps)
         elif case == 'no_first_axis':
-            comps = al.standard_phi().comps.copy()
+            comps = al.standard_phi()
             comps[[n for n, I in enumerate(al.INC[3]) if 0 in I]] = 0.0
         if case != 'split':
             assert al.bilinear_form_comps(comps)[0, 0] == 0.0
-        phis = np.broadcast_to(al.standard_phi().comps, (4, 3, 35)).copy()
+        phis = np.broadcast_to(al.standard_phi(), (4, 3, 35)).copy()
         phis[2, 1] = comps
         with pytest.raises(NotPositive) as err:
             al.metric_data_from_phi(phis)
@@ -306,7 +318,7 @@ class TestMetricFromPhi:
     def test_nonfinite_in_later_block_has_global_point(self, monkeypatch):
         # 35-point blocks: flat index 47 sits in the second of three
         monkeypatch.setattr(al, 'BLOCK_BYTES', SMALL_BLOCK_BYTES)
-        phis = np.broadcast_to(al.standard_phi().comps, (8, 10, 35)).copy()
+        phis = np.broadcast_to(al.standard_phi(), (8, 10, 35)).copy()
         phis[4, 7, 3] = np.inf
         with pytest.raises(NotPositive, match="non-finite") as err:
             al.metric_data_from_phi(phis)
@@ -317,9 +329,9 @@ class TestMetricFromPhi:
         # split 3-forms at flat indices 10 (first block) and 50 (second);
         # the one at 50, scaled by 2, has the least eigenvalue, so a
         # diagnosis of the first failing block alone would name 10
-        split = al.standard_phi().comps.copy()
+        split = al.standard_phi()
         split[al.POS[3][(2, 4, 5)]] *= -1.0
-        phis = np.broadcast_to(al.standard_phi().comps, (80, 35)).copy()
+        phis = np.broadcast_to(al.standard_phi(), (80, 35)).copy()
         phis[10], phis[50] = split, 2.0 * split
         errors = []
         for budget in (1 << 40, SMALL_BLOCK_BYTES):
@@ -331,175 +343,169 @@ class TestMetricFromPhi:
 
     def test_metric_inverse_consistency(self):
         u = healthy_linear_map(np.random.default_rng(3))
-        m = al.metric_from_phi(al.pullback_3form(u, al.standard_phi()))
-        assert np.allclose(m.g @ m.g_inv, np.eye(7), atol=1e-12)
-        assert m.vol_coeff == pytest.approx(np.sqrt(m.det_g), rel=1e-12)
+        g, ginv, det_g, vol, _ = al.metric_data_from_phi(pullback(u, PHI))
+        assert np.allclose(g @ ginv, np.eye(7), atol=1e-12)
+        assert vol == pytest.approx(np.sqrt(det_g), rel=1e-12)
 
     def test_orientation_reversing_pullback(self):
         u = healthy_linear_map(np.random.default_rng(4), flip=True)
-        m = al.metric_from_phi(al.pullback_3form(u, al.standard_phi()))
-        assert m.orientation == -1.0
-        assert np.all(np.linalg.eigvalsh(m.g) > 0)
+        g, _, _, _, orientation = al.metric_data_from_phi(pullback(u, PHI))
+        assert orientation == -1.0
+        assert np.all(np.linalg.eigvalsh(g) > 0)
 
 
 class TestHodgeStar:
     def test_standard_dual(self):
-        psi = al.standard_psi()
         expect = {(3, 4, 5, 6): 1, (1, 2, 5, 6): 1, (1, 2, 3, 4): 1,
                   (0, 2, 4, 6): 1, (0, 2, 3, 5): -1, (0, 1, 4, 5): -1,
                   (0, 1, 3, 6): -1}
         for idx, val in expect.items():
-            assert psi[idx] == pytest.approx(val, abs=1e-14)
-        assert int(np.sum(psi.comps != 0)) == 7
+            assert PSI[al.POS[4][idx]] == pytest.approx(val, abs=1e-14)
+        assert int(np.sum(PSI != 0)) == 7
 
     def test_star_of_one_and_volume(self):
-        m = random_metric_point(np.random.default_rng(5))
-        one = al.FormK(0, [1.0])
-        vol = al.hodge_star(one, m)
-        assert vol.comps[0] == pytest.approx(m.vol_coeff, rel=1e-13)
-        back = al.hodge_star(vol, m)
-        assert back.comps[0] == pytest.approx(1.0, rel=1e-12)
+        m = random_metric(np.random.default_rng(5))
+        vol = al.star_comps(0, np.array([1.0]), *m)
+        assert vol[0] == pytest.approx(m[2], rel=1e-13)
+        back = al.star_comps(7, vol, *m)
+        assert back[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_involution_all_degrees(self):
-        m = random_metric_point(np.random.default_rng(6))
+        m = random_metric(np.random.default_rng(6))
         for k in range(8):
-            a = al.FormK(k, RNG.normal(size=al.NCOMP[k]))
-            ss = al.hodge_star(al.hodge_star(a, m), m)
-            assert np.allclose(ss.comps, a.comps, atol=1e-12)
+            a = RNG.normal(size=al.NCOMP[k])
+            ss = al.star_comps(7 - k, al.star_comps(k, a, *m), *m)
+            assert np.allclose(ss, a, atol=1e-12)
 
     def test_isometry_in_normalized_norm(self):
         # the k-tensor convention carries k! multiplicities, so the star is
         # an isometry of the k!-normalized inner product
-        import math
-        m = random_metric_point(np.random.default_rng(7))
+        m = random_metric(np.random.default_rng(7))
         for k in range(8):
-            a = al.FormK(k, RNG.normal(size=al.NCOMP[k]))
-            sa = al.hodge_star(a, m)
-            n1 = al.form_inner(a, a, m) / math.factorial(k)
-            n2 = al.form_inner(sa, sa, m) / math.factorial(7 - k)
+            a = RNG.normal(size=al.NCOMP[k])
+            sa = al.star_comps(k, a, *m)
+            n1 = form_inner_comps(k, a, a, m[1]) / math.factorial(k)
+            n2 = form_inner_comps(7 - k, sa, sa, m[1]) / math.factorial(7 - k)
             assert n2 == pytest.approx(n1, rel=1e-10)
 
     def test_norm_convention(self):
-        phi = al.standard_phi()
-        m = al.metric_from_phi(phi)
-        assert al.form_inner(phi, phi, m) == pytest.approx(42.0, abs=1e-12)
-        psi = al.standard_psi()
-        assert al.form_inner(psi, psi, m) == pytest.approx(168.0, abs=1e-12)
+        assert form_inner_comps(3, PHI, PHI, GI) == pytest.approx(42.0,
+                                                                  abs=1e-12)
+        assert form_inner_comps(4, PSI, PSI, GI) == pytest.approx(168.0,
+                                                                  abs=1e-12)
 
 
 class TestDecompose2:
-    def setup_method(self):
-        self.phi = al.standard_phi()
-        self.m = al.metric_from_phi(self.phi)
-        self.psi = al.hodge_star(self.phi, self.m)
+    @staticmethod
+    def split(beta):
+        """Type components (pi7, pi14) of a 2-form on the standard
+        structure: pi7 = (beta + *(phi ^ beta)) / 3 and
+        pi14 = (2 beta - *(phi ^ beta)) / 3."""
+        w = al.star_comps(5, al.wedge_comps(3, 2, PHI, beta), *FLAT)
+        return (beta + w) / 3.0, (2.0 * beta - w) / 3.0
 
     def test_vector_part_has_no_pi14(self):
         x = RNG.normal(size=7)
-        beta = al.interior(x, self.phi)
-        d = al.decompose_2form(beta, self.phi, self.psi, self.m)
-        assert np.max(np.abs(d.pi14.comps)) < 1e-12
+        _, pi14 = self.split(al.interior_comps(3, x, PHI))
+        assert np.max(np.abs(pi14)) < 1e-12
 
     def test_psi_wedge_kernel_has_no_pi7(self):
-        beta = al.FormK(2, RNG.normal(size=21))
-        d = al.decompose_2form(beta, self.phi, self.psi, self.m)
-        in14 = d.pi14
-        assert np.max(np.abs(al.wedge(self.psi, in14).comps)) < 1e-12
-        again = al.decompose_2form(in14, self.phi, self.psi, self.m)
-        assert np.max(np.abs(again.pi7.comps)) < 1e-12
+        _, in14 = self.split(RNG.normal(size=21))
+        assert np.max(np.abs(al.wedge_comps(4, 2, PSI, in14))) < 1e-12
+        again, _ = self.split(in14)
+        assert np.max(np.abs(again)) < 1e-12
 
     def test_reconstruction_and_eigenvalues(self):
-        beta = al.FormK(2, RNG.normal(size=21))
-        d = al.decompose_2form(beta, self.phi, self.psi, self.m)
-        assert np.allclose(d.pi7.comps + d.pi14.comps, beta.comps,
-                           atol=1e-10)
-        w7 = al.hodge_star(al.wedge(self.phi, d.pi7), self.m)
-        w14 = al.hodge_star(al.wedge(self.phi, d.pi14), self.m)
-        assert np.allclose(w7.comps, 2.0 * d.pi7.comps, atol=1e-12)
-        assert np.allclose(w14.comps, -d.pi14.comps, atol=1e-12)
+        beta = RNG.normal(size=21)
+        pi7, pi14 = self.split(beta)
+        assert np.allclose(pi7 + pi14, beta, atol=1e-10)
+        w7 = al.star_comps(5, al.wedge_comps(3, 2, PHI, pi7), *FLAT)
+        w14 = al.star_comps(5, al.wedge_comps(3, 2, PHI, pi14), *FLAT)
+        assert np.allclose(w7, 2.0 * pi7, atol=1e-12)
+        assert np.allclose(w14, -pi14, atol=1e-12)
 
     def test_idempotence(self):
-        beta = al.FormK(2, RNG.normal(size=21))
-        d = al.decompose_2form(beta, self.phi, self.psi, self.m)
-        d2 = al.decompose_2form(d.pi7, self.phi, self.psi, self.m)
-        assert np.allclose(d2.pi7.comps, d.pi7.comps, atol=1e-12)
-        assert np.max(np.abs(d2.pi14.comps)) < 1e-12
+        pi7, _ = self.split(RNG.normal(size=21))
+        again7, again14 = self.split(pi7)
+        assert np.allclose(again7, pi7, atol=1e-12)
+        assert np.max(np.abs(again14)) < 1e-12
 
     def test_type_dimensions(self):
         # rank of X -> X -| phi is 7; kernel of psi ^ . has dimension 14
-        hook = np.stack([al.interior(np.eye(7)[i], self.phi).comps
-                         for i in range(7)])
+        hook = al.interior_comps(3, np.eye(7), PHI)
         assert np.linalg.matrix_rank(hook) == 7
-        wedge_map = np.stack([al.wedge(self.psi,
-                                       al.FormK(2, np.eye(21)[i])).comps
-                              for i in range(21)])
+        wedge_map = al.wedge_comps(4, 2, PSI, np.eye(21))
         assert np.linalg.matrix_rank(wedge_map) == 21 - 14
 
 
 class TestDecompose3:
-    def setup_method(self):
-        self.phi = al.standard_phi()
-        self.m = al.metric_from_phi(self.phi)
-        self.psi = al.hodge_star(self.phi, self.m)
+    @staticmethod
+    def split(eta):
+        """Type components (pi1, pi7, pi27) of a 3-form on the standard
+        structure by orthogonal projection: pi1 onto the span of phi,
+        pi7 = X -| psi with X recovered through the 24 g(X, Y)
+        contraction identity, and pi27 the remainder."""
+        pi1 = (form_inner_comps(3, eta, PHI, GI)
+               / form_inner_comps(3, PHI, PHI, GI)) * PHI
+        ipsi = al.interior_comps(4, np.eye(7), PSI)   # rows e_a -| psi
+        X = GI @ form_inner_comps(3, eta, ipsi, GI) / 24.0
+        pi7 = al.interior_comps(4, X, PSI)
+        return pi1, pi7, eta - pi1 - pi7
 
     def test_phi_is_pure_pi1(self):
-        d = al.decompose_3form(self.phi, self.phi, self.psi, self.m)
-        assert np.allclose(d.pi1.comps, self.phi.comps, atol=1e-12)
-        assert np.max(np.abs(d.pi7.comps)) < 1e-12
-        assert np.max(np.abs(d.pi27.comps)) < 1e-12
+        pi1, pi7, pi27 = self.split(PHI)
+        assert np.allclose(pi1, PHI, atol=1e-12)
+        assert np.max(np.abs(pi7)) < 1e-12
+        assert np.max(np.abs(pi27)) < 1e-12
 
     def test_hook_psi_is_pure_pi7(self):
-        eta = al.interior(np.eye(7)[0], self.psi)
-        d = al.decompose_3form(eta, self.phi, self.psi, self.m)
-        assert np.max(np.abs(d.pi1.comps)) < 1e-12
-        assert np.max(np.abs(d.pi27.comps)) < 1e-12
+        pi1, _, pi27 = self.split(al.interior_comps(4, np.eye(7)[0], PSI))
+        assert np.max(np.abs(pi1)) < 1e-12
+        assert np.max(np.abs(pi27)) < 1e-12
 
     def test_reconstruction_orthogonality_and_27_wedges(self):
-        eta = al.FormK(3, RNG.normal(size=35))
-        d = al.decompose_3form(eta, self.phi, self.psi, self.m)
-        total = d.pi1.comps + d.pi7.comps + d.pi27.comps
-        assert np.allclose(total, eta.comps, atol=1e-10)
-        assert abs(al.form_inner(d.pi1, d.pi7, self.m)) < 1e-10
-        assert abs(al.form_inner(d.pi1, d.pi27, self.m)) < 1e-10
-        assert abs(al.form_inner(d.pi7, d.pi27, self.m)) < 1e-10
-        assert np.max(np.abs(al.wedge(d.pi27, self.phi).comps)) < 1e-10
-        assert np.max(np.abs(al.wedge(d.pi27, self.psi).comps)) < 1e-10
+        eta = RNG.normal(size=35)
+        pi1, pi7, pi27 = self.split(eta)
+        assert np.allclose(pi1 + pi7 + pi27, eta, atol=1e-10)
+        assert abs(form_inner_comps(3, pi1, pi7, GI)) < 1e-10
+        assert abs(form_inner_comps(3, pi1, pi27, GI)) < 1e-10
+        assert abs(form_inner_comps(3, pi7, pi27, GI)) < 1e-10
+        assert np.max(np.abs(al.wedge_comps(3, 3, pi27, PHI))) < 1e-10
+        assert np.max(np.abs(al.wedge_comps(3, 4, pi27, PSI))) < 1e-10
 
 
 class TestContractionIdentities:
     def test_standard_residuals(self):
-        res = al.contraction_residuals(al.standard_phi())
+        res, _ = contraction_residuals(PHI)
         assert set(res) == {'phiphi_psi', 'phiphi_6g', 'psipsi_24g',
                             'phipsi_4phi'}
         assert max(res.values()) <= 1e-12
 
     def test_explicit_six_and_twentyfour(self):
-        phi = al.standard_phi()
-        m = al.metric_from_phi(phi)
-        P = phi.to_dense()
-        lhs2 = np.einsum('ijk,abc,jb,kc->ia', P, P, m.g_inv, m.g_inv)
+        P = al.form_to_dense(3, PHI)
+        lhs2 = np.einsum('ijk,abc,jb,kc->ia', P, P, GI, GI)
         assert np.allclose(lhs2, 6.0 * np.eye(7), atol=1e-12)
-        Q = al.standard_psi().to_dense()
-        lhs3 = np.einsum('ijkl,abcd,jb,kc,ld->ia', Q, Q, m.g_inv, m.g_inv,
-                         m.g_inv, optimize=True)
+        Q = al.form_to_dense(4, PSI)
+        lhs3 = np.einsum('ijkl,abcd,jb,kc,ld->ia', Q, Q, GI, GI, GI,
+                         optimize=True)
         assert np.allclose(lhs3, 24.0 * np.eye(7), atol=1e-12)
 
     def test_gl_equivariance(self):
+        # 40 pullbacks, every other one orientation-reversing; each
+        # residual measured against max(1, max|g|) of its own metric
         rng = np.random.default_rng(11)
-        phi = al.standard_phi()
-        for trial in range(40):
-            u = healthy_linear_map(rng, flip=bool(trial % 2))
-            pb = al.pullback_3form(u, phi)
-            res = al.contraction_residuals(pb)
-            scale = max(1.0, float(np.max(np.abs(
-                al.metric_from_phi(pb).g))))
-            assert max(res.values()) / scale < 1e-8
+        us = np.stack([healthy_linear_map(rng, flip=bool(trial % 2))
+                       for trial in range(40)])
+        pbs = pullback(us, PHI)
+        res, _ = contraction_residuals(pbs)
+        g = al.metric_data_from_phi(pbs)[0]
+        scale = np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+        assert np.max(np.stack(list(res.values())) / scale) < 1e-8
 
     def test_stabilizer_fixes_metric(self):
         # elements of the 14-dimensional stabilizer algebra annihilate phi;
         # their exponentials pull phi back to itself and fix the metric
-        phi = al.standard_phi()
-        P = phi.to_dense()
-        basis = []
+        P = al.form_to_dense(3, PHI)
         pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
         act = np.zeros((21, 7, 7, 7))
         for n, (i, j) in enumerate(pairs):
@@ -529,7 +535,7 @@ class TestContractionIdentities:
                 E = E + term
             for _ in range(4):
                 E = E @ E
-            pb = al.pullback_3form(E.T, phi)
-            m = al.metric_from_phi(pb)
-            assert np.allclose(pb.comps, phi.comps, atol=1e-9)
-            assert np.allclose(m.g, np.eye(7), atol=1e-10)
+            pb = pullback(E.T, PHI)
+            g = al.metric_data_from_phi(pb)[0]
+            assert np.allclose(pb, PHI, atol=1e-9)
+            assert np.allclose(g, np.eye(7), atol=1e-10)

@@ -10,8 +10,8 @@ from g2flow import grid as gr
 from g2flow.errors import NotPositive, PositivityLost, SnapshotError, Stalled
 from g2flow.initial_data import Mode, flat_phi_field, perturbed_phi_field
 
-from conftest import (GRID3, flat_state, perturbed_state3, rewrite_header,
-                      scenario_spec)
+from conftest import (GRID3, flat_state, form_inner_comps, perturbed_state3,
+                      rewrite_header, scenario_spec)
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +60,13 @@ class TestRhs:
         st = perturbed_state3() if three else fl.FlowState(
             0.0, perturbed_phi_field(scenario_spec(32), 0.05))
         m, phi = st.metric, st.phi
-        assert np.allclose(al.form_inner_comps(3, phi.values, phi.values,
-                                               m.ginv), 42.0)
+        assert np.allclose(form_inner_comps(3, phi.values, phi.values,
+                                            m.ginv), 42.0)
         dstar = -ge.hodge_star_field(gr.exterior_derivative(st.psi), m).values
-        rate = gr.integrate_scalar(al.form_inner_comps(
+        rate = gr.integrate_scalar(form_inner_comps(
             3, fl.rhs(phi, m, st.psi).values, phi.values, m.ginv)
             * m.vol, phi.spec) / 18.0
-        norm2 = gr.integrate_scalar(al.form_inner_comps(
+        norm2 = gr.integrate_scalar(form_inner_comps(
             2, dstar, dstar, m.ginv) * m.vol, phi.spec)
         assert norm2 > 1e-3
         assert rate == pytest.approx(norm2 / 6.0, rel=1e-13, abs=0.0)
@@ -75,7 +75,7 @@ class TestRhs:
         spec = scenario_spec(4)
         comps = np.zeros(35)
         comps[al.POS[3][(0, 1, 2)]] = 1.0
-        bad = gr.FormField.constant(al.FormK(3, comps), spec)
+        bad = gr.FormField(3, spec, spec.zeros((35,)) + comps)
         with pytest.raises(NotPositive) as err:
             fl.rhs(bad)
         assert err.value.point is not None
@@ -205,6 +205,24 @@ class TestStep:
         for _ in range(20):
             st = fl.step_fixed(st, dt)
         assert np.max(np.abs(st.phi.values - flat)) < 0.6 * seed
+
+    def test_single_mode_decays_at_stencil_symbol(self):
+        # linearised at flat on exact forms, the flow is -Delta under the
+        # 4th-order stencil, whose symbol along an axis is s(theta)^2 / h^2
+        # with s(theta) = (8 sin theta - sin 2 theta) / 6, the quantity
+        # GridSpec.stencil_bound maximises; a 1e-3 mode d(cos x e23) then
+        # decays at lambda = s(2 pi / 16)^2 / h^2, and its torsion with it
+        spec = gr.GridSpec.from_active(16, (0, 1))
+        mode = Mode((1, 0, 0, 0, 0, 0, 0), (1, 2), 1.0, 0.0)
+        st = fl.FlowState(0.0, perturbed_phi_field(spec, 1e-3, (mode,)))
+        t0 = np.max(np.abs(st.T))
+        for _ in range(50):
+            st = fl.step_fixed(st, 0.02)
+        rate = -np.log(np.max(np.abs(st.T)) / t0) / st.t
+        theta = 2 * np.pi / 16
+        lam = ((8 * np.sin(theta) - np.sin(2 * theta)) / 6) ** 2 \
+            / spec.spacing[0] ** 2
+        assert rate == pytest.approx(lam, rel=1e-6)
 
     def test_step_builds_four_metrics(self, monkeypatch):
         # stage k1 reads the state's cached metric, so only stages k2-k4

@@ -98,7 +98,7 @@ def test_bilinear_form_matches_bryant_formula(phi, near):
     # the volume-pairing table; near=True takes a small perturbation of
     # standard_phi
     if near:
-        phi = al.standard_phi().comps + 0.1 * phi
+        phi = al.standard_phi() + 0.1 * phi
     iphi = al.interior_comps(3, np.eye(7), phi[:, None, :])   # (B, 7, 21)
     pairs = al.wedge_comps(2, 2, iphi[:, :, None, :], iphi[:, None, :, :])
     want = al.wedge_comps(4, 3, pairs, phi[:, None, None, :])[..., 0] / 6.0
@@ -118,8 +118,8 @@ def gl_pullbacks(seed, sv, flip):
     if flip:
         u[:, 0] = -u[:, 0]
     phis = al.dense_to_form(3, np.einsum(
-        'nia,njb,nkc,ijk->nabc', u, u, u, al.standard_phi().to_dense(),
-        optimize=True))
+        'nia,njb,nkc,ijk->nabc', u, u, u,
+        al.form_to_dense(3, al.standard_phi()), optimize=True))
     return u, phis
 
 
@@ -412,8 +412,9 @@ def check_axis_permutation(symmetry_cases, three, data, names):
             perm[a] = b
     new = np.empty_like(state.phi.values)
     for n, I in enumerate(al.INC[3]):
-        J, sgn = al.sort_with_sign(tuple(perm[i] for i in I))
-        new[..., al.POS[3][J]] = sgn * state.phi.values[..., n]
+        J = tuple(perm[i] for i in I)
+        new[..., al.POS[3][tuple(sorted(J))]] = al.perm_sign(J) \
+            * state.phi.values[..., n]
     order = tuple(np.argsort(perm)) + (7,)
     for name, got in fields(np.transpose(new, order), spec, names).items():
         # R = -|T|^2 is small beside the curvature it is contracted from,
