@@ -182,6 +182,14 @@ def l2_form_inner(a, b, m):
     return gr.integrate_scalar(v * m.vol, a.spec)
 
 
+def pullback(u, phi):
+    """(u* phi)_abc = u^i_a u^j_b u^k_c phi_ijk of 3-form components phi,
+    batched over the leading axes of the linear maps u."""
+    return al.dense_to_form(3, np.einsum(
+        '...ia,...jb,...kc,ijk->...abc', u, u, u, al.form_to_dense(3, phi),
+        optimize=True))
+
+
 def contraction_residuals(phis):
     """Max-norm residuals, per point of a batch of positive 3-forms
     (.., 35), of the four contraction identities tying a 3-form, its dual

@@ -9,15 +9,15 @@ from g2flow.initial_data import flat_phi_field
 
 from conftest import (SMALL_BLOCK_BYTES, contraction_residuals,
                       form_inner_comps, pair_pack, pair_to_dense, pair_unpack,
-                      perturbed_state3, scenario_spec)
+                      perturbed_state3, pullback, scenario_spec)
 
 RNG = np.random.default_rng(42)
 
 # the standard structure, its metric data in star_comps's argument order
 # (g, g^-1, vol, orientation) and its dual 4-form
 PHI = al.standard_phi()
-G, GI, _, VOL, S0 = al.metric_data_from_phi(PHI)
-FLAT = (G, GI, VOL, S0)
+g, GI, _, vol, orientation = al.metric_data_from_phi(PHI)
+FLAT = (g, GI, vol, orientation)
 PSI = al.star_comps(3, PHI, *FLAT)
 
 
@@ -29,13 +29,6 @@ def healthy_linear_map(rng, flip=False):
     if flip:
         u[:, 0] *= -1.0
     return u
-
-
-def pullback(u, phi):
-    """(u* phi)_abc = u^i_a u^j_b u^k_c phi_ijk, batched over u."""
-    return al.dense_to_form(3, np.einsum(
-        '...ia,...jb,...kc,ijk->...abc', u, u, u, al.form_to_dense(3, phi),
-        optimize=True))
 
 
 def random_metric(rng):

@@ -51,7 +51,7 @@ from g2flow.initial_data import (DEFAULT_MODES,  # noqa: E402
 from conftest import (GRID3, MODES3, dense_c1_norm,  # noqa: E402
                       dense_kulkarni_nomizu, dense_torsion, l2_form_inner,
                       pair_to_dense, pair_unpack, perturbed_state3,
-                      smooth_field)
+                      pullback, smooth_field)
 
 BATCH = 3
 REL = 1e-13
@@ -117,10 +117,7 @@ def gl_pullbacks(seed, sv, flip):
     u = q1 * sv[:, None, :] @ q2
     if flip:
         u[:, 0] = -u[:, 0]
-    phis = al.dense_to_form(3, np.einsum(
-        'nia,njb,nkc,ijk->nabc', u, u, u,
-        al.form_to_dense(3, al.standard_phi()), optimize=True))
-    return u, phis
+    return u, pullback(u, al.standard_phi())
 
 
 gl_maps = dict(seed=st.integers(0, 2 ** 32 - 1),
