@@ -1,8 +1,8 @@
 import math
 import os
 
-# one BLAS thread, set before numpy is first imported: OpenBLAS's second
-# thread slows the suite on a 2-core machine
+# one BLAS thread, as CI runs the suite; OpenBLAS reads the variable when
+# numpy is first imported, so it is set before that
 os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')
 
 import numpy as np  # noqa: E402
